@@ -1,6 +1,6 @@
 """E18 — async backend: lockstep equivalence, latency-realistic MST contrast.
 
-The asyncio scheduler's claim is twofold:
+The async scheduler's claim is twofold:
 
 * **identity** — in lockstep-equivalent mode (the default ``uniform``
   latency model) the backend is byte-identical to ``event``: results,

@@ -1,10 +1,10 @@
 """Shared helpers for the experiment benchmarks.
 
-Each benchmark module reproduces one experiment from DESIGN.md §4: it
-computes the experiment's table, prints it, writes it to
-``benchmarks/out/<experiment>.txt`` (the artifacts referenced by
-EXPERIMENTS.md), asserts the paper's *shape* claims, and times one
-representative unit of work via pytest-benchmark.
+Each benchmark module reproduces one experiment (see the faithfulness
+notes of ``docs/architecture.md``): it computes the experiment's table,
+prints it, writes it to ``benchmarks/out/<experiment>.txt``, asserts the
+paper's *shape* claims, and times one representative unit of work via
+pytest-benchmark.
 """
 
 from __future__ import annotations

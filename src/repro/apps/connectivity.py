@@ -127,9 +127,12 @@ def subgraph_components(
         class_labels = list(classes)
 
         phase_stats = RoundStats()
-        # Neighbor label exchange over H-edges: one round, |H| messages each way.
+        # Neighbor label exchange over H-edges: one round, |H| messages each
+        # way, charged per directed edge (bits not modeled).
         phase_stats.rounds += 1
-        phase_stats.messages += 2 * len(normalized)
+        for u, v in normalized:
+            phase_stats.record_message(u, v, 0, 0)
+            phase_stats.record_message(v, u, 0, 0)
 
         # Per-node minimum foreign label over incident H-edges.
         values: dict[int, int | None] = {}

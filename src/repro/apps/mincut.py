@@ -15,7 +15,7 @@ approximation exact. We reproduce the tree-packing route (Karger / Thorup):
    one tree edge (1-respecting) and, for graphs under a size threshold, all
    cuts that cut two tree edges (2-respecting); return the overall minimum.
 
-Faithfulness note (DESIGN.md §7): cut-value evaluation per tree is
+Faithfulness note (``docs/architecture.md``): cut-value evaluation per tree is
 performed centrally and charged one ``O(D)`` subtree-aggregation pass per
 tree (1-respecting cut values are plain subtree sums; that aggregation is
 implemented and measured in :mod:`repro.congest.primitives.broadcast`).

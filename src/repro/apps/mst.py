@@ -168,9 +168,11 @@ def distributed_mst(
 
         phase_stats = RoundStats()
         # Step 1: fragment-id exchange (1 round, one message per edge
-        # direction).
+        # direction, charged per directed edge; its bits are not modeled).
         phase_stats.rounds += 1
-        phase_stats.messages += 2 * graph.number_of_edges()
+        for u, v in graph.edges():
+            phase_stats.record_message(u, v, 0, 0)
+            phase_stats.record_message(v, u, 0, 0)
 
         # Step 2: shortcut for the current fragments, via the provider
         # registry (identical fragment collections — e.g. the singleton

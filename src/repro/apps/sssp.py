@@ -1,8 +1,8 @@
 """Shortest paths in CONGEST: BFS and Bellman–Ford (the SSSP demonstration).
 
 The paper cites [HL18] for (1+ε)-approximate SSSP on top of shortcuts; that
-algorithm's hopset machinery is out of scope here (DESIGN.md §7 records the
-substitution). This module provides the two primitives the corollary's
+algorithm's hopset machinery is out of scope here (the faithfulness notes
+of ``docs/architecture.md`` record the substitution). This module provides the two primitives the corollary's
 plumbing rests on, both running in the simulator with measured rounds:
 
 * :func:`distributed_bfs_sssp` — unweighted SSSP (= BFS), ``O(D)`` rounds;
@@ -217,7 +217,7 @@ def approx_sssp(
     The benefit over exact Bellman–Ford is that the rescaled weights fit in
     ``O(log(hop_bound/ε))`` bits — the message-size reduction that
     hopset-based algorithms like [HL18] build on (the full [HL18] machinery
-    is out of scope; see DESIGN.md §7).
+    is out of scope; see the faithfulness notes in ``docs/architecture.md``).
 
     Returns:
         ``(distances, stats)``: upscaled approximate distances in the

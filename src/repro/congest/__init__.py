@@ -59,8 +59,8 @@ forked processes — BFS-contiguous shards, per-round batched cross-shard
 message exchange with a barrier, merged per-shard stats — so large
 instances use all cores while staying byte-identical to ``"event"`` for
 any worker count.  ``scheduler="async"`` (:mod:`repro.congest.
-asynchronous`) drives activations on an asyncio event loop over a virtual
-clock with pluggable per-edge latencies: lockstep-equivalent under the
+asynchronous`) runs the ``"event"`` engine's virtual clock with pluggable
+per-edge latencies: lockstep-equivalent under the
 default ``uniform`` model, latency-realistic (reporting
 ``RoundStats.virtual_time`` and per-node completion times) under
 ``seeded-jitter``/``degree-proportional``.  Per-node ``ctx.rng`` streams

@@ -1,4 +1,4 @@
-"""The asyncio latency-realistic scheduler backend.
+"""The latency-realistic ``async`` backend and the latency-model registry.
 
 CONGEST rounds are an abstraction over variable link latency: the paper's
 round-complexity claims (Theorem 1.2's ``O(δD log n)`` constructions) are
@@ -6,7 +6,8 @@ stated in lockstep, but the shortcut framework is motivated by real
 networks where a message's transit time depends on the link it crosses
 (Haeupler–Li–Zuzic, arXiv:1801.06237, make the same point for minor-free
 families). This backend executes :class:`~repro.congest.node.NodeAlgorithm`
-instances on an asyncio event loop over a *virtual clock*: a message sent
+instances on the ``event`` engine's *virtual clock*
+(:class:`~repro.congest.engine.Stepper`): a message sent
 on edge ``e`` at tick ``t`` is delivered at ``t + latency(e)``, where the
 per-edge latency comes from a pluggable :class:`LatencyModel`. This is the
 one delivery convention shared by every latency-aware engine in the
@@ -33,11 +34,7 @@ Determinism is absolute in both modes: latencies are a deterministic
 function of ``(run_seed, edge)`` (never drawn from a shared generator),
 activation within a tick follows global node-index order, inboxes are
 materialized in sender-index order, and the virtual clock never consults
-wall time — reruns with the same seed replay byte-identically. Within a
-tick, node activations run as asyncio tasks gathered in node-index order
-on a fresh event loop; the bodies are synchronous today, so creation order
-is execution order, and genuinely-async node algorithms can slot in
-without changing the driver.
+wall time — reruns with the same seed replay byte-identically.
 
 ``max_rounds`` bounds the virtual clock (under uniform latencies this is
 exactly the round bound); ``ctx.round`` carries the current tick, so
@@ -46,7 +43,6 @@ timer-driven algorithms see a monotone clock in both modes.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import heapq
 import json
@@ -55,15 +51,11 @@ import pathlib
 
 import networkx as nx
 
-from repro.congest.engine import (
-    MessageFabric,
-    NodeContext,
-    SchedulerBackend,
-    register_backend,
-)
-from repro.congest.stats import RoundStats
+# The one backend-class import here: async *is* the event engine, with
+# the latency-model capability this module's registry serves.
+from repro.congest.engine import EventBackend  # noqa: TID251
+from repro.congest.engine import register_backend
 from repro.util.errors import CongestViolation
-from repro.util.rng import derive_node_rng
 
 __all__ = [
     "AsyncBackend",
@@ -114,7 +106,7 @@ class LatencyModel:
       ``is_dynamic = True``) — transit time is computed at *send* time
       from the send tick and the link's instantaneous in-flight load, via
       the narrow :class:`LinkSchedule` view the engines thread through
-      :meth:`~repro.congest.engine.MessageFabric.deliver_timed`.
+      :meth:`~repro.congest.engine.MessageFabric.stage`.
       ``contention`` and ``trace-driven`` are load-dependent.
 
     Either way the one shared delivery convention holds: a message sent on
@@ -694,159 +686,15 @@ def resolve_latency_model(
         raise exc(str(err)) from None
 
 
-class AsyncBackend(SchedulerBackend):
-    """Virtual-clock asyncio execution with per-edge latencies.
+class AsyncBackend(EventBackend):
+    """The ``event`` engine with per-edge latency models.
 
-    The driver keeps a heap of pending wake times. Each step pops the
-    earliest tick, activates every node with arrivals or a keep-alive latch
-    at that tick (as asyncio tasks gathered in node-index order), and
-    stages their sends at ``tick + latency(edge)``. Quiescence is an empty
-    schedule — no arrivals in flight, no latches — exactly the lockstep
-    rule lifted to virtual time.
+    With the capability flag set, the engine resolves the run's model
+    through this module's registry and records the wall-model dimension.
     """
 
     name = "async"
-
-    # The one backend that drives a real per-edge-latency clock; see
-    # SchedulerBackend.supports_latency_models.
     supports_latency_models = True
-
-    def execute(self, net, algorithms, run_seed, max_rounds, raise_on_timeout):
-        model = resolve_latency_model(getattr(net, "latency_model", None))
-        if model.is_dynamic:
-            # Load-dependent path (the capability split): no static table
-            # exists — the fabric computes each transit at send time from
-            # the link's instantaneous in-flight count, via a fresh
-            # per-run LinkSchedule. Seed-free by contract.
-            latencies, link_schedule = None, model.schedule(net.graph)
-        else:
-            latencies, link_schedule = model.build(net.graph, run_seed), None
-        loop = asyncio.new_event_loop()
-        try:
-            return loop.run_until_complete(
-                self._drive(
-                    net, algorithms, run_seed, max_rounds, raise_on_timeout,
-                    latencies, link_schedule,
-                )
-            )
-        finally:
-            loop.close()
-
-    async def _drive(
-        self, net, algorithms, run_seed, max_rounds, raise_on_timeout,
-        latencies, link_schedule=None,
-    ):
-        nodes = net._nodes
-        index = net._index
-        stats = RoundStats()
-        fabric = MessageFabric(
-            net._neighbor_sets, net.bandwidth_bits, net.enforce_bandwidth,
-            stats, latencies=latencies, link_schedule=link_schedule,
-        )
-        contexts = {
-            v: NodeContext(
-                v, net._neighbors[v], len(nodes), derive_node_rng(run_seed, i)
-            )
-            for i, v in enumerate(nodes)
-        }
-        # arrivals[t][target] -> [(sender_index, sender, payload), ...];
-        # latched[t] -> nodes whose keep-alive latch wakes them at t;
-        # timers[t] -> nodes whose schedule_wake timer is armed for t
-        # (validated lazily against ctx._wake_at at fire time — re-arming
-        # to an earlier tick leaves a stale entry behind). The heap holds
-        # every tick with a bucket in any map, exactly once.
-        arrivals: dict[int, dict[int, list]] = {}
-        latched: dict[int, list[int]] = {}
-        timers: dict[int, set[int]] = {}
-        schedule: list[int] = []
-        scheduled: set[int] = set()
-
-        def wake_at(tick: int) -> None:
-            if tick not in scheduled:
-                scheduled.add(tick)
-                heapq.heappush(schedule, tick)
-
-        def arm_timer(v: int, ctx) -> None:
-            wake = ctx._wake_at
-            if wake is not None:
-                timers.setdefault(wake, set()).add(v)
-                wake_at(wake)
-
-        async def activate(v: int, now: int, entries: list | None) -> None:
-            ctx = contexts[v]
-            ctx.round = now
-            ctx._keep_alive = False
-            if ctx._wake_at is not None and ctx._wake_at <= now:
-                ctx._wake_at = None  # the timer fires with this wake
-            if entries:
-                # Sender-index order: canonical inbox insertion order, no
-                # matter when each message was sent.
-                entries.sort()
-                inbox = {sender: payload for _, sender, payload in entries}
-            else:
-                inbox = {}
-            outbox = algorithms[v].on_wake(ctx, inbox) or {}
-            stats.activations += 1
-            stats.completion_times[v] = now
-            if outbox:
-                for tick in fabric.deliver_timed(v, index[v], outbox, arrivals, now):
-                    wake_at(tick)
-            if ctx._keep_alive:
-                bucket = latched.get(now + 1)
-                if bucket is None:
-                    bucket = latched[now + 1] = []
-                bucket.append(v)
-                wake_at(now + 1)
-            arm_timer(v, ctx)
-
-        # Tick 0: on_start on every node, by definition.
-        for v in nodes:
-            ctx = contexts[v]
-            outbox = algorithms[v].on_start(ctx) or {}
-            if outbox:
-                for tick in fabric.deliver_timed(v, index[v], outbox, arrivals, 0):
-                    wake_at(tick)
-            if ctx._keep_alive:
-                latched.setdefault(1, []).append(v)
-                wake_at(1)
-            arm_timer(v, ctx)
-
-        while schedule:
-            now = heapq.heappop(schedule)
-            scheduled.discard(now)
-            bucket = arrivals.pop(now, None) or {}
-            latch_bucket = latched.pop(now, None) or ()
-            due = [
-                v for v in timers.pop(now, ())
-                if contexts[v]._wake_at == now
-            ]
-            current = sorted(
-                bucket.keys() | set(latch_bucket) | set(due),
-                key=index.__getitem__,
-            )
-            if not current:
-                # Every entry at this tick went stale (timers re-armed
-                # earlier); it is not a round.
-                continue
-            if now > max_rounds:
-                # Work remains past the clock bound — the virtual-time
-                # analogue of the lockstep timeout. stats.rounds reports
-                # the bound itself, matching the lockstep loops (which
-                # execute the empty rounds a virtual clock skips).
-                if raise_on_timeout:
-                    raise CongestViolation(
-                        f"execution did not quiesce within {max_rounds} rounds"
-                    )
-                stats.rounds = max_rounds
-                break
-            stats.rounds = now
-            await asyncio.gather(
-                *(activate(v, now, bucket.get(v)) for v in current)
-            )
-
-        stats.virtual_time = stats.rounds
-        results = {v: algorithms[v].result() for v in nodes}
-        return results, stats
 
 
 register_backend(AsyncBackend)

@@ -4,10 +4,15 @@
 execution means; this module defines *how* one is driven. The split is:
 
 * :class:`MessageFabric` owns the per-message semantics every backend must
-  enforce identically — adjacency validation, the bandwidth budget, inbox
-  staging for next-round delivery, and :class:`~repro.congest.stats.
-  RoundStats` accounting (messages are charged at *send* time, keyed by the
-  send round).
+  enforce identically — adjacency validation, the bandwidth budget, staging
+  each message for delivery ``latency(e)`` ticks after its send (one tick
+  under lockstep), and :class:`~repro.congest.stats.RoundStats` accounting
+  (messages are charged at *send* time, keyed by the send round).
+* :class:`Stepper` is the one virtual-clock engine: a population's staged
+  arrivals, keep-alive latches and timer wheel, activated tick by tick in
+  node-index order. The ``event`` and ``async`` backends run one per
+  execution, the job layer (:mod:`repro.congest.jobs`) one per tenant, and
+  the vectorized backend one for its interpreted tier.
 * :class:`SchedulerBackend` subclasses own the activation strategy — which
   nodes run in a round, in which process. The contract is strict: every
   backend must produce byte-identical results, round counts, and message
@@ -38,7 +43,8 @@ the :mod:`repro.core.providers` registry: an unknown scheduler name fails
 with a message listing every registered backend, uniformly at every API
 boundary. The in-process backends live in this module (``event``,
 ``dense``); the multi-process ``sharded`` backend lives in
-:mod:`repro.congest.sharded` and the latency-realistic asyncio backend in
+:mod:`repro.congest.sharded`, and ``async`` — the ``event`` engine with
+per-edge latency models — next to the latency-model registry in
 :mod:`repro.congest.asynchronous`.
 """
 
@@ -55,6 +61,7 @@ from repro.util.rng import derive_node_rng
 __all__ = [
     "NodeContext",
     "MessageFabric",
+    "Stepper",
     "SchedulerBackend",
     "EventBackend",
     "DenseBackend",
@@ -63,6 +70,8 @@ __all__ = [
     "get_backend",
     "available_schedulers",
     "checked_spurious_wake",
+    "node_contexts",
+    "timeout",
 ]
 
 # Scheduler-backend registry; backends self-register at import time (the
@@ -237,8 +246,8 @@ class MessageFabric:
         self.bandwidth_bits = bandwidth_bits
         self.enforce_bandwidth = enforce_bandwidth
         self.stats = stats
-        # Per-directed-edge transit times in ticks (>= 1), or None for the
-        # lockstep backends (every message takes exactly one round).
+        # Per-directed-edge transit times in ticks (>= 1), or None when
+        # every message takes exactly one round.
         self.latencies = latencies
         # Load-dependent latency models hand the fabric a LinkSchedule
         # instead of a table: transit is computed per send from the link's
@@ -274,88 +283,200 @@ class MessageFabric:
             )
         return bits
 
-    def deliver(
-        self,
-        sender: int,
-        outbox: dict[int, object],
-        inboxes: dict[int, dict[int, object]],
-        active: set,
-        round_no: int,
-    ) -> None:
-        """Validate ``sender``'s outbox and stage it for next-round delivery.
-
-        All targets are local (the in-process path); the sharded worker uses
-        :meth:`validate` directly and routes cross-shard targets itself.
-        """
-        if self.arbiter is not None:
-            raise CongestViolation(
-                "an arbitrated fabric must deliver through the virtual-time "
-                "path (deliver_timed); the round-staging path cannot defer "
-                "messages across ticks"
-            )
-        stats = self.stats
-        for target, payload in outbox.items():
-            bits = self.validate(sender, target, payload)
-            inbox = inboxes.get(target)
-            if inbox is None:
-                inbox = inboxes[target] = {}
-                active.add(target)
-            inbox[sender] = payload
-            stats.record_message(sender, target, bits, round_no)
-
-    def deliver_timed(
+    def stage(
         self,
         sender: int,
         sender_index: int,
         outbox: dict[int, object],
-        arrivals: dict[int, dict[int, list]],
         now: int,
-    ) -> list[int]:
-        """Validate ``sender``'s outbox and stage it into virtual-time buckets.
+        clock: "Stepper",
+    ) -> None:
+        """Validate ``sender``'s outbox and stage it on ``clock``.
 
-        Each message sent at tick ``now`` arrives at ``now + latency(edge)``
-        (one tick per edge without a latency table). Staged entries are
-        ``(sender_index, sender, payload)`` tuples; the activating backend
-        sorts each inbox by sender index, reproducing the canonical
-        insertion order regardless of send times. Returns the arrival times
-        whose buckets this call created, so the caller can extend its wake
-        schedule.
+        A message sent at tick ``now`` arrives at ``now + transit``: one
+        tick without a latency table (lockstep), the table's entry, or the
+        link schedule's load-dependent transit (sends come in
+        non-decreasing ``now`` order, the schedule's determinism contract).
 
         With an :attr:`arbiter` attached (multi-tenant executions), sends
         are validated here but *submitted* to the arbiter instead of being
         staged: the edge grant — and therefore the arrival tick and the
-        stats charge — happens in the arbiter's per-tick resolution, and
-        the returned list is empty (the arbiter wakes the receiving job
-        itself at grant time).
+        stats charge — happens in the arbiter's per-tick resolution.
         """
         arbiter = self.arbiter
-        if arbiter is not None:
-            for target, payload in outbox.items():
-                bits = self.validate(sender, target, payload)
-                arbiter.submit(self, sender, sender_index, target, payload, bits)
-            return []
         stats = self.stats
         latencies = self.latencies
         link_schedule = self.link_schedule
-        new_times: list[int] = []
         for target, payload in outbox.items():
             bits = self.validate(sender, target, payload)
+            if arbiter is not None:
+                arbiter.submit(self, sender, sender_index, target, payload, bits)
+                continue
             if link_schedule is not None:
-                # Load-dependent path: transit is computed at send time
-                # from the link's instantaneous in-flight count. Callers
-                # present sends in non-decreasing `now` order (the
-                # virtual-clock engines pop time in order), which is the
-                # schedule's determinism contract.
                 arrive = now + link_schedule.transit(sender, target, now)
             else:
                 arrive = now + (latencies[(sender, target)] if latencies else 1)
-            bucket = arrivals.get(arrive)
-            if bucket is None:
-                bucket = arrivals[arrive] = {}
-                new_times.append(arrive)
-            bucket.setdefault(target, []).append((sender_index, sender, payload))
+            clock.arrive(arrive, target, (sender_index, sender, payload))
             stats.record_message(sender, target, bits, now)
-        return new_times
+
+
+def timeout(stats: RoundStats, max_rounds: int, raise_on_timeout: bool, who: str = ""):
+    """End a run that still has work past ``max_rounds``, or raise.
+
+    ``stats.rounds`` reports the bound itself, matching the lockstep loop
+    (which executes the empty rounds a virtual clock fast-forwards over).
+    """
+    if raise_on_timeout:
+        raise CongestViolation(
+            f"{who}execution did not quiesce within {max_rounds} rounds"
+        )
+    stats.rounds = max_rounds
+
+
+class Stepper:
+    """One population's virtual clock: the loop every timer-native run steps.
+
+    A node is due at a tick when messages arrive for it, when it latched
+    keep-alive the tick before, or when its :meth:`NodeContext.schedule_wake`
+    timer is armed for it (validated lazily against ``ctx._wake_at``: a
+    tick whose entries all went stale is not a round). :meth:`step`
+    activates the due nodes in node-index order; idle ticks are never
+    stepped, and are empty under every backend, so only activations differ
+    from the lockstep loop.
+
+    ``contexts`` (node -> NodeContext) is in node-index order and ``index``
+    gives each node's index. ``fabric`` validates, stages, and charges
+    sends; its stats are the run's. ``resort`` sorts each inbox by sender
+    index, needed only where arrivals can reach a tick out of sender order
+    (non-unit transit, arbitration deferrals, cross-tier sends).
+    ``record_wall`` records per-node ``completion_times``; ``notify`` is
+    called with every scheduled tick.
+    """
+
+    __slots__ = (
+        "algorithms", "contexts", "index", "fabric", "stats", "resort",
+        "record_wall", "notify", "arrivals", "latched", "timers", "heap",
+    )
+
+    def __init__(
+        self, algorithms, contexts, index, fabric, resort=False,
+        record_wall=False, notify=None,
+    ):
+        self.algorithms = algorithms
+        self.contexts = contexts
+        self.index = index
+        self.fabric = fabric
+        self.stats = fabric.stats
+        self.resort = resort
+        self.record_wall = record_wall
+        self.notify = notify
+        # arrivals[t][target] -> [(sender_index, sender, payload), ...];
+        # latched -> nodes due next tick; timers[t] -> nodes armed for t.
+        # The heap holds every tick with pending work (repeats allowed).
+        self.arrivals: dict[int, dict[int, list]] = {}
+        self.latched: list = []
+        self.timers: dict[int, set] = {}
+        self.heap: list[int] = []
+
+    def schedule(self, tick: int) -> None:
+        heapq.heappush(self.heap, tick)
+        if self.notify is not None:
+            self.notify(tick)
+
+    def arrive(self, tick: int, target, entry: tuple) -> None:
+        """Stage one ``(sender_index, sender, payload)`` entry for ``tick``."""
+        bucket = self.arrivals.get(tick)
+        if bucket is None:
+            bucket = self.arrivals[tick] = {}
+            self.schedule(tick)
+        entries = bucket.get(target)
+        if entries is None:
+            bucket[target] = [entry]
+        else:
+            entries.append(entry)
+
+    def _settle(self, v, ctx: NodeContext, now: int) -> None:
+        """Queue ``v``'s own wake-ups after an activation: latch and timer."""
+        if ctx._keep_alive:
+            self.latched.append(v)
+            self.schedule(now + 1)
+        wake = ctx._wake_at
+        if wake is not None:
+            bucket = self.timers.get(wake)
+            if bucket is None:
+                bucket = self.timers[wake] = set()
+            bucket.add(v)
+            self.schedule(wake)
+
+    def start(self) -> None:
+        """Tick 0: ``on_start`` on every node, by definition."""
+        algorithms, index, fabric = self.algorithms, self.index, self.fabric
+        for v, ctx in self.contexts.items():
+            outbox = algorithms[v].on_start(ctx) or {}
+            if outbox:
+                fabric.stage(v, index[v], outbox, 0, self)
+            self._settle(v, ctx, 0)
+
+    def next_tick(self) -> int | None:
+        """The earliest tick with live work, or ``None`` at quiescence."""
+        heap = self.heap
+        while heap:
+            tick = heap[0]
+            # A latch is always due at the heap's first tick.
+            if self.latched or tick in self.arrivals or any(
+                self.contexts[v]._wake_at == tick for v in self.timers.get(tick, ())
+            ):
+                return tick
+            heapq.heappop(heap)
+            self.timers.pop(tick, None)
+        return None
+
+    def step(self, now: int) -> None:
+        """Activate every node due at ``now``, the tick :meth:`next_tick` named."""
+        heap = self.heap
+        while heap and heap[0] == now:
+            heapq.heappop(heap)
+        contexts = self.contexts
+        bucket = self.arrivals.pop(now, None) or {}
+        due = set(bucket)
+        due.update(self.latched)
+        self.latched = []
+        due.update(v for v in self.timers.pop(now, ()) if contexts[v]._wake_at == now)
+        algorithms, index, fabric, stats = (
+            self.algorithms, self.index, self.fabric, self.stats
+        )
+        resort, record_wall = self.resort, self.record_wall
+        stats.rounds = now
+        for v in sorted(due, key=index.__getitem__):
+            ctx = contexts[v]
+            ctx.round = now
+            ctx._keep_alive = False
+            if ctx._wake_at is not None and ctx._wake_at <= now:
+                ctx._wake_at = None  # the timer fires with this wake
+            entries = bucket.get(v)
+            if entries:
+                if resort:
+                    entries.sort()
+                inbox = {sender: payload for _, sender, payload in entries}
+            else:
+                inbox = {}
+            outbox = algorithms[v].on_wake(ctx, inbox) or {}
+            stats.activations += 1
+            if record_wall:
+                stats.completion_times[v] = now
+            if outbox:
+                fabric.stage(v, index[v], outbox, now, self)
+            self._settle(v, ctx, now)
+
+    def run(self, max_rounds: int, raise_on_timeout: bool) -> None:
+        """Step every live tick; quiescence is an empty schedule."""
+        while (now := self.next_tick()) is not None:
+            if now > max_rounds:
+                timeout(self.stats, max_rounds, raise_on_timeout)
+                break
+            self.step(now)
+        if self.record_wall:
+            self.stats.virtual_time = self.stats.rounds
 
 
 def _state_fingerprint(algorithm) -> str | None:
@@ -446,142 +567,63 @@ class SchedulerBackend:
         raise NotImplementedError
 
 
-class _InProcessBackend(SchedulerBackend):
-    """Shared run scaffolding for the single-process backends."""
-
-    def execute(self, net, algorithms, run_seed, max_rounds, raise_on_timeout):
-        nodes = net._nodes
-        stats = RoundStats()
-        fabric = MessageFabric(
-            net._neighbor_sets, net.bandwidth_bits, net.enforce_bandwidth, stats
+def node_contexts(net, run_seed: int, indices=None) -> dict:
+    """Contexts of the nodes at ``indices`` (default all), in index order."""
+    nodes = net._nodes
+    return {
+        nodes[i]: NodeContext(
+            nodes[i], net._neighbors[nodes[i]], len(nodes), derive_node_rng(run_seed, i)
         )
-        contexts = {
-            v: NodeContext(
-                v, net._neighbors[v], len(nodes), derive_node_rng(run_seed, i)
-            )
-            for i, v in enumerate(nodes)
-        }
-        # Initial sends (round 0): inboxes are allocated lazily — only
-        # receivers get a dict — and the active set seeds round 1.
-        inboxes: dict[int, dict[int, object]] = {}
-        active: set = set()
-        for v in nodes:
-            ctx = contexts[v]
-            outbox = algorithms[v].on_start(ctx) or {}
-            if outbox:
-                fabric.deliver(v, outbox, inboxes, active, 0)
-            if ctx._keep_alive:
-                active.add(v)
-        self._loop(
-            net, algorithms, contexts, fabric, inboxes, active, stats,
-            max_rounds, raise_on_timeout,
-        )
-        results = {v: algorithms[v].result() for v in nodes}
-        return results, stats
-
-    def _loop(
-        self, net, algorithms, contexts, fabric, inboxes, active, stats,
-        max_rounds, raise_on_timeout,
-    ) -> None:
-        raise NotImplementedError
+        for i in (range(len(nodes)) if indices is None else indices)
+    }
 
 
-class EventBackend(_InProcessBackend):
-    """The event-driven *active-set* scheduler (default).
+class EventBackend(SchedulerBackend):
+    """The event-driven *active-set* scheduler (default): one :class:`Stepper`.
 
     Per round, only nodes with a non-empty inbox, a raised keep-alive
     latch, or a due :meth:`NodeContext.schedule_wake` timer are activated
-    (via ``on_wake``); quiescence falls out of an empty active set and an
-    empty timer wheel. Total activations are ``O(total messages +
-    keep-alives + timer fires)`` instead of the lockstep ``O(n * rounds)``.
-    When only timers remain, the clock fast-forwards to the earliest one —
-    the skipped rounds are empty under every backend, so round counts,
-    messages, and results stay byte-identical to ``dense``; only
-    activations differ.
+    (via ``on_wake``); quiescence is an empty schedule. Total activations
+    are ``O(total messages + keep-alives + timer fires)`` instead of the
+    lockstep ``O(n * rounds)``.
+
+    With ``supports_latency_models`` set — the ``async`` backend,
+    :class:`~repro.congest.asynchronous.AsyncBackend` — transit follows the
+    run's latency model and the run records the wall-model dimension
+    (``virtual_time``, ``completion_times``).
     """
 
     name = "event"
 
-    def _loop(
-        self, net, algorithms, contexts, fabric, inboxes, active, stats,
-        max_rounds, raise_on_timeout,
-    ) -> None:
-        sort_key = net._index.__getitem__
-        # Timer wheel: wake round -> nodes armed for it, plus a heap of the
-        # bucketed rounds. Entries are validated lazily at fire time
-        # against ctx._wake_at (re-arming to an earlier round leaves a
-        # stale entry behind; an early fire cleared the context already).
-        timers: dict[int, set] = {}
-        timer_heap: list[int] = []
+    def execute(self, net, algorithms, run_seed, max_rounds, raise_on_timeout):
+        latencies = link_schedule = None
+        if self.supports_latency_models:
+            # The registry lives in the async backend's module, which
+            # imports this one.
+            from repro.congest.asynchronous import resolve_latency_model
 
-        def arm(v, ctx) -> None:
-            wake = ctx._wake_at
-            if wake is not None:
-                bucket = timers.get(wake)
-                if bucket is None:
-                    bucket = timers[wake] = set()
-                    heapq.heappush(timer_heap, wake)
-                bucket.add(v)
-
-        for v, ctx in contexts.items():  # timers armed during on_start
-            arm(v, ctx)
-        round_no = 0
-        while True:
-            # Drop timer buckets whose every entry went stale, so both the
-            # quiescence check and the fast-forward target see live wakes.
-            while timer_heap:
-                tick = timer_heap[0]
-                bucket = timers.get(tick)
-                if bucket and any(contexts[v]._wake_at == tick for v in bucket):
-                    break
-                timers.pop(tick, None)
-                heapq.heappop(timer_heap)
-            if not active and not timer_heap:
-                break
-            # Messages and keep-alive latches wake next round; with nothing
-            # else pending the clock fast-forwards to the earliest timer.
-            next_round = round_no + 1 if active else timer_heap[0]
-            if next_round > max_rounds:
-                # Work remains past the bound. stats.rounds reports the
-                # bound itself, matching the dense loop (which executes the
-                # empty rounds a fast-forward skips).
-                if raise_on_timeout:
-                    raise CongestViolation(
-                        f"execution did not quiesce within {max_rounds} rounds"
-                    )
-                stats.rounds = max_rounds
-                break
-            round_no = next_round
-            stats.rounds = round_no
-            current = set(active)
-            while timer_heap and timer_heap[0] == round_no:
-                heapq.heappop(timer_heap)
-            for v in timers.pop(round_no, ()):
-                if contexts[v]._wake_at == round_no:
-                    current.add(v)
-            current_inboxes = inboxes
-            inboxes = {}
-            active = set()
-            # Activation order follows the graph's node order so inbox
-            # insertion order — observable by algorithms — matches the
-            # dense scheduler byte for byte.
-            for v in sorted(current, key=sort_key):
-                ctx = contexts[v]
-                ctx.round = round_no
-                ctx._keep_alive = False
-                if ctx._wake_at is not None and ctx._wake_at <= round_no:
-                    ctx._wake_at = None  # the timer fires with this wake
-                inbox = current_inboxes.get(v) or {}
-                outbox = algorithms[v].on_wake(ctx, inbox) or {}
-                stats.activations += 1
-                if outbox:
-                    fabric.deliver(v, outbox, inboxes, active, round_no)
-                if ctx._keep_alive:
-                    active.add(v)
-                arm(v, ctx)
+            model = resolve_latency_model(getattr(net, "latency_model", None))
+            if model.is_dynamic:
+                # Load-dependent: no static table — each transit comes
+                # from a fresh per-run LinkSchedule at send time.
+                link_schedule = model.schedule(net.graph)
+            else:
+                latencies = model.build(net.graph, run_seed)
+        fabric = MessageFabric(
+            net._neighbor_sets, net.bandwidth_bits, net.enforce_bandwidth, RoundStats(),
+            latencies=latencies, link_schedule=link_schedule,
+        )
+        clock = Stepper(
+            algorithms, node_contexts(net, run_seed), net._index, fabric,
+            resort=latencies is not None or link_schedule is not None,
+            record_wall=self.supports_latency_models,
+        )
+        clock.start()
+        clock.run(max_rounds, raise_on_timeout)
+        return {v: algorithms[v].result() for v in net._nodes}, clock.stats
 
 
-class DenseBackend(_InProcessBackend):
+class DenseBackend(SchedulerBackend):
     """The seed lockstep loop: ``on_round`` on every node every round.
 
     Kept as the reference semantics for equivalence testing and for exotic
@@ -595,26 +637,29 @@ class DenseBackend(_InProcessBackend):
 
     name = "dense"
 
-    def _loop(
-        self, net, algorithms, contexts, fabric, inboxes, active, stats,
-        max_rounds, raise_on_timeout,
-    ) -> None:
+    def execute(self, net, algorithms, run_seed, max_rounds, raise_on_timeout):
         nodes = net._nodes
+        index = net._index
+        stats = RoundStats()
+        fabric = MessageFabric(
+            net._neighbor_sets, net.bandwidth_bits, net.enforce_bandwidth, stats
+        )
+        contexts = node_contexts(net, run_seed)
+        # The stepper runs round 0 and is the staging sink; the rounds
+        # themselves are this loop's.
+        clock = Stepper(algorithms, contexts, index, fabric)
+        clock.start()
         sanitize = getattr(net, "sanitize", False)
-        active |= {v for v in nodes if contexts[v]._wake_at is not None}
+        alive = any(c._keep_alive or c._wake_at is not None for c in contexts.values())
         round_no = 0
-        while active:
+        while alive or clock.arrivals:
             if round_no >= max_rounds:
-                if raise_on_timeout:
-                    raise CongestViolation(
-                        f"execution did not quiesce within {max_rounds} rounds"
-                    )
+                timeout(stats, max_rounds, raise_on_timeout)
                 break
             round_no += 1
             stats.rounds = round_no
-            current_inboxes = inboxes
-            inboxes = {}
-            active = set()
+            bucket = clock.arrivals.pop(round_no, {})
+            alive = False
             for v in nodes:
                 ctx = contexts[v]
                 ctx.round = round_no
@@ -623,7 +668,8 @@ class DenseBackend(_InProcessBackend):
                 timer_fired = ctx._wake_at is not None and ctx._wake_at <= round_no
                 if timer_fired:
                     ctx._wake_at = None  # the timer fires with this round
-                inbox = current_inboxes.get(v) or {}
+                entries = bucket.get(v)
+                inbox = {s: payload for _, s, payload in entries} if entries else {}
                 algorithm = algorithms[v]
                 if sanitize and not inbox and not latched_prev and not timer_fired:
                     # This activation exists only because the dense loop
@@ -638,9 +684,9 @@ class DenseBackend(_InProcessBackend):
                     outbox = algorithm.on_round(ctx, inbox) or {}
                 stats.activations += 1
                 if outbox:
-                    fabric.deliver(v, outbox, inboxes, active, round_no)
-                if ctx._keep_alive or ctx._wake_at is not None:
-                    active.add(v)
+                    fabric.stage(v, index[v], outbox, round_no, clock)
+                alive = alive or ctx._keep_alive or ctx._wake_at is not None
+        return {v: algorithms[v].result() for v in nodes}, stats
 
 
 register_backend(EventBackend)

@@ -27,10 +27,11 @@ populations — over a single virtual-time execution:
 **Solo identity.** A job running alone is never arbitrated against (a
 node activates at most once per tick and emits at most one message per
 neighbor, so a single job submits at most one message per directed edge
-per tick — every send is granted at its send tick). The driver replicates
-the ``event``/``async`` backend semantics tick for tick, so a solo
-full-population job produces byte-identical results *and* RoundStats to a
-direct ``SyncNetwork`` run with the same rng — the contract
+per tick — every send is granted at its send tick). Each job runs on the
+engine's own :class:`~repro.congest.engine.Stepper`, the loop of the
+``event``/``async`` backends, so a solo full-population job produces
+byte-identical results *and* RoundStats to a direct ``SyncNetwork`` run
+with the same rng — the contract
 ``tests/congest/test_jobs.py`` pins on both backends. A solo *scoped* job
 (a population covering a subset of the graph) is likewise byte-identical
 to a direct run on the induced subgraph of its population, in the shared
@@ -60,6 +61,7 @@ on top of this driver.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import random
@@ -70,7 +72,7 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from repro.congest.asynchronous import resolve_latency_model
-from repro.congest.engine import MessageFabric, NodeContext
+from repro.congest.engine import MessageFabric, NodeContext, Stepper, timeout
 from repro.congest.network import BANDWIDTH_FACTOR
 from repro.congest.node import NodeAlgorithm
 from repro.congest.stats import RoundStats
@@ -80,7 +82,7 @@ from repro.util.rng import derive_node_rng, ensure_rng
 __all__ = ["Job", "JobOutcome", "ScheduleResult", "EdgeArbiter", "JobScheduler"]
 
 # The two execution modes the job layer multiplexes. They reuse the
-# backend names they replicate: "event" is the unit-latency active-set
+# backend names they run as: "event" is the unit-latency active-set
 # schedule, "async" the latency-realistic virtual clock (per-edge
 # latencies, wall-model stats dimension). The lockstep degrade backends
 # (dense, sharded) and the columnar backend have no virtual-time delivery
@@ -193,21 +195,13 @@ class ScheduleResult:
 class _JobState:
     """Driver-internal execution state of one admitted population job."""
 
-    __slots__ = (
-        "job", "slot", "offset", "nodes", "index", "contexts", "fabric",
-        "stats", "latencies", "arrivals", "latched", "timers", "scheduled",
-        "pending", "timed_out",
-    )
+    __slots__ = ("job", "slot", "offset", "stats", "stepper", "pending", "timed_out")
 
     def __init__(self, job: Job, slot: int, offset: int):
         self.job = job
         self.slot = slot
         self.offset = offset  # global tick of the job's local tick 0
         self.stats = RoundStats()
-        self.arrivals: dict[int, dict[int, list]] = {}
-        self.latched: dict[int, list[int]] = {}
-        self.timers: dict[int, set[int]] = {}
-        self.scheduled: set[int] = set()  # job-local ticks in the heap
         self.pending = 0  # messages queued in the arbiter
         self.timed_out = False
 
@@ -222,9 +216,12 @@ class EdgeArbiter:
     count over any window differs from every other's by at most 1.
     Messages still queued after a tick's grants each charge one
     ``arbitration_stalls`` unit to their job (and to the aggregate).
+
+    ``states`` maps job id -> the job's driver state (the scheduler's live
+    table); ``sort_key`` orders edges for resolution (default: as is).
     """
 
-    def __init__(self, capacity: int = 1):
+    def __init__(self, capacity: int = 1, states: dict | None = None, sort_key=None):
         if capacity < 1:
             raise CongestViolation(
                 f"edge capacity must be >= 1 message per tick, got {capacity}"
@@ -234,26 +231,16 @@ class EdgeArbiter:
         # payload, bits); edges are (sender, target) in shared-graph ids.
         self.pending: dict[tuple, dict[int, deque]] = {}
         self.rr: dict[tuple, int] = {}  # edge -> last granted slot
-        self.stalls = 0
         self.total_pending = 0
-        self._states: dict[str, _JobState] = {}
-        # Edge iteration order for resolve/drop. Grants on different edges
+        self._states = states if states is not None else {}
+        # Edge iteration order for resolve. Grants on different edges
         # are independent (per-edge capacity, per-edge rr pointers, summed
         # stats), so the order is behavior-neutral for static latencies —
         # but under a load-dependent model the shared LinkSchedule charges
         # transits in grant order, so the scheduler pins a global
         # node-*index* order to match the direct backends' activation
         # order (the solo-identity contract).
-        self.sort_key: Callable[[tuple], tuple] = _edge_sort_key
-
-    def bind(
-        self,
-        states: dict[str, _JobState],
-        sort_key: Callable[[tuple], tuple] | None = None,
-    ) -> None:
-        self._states = states
-        if sort_key is not None:
-            self.sort_key = sort_key
+        self.sort_key = sort_key
 
     def submit(self, fabric, sender, sender_index, target, payload, bits) -> None:
         """Queue one validated send (called from ``MessageFabric``)."""
@@ -268,7 +255,7 @@ class EdgeArbiter:
 
     def drop(self, state: _JobState) -> None:
         """Forget a timed-out job's queued sends."""
-        for edge in sorted(self.pending, key=self.sort_key):
+        for edge in list(self.pending):
             per_slot = self.pending[edge]
             queue = per_slot.pop(state.slot, None)
             if queue:
@@ -305,17 +292,11 @@ class EdgeArbiter:
                 grant(state, sender_index, sender, target, payload, bits, now)
                 granted += 1
             if per_slot:
-                for slot in sorted(per_slot):
-                    waiting = len(per_slot[slot])
-                    self.stalls += waiting
-                    per_slot[slot][0][0].stats.arbitration_stalls += waiting
+                for queue in per_slot.values():
+                    queue[0][0].stats.arbitration_stalls += len(queue)
             else:
                 del self.pending[edge]
         return bool(self.pending)
-
-
-def _edge_sort_key(edge: tuple) -> tuple:
-    return edge
 
 
 class JobScheduler:
@@ -325,8 +306,8 @@ class JobScheduler:
         graph: the shared communication topology.
         scheduler: execution mode — ``"event"`` (unit latency, active-set
             schedule; the default) or ``"async"`` (per-edge latencies and
-            the wall-model stats dimension). Each mode replicates its
-            namesake backend tick for tick, so a solo job is
+            the wall-model stats dimension). Each mode runs its
+            namesake backend's engine, so a solo job is
             byte-identical to a direct ``SyncNetwork`` run.
         latency_model: per-edge latency model, ``"async"`` mode only.
             Static models build a latency table per job from the job's
@@ -404,8 +385,6 @@ class JobScheduler:
         state = _JobState(job, self._next_slot, offset)
         self._next_slot += 1
         nodes = self._population(job)
-        state.nodes = nodes
-        state.index = {v: i for i, v in enumerate(nodes)}
         # One draw per job, exactly as SyncNetwork.run draws its run seed.
         run_seed = ensure_rng(job.rng).randrange(2**62)
         if len(nodes) == len(self._nodes):
@@ -422,7 +401,7 @@ class JobScheduler:
             }
             neighbor_sets = {v: frozenset(nbrs) for v, nbrs in neighbors.items()}
             graph_view = self.graph.subgraph(nodes)
-        state.latencies = (
+        latencies = (
             self._model.build(graph_view, run_seed)
             if self.scheduler == "async" and not self._model.is_dynamic
             else None
@@ -432,28 +411,26 @@ class JobScheduler:
             bandwidth = BANDWIDTH_FACTOR * max(
                 1, math.ceil(math.log2(max(len(nodes), 2)))
             )
-        state.fabric = MessageFabric(
+        fabric = MessageFabric(
             neighbor_sets, bandwidth, self.enforce_bandwidth, state.stats,
-            latencies=state.latencies, job_id=job.job_id, arbiter=self._arbiter,
+            latencies=latencies, job_id=job.job_id, arbiter=self._arbiter,
         )
-        state.contexts = {
+        contexts = {
             v: NodeContext(
                 v, neighbors[v], len(nodes), derive_node_rng(run_seed, i)
             )
             for i, v in enumerate(nodes)
         }
+        # Grants can defer a send across ticks, so an inbox may fill out
+        # of sender order: this stepper always re-sorts.
+        state.stepper = Stepper(
+            job.algorithms, contexts, {v: i for i, v in enumerate(nodes)}, fabric,
+            resort=True, record_wall=self.scheduler == "async",
+            notify=lambda tick: self._wake_global(offset + tick),
+        )
         self._states[job.job_id] = state
         self._running.append(state)
-        # Local tick 0: on_start on every population node, by definition.
-        for v in nodes:
-            ctx = state.contexts[v]
-            outbox = job.algorithms[v].on_start(ctx) or {}
-            if outbox:
-                state.fabric.deliver_timed(v, state.index[v], outbox, state.arrivals, 0)
-            if ctx._keep_alive:
-                state.latched.setdefault(1, []).append(v)
-                self._schedule(state, 1)
-            self._arm_timer(state, v, ctx)
+        state.stepper.start()
         if self._arbiter.total_pending:
             self._wake_global(offset)
         return state
@@ -472,25 +449,15 @@ class JobScheduler:
     # The tick loop
     # ------------------------------------------------------------------
 
-    def _schedule(self, state: _JobState, rel_tick: int) -> None:
-        state.scheduled.add(rel_tick)
-        self._wake_global(state.offset + rel_tick)
-
     def _wake_global(self, tick: int) -> None:
         if tick not in self._in_heap:
             self._in_heap.add(tick)
             heapq.heappush(self._heap, tick)
 
-    def _arm_timer(self, state: _JobState, v, ctx) -> None:
-        wake = ctx._wake_at
-        if wake is not None:
-            state.timers.setdefault(wake, set()).add(v)
-            self._schedule(state, wake)
-
     def _stage(self, state, sender_index, sender, target, payload, bits, now) -> None:
         """Stage one granted message: charge stats, bucket the arrival.
 
-        Mirrors ``MessageFabric.deliver_timed`` with the grant tick as the
+        Mirrors ``MessageFabric.stage`` with the grant tick as the
         send tick — for a solo job the grant tick *is* the send tick, so
         the accounting is byte-identical to the direct backends; under
         contention a deferred message is charged (and starts its transit)
@@ -505,81 +472,30 @@ class JobScheduler:
         well-defined — and solo identity automatic.
         """
         rel = now - state.offset
+        stepper = state.stepper
         if self._link_schedule is not None:
             arrive = rel + self._link_schedule.transit(sender, target, now)
         else:
-            arrive = rel + (state.latencies[(sender, target)] if state.latencies else 1)
-        bucket = state.arrivals.setdefault(arrive, {})
-        bucket.setdefault(target, []).append((sender_index, sender, payload))
+            latencies = stepper.fabric.latencies
+            arrive = rel + (latencies[(sender, target)] if latencies else 1)
+        stepper.arrive(arrive, target, (sender_index, sender, payload))
         state.stats.record_message(sender, target, bits, rel)
-        self._schedule(state, arrive)
 
     def _tick(self, state: _JobState, now: int) -> bool:
-        """Run one job's activations at global tick ``now``.
-
-        Returns True when the job executed a (non-stale) round.
-        """
+        """Step one job at global tick ``now``; True when it executed a round."""
         rel = now - state.offset
-        if rel not in state.scheduled:
-            return False
-        state.scheduled.discard(rel)
-        bucket = state.arrivals.pop(rel, None) or {}
-        latch_bucket = state.latched.pop(rel, None) or ()
-        due = [
-            v for v in state.timers.pop(rel, ())
-            if state.contexts[v]._wake_at == rel
-        ]
-        current = sorted(
-            bucket.keys() | set(latch_bucket) | set(due),
-            key=state.index.__getitem__,
-        )
-        if not current:
-            # Every entry at this tick went stale (timers re-armed
-            # earlier); it is not a round.
+        stepper = state.stepper
+        if stepper.next_tick() != rel:
             return False
         job = state.job
         if rel > job.max_rounds:
-            if job.raise_on_timeout:
-                raise CongestViolation(
-                    f"job {job.job_id!r}: execution did not quiesce within "
-                    f"{job.max_rounds} rounds"
-                )
-            state.stats.rounds = job.max_rounds
+            timeout(state.stats, job.max_rounds, job.raise_on_timeout, f"job {job.job_id!r}: ")
             state.timed_out = True
-            state.scheduled.clear()
-            state.arrivals.clear()
-            state.latched.clear()
-            state.timers.clear()
+            stepper.heap.clear()
             self._arbiter.drop(state)
-            return True
-        state.stats.rounds = rel
-        for v in current:
-            self._activate(state, v, rel, bucket.get(v))
-        return True
-
-    def _activate(self, state: _JobState, v, rel: int, entries) -> None:
-        ctx = state.contexts[v]
-        ctx.round = rel
-        ctx._keep_alive = False
-        if ctx._wake_at is not None and ctx._wake_at <= rel:
-            ctx._wake_at = None  # the timer fires with this wake
-        if entries:
-            # Sender-index order: canonical inbox insertion order, no
-            # matter when each message was granted.
-            entries.sort()
-            inbox = {sender: payload for _, sender, payload in entries}
         else:
-            inbox = {}
-        outbox = state.job.algorithms[v].on_wake(ctx, inbox) or {}
-        state.stats.activations += 1
-        if self.scheduler == "async":
-            state.stats.completion_times[v] = rel
-        if outbox:
-            state.fabric.deliver_timed(v, state.index[v], outbox, state.arrivals, rel)
-        if ctx._keep_alive:
-            state.latched.setdefault(rel + 1, []).append(v)
-            self._schedule(state, rel + 1)
-        self._arm_timer(state, v, ctx)
+            stepper.step(rel)
+        return True
 
     # ------------------------------------------------------------------
     # Completion
@@ -605,9 +521,9 @@ class JobScheduler:
 
     def _complete(self, state: _JobState, now: int) -> None:
         job = state.job
-        if self.scheduler == "async":
+        if state.stepper.record_wall:
             state.stats.virtual_time = state.stats.rounds
-        results = {v: job.algorithms[v].result() for v in state.nodes}
+        results = {v: job.algorithms[v].result() for v in state.stepper.contexts}
         self._finish(
             JobOutcome(
                 job_id=job.job_id,
@@ -633,7 +549,7 @@ class JobScheduler:
     def _reap(self, now: int) -> None:
         finished = [
             state for state in self._running
-            if not state.scheduled and state.pending == 0
+            if state.pending == 0 and state.stepper.next_tick() is None
         ]
         for state in finished:
             self._complete(state, now)
@@ -661,8 +577,6 @@ class JobScheduler:
             CongestViolation: model violations, or a job timing out with
                 ``raise_on_timeout`` set.
         """
-        if not jobs:
-            return ScheduleResult(outcomes={}, stats=RoundStats())
         seen = set()
         for job in jobs:
             if job.job_id in seen:
@@ -676,11 +590,10 @@ class JobScheduler:
         self._neighbor_sets = {
             v: frozenset(nbrs) for v, nbrs in self._neighbors.items()
         }
-        self._arbiter = EdgeArbiter(self.capacity)
         self._states: dict[str, _JobState] = {}
         gindex = self._gindex
-        self._arbiter.bind(
-            self._states,
+        self._arbiter = EdgeArbiter(
+            self.capacity, self._states,
             sort_key=lambda edge: (gindex[edge[0]], gindex[edge[1]]),
         )
         # One link schedule per run, shared by every tenant (global
@@ -723,20 +636,20 @@ class JobScheduler:
         return ScheduleResult(outcomes=self._outcomes, stats=self._aggregate())
 
     def _aggregate(self) -> RoundStats:
-        agg = RoundStats(rounds=self._last_activity)
-        for job_id, outcome in self._outcomes.items():
-            stats = outcome.stats
-            agg.messages += stats.messages
-            agg.message_bits += stats.message_bits
-            agg.activations += stats.activations
-            agg.arbitration_stalls += stats.arbitration_stalls
-            for key, count in stats.messages_by_round.items():
-                agg.messages_by_round[key] = (
-                    agg.messages_by_round.get(key, 0) + count
-                )
-            for key, count in stats.edge_messages.items():
-                agg.edge_messages[key] = agg.edge_messages.get(key, 0) + count
-            agg.jobs[job_id] = stats.copy()
-        if self.scheduler == "async":
-            agg.virtual_time = self._last_activity
+        """The fabric aggregate: the parallel fold of every job's stats.
+
+        Counters sum (:meth:`RoundStats.merge`); then the fields this
+        layer defines differently are set: ``rounds`` (and, in ``async``
+        mode, ``virtual_time``) is the service makespan, and per-node
+        ``completion_times`` and ``phases`` stay with the per-job
+        projection in ``jobs``.
+        """
+        agg = functools.reduce(
+            RoundStats.merge, (o.stats for o in self._outcomes.values()), RoundStats()
+        )
+        agg.rounds = self._last_activity
+        agg.virtual_time = self._last_activity if self.scheduler == "async" else 0
+        agg.completion_times = {}
+        agg.phases = {}
+        agg.jobs = {job_id: o.stats.copy() for job_id, o in self._outcomes.items()}
         return agg

@@ -15,10 +15,11 @@ Backend architecture
 ``SyncNetwork`` owns the *semantics* — topology snapshot, bandwidth budget,
 algorithm coverage, the run seed — and delegates *execution* to a
 :class:`~repro.congest.engine.SchedulerBackend` chosen by name. The shared
-per-message rules (outbox validation, bandwidth enforcement, inbox staging,
-:class:`~repro.congest.stats.RoundStats` accounting, the quiescence rule)
-live in one place, :class:`~repro.congest.engine.MessageFabric`, so every
-backend enforces them identically. Five backends are registered:
+per-message rules (outbox validation, bandwidth enforcement, staging for
+delivery ``latency(e)`` ticks after the send,
+:class:`~repro.congest.stats.RoundStats` accounting) live in one place,
+:class:`~repro.congest.engine.MessageFabric`, so every backend enforces
+them identically. Five backends are registered:
 
 * ``"event"`` (default) — the event-driven *active-set* scheduler
   (:class:`~repro.congest.engine.EventBackend`). Per round, only nodes
@@ -44,10 +45,10 @@ backend enforces them identically. Five backends are registered:
   router. Per-shard :class:`~repro.congest.stats.RoundStats` are merged
   (rounds max, counters sum) at the end. Pass ``workers=`` to pin the
   process count.
-* ``"async"`` — the latency-realistic asyncio backend
-  (:class:`~repro.congest.asynchronous.AsyncBackend`): node activations are
-  driven on an asyncio event loop over a virtual clock with pluggable
-  per-edge latencies (``latency_model=``). Under the default ``uniform``
+* ``"async"`` — the latency-realistic backend
+  (:class:`~repro.congest.asynchronous.AsyncBackend`): the ``"event"``
+  engine's virtual clock (:class:`~repro.congest.engine.Stepper`) with
+  pluggable per-edge latencies (``latency_model=``). Under the default ``uniform``
   model it is lockstep-equivalent (byte-identical to ``event``); under a
   non-uniform model it reports the ``RoundStats`` wall-model dimension
   (``virtual_time``, per-node ``completion_times``).
@@ -182,7 +183,7 @@ class SyncNetwork:
             node's ``ctx.rng`` stream from ``(run_seed, node_index)``.
         scheduler: ``"event"`` (active-set, default), ``"dense"``
             (lockstep reference), ``"sharded"`` (multi-process),
-            ``"async"`` (latency-realistic asyncio), or ``"vectorized"``
+            ``"async"`` (``event`` with latency models), or ``"vectorized"``
             (columnar numpy, requires the ``repro[vectorized]`` extra);
             see the module docstring.
         workers: process count for the sharded backend (default:

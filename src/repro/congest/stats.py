@@ -2,9 +2,39 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import operator
+from copy import copy as _shallow
+from dataclasses import dataclass, field, fields
 
-__all__ = ["RoundStats"]
+__all__ = ["RoundStats", "POLICIES"]
+
+# Composition policies. Every RoundStats field declares one in its
+# metadata; sequential (`+`, `add_phase`) and parallel (`merge`)
+# composition, `copy` and `check` are derived from the declarations, so a
+# new counter cannot be forgotten by one of them.
+SUM = "sum"  # a counter: adds under both compositions
+SPAN = "span"  # a clock: adds sequentially, takes the max in parallel
+KEY_SUM = "key-sum"  # a counter dict: key-wise sum under both
+KEY_MAX = "key-max"  # a per-key clock: key-wise max under both
+UNION = "union"  # a note tuple: order-preserving deduplicating union
+NESTED = "nested"  # name -> RoundStats: key-wise, composing like the parent
+POLICIES = (SUM, SPAN, KEY_SUM, KEY_MAX, UNION, NESTED)
+
+
+def _policy(policy: str, total: str | None = None, partition: bool = False):
+    """A field declaration carrying its composition policy.
+
+    ``total`` names the scalar counter a ``KEY_SUM`` histogram sums to;
+    ``partition`` marks a ``NESTED`` field whose entries partition the
+    parent's counters. :meth:`RoundStats.check` verifies both identities.
+    """
+    metadata = {"policy": policy, "total": total, "partition": partition}
+    if policy in (SUM, SPAN):
+        return field(default=0, metadata=metadata)
+    if policy == UNION:
+        return field(default=(), metadata=metadata)
+    return field(default_factory=dict, metadata=metadata)
 
 
 @dataclass
@@ -35,13 +65,10 @@ class RoundStats:
             :class:`~repro.congest.asynchronous.LatencyModel`, and the
             packet scheduler when given one). Lockstep backends leave it at
             ``0``; under uniform unit latencies it equals :attr:`rounds`.
-            Sequential composition (:meth:`__add__`/:meth:`add_phase`) sums
-            it; parallel composition (:meth:`merge`) takes the max, exactly
-            like :attr:`rounds`.
         completion_times: per-node last-activation virtual time, keyed by
             node id — the per-node completion profile of a latency-realistic
-            run. Composition is key-wise max (a node is done when its last
-            constituent activation is done).
+            run (a node is done when its last constituent activation is
+            done).
         phases: optional named breakdown (phase name -> RoundStats); the
             top-level numbers are always the totals.
         notes: provenance annotations, e.g. the vectorized backend's
@@ -49,37 +76,37 @@ class RoundStats:
             (its documented fallback for algorithms without a
             :class:`~repro.congest.vectorized.VectorKernel`). Never part
             of the cross-backend equivalence projection — notes describe
-            *how* a run executed, not what it cost. Composition is an
-            order-preserving deduplicating union.
+            *how* a run executed, not what it cost.
         arbitration_stalls: message-ticks spent queued behind the per-edge
             bandwidth arbiter of the multi-tenant job layer
             (:mod:`repro.congest.jobs`): each message still waiting for an
             edge grant at the end of a tick adds one. Zero for every
             single-tenant execution (a job running alone is never
             arbitrated against), so the counter is not part of the
-            cross-backend equivalence projection. A plain counter: sums
-            under both sequential and parallel composition.
+            cross-backend equivalence projection.
         jobs: the per-job projection of a multi-tenant execution — job id
             -> that job's own :class:`RoundStats` (round/tick counters in
             the job's local clock). The top-level numbers are the fabric
             aggregate; per-job ``messages``/``message_bits``/
-            ``activations``/``arbitration_stalls`` sum to it. Composition
-            is key-wise: sequential ``+`` adds same-id jobs, parallel
-            :meth:`merge` merges them.
+            ``activations``/``arbitration_stalls`` sum to it.
+
+    How each field composes is declared once, in its ``metadata["policy"]``
+    (see the policy constants above): ``+`` and :meth:`add_phase` are
+    sequential composition, :meth:`merge` parallel composition.
     """
 
-    rounds: int = 0
-    messages: int = 0
-    message_bits: int = 0
-    activations: int = 0
-    messages_by_round: dict[int, int] = field(default_factory=dict)
-    edge_messages: dict[tuple[int, int], int] = field(default_factory=dict)
-    virtual_time: int = 0
-    completion_times: dict[int, int] = field(default_factory=dict)
-    phases: dict[str, "RoundStats"] = field(default_factory=dict)
-    notes: tuple[str, ...] = ()
-    arbitration_stalls: int = 0
-    jobs: dict[str, "RoundStats"] = field(default_factory=dict)
+    rounds: int = _policy(SPAN)
+    messages: int = _policy(SUM)
+    message_bits: int = _policy(SUM)
+    activations: int = _policy(SUM)
+    messages_by_round: dict[int, int] = _policy(KEY_SUM, total="messages")
+    edge_messages: dict[tuple[int, int], int] = _policy(KEY_SUM, total="messages")
+    virtual_time: int = _policy(SPAN)
+    completion_times: dict[int, int] = _policy(KEY_MAX)
+    phases: dict[str, "RoundStats"] = _policy(NESTED)
+    notes: tuple[str, ...] = _policy(UNION)
+    arbitration_stalls: int = _policy(SUM)
+    jobs: dict[str, "RoundStats"] = _policy(NESTED, partition=True)
 
     @property
     def max_congestion(self) -> int:
@@ -108,30 +135,7 @@ class RoundStats:
         named phase accumulates its cost instead of silently dropping the
         left operand's accounting).
         """
-        phases = dict(self.phases)
-        for name, stats in other.phases.items():
-            phases[name] = phases[name] + stats if name in phases else stats
-        jobs = dict(self.jobs)
-        for job_id, stats in other.jobs.items():
-            jobs[job_id] = jobs[job_id] + stats if job_id in jobs else stats
-        return RoundStats(
-            rounds=self.rounds + other.rounds,
-            messages=self.messages + other.messages,
-            message_bits=self.message_bits + other.message_bits,
-            activations=self.activations + other.activations,
-            messages_by_round=_merge_counts(
-                self.messages_by_round, other.messages_by_round
-            ),
-            edge_messages=_merge_counts(self.edge_messages, other.edge_messages),
-            virtual_time=self.virtual_time + other.virtual_time,
-            completion_times=_merge_max(
-                self.completion_times, other.completion_times
-            ),
-            phases=phases,
-            notes=_merge_notes(self.notes, other.notes),
-            arbitration_stalls=self.arbitration_stalls + other.arbitration_stalls,
-            jobs=jobs,
-        )
+        return self._compose(other, parallel=False)
 
     def merge(self, other: "RoundStats") -> "RoundStats":
         """Parallel composition: counters sum, rounds take the *max*.
@@ -143,52 +147,21 @@ class RoundStats:
         operation is associative and commutative, so any merge order over
         the shard list yields the same totals (tested).
         """
-        phases = dict(self.phases)
-        for name, stats in other.phases.items():
-            phases[name] = phases[name].merge(stats) if name in phases else stats
-        jobs = dict(self.jobs)
-        for job_id, stats in other.jobs.items():
-            jobs[job_id] = jobs[job_id].merge(stats) if job_id in jobs else stats
-        return RoundStats(
-            rounds=max(self.rounds, other.rounds),
-            messages=self.messages + other.messages,
-            message_bits=self.message_bits + other.message_bits,
-            activations=self.activations + other.activations,
-            messages_by_round=_merge_counts(
-                self.messages_by_round, other.messages_by_round
-            ),
-            edge_messages=_merge_counts(self.edge_messages, other.edge_messages),
-            virtual_time=max(self.virtual_time, other.virtual_time),
-            completion_times=_merge_max(
-                self.completion_times, other.completion_times
-            ),
-            phases=phases,
-            notes=_merge_notes(self.notes, other.notes),
-            arbitration_stalls=self.arbitration_stalls + other.arbitration_stalls,
-            jobs=jobs,
-        )
+        return self._compose(other, parallel=True)
+
+    def _compose(self, other: "RoundStats", parallel: bool) -> "RoundStats":
+        return RoundStats(**{
+            name: _RULES[policy][parallel](getattr(self, name), getattr(other, name))
+            for name, policy in _FIELDS
+        })
 
     def copy(self) -> "RoundStats":
-        """Deep copy (nested phases included).
-
-        Lives here, next to :meth:`__add__`/:meth:`merge`, so adding a
-        field to the dataclass keeps all three in one place — a copy that
-        silently dropped a new counter would corrupt cached accounting.
-        """
-        return RoundStats(
-            rounds=self.rounds,
-            messages=self.messages,
-            message_bits=self.message_bits,
-            activations=self.activations,
-            messages_by_round=dict(self.messages_by_round),
-            edge_messages=dict(self.edge_messages),
-            virtual_time=self.virtual_time,
-            completion_times=dict(self.completion_times),
-            phases={name: stats.copy() for name, stats in self.phases.items()},
-            notes=self.notes,
-            arbitration_stalls=self.arbitration_stalls,
-            jobs={job_id: stats.copy() for job_id, stats in self.jobs.items()},
-        )
+        """Deep copy (nested phases and jobs included)."""
+        copied = {name: _shallow(getattr(self, name)) for name, _ in _FIELDS}
+        for name, policy in _FIELDS:
+            if policy == NESTED:
+                copied[name] = {key: stats.copy() for key, stats in copied[name].items()}
+        return RoundStats(**copied)
 
     def add_phase(self, name: str, stats: "RoundStats") -> None:
         """Record ``stats`` as a named phase and add it to the totals.
@@ -199,24 +172,42 @@ class RoundStats:
         if name in self.phases:
             raise ValueError(f"phase {name!r} already recorded")
         self.phases[name] = stats
-        self.rounds += stats.rounds
-        self.messages += stats.messages
-        self.message_bits += stats.message_bits
-        self.activations += stats.activations
-        self.messages_by_round = _merge_counts(
-            self.messages_by_round, stats.messages_by_round
-        )
-        self.edge_messages = _merge_counts(self.edge_messages, stats.edge_messages)
-        self.virtual_time += stats.virtual_time
-        self.completion_times = _merge_max(
-            self.completion_times, stats.completion_times
-        )
-        self.notes = _merge_notes(self.notes, stats.notes)
-        self.arbitration_stalls += stats.arbitration_stalls
-        for job_id, job_stats in stats.jobs.items():
-            self.jobs[job_id] = (
-                self.jobs[job_id] + job_stats if job_id in self.jobs else job_stats
-            )
+        for field_name, policy in _FIELDS:
+            if field_name != "phases":
+                setattr(self, field_name, _RULES[policy][False](
+                    getattr(self, field_name), getattr(stats, field_name)
+                ))
+
+    def check(self) -> None:
+        """Verify the counter identities the field declarations promise.
+
+        Every ``KEY_SUM`` histogram sums to the counter it declares as its
+        ``total`` (``messages == Σ messages_by_round == Σ edge_messages``);
+        every ``SUM``/``KEY_SUM`` counter equals its sum over the entries of
+        a ``partition`` field (a job aggregate over its per-job
+        projection). Nested stats are checked too.
+
+        Raises:
+            ValueError: naming every identity that does not hold.
+        """
+        problems = [
+            f"sum of {name} != {total}" for name, total in _TOTALS
+            if sum(getattr(self, name).values()) != getattr(self, total)
+        ]
+        for part in _PARTITIONS:
+            if getattr(self, part):
+                folded = functools.reduce(RoundStats.merge, getattr(self, part).values())
+                problems += [
+                    f"{name} over {part} do not sum to the total"
+                    for name, policy in _FIELDS
+                    if policy in (SUM, KEY_SUM) and getattr(folded, name) != getattr(self, name)
+                ]
+        if problems:
+            raise ValueError("RoundStats identities violated: " + "; ".join(problems))
+        for name, policy in _FIELDS:
+            if policy == NESTED:
+                for stats in getattr(self, name).values():
+                    stats.check()
 
     def summary(self) -> str:
         """One-line human-readable summary."""
@@ -237,35 +228,35 @@ class RoundStats:
         return " ".join(parts)
 
 
-def _merge_counts(left: dict, right: dict) -> dict:
-    """Key-wise sum of two counter dicts."""
-    if not right:
-        return dict(left)
-    merged = dict(left)
-    for key, count in right.items():
-        merged[key] = merged.get(key, 0) + count
-    return merged
+def _key_wise(combine):
+    """Lift a value combiner to dicts: key-wise, keys present once pass through."""
+
+    def compose(left: dict, right: dict) -> dict:
+        merged = dict(left)
+        for key, value in right.items():
+            merged[key] = combine(merged[key], value) if key in merged else value
+        return merged
+
+    return compose
 
 
-def _merge_notes(
-    left: tuple[str, ...], right: tuple[str, ...]
-) -> tuple[str, ...]:
+def _union(left: tuple, right: tuple) -> tuple:
     """Order-preserving deduplicating union of two note tuples."""
-    if not right:
-        return left
-    merged = list(left)
-    for note in right:
-        if note not in merged:
-            merged.append(note)
-    return tuple(merged)
+    return tuple(dict.fromkeys(left + right))
 
 
-def _merge_max(left: dict, right: dict) -> dict:
-    """Key-wise max of two counter dicts (per-node completion times)."""
-    if not right:
-        return dict(left)
-    merged = dict(left)
-    for key, value in right.items():
-        if key not in merged or value > merged[key]:
-            merged[key] = value
-    return merged
+_FIELDS = tuple((f.name, f.metadata["policy"]) for f in fields(RoundStats))
+_TOTALS = tuple(
+    (f.name, f.metadata["total"]) for f in fields(RoundStats) if f.metadata["total"]
+)
+_PARTITIONS = tuple(f.name for f in fields(RoundStats) if f.metadata["partition"])
+_KEY_SUM, _KEY_MAX = _key_wise(operator.add), _key_wise(max)
+# policy -> (sequential composition, parallel composition)
+_RULES = {
+    SUM: (operator.add, operator.add),
+    SPAN: (operator.add, max),
+    KEY_SUM: (_KEY_SUM, _KEY_SUM),
+    KEY_MAX: (_KEY_MAX, _KEY_MAX),
+    UNION: (_union, _union),
+    NESTED: (_key_wise(operator.add), _key_wise(RoundStats.merge)),
+}

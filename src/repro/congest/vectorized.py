@@ -74,15 +74,15 @@ unknown-scheduler error.
 
 from __future__ import annotations
 
-import heapq
-
 from repro.congest.engine import (
     MessageFabric,
-    NodeContext,
     SchedulerBackend,
+    Stepper,
     get_backend,
+    node_contexts,
     register_backend,
     register_unavailable_backend,
+    timeout,
 )
 from repro.congest.stats import RoundStats
 from repro.util.errors import CongestViolation
@@ -262,7 +262,7 @@ class VectorFabric:
     __slots__ = (
         "np", "csr", "n", "ids", "round", "stats", "run_seed",
         "bandwidth_bits", "enforce_bandwidth", "_owner", "_staged",
-        "_edge_counts", "_interp_pending", "_has_interp",
+        "_edge_counts", "_interp", "_has_interp",
     )
 
     def __init__(self, csr, owner, stats, run_seed, bandwidth_bits,
@@ -279,7 +279,7 @@ class VectorFabric:
         self._owner = owner
         self._staged: list[_Batch] = []
         self._edge_counts = np.zeros(len(csr.indices), dtype=np.int64)
-        self._interp_pending: dict = {}
+        self._interp = None  # the interpreted tier's Stepper, if any
         # Pure-kernel runs (no interpreted tier) skip the per-emit
         # owner-split entirely.
         self._has_interp = has_interp
@@ -361,7 +361,7 @@ class VectorFabric:
         destination runs on the interpreted tier are materialized to
         Python payloads here (``objs``/``payload`` directly, else
         ``materialize(tag, value)`` per message) and staged into that
-        tier's inboxes.
+        tier's next-round arrivals.
 
         Validates adjacency and the bandwidth budget, and charges every
         RoundStats counter at send time keyed by the current round —
@@ -451,7 +451,7 @@ class VectorFabric:
                          materialize) -> None:
         """Materialize kernel emissions bound for interpreted-tier inboxes."""
         nodes = self.csr.nodes
-        pending = self._interp_pending
+        arrive_at = self.round + 1
         for j, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
             if objs is not None:
                 item = objs[j]
@@ -465,7 +465,7 @@ class VectorFabric:
                     f"node {nodes[d]} has no materializer; pass objs=, "
                     "payload=, or materialize= to emit()"
                 )
-            pending.setdefault(nodes[d], []).append((s, nodes[s], item))
+            self._interp.arrive(arrive_at, nodes[d], (s, nodes[s], item))
 
     def flush_edge_counts(self) -> None:
         """Fold the per-slot send counters into ``stats.edge_messages``."""
@@ -489,6 +489,49 @@ class VectorFabric:
             # update is exact when nothing was charged yet (the common
             # pure-kernel case; the interpreted tier charges eagerly).
             edge_messages.update(zip(keys, totals))
+
+
+class _TierFabric(MessageFabric):
+    """The interpreted tier's fabric: sends to kernel-claimed nodes divert.
+
+    A message to a kernel-owned target is validated and charged here, then
+    converted by that kernel's :meth:`VectorKernel.ingest` into its next
+    round's columnar inbox (``ingested[slot]``); everything else stages on
+    the interpreted tier's :class:`~repro.congest.engine.Stepper`.
+    """
+
+    __slots__ = ("kernels", "owner", "index", "ingested")
+
+    def __init__(self, net, stats, kernels, owner, index):
+        super().__init__(
+            net._neighbor_sets, net.bandwidth_bits, net.enforce_bandwidth, stats
+        )
+        self.kernels = kernels
+        self.owner = owner
+        self.index = index
+        self.ingested = [[] for _ in kernels]
+
+    def stage(self, sender, sender_index, outbox, now, clock):
+        interpreted = {}
+        for target, item in outbox.items():
+            target_index = self.index.get(target)
+            if target_index is None or self.owner[target_index] < 0:
+                interpreted[target] = item
+                continue
+            bits = self.validate(sender, target, item)
+            self.stats.record_message(sender, target, bits, now)
+            slot = int(self.owner[target_index])
+            kernel = self.kernels[slot][0]
+            if kernel.inert_after_start:
+                raise CongestViolation(
+                    f"node {sender} messaged {target}, which is claimed "
+                    f"by the inert {type(kernel).__name__} kernel and "
+                    "can no longer receive"
+                )
+            tag, value = kernel.ingest(item)
+            self.ingested[slot].append((sender_index, target_index, tag, value))
+        if interpreted:
+            super().stage(sender, sender_index, interpreted, now, clock)
 
 
 def _plan(csr, net, algorithms):
@@ -653,64 +696,20 @@ class VectorizedBackend(SchedulerBackend):
             net.enforce_bandwidth, has_interp=bool(interpreted),
         )
         # A run with every node kernel-claimed (the common case) skips
-        # the whole interpreted tier: no MessageFabric, no per-node
-        # contexts, no adjacency-dict materialization.
+        # the whole interpreted tier: no fabric, no per-node contexts, no
+        # adjacency-dict materialization.
         whole = len(kernels) == 1 and not interpreted
-        fabric = contexts = None
+        fabric = interp = None
         if interpreted:
-            fabric = MessageFabric(
-                net._neighbor_sets, net.bandwidth_bits,
-                net.enforce_bandwidth, stats,
+            # Interpreted tier: the event engine over the unclaimed nodes
+            # (the kernel tier has no keep-alive or timers by contract).
+            # Kernel emissions join its inboxes after its own same-round
+            # sends, so it re-sorts by sender index.
+            fabric = _TierFabric(net, stats, kernels, owner, index)
+            interp = ops._interp = Stepper(
+                algorithms, node_contexts(net, run_seed, interpreted), index,
+                fabric, resort=True,
             )
-            # Interpreted-tier state: event-backend semantics over the
-            # unclaimed nodes (the kernel tier has no keep-alive or
-            # timers by contract, so the wheel only ever holds
-            # interpreted nodes).
-            contexts = {
-                nodes[i]: NodeContext(
-                    nodes[i], net._neighbors[nodes[i]], csr.n,
-                    derive_node_rng(run_seed, i),
-                )
-                for i in interpreted
-            }
-        next_pending: dict = {}  # interpreted deliveries for the next round
-        next_ingested = [[] for _ in kernels]  # interpreted -> kernel traffic
-        latched: set = set()
-        timers: dict[int, set] = {}
-        timer_heap: list[int] = []
-        ops._interp_pending = next_pending
-
-        def arm(v, ctx) -> None:
-            wake = ctx._wake_at
-            if wake is not None:
-                bucket = timers.get(wake)
-                if bucket is None:
-                    bucket = timers[wake] = set()
-                    heapq.heappush(timer_heap, wake)
-                bucket.add(v)
-
-        def stage_interp(sender, outbox, round_no) -> None:
-            sender_index = index[sender]
-            for target, item in outbox.items():
-                bits = fabric.validate(sender, target, item)
-                stats.record_message(sender, target, bits, round_no)
-                target_slot = int(owner[index[target]])
-                if target_slot < 0:
-                    next_pending.setdefault(target, []).append(
-                        (sender_index, sender, item)
-                    )
-                    continue
-                kernel = kernels[target_slot][0]
-                if kernel.inert_after_start:
-                    raise CongestViolation(
-                        f"node {sender} messaged {target}, which is claimed "
-                        f"by the inert {type(kernel).__name__} kernel and "
-                        "can no longer receive"
-                    )
-                tag, value = kernel.ingest(item)
-                next_ingested[target_slot].append(
-                    (sender_index, index[target], tag, value)
-                )
 
         # Round 0: kernel setup + on_start, then the interpreted tier's
         # on_start in node order (cross-tier order is unobservable — no
@@ -719,77 +718,29 @@ class VectorizedBackend(SchedulerBackend):
             kernel.setup(ops, claimed, algorithms)
         for kernel, claimed in kernels:
             kernel.on_start(ops)
-        for i in interpreted:
-            v = nodes[i]
-            ctx = contexts[v]
-            outbox = algorithms[v].on_start(ctx) or {}
-            if outbox:
-                stage_interp(v, outbox, 0)
-            if ctx._keep_alive:
-                latched.add(v)
-            arm(v, ctx)
+        if interp is not None:
+            interp.start()
 
+        ingested = [[] for _ in kernels]
         round_no = 0
         while True:
-            # Drop timer buckets whose every entry went stale (same lazy
-            # validation as the event backend's wheel).
-            while timer_heap:
-                tick = timer_heap[0]
-                bucket = timers.get(tick)
-                if bucket and any(contexts[v]._wake_at == tick for v in bucket):
-                    break
-                timers.pop(tick, None)
-                heapq.heappop(timer_heap)
-            have_work = bool(
-                ops._staged or next_pending or latched
-                or any(next_ingested)
-            )
-            if not have_work and not timer_heap:
+            tick = interp.next_tick() if interp is not None else None
+            if ops._staged or (fabric is not None and any(fabric.ingested)):
+                now = round_no + 1
+            elif tick is None:
                 break
-            next_round = round_no + 1 if have_work else timer_heap[0]
-            if next_round > max_rounds:
-                if raise_on_timeout:
-                    raise CongestViolation(
-                        f"execution did not quiesce within {max_rounds} rounds"
-                    )
-                stats.rounds = max_rounds
+            else:
+                now = tick  # only interpreted timers remain: fast-forward
+            if now > max_rounds:
+                timeout(stats, max_rounds, raise_on_timeout)
                 break
-            round_no = next_round
-            stats.rounds = round_no
-            ops.round = round_no
+            round_no = stats.rounds = ops.round = now
 
             batches, ops._staged = ops._staged, []
-            ingested, next_ingested = next_ingested, [[] for _ in kernels]
-            pending, next_pending = next_pending, {}
-            ops._interp_pending = next_pending
-            waking, latched = latched, set()
-
-            # Interpreted tier: the event activation rule.
-            current = set(pending) | waking
-            while timer_heap and timer_heap[0] == round_no:
-                heapq.heappop(timer_heap)
-            for v in timers.pop(round_no, ()):
-                if contexts[v]._wake_at == round_no:
-                    current.add(v)
-            for v in sorted(current, key=index.__getitem__):
-                ctx = contexts[v]
-                ctx.round = round_no
-                ctx._keep_alive = False
-                if ctx._wake_at is not None and ctx._wake_at <= round_no:
-                    ctx._wake_at = None  # the timer fires with this wake
-                entries = pending.get(v)
-                if entries:
-                    entries.sort()
-                    inbox = {sender: item for _, sender, item in entries}
-                else:
-                    inbox = {}
-                outbox = algorithms[v].on_wake(ctx, inbox) or {}
-                stats.activations += 1
-                if outbox:
-                    stage_interp(v, outbox, round_no)
-                if ctx._keep_alive:
-                    latched.add(v)
-                arm(v, ctx)
+            if fabric is not None:
+                ingested, fabric.ingested = fabric.ingested, [[] for _ in kernels]
+            if tick == now:
+                interp.step(now)
 
             # Kernel tier: gather -> apply -> scatter per kernel. Each
             # receiver counts one activation, exactly an event-backend

@@ -18,7 +18,8 @@ Every row can only be shortcut through the top path, but the top path is
 short, so some edge of it must be shared by Ω(δD) rows — the congestion/
 dilation tradeoff of the lemma.
 
-Two parameter-range deviations from the paper (recorded in DESIGN.md):
+Two parameter-range deviations from the paper (recorded in the
+faithfulness notes of ``docs/architecture.md``):
 
 * the paper picks ``k = floor(D'/(2δ))`` and claims diameter ``1.5D + 1``;
   routing between two far-apart row nodes actually costs up to

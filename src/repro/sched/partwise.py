@@ -17,7 +17,7 @@ the paper's claim about the usefulness of shortcuts.
 
 With a :class:`~repro.congest.asynchronous.LatencyModel` the engine runs
 latency-realistically, under the **one shared delivery convention** of the
-whole codebase (:meth:`repro.congest.engine.MessageFabric.deliver_timed`):
+whole codebase (:meth:`repro.congest.engine.MessageFabric.stage`):
 a packet *sent* at tick ``t`` — ``t`` being the send tick recorded in
 ``RoundStats.messages_by_round`` — is delivered at ``t + latency(e)``,
 with ``latency(e) = 1`` reproducing the lockstep sent-in-``r``,
@@ -38,8 +38,8 @@ all children have reported — completion is signalled, never inferred from
 tick counting — which is why the measured completion stays correct under
 any latency assignment.
 
-Faithfulness note (documented in DESIGN.md): the routing trees are planned
-centrally. A distributed plan costs one extra broadcast-shaped wave over
+Faithfulness note (``docs/architecture.md``, "Faithfulness notes"): the
+routing trees are planned centrally. A distributed plan costs one extra broadcast-shaped wave over
 ``C_i`` with identical congestion characteristics, so the asymptotics and
 the measured shapes are unaffected; the constant is one extra pass.
 """
@@ -314,7 +314,7 @@ def partwise_aggregate(
             send_tick = current_round - 1
             stats.record_message(edge[0], edge[1], _packet_bits(packet), send_tick)
             # Shared delivery convention with the async scheduler backend
-            # (MessageFabric.deliver_timed): sent at tick t, delivered at
+            # (MessageFabric.stage): sent at tick t, delivered at
             # t + latency(e); latency 1 == the lockstep r -> r+1 schedule.
             # Load-dependent models compute the transit here, at send
             # time, from the link's instantaneous in-flight count (ticks

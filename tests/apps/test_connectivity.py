@@ -100,3 +100,14 @@ class TestValidation:
         import math
 
         assert result.phases <= math.ceil(math.log2(graph.number_of_nodes())) + 1
+
+
+class TestAccounting:
+    def test_stats_satisfy_the_counter_identities(self):
+        # The label exchange is charged per directed H-edge, so the
+        # per-round and per-edge histograms sum to the message total.
+        graph = grid_graph(8, 8)
+        edges = {canonical_edge(u, v) for u, v in graph.edges() if u % 3}
+        result = subgraph_components(graph, edges, rng=5)
+        result.stats.check()
+        assert sum(result.stats.messages_by_round.values()) == result.stats.messages

@@ -99,3 +99,13 @@ class TestAccounting:
         full = distributed_mst(graph, weights, rng=3, construction="simulated")
         assert full.edges == fast.edges
         assert full.stats.rounds > fast.stats.rounds
+
+    @pytest.mark.parametrize("construction", ["centralized", "simulated"])
+    def test_stats_satisfy_the_counter_identities(self, construction):
+        # The fragment-id exchange is charged per directed edge, so the
+        # per-round and per-edge histograms sum to the message total.
+        graph = grid_graph(12, 12)
+        weights = assign_random_weights(graph, rng=3)
+        result = distributed_mst(graph, weights, rng=3, construction=construction)
+        result.stats.check()
+        assert sum(result.stats.edge_messages.values()) == result.stats.messages

@@ -1,4 +1,4 @@
-"""Tests for the asyncio latency-realistic scheduler backend.
+"""Tests for the latency-realistic async scheduler backend.
 
 Three concerns:
 
@@ -74,6 +74,29 @@ class _PingOnce(NodeAlgorithm):
         return tuple(self.heard)
 
 
+class _InboxOrder(NodeAlgorithm):
+    """Floods every neighbor for ``rounds`` ticks, recording inbox order."""
+
+    def __init__(self, rounds):
+        self.rounds = rounds
+        self.orders = []
+
+    def on_start(self, ctx):
+        ctx.keep_alive()
+        return {neighbor: (0,) for neighbor in ctx.neighbors}
+
+    def on_round(self, ctx, inbox):
+        if inbox:
+            self.orders.append(tuple(inbox))
+        if ctx.round < self.rounds:
+            ctx.keep_alive()
+            return {neighbor: (ctx.round,) for neighbor in ctx.neighbors}
+        return {}
+
+    def result(self):
+        return self.orders
+
+
 class TestLockstepEquivalentMode:
     def test_keep_alive_timer_matches_event(self):
         graph = nx.path_graph(3)
@@ -141,6 +164,17 @@ class TestLatencyMode:
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
         assert runs[0][1].virtual_time > 0
+
+    def test_inboxes_keep_sender_index_order(self):
+        # Under jitter, messages sent at different ticks land on the same
+        # tick; every inbox must still list its senders in node order.
+        graph = nx.complete_graph(6)
+        results, _ = SyncNetwork(
+            graph, rng=2, scheduler="async", latency_model=SeededJitterLatency(spread=4)
+        ).run({v: _InboxOrder(6) for v in graph})
+        orders = [order for per_node in results.values() for order in per_node]
+        assert any(len(order) > 2 for order in orders)
+        assert all(list(order) == sorted(order) for order in orders)
 
     def test_jitter_stretches_virtual_time_beyond_lockstep(self):
         graph = nx.path_graph(20)

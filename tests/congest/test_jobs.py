@@ -17,6 +17,7 @@ from repro.apps.sssp import _BellmanFordNode
 from repro.congest.jobs import EdgeArbiter, Job, JobScheduler
 from repro.congest.network import SyncNetwork
 from repro.congest.node import NodeAlgorithm
+from repro.congest.stats import RoundStats
 from repro.graphs.adjacency import canonical_edge
 from repro.util.errors import CongestViolation, GraphStructureError
 
@@ -145,6 +146,19 @@ class TestSoloIdentity:
         assert result.outcomes["jit"].results == direct_results
         assert result.outcomes["jit"].stats == direct_stats
 
+    def test_async_inbox_order_matches_direct_run(self):
+        from tests.congest.test_async import _InboxOrder
+
+        graph = nx.complete_graph(6)
+        direct_results, direct_stats = SyncNetwork(
+            graph, rng=2, scheduler="async", latency_model="seeded-jitter"
+        ).run({v: _InboxOrder(6) for v in graph})
+        result = JobScheduler(
+            graph, scheduler="async", latency_model="seeded-jitter"
+        ).run([Job("flood", {v: _InboxOrder(6) for v in graph}, rng=2)])
+        assert result.outcomes["flood"].results == direct_results
+        assert result.outcomes["flood"].stats == direct_stats
+
     def test_solo_aggregate_mirrors_the_job(self):
         graph = _mesh()
         result = JobScheduler(graph).run([Job("solo", _bf_algorithms(graph, 0), rng=1)])
@@ -152,6 +166,7 @@ class TestSoloIdentity:
         assert result.stats.rounds == job_stats.rounds
         assert result.stats.messages == job_stats.messages
         assert result.stats.jobs == {"solo": job_stats}
+        result.stats.check()
 
 
 class TestScopedJobs:
@@ -214,6 +229,7 @@ class TestArbitrationFairness:
         result = JobScheduler(nx.path_graph(2)).run(self._pingpong_jobs(4))
         per_job = [o.stats.arbitration_stalls for o in result.outcomes.values()]
         assert result.stats.arbitration_stalls == sum(per_job) > 0
+        result.stats.check()
         # Every job still completes exactly, just slower.
         for outcome in result.outcomes.values():
             assert outcome.results[1] == 20
@@ -225,17 +241,6 @@ class TestArbitrationFairness:
         stalls_4 = JobScheduler(nx.path_graph(2), capacity=4).run(jobs_b)
         assert stalls_4.stats.arbitration_stalls < stalls_1.stats.arbitration_stalls
         assert stalls_4.stats.arbitration_stalls == 0
-
-    def test_arbitrated_fabric_rejects_round_staging_path(self):
-        from repro.congest.engine import MessageFabric
-        from repro.congest.stats import RoundStats
-
-        fabric = MessageFabric(
-            {0: frozenset({1}), 1: frozenset({0})}, 8, True, RoundStats(),
-            job_id="j", arbiter=EdgeArbiter(),
-        )
-        with pytest.raises(CongestViolation, match="deliver_timed"):
-            fabric.deliver(0, {1: 1}, {}, set(), 0)
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(CongestViolation, match="capacity"):
@@ -254,6 +259,35 @@ class TestPerJobStats:
         assert sum(result.stats.messages_by_round.values()) == result.stats.messages
         for key, count in result.stats.edge_messages.items():
             assert count == sum(s.edge_messages.get(key, 0) for s in per_job)
+        result.stats.check()
+
+    def test_aggregate_is_the_merge_fold_of_the_jobs(self):
+        graph = _mesh()
+        jobs = [Job(f"s{k}", _bf_algorithms(graph, k), rng=k) for k in range(3)]
+        jobs.append(Job("call", call=lambda: ({}, RoundStats(rounds=99, messages=0))))
+        result = JobScheduler(graph, scheduler="async", max_inflight=2).run(jobs)
+        result.stats.check()
+        merged = RoundStats()
+        for outcome in result.outcomes.values():
+            merged = merged.merge(outcome.stats)
+        assert result.stats.messages_by_round == merged.messages_by_round
+        assert result.stats.activations == merged.activations
+        # The fields the aggregate defines differently: the makespan, not
+        # the longest job, and no per-node completion times.
+        assert result.stats.rounds == result.stats.virtual_time == max(
+            outcome.completed_tick for outcome in result.outcomes.values()
+        )
+        assert result.stats.completion_times == {}
+        assert all(o.stats.completion_times for k, o in result.outcomes.items() if k != "call")
+
+    def test_check_catches_a_tampered_aggregate(self):
+        graph = _mesh()
+        result = JobScheduler(graph).run(
+            [Job(f"s{k}", _bf_algorithms(graph, k), rng=k) for k in range(2)]
+        )
+        result.stats.jobs["s0"].activations += 1
+        with pytest.raises(ValueError, match="activations over jobs"):
+            result.stats.check()
 
     def test_jobs_projection_copies_match_outcomes(self):
         graph = _mesh()

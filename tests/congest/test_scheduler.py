@@ -170,7 +170,12 @@ class TestQuiescenceEdgeCases:
 
 
 def _equiv_stats(stats):
-    """The cross-scheduler-comparable projection of RoundStats."""
+    """The cross-scheduler-comparable projection of RoundStats.
+
+    Every backend's stats must also satisfy the counter identities their
+    field declarations promise (``RoundStats.check``).
+    """
+    stats.check()
     return (stats.rounds, stats.messages, stats.message_bits)
 
 

@@ -7,10 +7,11 @@ fresh subprocess, so examples that register names into the
 process-global registries (the whole point of ``docs/extending.md``)
 cannot leak into the exact-registry assertions elsewhere in the suite.
 
-Two more alignment gates ride along: every intra-repo markdown link must
-resolve to an existing file, and every registered latency model and
-datacenter topology must be documented in ``docs/latency-models.md`` —
-so the registries and the docs cannot drift apart silently.
+Three more alignment gates ride along: every intra-repo markdown link must
+resolve to an existing file, no source or benchmark file may cite a
+design document that does not exist, and every registered latency model
+and datacenter topology must be documented in ``docs/latency-models.md``
+— so the registries and the docs cannot drift apart silently.
 """
 
 import os
@@ -104,6 +105,22 @@ def test_intra_repo_links_resolve():
                 if not resolved.exists():
                     broken.append(f"{path.relative_to(REPO)}:{number} -> {target}")
     assert not broken, "broken intra-repo links:\n" + "\n".join(broken)
+
+
+# Design documents the code once cited but the repo does not have; the
+# faithfulness notes in docs/architecture.md took their place.
+_MISSING_DOCS = re.compile(r"\b(?:DESIGN|EXPERIMENTS)\.md\b")
+
+
+def test_code_cites_no_missing_design_documents():
+    cited = [
+        f"{path.relative_to(REPO)}:{number}"
+        for root in ("src", "benchmarks")
+        for path in sorted((REPO / root).rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if _MISSING_DOCS.search(line)
+    ]
+    assert not cited, "references to missing design documents:\n" + "\n".join(cited)
 
 
 def test_latency_docs_cover_registries():
