@@ -1,7 +1,7 @@
 """The rule registry and the CONGEST-specific rules behind ``repro lint``.
 
 Every guarantee the simulator makes — byte-identical executions across the
-``dense``/``event``/``sharded``/``async`` backends, seed-replayable runs,
+``dense``/``event``/``async``/``vectorized`` backends, seed-replayable runs,
 exact Theorem 3.1 marking under any latency model — rests on a handful of
 coding invariants that no type checker sees: node code draws randomness
 only from ``ctx.rng``, never reads ``ctx.round`` as wall time, never
@@ -298,7 +298,7 @@ class DetRngRule(Rule):
     Per-node streams must come from ``ctx.rng`` (derived from
     ``(run_seed, node_index)``) or the :mod:`repro.util.rng` helpers; a
     module-level draw depends on global call order, which differs across
-    scheduler backends and worker processes. Type annotations
+    scheduler backends. Type annotations
     (``rng: random.Random``) are attribute references, not calls, and are
     not flagged.
     """
@@ -446,7 +446,6 @@ _SET_METHODS = frozenset({
     "union", "intersection", "difference", "symmetric_difference", "copy",
 })
 _EMISSION_BASE_SUFFIXES = ("NodeAlgorithm", "Backend", "Node", "Fabric", "Kernel")
-_EMISSION_FUNCTIONS = frozenset({"_worker_main"})
 
 
 def _annotation_is_set(annotation: ast.AST) -> bool:
@@ -559,11 +558,11 @@ def _emission_contexts(tree: ast.Module):
     """Top-level nodes whose bodies feed message emission or delivery.
 
     Classes deriving from ``*NodeAlgorithm`` / ``*Backend`` / ``*Node`` /
-    ``*Fabric`` / ``*Kernel`` (plus the fabric itself) and the sharded
-    worker entry point. ``*Kernel`` covers the vectorized backend's
-    columnar companions (``VectorKernel`` subclasses), whose apply/scatter
-    hooks emit whole message batches — a set iterated into an emission
-    array is exactly as order-sensitive as a per-node send loop.
+    ``*Fabric`` / ``*Kernel`` (plus the fabric itself). ``*Kernel`` covers
+    the vectorized backend's columnar companions (``VectorKernel``
+    subclasses), whose apply/scatter hooks emit whole message batches — a
+    set iterated into an emission array is exactly as order-sensitive as a
+    per-node send loop.
     Module-level glue that only post-processes results is out of scope —
     a set iterated into a *result* is checked by equality, not by
     emission order.
@@ -575,9 +574,6 @@ def _emission_contexts(tree: ast.Module):
                 name.split(".")[-1].endswith(_EMISSION_BASE_SUFFIXES)
                 for name in names
             ):
-                yield node
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node.name in _EMISSION_FUNCTIONS:
                 yield node
 
 
@@ -727,7 +723,6 @@ class ProtoRoundRule(Rule):
 
 _BACKEND_MODULES = frozenset({
     "repro.congest.engine",
-    "repro.congest.sharded",
     "repro.congest.asynchronous",
     "repro.congest.vectorized",
 })
@@ -739,7 +734,8 @@ class RegBackendRule(Rule):
     Everything outside :mod:`repro.congest` selects backends by *name*
     through ``engine.get_backend`` / ``resolve_latency_model`` — the same
     boundary ruff's TID251 enforces for shortcut providers. A direct class
-    import bypasses registration, validation, and the fork-fallback logic.
+    import bypasses registration and validation, including the vectorized
+    backend's registration as *unavailable* when numpy is missing.
     """
 
     name = "REG-BACKEND"
@@ -772,8 +768,7 @@ class RegBackendRule(Rule):
                         ))
             elif isinstance(node, ast.Import):
                 for alias in node.names:
-                    if alias.name in ("repro.congest.sharded",
-                                      "repro.congest.asynchronous",
+                    if alias.name in ("repro.congest.asynchronous",
                                       "repro.congest.vectorized"):
                         findings.append(_finding(
                             self, path, node,
@@ -833,9 +828,9 @@ class ProtoStateRule(Rule):
 
     A node may only touch its own attributes and its outbox. Writing
     ``ctx.*`` corrupts the engine's bookkeeping; mutating the shared graph
-    or fabric mid-run changes the topology under the other nodes' feet (and
-    under the *other workers'* feet on the sharded backend, where each
-    process has its own copy — the mutation would silently diverge).
+    or fabric mid-run changes the topology under the other nodes' feet, and
+    differently on each backend, since they activate nodes in different
+    orders and rounds.
     ``__init__`` is exempt: construction runs centrally, before round 0.
     """
 

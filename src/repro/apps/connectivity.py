@@ -67,7 +67,6 @@ def subgraph_components(
     delta: float | None = None,
     rng: int | random.Random | None = None,
     scheduler: str = "event",
-    workers: int | None = None,
     provider: str | None = None,
     latency_model: object = None,
 ) -> ConnectivityResult:
@@ -82,10 +81,8 @@ def subgraph_components(
             measured Theorem 1.5 distributed pipeline).
         delta: minor-density parameter for the shortcut construction.
         scheduler: simulator scheduler for the simulated construction
-            (``"event"``, ``"dense"``, ``"sharded"``, or ``"async"``; see
+            (``"event"``, ``"dense"``, ``"async"``, or ``"vectorized"``; see
             :mod:`repro.congest`).
-        workers: process count for the sharded scheduler (``None`` =
-            backend default).
         provider: explicit shortcut-provider name (see
             :func:`repro.core.providers.available_providers`); overrides
             ``shortcut_method``/``construction``.
@@ -98,7 +95,7 @@ def subgraph_components(
     """
     provider_name(shortcut_method, construction, provider)  # fail fast, uniformly
     validate_scheduler(
-        scheduler, ShortcutError, workers=workers, latency_model=latency_model
+        scheduler, ShortcutError, latency_model=latency_model
     )
     rng = ensure_rng(rng)
     normalized: set[Edge] = set()
@@ -155,7 +152,6 @@ def subgraph_components(
                 delta=delta,
                 rng=rng,
                 scheduler=scheduler,
-                workers=workers,
                 latency_model=latency_model,
             )
         )

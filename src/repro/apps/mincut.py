@@ -86,7 +86,6 @@ def distributed_mincut(
     shortcut_method: str = "theorem31",
     construction: str = "centralized",
     scheduler: str = "event",
-    workers: int | None = None,
     provider: str | None = None,
     latency_model: object = None,
 ) -> MinCutResult:
@@ -104,10 +103,8 @@ def distributed_mincut(
         construction: forwarded to :func:`repro.apps.mst.distributed_mst`
             (``"centralized"`` or ``"simulated"``).
         scheduler: simulator scheduler for the simulated construction
-            (``"event"``, ``"dense"``, ``"sharded"``, or ``"async"``; see
+            (``"event"``, ``"dense"``, ``"async"``, or ``"vectorized"``; see
             :mod:`repro.congest`).
-        workers: process count for the sharded scheduler (``None`` =
-            backend default).
         provider: explicit shortcut-provider name (see
             :func:`repro.core.providers.available_providers`); overrides
             ``shortcut_method``/``construction``.
@@ -121,7 +118,7 @@ def distributed_mincut(
     """
     provider_name(shortcut_method, construction, provider)  # fail fast, uniformly
     validate_scheduler(
-        scheduler, ShortcutError, workers=workers, latency_model=latency_model
+        scheduler, ShortcutError, latency_model=latency_model
     )
     if graph.number_of_nodes() < 2:
         raise GraphStructureError("min cut needs at least 2 nodes")
@@ -155,7 +152,6 @@ def distributed_mincut(
             delta=delta,
             rng=rng,
             scheduler=scheduler,
-            workers=workers,
             provider=provider,
             latency_model=latency_model,
         )

@@ -89,7 +89,6 @@ def distributed_mst(
     rng: int | random.Random | None = None,
     max_phases: int | None = None,
     scheduler: str = "event",
-    workers: int | None = None,
     provider: str | None = None,
     latency_model: object = None,
 ) -> MstResult:
@@ -111,10 +110,8 @@ def distributed_mst(
             shared :func:`repro.core.providers.resolve_delta` rule).
         max_phases: safety cap (default ``2·ceil(log2 n) + 4``).
         scheduler: simulator scheduler for the ``"simulated"`` construction
-            (``"event"``, ``"dense"``, ``"sharded"``, or ``"async"``; see
+            (``"event"``, ``"dense"``, ``"async"``, or ``"vectorized"``; see
             :mod:`repro.congest`).
-        workers: process count for the sharded scheduler (``None`` =
-            backend default).
         provider: explicit shortcut-provider name (see
             :func:`repro.core.providers.available_providers`); overrides
             ``shortcut_method``/``construction``.
@@ -144,7 +141,7 @@ def distributed_mst(
             )
     provider_name(shortcut_method, construction, provider)  # fail fast, uniformly
     validate_scheduler(
-        scheduler, ShortcutError, workers=workers, latency_model=latency_model
+        scheduler, ShortcutError, latency_model=latency_model
     )
     n = graph.number_of_nodes()
     if max_phases is None:
@@ -189,7 +186,6 @@ def distributed_mst(
                 delta=delta,
                 rng=rng,
                 scheduler=scheduler,
-                workers=workers,
                 latency_model=latency_model,
             )
         )

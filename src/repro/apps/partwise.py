@@ -79,7 +79,6 @@ def solve_partwise_aggregation(
     delta: float | None = None,
     rng: int | random.Random | None = None,
     scheduler: str = "event",
-    workers: int | None = None,
     provider: str | None = None,
     latency_model: object = None,
 ) -> PartwiseSolution:
@@ -96,10 +95,8 @@ def solve_partwise_aggregation(
         delta: minor-density parameter; default analytic-or-degeneracy
             (the shared :func:`repro.core.providers.resolve_delta` rule).
         scheduler: simulator scheduler for the simulated construction
-            (``"event"``, ``"dense"``, ``"sharded"``, or ``"async"``; see
+            (``"event"``, ``"dense"``, ``"async"``, or ``"vectorized"``; see
             :mod:`repro.congest`).
-        workers: process count for the sharded scheduler (``None`` =
-            backend default).
         provider: explicit shortcut-provider name (see
             :func:`repro.core.providers.available_providers`); overrides
             ``shortcut_method``/``construction``.
@@ -114,7 +111,7 @@ def solve_partwise_aggregation(
     """
     provider_name(shortcut_method, construction, provider)  # fail fast, uniformly
     validate_scheduler(
-        scheduler, ShortcutError, workers=workers, latency_model=latency_model
+        scheduler, ShortcutError, latency_model=latency_model
     )
     rng = ensure_rng(rng)
     outcome = build_shortcut(
@@ -127,7 +124,6 @@ def solve_partwise_aggregation(
             delta=delta,
             rng=rng,
             scheduler=scheduler,
-            workers=workers,
             latency_model=latency_model,
         )
     )
@@ -159,7 +155,6 @@ def solve_partwise_multicast(
     delta: float | None = None,
     rng: int | random.Random | None = None,
     scheduler: str = "event",
-    workers: int | None = None,
     provider: str | None = None,
     latency_model: object = None,
 ) -> PartwiseSolution:
@@ -200,7 +195,6 @@ def solve_partwise_multicast(
         delta=delta,
         rng=rng,
         scheduler=scheduler,
-        workers=workers,
         provider=provider,
         latency_model=latency_model,
     )

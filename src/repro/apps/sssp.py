@@ -35,14 +35,13 @@ def distributed_bfs_sssp(
     source: int,
     rng: int | random.Random | None = None,
     scheduler: str = "event",
-    workers: int | None = None,
     latency_model: object = None,
 ) -> tuple[dict[int, int], RoundStats]:
     """Unweighted SSSP = distributed BFS; returns hop distances and stats."""
     from repro.congest.primitives.bfs import distributed_bfs
 
     tree, stats = distributed_bfs(
-        graph, source, rng=rng, scheduler=scheduler, workers=workers,
+        graph, source, rng=rng, scheduler=scheduler,
         latency_model=latency_model,
     )
     return {v: tree.depth_of(v) for v in graph.nodes()}, stats
@@ -96,7 +95,6 @@ def bellman_ford_sssp(
     max_hops: int | None = None,
     rng: int | random.Random | None = None,
     scheduler: str = "event",
-    workers: int | None = None,
     latency_model: object = None,
 ) -> tuple[dict[int, int | None], RoundStats]:
     """Synchronous Bellman–Ford from ``source``.
@@ -131,7 +129,7 @@ def bellman_ford_sssp(
                 f"weights must be nonnegative integers; {edge} has {weight!r}"
             )
     network = SyncNetwork(
-        graph, rng=rng, scheduler=scheduler, workers=workers,
+        graph, rng=rng, scheduler=scheduler,
         latency_model=latency_model,
     )
     algorithms = {
@@ -199,7 +197,6 @@ def approx_sssp(
     hop_bound: int,
     rng: int | random.Random | None = None,
     scheduler: str = "event",
-    workers: int | None = None,
     latency_model: object = None,
 ) -> tuple[dict[int, int | None], RoundStats]:
     """(1+ε)-approximate SSSP for paths of at most ``hop_bound`` hops.
@@ -245,7 +242,7 @@ def approx_sssp(
     rescaled = {edge: int(value) for edge, value in rescaled.items()}
     distances, stats = bellman_ford_sssp(
         graph, source, rescaled, max_hops=hop_bound, rng=rng, scheduler=scheduler,
-        workers=workers, latency_model=latency_model,
+        latency_model=latency_model,
     )
     upscaled = {
         v: (None if d is None else int(d * mu) if v != source else 0)

@@ -190,10 +190,6 @@ def _add_scheduler_arguments(parser: argparse.ArgumentParser) -> None:
         help="simulator scheduler backend: " + ", ".join(available_schedulers()),
     )
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="process count for the sharded scheduler (default: backend pick)",
-    )
-    parser.add_argument(
         "--latency-model", default=None, dest="latency_model",
         help="per-edge latency model for --scheduler async: "
         + ", ".join(available_latency_models())
@@ -202,38 +198,32 @@ def _add_scheduler_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _validated_scheduler(
-    args: argparse.Namespace,
-) -> tuple[str, int | None, str | None]:
-    """Fail fast on a bad --scheduler/--workers/--latency-model combination."""
+def _validated_scheduler(args: argparse.Namespace) -> tuple[str, str | None]:
+    """Fail fast on a bad --scheduler/--latency-model combination."""
     from repro.congest.network import validate_scheduler
 
-    validate_scheduler(
-        args.scheduler, SystemExit, workers=args.workers,
-        latency_model=args.latency_model,
-    )
-    return args.scheduler, args.workers, args.latency_model
+    validate_scheduler(args.scheduler, SystemExit, latency_model=args.latency_model)
+    return args.scheduler, args.latency_model
 
 
 def _cmd_mst(args: argparse.Namespace) -> int:
     from repro.apps.mst import assign_random_weights, distributed_mst
 
-    scheduler, workers, latency_model = _validated_scheduler(args)
+    scheduler, latency_model = _validated_scheduler(args)
     graph = build_family(args)
     weights = assign_random_weights(graph, rng=args.seed)
     effective = args.provider or f"theorem31-{args.construction}"
     print(f"graph: {args.family}, n={graph.number_of_nodes()}, m={graph.number_of_edges()}")
     print(f"provider: {effective}, scheduler: {scheduler}"
-          + (f", workers: {workers}" if workers else "")
           + (f", latency model: {latency_model}" if latency_model else ""))
     ours = distributed_mst(
         graph, weights, construction=args.construction, provider=args.provider,
-        rng=args.seed, scheduler=scheduler, workers=workers,
+        rng=args.seed, scheduler=scheduler,
         latency_model=latency_model,
     )
     base = distributed_mst(
         graph, weights, shortcut_method="baseline", construction=args.construction,
-        rng=args.seed, scheduler=scheduler, workers=workers,
+        rng=args.seed, scheduler=scheduler,
         latency_model=latency_model,
     )
     agree = ours.edges == base.edges
@@ -256,7 +246,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     from repro.graphs.partition import voronoi_partition
     from repro.graphs.trees import bfs_tree
 
-    scheduler, workers, latency_model = _validated_scheduler(args)
+    scheduler, latency_model = _validated_scheduler(args)
     graph = build_family(args)
     tree = bfs_tree(graph)
     num_parts = args.parts or max(2, graph.number_of_nodes() // 16)
@@ -297,7 +287,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         final_delta = resolve_delta(graph)
     check = distributed_partial_shortcut(
         graph, partition, final_delta, rng=args.seed,
-        scheduler=scheduler, workers=workers, latency_model=latency_model,
+        scheduler=scheduler, latency_model=latency_model,
     )
     virtual = (
         f", virtual time {check.stats.virtual_time}"

@@ -53,19 +53,16 @@ Scheduling is pluggable (:mod:`repro.congest.engine` — backends register
 themselves with ``register_backend``): the shared message semantics
 (validation, bandwidth, staging, accounting) live in one
 ``MessageFabric``, and a ``SchedulerBackend`` supplies the activation
-strategy.  Besides ``"event"`` and ``"dense"``, ``scheduler="sharded"``
-(:mod:`repro.congest.sharded`) partitions the node set across ``workers``
-forked processes — BFS-contiguous shards, per-round batched cross-shard
-message exchange with a barrier, merged per-shard stats — so large
-instances use all cores while staying byte-identical to ``"event"`` for
-any worker count.  ``scheduler="async"`` (:mod:`repro.congest.
+strategy.  Besides ``"event"`` and ``"dense"``, ``scheduler="vectorized"``
+(:mod:`repro.congest.vectorized`) runs whole rounds as numpy array passes
+for algorithms that declare a kernel.  ``scheduler="async"`` (:mod:`repro.congest.
 asynchronous`) runs the ``"event"`` engine's virtual clock with pluggable
 per-edge latencies: lockstep-equivalent under the
 default ``uniform`` model, latency-realistic (reporting
 ``RoundStats.virtual_time`` and per-node completion times) under
 ``seeded-jitter``/``degree-proportional``.  Per-node ``ctx.rng`` streams
 are derived from ``(run_seed, node_index)``, making them invariant across
-backends and worker counts.
+backends.
 """
 
 from repro.congest.network import NodeContext, SyncNetwork

@@ -14,10 +14,10 @@ execution means; this module defines *how* one is driven. The split is:
   execution, the job layer (:mod:`repro.congest.jobs`) one per tenant, and
   the vectorized backend one for its interpreted tier.
 * :class:`SchedulerBackend` subclasses own the activation strategy — which
-  nodes run in a round, in which process. The contract is strict: every
+  nodes run in a round. The contract is strict: every
   backend must produce byte-identical results, round counts, and message
   counts for conforming algorithms; only the *cost profile* (activations,
-  wall clock, parallelism) may differ. The equivalence suite in
+  wall clock) may differ. The equivalence suite in
   ``tests/congest/test_scheduler.py`` enforces this across all backends.
 
 Two invariants make backend equivalence possible:
@@ -26,7 +26,7 @@ Two invariants make backend equivalence possible:
   derived from ``(run_seed, node_index)`` via
   :func:`repro.util.rng.derive_node_rng`, never drawn from a shared
   generator in iteration order. A node's stream is therefore independent of
-  scheduler, activation order, and worker process.
+  scheduler and activation order.
 * **Canonical inbox order** — within a round, activation follows the
   graph's node order, so each inbox's insertion order (observable through
   dict iteration) is sender-index order under every backend.
@@ -36,16 +36,16 @@ These invariants are mechanically enforced twice over: statically by
 conformance contract of :meth:`NodeContext.schedule_wake` — dynamically by
 the opt-in runtime sanitizer (``SyncNetwork(..., sanitize=True)`` or
 ``REPRO_SANITIZE=1``), which wraps every empty-inbox pre-readiness
-activation on the degrade backends in :func:`checked_spurious_wake`.
+activation on the degrade backend (``dense``) in
+:func:`checked_spurious_wake`.
 
 Backends register themselves here (:func:`register_backend`), mirroring
 the :mod:`repro.core.providers` registry: an unknown scheduler name fails
 with a message listing every registered backend, uniformly at every API
-boundary. The in-process backends live in this module (``event``,
-``dense``); the multi-process ``sharded`` backend lives in
-:mod:`repro.congest.sharded`, and ``async`` — the ``event`` engine with
-per-edge latency models — next to the latency-model registry in
-:mod:`repro.congest.asynchronous`.
+boundary. ``event`` and ``dense`` live in this module; ``async`` — the
+``event`` engine with per-edge latency models — lives next to the
+latency-model registry in :mod:`repro.congest.asynchronous`, and the
+columnar ``vectorized`` backend in :mod:`repro.congest.vectorized`.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ class NodeContext:
         """Prevent quiescence this round even without sending a message.
 
         Needed by algorithms that poll (be woken *every* round although the
-        network is silent). Under the event-driven and sharded schedulers
+        network is silent). Under the event-driven scheduler
         this is one of the two ways for a silent node to be activated next
         round; :meth:`schedule_wake` is the other — prefer it, so deep idle
         stretches cost no activations on the timer-native backends.
@@ -190,10 +190,9 @@ class NodeContext:
         """Request a wake-up ``delay`` rounds (virtual ticks) from now.
 
         The timer-native backends (``event``, ``async``) activate the node
-        at exactly ``round + delay`` — no polling in between. The remaining
-        lockstep backends (``dense``, ``sharded``) *degrade the timer to
-        keep-alive*: the node stays schedulable (and, on ``sharded``, is
-        woken with an empty inbox) every round until the wake round, so a
+        at exactly ``round + delay`` — no polling in between. The lockstep
+        ``dense`` backend *degrades the timer to keep-alive*: the node is
+        woken with an empty inbox every round until the wake round, so a
         conforming algorithm must treat a wake before its deadline as a
         no-op (no sends, no state changes, no ``ctx.rng`` draws) — with
         ``delay=1``, the common stream-pacing case, there is no early round
@@ -221,9 +220,8 @@ class NodeContext:
 class MessageFabric:
     """Message validation, staging, and accounting — one per executing context.
 
-    The in-process backends build one fabric for the whole graph; each
-    sharded worker builds one for its shard (recording only the messages its
-    nodes *send*, which partitions the totals across shards).
+    A single-network backend builds one fabric for the whole graph; the
+    job layer builds one per tenant (:mod:`repro.congest.jobs`).
     """
 
     __slots__ = (
@@ -496,7 +494,7 @@ def _state_fingerprint(algorithm) -> str | None:
 def checked_spurious_wake(algorithm, ctx, activate, node, round_no: int):
     """Run a spurious wake under the conformance contract, or raise.
 
-    The degrade backends (``dense``, ``sharded``) wake nodes with an empty
+    The degrade backend (``dense``) wakes nodes with an empty
     inbox before their readiness condition — rounds the timer-native
     backends never execute. The :meth:`NodeContext.schedule_wake` contract
     makes that observably harmless by requiring such an activation to be a
@@ -544,7 +542,7 @@ class SchedulerBackend:
     result collection — and returns ``(results, stats)``. The network
     object passed in exposes the topology snapshot (``_nodes``, ``_index``,
     ``_neighbors``, ``_neighbor_sets``) and the model parameters
-    (``bandwidth_bits``, ``enforce_bandwidth``, ``workers``).
+    (``bandwidth_bits``, ``enforce_bandwidth``).
     """
 
     name = "abstract"

@@ -84,8 +84,8 @@ __all__ = ["Job", "JobOutcome", "ScheduleResult", "EdgeArbiter", "JobScheduler"]
 # The two execution modes the job layer multiplexes. They reuse the
 # backend names they run as: "event" is the unit-latency active-set
 # schedule, "async" the latency-realistic virtual clock (per-edge
-# latencies, wall-model stats dimension). The lockstep degrade backends
-# (dense, sharded) and the columnar backend have no virtual-time delivery
+# latencies, wall-model stats dimension). The lockstep degrade backend
+# (dense) and the columnar backend have no virtual-time delivery
 # path to arbitrate, so the job layer does not drive them.
 _MODES = ("event", "async")
 

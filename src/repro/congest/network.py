@@ -19,7 +19,7 @@ per-message rules (outbox validation, bandwidth enforcement, staging for
 delivery ``latency(e)`` ticks after the send,
 :class:`~repro.congest.stats.RoundStats` accounting) live in one place,
 :class:`~repro.congest.engine.MessageFabric`, so every backend enforces
-them identically. Five backends are registered:
+them identically. Four backends are registered:
 
 * ``"event"`` (default) — the event-driven *active-set* scheduler
   (:class:`~repro.congest.engine.EventBackend`). Per round, only nodes
@@ -33,18 +33,9 @@ them identically. Five backends are registered:
 * ``"dense"`` — the seed lockstep loop
   (:class:`~repro.congest.engine.DenseBackend`): ``on_round`` on every node
   every round. The reference semantics for equivalence testing. Scheduled
-  wakes degrade to keep-alive on this backend and on ``"sharded"`` — see
+  wakes degrade to keep-alive on this backend — see
   :meth:`~repro.congest.engine.NodeContext.schedule_wake` for the
   conformance contract that keeps results byte-identical anyway.
-* ``"sharded"`` — the multi-process backend
-  (:class:`~repro.congest.sharded.ShardedBackend`): nodes are partitioned
-  into BFS-contiguous shards (one per worker process, see
-  :func:`repro.graphs.partition.bfs_blocks`), each round runs the event
-  activation rule shard-locally, and cross-shard messages are exchanged as
-  per-round batches over pipes with the parent process as barrier and
-  router. Per-shard :class:`~repro.congest.stats.RoundStats` are merged
-  (rounds max, counters sum) at the end. Pass ``workers=`` to pin the
-  process count.
 * ``"async"`` — the latency-realistic backend
   (:class:`~repro.congest.asynchronous.AsyncBackend`): the ``"event"``
   engine's virtual clock (:class:`~repro.congest.engine.Stepper`) with
@@ -62,12 +53,11 @@ them identically. Five backends are registered:
 
 The backend contract is strict: results, round counts, message counts,
 bits, and per-edge congestion must be byte-identical across backends for
-any conforming algorithm and any worker count (``tests/congest/
-test_scheduler.py`` and ``tests/congest/test_sharded.py`` enforce this);
-only the cost profile — activations, wall-clock, core utilisation — may
-differ. Two invariants carry the guarantee: per-node RNG streams are
-derived from ``(run_seed, node_index)`` (never drawn in iteration order),
-and inboxes are always materialized in sender-index order.
+any conforming algorithm (``tests/congest/test_scheduler.py`` enforces
+this); only the cost profile — activations, wall-clock — may differ. Two
+invariants carry the guarantee: per-node RNG streams are derived from
+``(run_seed, node_index)`` (never drawn in iteration order), and inboxes
+are always materialized in sender-index order.
 
 The per-message budget defaults to ``BANDWIDTH_FACTOR * ceil(log2 n)`` bits
 — the constant in CONGEST's ``O(log n)`` is arbitrary, but fixing one keeps
@@ -84,13 +74,12 @@ import random
 import networkx as nx
 
 # Importing the backend modules is this module's registry bootstrap:
-# repro.congest.engine registers event/dense at import, and the bare
-# module imports below register the out-of-module backends (sharded,
-# async via resolve_latency_model's home, vectorized — which registers
-# itself as *unavailable* when numpy is missing). Backend classes are
+# repro.congest.engine registers event/dense at import, and the imports
+# below register the out-of-module backends (async via
+# resolve_latency_model's home, vectorized — which registers itself as
+# *unavailable* when numpy is missing). Backend classes are
 # never named here; everything goes through get_backend() — enforced by
 # ruff TID251 and the REG-BACKEND lint rule.
-import repro.congest.sharded
 import repro.congest.vectorized
 from repro.congest.asynchronous import resolve_latency_model
 from repro.congest.engine import (
@@ -127,17 +116,15 @@ SCHEDULERS = tuple(available_schedulers())
 def validate_scheduler(
     scheduler: str,
     exc: type[Exception] = ValueError,
-    workers: int | None = None,
     latency_model: object = None,
 ) -> None:
-    """Raise ``exc`` on an invalid ``scheduler``/``workers``/``latency_model``.
+    """Raise ``exc`` on an invalid ``scheduler``/``latency_model``.
 
-    API boundaries that thread ``scheduler``/``workers``/``latency_model``
+    API boundaries that thread ``scheduler``/``latency_model``
     arguments down to :class:`SyncNetwork` call this upfront (typically with
     their own error type) so a typo fails fast instead of deep inside — or,
     worse, being silently ignored on a code path that never builds a
-    network. ``workers`` may be ``None`` (backend default) or a positive
-    process count; ``latency_model`` (a registered name or a
+    network. ``latency_model`` (a registered name or a
     :class:`~repro.congest.asynchronous.LatencyModel` instance) requires a
     backend whose ``supports_latency_models`` capability flag is set
     (currently only ``"async"``) — the others cannot honor per-edge
@@ -153,8 +140,6 @@ def validate_scheduler(
         # convention (unknown names list the registry; unavailable names
         # carry the install hint), uniformly at every boundary.
         raise exc(str(err)) from None
-    if workers is not None and workers < 1:
-        raise exc(f"workers must be a positive process count, got {workers}")
     if latency_model is not None:
         if not backend.supports_latency_models:
             capable = ", ".join(
@@ -182,12 +167,9 @@ class SyncNetwork:
         rng: seed or generator; one value is drawn per run to derive every
             node's ``ctx.rng`` stream from ``(run_seed, node_index)``.
         scheduler: ``"event"`` (active-set, default), ``"dense"``
-            (lockstep reference), ``"sharded"`` (multi-process),
-            ``"async"`` (``event`` with latency models), or ``"vectorized"``
-            (columnar numpy, requires the ``repro[vectorized]`` extra);
-            see the module docstring.
-        workers: process count for the sharded backend (default:
-            ``min(4, cpu count)``); ignored by the in-process backends.
+            (lockstep reference), ``"async"`` (``event`` with latency
+            models), or ``"vectorized"`` (columnar numpy, requires the
+            ``repro[vectorized]`` extra); see the module docstring.
         latency_model: per-edge latency assignment for the async backend —
             a registered name (``"uniform"``, ``"seeded-jitter"``,
             ``"degree-proportional"``) or a
@@ -195,8 +177,8 @@ class SyncNetwork:
             ``None`` means uniform (lockstep-equivalent). Rejected for the
             lockstep schedulers.
         sanitize: the runtime conformance sanitizer — the dynamic twin of
-            ``repro lint``'s static pass. When on, the degrade backends
-            (``dense``, ``sharded``) wrap every *spurious* wake (empty
+            ``repro lint``'s static pass. When on, the degrade backend
+            (``dense``) wraps every *spurious* wake (empty
             inbox, no keep-alive latch, no due timer) in
             :func:`~repro.congest.engine.checked_spurious_wake`, raising
             :class:`~repro.util.errors.CongestViolation` if the activation
@@ -223,13 +205,12 @@ class SyncNetwork:
         enforce_bandwidth: bool = True,
         rng: int | random.Random | None = None,
         scheduler: str = "event",
-        workers: int | None = None,
         latency_model: object = None,
         sanitize: bool | None = None,
     ):
         if graph.number_of_nodes() == 0:
             raise GraphStructureError("cannot build a network on an empty graph")
-        validate_scheduler(scheduler, workers=workers, latency_model=latency_model)
+        validate_scheduler(scheduler, latency_model=latency_model)
         if sanitize is None:
             sanitize = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
         self.sanitize = bool(sanitize)
@@ -240,7 +221,6 @@ class SyncNetwork:
         self.bandwidth_bits = bandwidth_bits
         self.enforce_bandwidth = enforce_bandwidth
         self.scheduler = scheduler
-        self.workers = workers
         self.latency_model = latency_model
         self._rng = ensure_rng(rng)
         self._build_tables()
@@ -305,9 +285,7 @@ class SyncNetwork:
 
         Raises:
             GraphStructureError: if ``algorithms`` does not cover the nodes.
-            CongestViolation: on model violations or timeout (raised in the
-                caller even when the violating node ran in a sharded
-                worker process).
+            CongestViolation: on model violations or timeout.
         """
         # Refresh the topology snapshot so callers that mutated the graph
         # after construction (the seed contract) see their changes.
@@ -315,7 +293,7 @@ class SyncNetwork:
         if set(algorithms) != set(self._nodes):
             raise GraphStructureError("algorithms must cover exactly the graph nodes")
         # One draw per run: every per-node stream derives from this value
-        # and the node's index, independent of backend and worker count.
+        # and the node's index, independent of backend.
         run_seed = self._rng.randrange(2**62)
         backend = get_backend(self.scheduler)()
         return backend.execute(self, algorithms, run_seed, max_rounds, raise_on_timeout)

@@ -27,7 +27,7 @@ class NodeAlgorithm:
     requests activation *next* round (polling); ``ctx.schedule_wake(d)``
     requests activation ``d`` rounds out. On the timer-native backends
     (``event``, ``async``) a scheduled wake costs exactly one activation at
-    the wake round; on the degrade backends (``dense``, ``sharded``) the
+    the wake round; on the degrade backend (``dense``) the
     node may be woken with an empty inbox on every round up to it, so a
     conforming algorithm treats any wake before its own readiness condition
     as a no-op (no sends, no state changes, no ``ctx.rng`` draws). Ack-

@@ -207,7 +207,6 @@ def distributed_bfs(
     root: int,
     rng: int | random.Random | None = None,
     scheduler: str = "event",
-    workers: int | None = None,
     latency_model: object = None,
 ) -> tuple[RootedTree, RoundStats]:
     """Build a BFS tree of ``graph`` from ``root`` in the CONGEST model.
@@ -223,7 +222,7 @@ def distributed_bfs(
     if root not in graph:
         raise GraphStructureError(f"root {root} is not in the graph")
     network = SyncNetwork(
-        graph, rng=rng, scheduler=scheduler, workers=workers,
+        graph, rng=rng, scheduler=scheduler,
         latency_model=latency_model,
     )
     algorithms = {v: BfsNode(v, v == root) for v in graph.nodes()}

@@ -12,7 +12,7 @@ Definition 2.1).
 Both node classes are *event-native*: they override ``on_wake`` directly
 (neither ever latches keep-alive, so a wake-up always carries messages to
 observe) and keep ``on_round`` only as the dense scheduler's lockstep
-entry point. The dense/event/sharded equivalence suite pins the two code
+entry point. The dense/event equivalence suite pins the two code
 paths to identical behavior.
 """
 
@@ -129,12 +129,11 @@ def tree_broadcast(
     value: object,
     rng: int | random.Random | None = None,
     scheduler: str = "event",
-    workers: int | None = None,
     latency_model: object = None,
 ) -> tuple[dict[int, object], RoundStats]:
     """Send ``value`` from the tree root to every node (``depth`` rounds)."""
     network = SyncNetwork(
-        graph, rng=rng, scheduler=scheduler, workers=workers,
+        graph, rng=rng, scheduler=scheduler,
         latency_model=latency_model,
     )
     algorithms = {v: _BroadcastNode(v, tree, value) for v in graph.nodes()}
@@ -260,7 +259,6 @@ def tree_aggregate(
     combine: Callable[[object, object], object],
     rng: int | random.Random | None = None,
     scheduler: str = "event",
-    workers: int | None = None,
     latency_model: object = None,
 ) -> tuple[object, RoundStats]:
     """Combine per-node ``values`` up the tree; the root's total is returned.
@@ -269,7 +267,7 @@ def tree_aggregate(
     the bit budget (ints, small tuples).
     """
     network = SyncNetwork(
-        graph, rng=rng, scheduler=scheduler, workers=workers,
+        graph, rng=rng, scheduler=scheduler,
         latency_model=latency_model,
     )
     algorithms = {

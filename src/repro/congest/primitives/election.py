@@ -59,7 +59,6 @@ def elect_leader(
     graph: nx.Graph,
     rng: int | random.Random | None = None,
     scheduler: str = "event",
-    workers: int | None = None,
     latency_model: object = None,
 ) -> tuple[int, RoundStats]:
     """Elect the minimum-id node as leader; every node learns its id.
@@ -74,7 +73,7 @@ def elect_leader(
     if graph.number_of_nodes() == 0:
         raise GraphStructureError("cannot elect a leader on an empty graph")
     network = SyncNetwork(
-        graph, rng=rng, scheduler=scheduler, workers=workers,
+        graph, rng=rng, scheduler=scheduler,
         latency_model=latency_model,
     )
     algorithms = {v: ElectionNode(v) for v in graph.nodes()}

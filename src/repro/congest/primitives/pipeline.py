@@ -123,7 +123,6 @@ def pipelined_top_k(
     k: int,
     rng: int | random.Random | None = None,
     scheduler: str = "event",
-    workers: int | None = None,
     latency_model: object = None,
 ) -> tuple[tuple, RoundStats]:
     """Collect the k globally-smallest items at the tree root.
@@ -150,7 +149,7 @@ def pipelined_top_k(
     if k < 1:
         raise GraphStructureError(f"k must be positive, got {k}")
     network = SyncNetwork(
-        graph, rng=rng, scheduler=scheduler, workers=workers,
+        graph, rng=rng, scheduler=scheduler,
         latency_model=latency_model,
     )
     algorithms = {

@@ -140,12 +140,13 @@ class RoundStats:
     def merge(self, other: "RoundStats") -> "RoundStats":
         """Parallel composition: counters sum, rounds take the *max*.
 
-        This is how per-shard stats from the sharded scheduler combine:
-        shards advance through the same global rounds in lockstep, so their
-        round counts overlap (max) while their activations, messages, bits,
-        and per-edge/per-round counters partition the totals (sum). The
+        This is how the stats of executions that run side by side combine —
+        the job layer folds its tenants with it
+        (:meth:`repro.congest.jobs.JobScheduler._aggregate`): their round
+        counts overlap (max) while their activations, messages, bits, and
+        per-edge/per-round counters partition the totals (sum). The
         operation is associative and commutative, so any merge order over
-        the shard list yields the same totals (tested).
+        the list yields the same totals (tested).
         """
         return self._compose(other, parallel=True)
 

@@ -46,13 +46,11 @@ The backend is transparent: when any algorithm class in the run has no
 kernel (``vector_kernel is None``), or its kernel refuses the instance
 (:meth:`VectorKernel.accepts` — e.g. BFS on non-integer node labels),
 the whole run is delegated to the ``event`` backend — legal because
-backends are observably identical by contract (the same rule the sharded
-backend uses where ``fork`` is unavailable) — and the delegation is
-recorded as a provenance note in ``stats.notes``. ``scheduler=`` /
-``workers=`` threading through primitives, apps, and the CLI therefore
-keeps working unchanged; ``workers=`` and ``sanitize=`` are documented
-no-ops here (single-process, and the round loop never produces the
-spurious wakes the sanitizer checks).
+backends are observably identical by contract — and the delegation is
+recorded as a provenance note in ``stats.notes``. ``scheduler=``
+threading through primitives, apps, and the CLI therefore keeps working
+unchanged; ``sanitize=`` is a documented no-op here (the round loop never
+produces the spurious wakes the sanitizer checks).
 
 Determinism and byte-identity
 -----------------------------
@@ -62,9 +60,9 @@ Per-node RNG streams remain derived from ``(run_seed, node_index)``
 so gathers reproduce sender-index inbox order; kernel receivers count
 one activation per round exactly like event-backend wakes; timeouts,
 fast-forward over timer-only stretches, and quiescence replicate the
-event loop. The five-backend equivalence suite
+event loop. The four-backend equivalence suite
 (``tests/congest/test_scheduler.py``) enforces identical results and
-stats against dense/event/sharded/async for every tested seed.
+stats against dense/event/async for every tested seed.
 
 Requires numpy (the ``repro[vectorized]`` extra). Without it this module
 still imports and registers the name as *unavailable*, so
@@ -662,12 +660,11 @@ class VectorizedBackend(SchedulerBackend):
     Kernel-claimed nodes execute as whole-round array passes; unclaimed
     nodes run the event activation rule (active set, keep-alive latches,
     timer wheel with fast-forward) in the same round loop, exchanging
-    messages with the kernel tier at round boundaries. ``workers=`` is a
-    documented no-op (single-process); ``sanitize=`` has nothing to check
-    here (no spurious wakes are ever generated, as on ``event``). Runs
-    whose algorithms carry no kernel delegate to the event backend with a
-    provenance note in ``stats.notes`` — see the module docstring for the
-    full policy.
+    messages with the kernel tier at round boundaries. ``sanitize=`` has
+    nothing to check here (no spurious wakes are ever generated, as on
+    ``event``). Runs whose algorithms carry no kernel delegate to the event
+    backend with a provenance note in ``stats.notes`` — see the module
+    docstring for the full policy.
     """
 
     name = "vectorized"

@@ -412,7 +412,6 @@ def distributed_partial_shortcut(
     run_verification: bool = True,
     elect_root: bool = False,
     scheduler: str = "event",
-    workers: int | None = None,
     latency_model: object = None,
     sweep: str = "ack",
 ) -> DistributedShortcutResult:
@@ -434,10 +433,8 @@ def distributed_partial_shortcut(
         elect_root: run a real distributed leader election for the root
             instead of assuming one (adds a measured ``O(D)``-round phase).
         scheduler: simulator scheduler for every phase (``"event"``,
-            ``"dense"``, ``"sharded"``, or ``"async"``; see
+            ``"dense"``, ``"async"``, or ``"vectorized"``; see
             :mod:`repro.congest`).
-        workers: process count for the sharded scheduler (``None`` =
-            backend default).
         latency_model: per-edge latency model for the async scheduler
             (``None`` = uniform/lockstep-equivalent). The default
             ack-driven sweep keeps the marking exact under any model; the
@@ -460,7 +457,7 @@ def distributed_partial_shortcut(
             f"{', '.join(SWEEP_VARIANTS)}"
         )
     validate_scheduler(
-        scheduler, ShortcutError, workers=workers, latency_model=latency_model
+        scheduler, ShortcutError, latency_model=latency_model
     )
     rng = ensure_rng(rng)
     stats = RoundStats()
@@ -470,7 +467,7 @@ def distributed_partial_shortcut(
         from repro.congest.primitives.election import elect_leader
 
         root, election_stats = elect_leader(
-            graph, rng=rng, scheduler=scheduler, workers=workers,
+            graph, rng=rng, scheduler=scheduler,
             latency_model=latency_model,
         )
         stats.add_phase("election", election_stats)
@@ -479,7 +476,7 @@ def distributed_partial_shortcut(
 
     # Phase 1: BFS tree.
     tree, bfs_stats = distributed_bfs(
-        graph, root, rng=rng, scheduler=scheduler, workers=workers,
+        graph, root, rng=rng, scheduler=scheduler,
         latency_model=latency_model,
     )
     stats.add_phase("bfs", bfs_stats)
@@ -488,7 +485,7 @@ def distributed_partial_shortcut(
     depth_values = {v: tree.depth_of(v) for v in graph.nodes()}
     depth_max, up_stats = tree_aggregate(
         graph, tree, depth_values, max, rng=rng, scheduler=scheduler,
-        workers=workers, latency_model=latency_model,
+        latency_model=latency_model,
     )
     depth_max = max(depth_max, 1)
     n = graph.number_of_nodes()
@@ -510,7 +507,7 @@ def distributed_partial_shortcut(
     meta_stats = up_stats
     for scalar in (seed, congestion_budget, tau):
         _, down_stats = tree_broadcast(
-            graph, tree, scalar, rng=rng, scheduler=scheduler, workers=workers,
+            graph, tree, scalar, rng=rng, scheduler=scheduler,
             latency_model=latency_model,
         )
         meta_stats = meta_stats + down_stats
@@ -518,7 +515,7 @@ def distributed_partial_shortcut(
 
     # Phase 3: the sampled upward sweep.
     network = SyncNetwork(
-        graph, rng=rng, scheduler=scheduler, workers=workers,
+        graph, rng=rng, scheduler=scheduler,
         latency_model=latency_model,
     )
     if sweep == "ack":
@@ -648,7 +645,6 @@ def distributed_full_shortcut(
     tree: RootedTree | None = None,
     rng: int | random.Random | None = None,
     scheduler: str = "event",
-    workers: int | None = None,
     latency_model: object = None,
     sweep: str = "ack",
     max_escalations: int = 40,
@@ -670,7 +666,7 @@ def distributed_full_shortcut(
             builds its own measured BFS tree); defaults to a memoized BFS
             tree in that edge case.
         rng: seed or generator (consumed by every iteration's pipeline).
-        scheduler, workers, latency_model: simulator backend plumbing.
+        scheduler, latency_model: simulator backend plumbing.
         sweep: sweep variant for every iteration (``"ack"`` default; see
             :func:`distributed_partial_shortcut`).
         max_escalations: cap on δ doublings.
@@ -695,7 +691,7 @@ def distributed_full_shortcut(
         sub = partition.restrict(graph, remaining)
         result = distributed_partial_shortcut(
             graph, sub, current_delta, rng=rng, run_verification=False,
-            scheduler=scheduler, workers=workers, latency_model=latency_model,
+            scheduler=scheduler, latency_model=latency_model,
             sweep=sweep,
         )
         iterations += 1

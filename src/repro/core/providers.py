@@ -14,7 +14,7 @@ parts, mirroring the ``SchedulerBackend`` registry of :mod:`repro.congest`:
   an optional pre-built tree, the provider selection (either an explicit
   ``provider`` name or the legacy ``method``/``construction`` pair), an
   optional ``delta`` (auto-resolved analytically or via degeneracy when
-  omitted), and the rng/scheduler/workers plumbing for measured pipelines.
+  omitted), and the rng/scheduler/latency-model plumbing for measured pipelines.
 * :class:`ShortcutOutcome` — the uniform product: the shortcut, the tree it
   restricts to (if any), the construction's measured :class:`RoundStats`,
   lazily measured :class:`ShortcutQuality`, and a
@@ -112,7 +112,6 @@ class ShortcutRequest:
             default for the same graph).
         rng: seed or generator for randomized pipelines.
         scheduler: simulator scheduler backend for measured constructions.
-        workers: process count for the sharded scheduler.
         latency_model: per-edge latency model for the async scheduler
             (name or :class:`~repro.congest.asynchronous.LatencyModel`
             instance; ``None`` = uniform/lockstep-equivalent).
@@ -129,7 +128,6 @@ class ShortcutRequest:
     delta: float | None = None
     rng: int | random.Random | None = None
     scheduler: str = "event"
-    workers: int | None = None
     latency_model: object = None
     options: dict = field(default_factory=dict)
 
@@ -499,19 +497,19 @@ def build_shortcut(request: ShortcutRequest) -> ShortcutOutcome:
         outcome.quality()         # lazy, memoized ShortcutQuality
         outcome.provenance        # iterations / escalations / cache hits
 
-    ``scheduler`` / ``workers`` / ``latency_model`` on the request select
+    ``scheduler`` / ``latency_model`` on the request select
     how measured constructions execute, with the same validation as
     :class:`~repro.congest.network.SyncNetwork` (a latency model on a
     backend that does not support one is rejected here, uniformly).
 
     Raises:
         ShortcutError: unknown provider/method/construction, bad
-            scheduler/workers/latency-model, or any provider-specific
+            scheduler/latency-model, or any provider-specific
             failure.
     """
     provider = get_provider(request.provider_name())
     validate_scheduler(
-        request.scheduler, ShortcutError, workers=request.workers,
+        request.scheduler, ShortcutError,
         latency_model=request.latency_model,
     )
     delta = resolve_delta(request.graph, request.delta) if provider.needs_delta else request.delta
@@ -688,7 +686,6 @@ class Theorem31SimulatedProvider(ShortcutProvider):
             tree=tree,
             rng=ensure_rng(request.rng),
             scheduler=request.scheduler,
-            workers=request.workers,
             latency_model=request.latency_model,
             sweep=sweep,
         )

@@ -9,7 +9,6 @@ objects with integer node labels ``0..n-1`` (see
 from repro.graphs.adjacency import canonical_edge, normalize_graph, require_connected
 from repro.graphs.partition import (
     Partition,
-    bfs_blocks,
     forest_cut_partition,
     singleton_partition,
     voronoi_partition,
@@ -28,7 +27,6 @@ __all__ = [
     "normalize_graph",
     "require_connected",
     "Partition",
-    "bfs_blocks",
     "voronoi_partition",
     "forest_cut_partition",
     "singleton_partition",

@@ -26,7 +26,6 @@ __all__ = [
     "singleton_partition",
     "whole_graph_partition",
     "grid_rows_partition",
-    "bfs_blocks",
 ]
 
 
@@ -186,54 +185,6 @@ def singleton_partition(graph: nx.Graph) -> Partition:
 def whole_graph_partition(graph: nx.Graph) -> Partition:
     """A single part containing every node."""
     return Partition(graph, [list(graph.nodes())], validate=False)
-
-
-def bfs_blocks(graph: nx.Graph, num_blocks: int) -> list[list[int]]:
-    """Split the nodes into at most ``num_blocks`` BFS-contiguous blocks.
-
-    This is the *shard assignment* used by the sharded scheduler backend
-    (:mod:`repro.congest.sharded`): a deterministic multi-restart BFS in the
-    graph's node order (restarting at the first unvisited node, visiting
-    neighbors in adjacency order) yields a locality-preserving linear order,
-    which is chopped into near-equal contiguous chunks. Nodes close in the
-    graph land in the same chunk, so most edges stay intra-block and
-    cross-shard traffic tracks the block *boundary*, not the block volume.
-
-    Unlike the :class:`Partition` generators above, blocks need not induce
-    connected subgraphs (a BFS-order chunk can straddle branches); sharding
-    only needs locality, not connectivity. Blocks partition all nodes, are
-    never empty, and sizes differ by at most one.
-
-    Raises:
-        PartitionError: if ``num_blocks < 1``.
-    """
-    if num_blocks < 1:
-        raise PartitionError(f"num_blocks must be >= 1, got {num_blocks}")
-    order: list[int] = []
-    seen: set[int] = set()
-    for start in graph.nodes():
-        if start in seen:
-            continue
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            order.append(node)
-            for neighbor in graph.neighbors(node):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    queue.append(neighbor)
-    n = len(order)
-    num_blocks = min(num_blocks, n) if n else num_blocks
-    base, extra = divmod(n, num_blocks)
-    blocks: list[list[int]] = []
-    position = 0
-    for i in range(num_blocks):
-        size = base + (1 if i < extra else 0)
-        if size:
-            blocks.append(order[position : position + size])
-        position += size
-    return blocks
 
 
 def grid_rows_partition(graph: nx.Graph) -> Partition:

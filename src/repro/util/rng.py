@@ -13,8 +13,7 @@ per-node coin flip.
 :func:`derive_node_rng` plays the same role for the simulator's per-node
 randomness: each node's stream is a deterministic function of
 ``(run_seed, node_index)``, so the streams are identical no matter which
-scheduler backend runs the node, in which order, or in which worker
-process.
+scheduler backend runs the node or in which order.
 """
 
 from __future__ import annotations
@@ -41,9 +40,9 @@ def derive_node_rng(run_seed: int, node_index: int) -> random.Random:
 
     The seed is SHA-256 over ``(run_seed, node_index)``, so a node's stream
     depends only on the run and its position in the graph's node order —
-    never on global iteration order, scheduler backend, or which worker
-    process hosts the node. This is what lets the sharded scheduler produce
-    byte-identical executions for any worker count.
+    never on global iteration order or scheduler backend. This is what lets
+    every backend produce byte-identical executions, whatever order it
+    activates nodes in.
     """
     digest = hashlib.sha256(f"node:{run_seed}:{node_index}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))

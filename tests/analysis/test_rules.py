@@ -228,10 +228,10 @@ class TestProtoRound:
 
 
 class TestRegBackend:
-    FAIL = "from repro.congest.sharded import ShardedBackend\n"
+    FAIL = "from repro.congest.vectorized import VectorizedBackend\n"
     PASS = (
         "from repro.congest.engine import get_backend\n"
-        "backend = get_backend('sharded')()\n"
+        "backend = get_backend('vectorized')()\n"
     )
 
     def test_fails_outside_congest(self):
@@ -240,7 +240,7 @@ class TestRegBackend:
             "from repro.congest.asynchronous import UniformLatency\n", APP_PATH
         )
         assert "REG-BACKEND" in _rules(
-            "import repro.congest.sharded\n", APP_PATH
+            "import repro.congest.asynchronous\n", APP_PATH
         )
 
     def test_registry_access_passes(self):

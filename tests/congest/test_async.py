@@ -243,7 +243,7 @@ class TestLatencyModelRegistry:
 
     def test_lockstep_schedulers_reject_latency_models(self):
         graph = nx.path_graph(3)
-        for scheduler in ("event", "dense", "sharded"):
+        for scheduler in ("event", "dense"):
             with pytest.raises(ValueError) as info:
                 SyncNetwork(graph, scheduler=scheduler, latency_model="seeded-jitter")
             assert "requires scheduler='async'" in str(info.value)

@@ -216,7 +216,7 @@ class TestRoundStats:
         assert total.completion_times == {0: 10, 1: 7, 2: 3}
 
     def test_merge_composes_virtual_time_in_parallel(self):
-        # Parallel composition (the sharded-style merge): virtual time
+        # Parallel composition (the job layer's merge): virtual time
         # overlaps (max), like rounds; completion times are key-wise max
         # and stay associative/commutative.
         a = RoundStats(rounds=5, virtual_time=12, completion_times={0: 12})

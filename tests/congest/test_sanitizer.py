@@ -1,7 +1,7 @@
 """Runtime conformance sanitizer: the dynamic twin of ``repro lint``.
 
 ``SyncNetwork(..., sanitize=True)`` (or ``REPRO_SANITIZE=1``) makes the
-degrade backends (``dense``, ``sharded``) check the spurious-wake contract
+degrade backend (``dense``) check the spurious-wake contract
 of ``ctx.schedule_wake`` at every activation the timer-native backends
 would never run: woken with an empty inbox before its readiness condition,
 a node must not send, draw from ``ctx.rng``, change its state, or latch a
@@ -9,14 +9,11 @@ wake-up. Covered here:
 
 * each violation clause raises :class:`CongestViolation` on ``dense``,
   naming the node and the clause;
-* a sharded-worker violation propagates to the caller;
 * the timer-native backends are no-ops under the flag, by construction;
 * every conforming primitive passes sanitized, byte-identical to the
-  unsanitized run — the four-backend equivalence suite with the sanitizer
+  unsanitized run — the backend equivalence suite with the sanitizer
   enabled (the CI job re-runs the full suite under ``REPRO_SANITIZE=1``).
 """
-
-import multiprocessing
 
 import networkx as nx
 import pytest
@@ -24,13 +21,10 @@ import pytest
 from repro.congest import NodeAlgorithm, SyncNetwork
 from repro.util.errors import CongestViolation
 
-HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-
 class _FarTimer(NodeAlgorithm):
     """Conforming driver: schedules one wake far out, then stays silent.
 
-    On the degrade backends this keeps the run alive for ``delay`` rounds,
+    On the degrade backend this keeps the run alive for ``delay`` rounds,
     during which every other silent node is woken spuriously — the exact
     window the sanitizer patrols.
     """
@@ -84,30 +78,9 @@ class _SpuriousRearm(NodeAlgorithm):
         return {}
 
 
-class _TimerMutator(NodeAlgorithm):
-    """Non-conforming under the sharded timer-degrade: a pending far-out
-    timer keeps it on the wake list every round, and it mutates on the
-    spurious wakes that precede the timer actually firing."""
-
-    def __init__(self):
-        self.wakes = 0
-
-    def on_start(self, ctx):
-        ctx.schedule_wake(5)
-        return {}
-
-    def on_round(self, ctx, inbox):
-        if not inbox:
-            self.wakes += 1
-        return {}
-
-
-def _run_pair(violator, scheduler="dense", sanitize=True, workers=None,
-              **run_kwargs):
+def _run_pair(violator, scheduler="dense", sanitize=True, **run_kwargs):
     graph = nx.path_graph(2)
-    network = SyncNetwork(
-        graph, scheduler=scheduler, rng=1, sanitize=sanitize, workers=workers
-    )
+    network = SyncNetwork(graph, scheduler=scheduler, rng=1, sanitize=sanitize)
     return network.run({0: _FarTimer(5), 1: violator}, **run_kwargs)
 
 
@@ -135,32 +108,6 @@ class TestDenseViolations:
 
     def test_conforming_nodes_pass(self):
         results, stats = _run_pair(_FarTimer(3))
-        assert stats.rounds == 5
-
-
-class TestShardedViolations:
-    @pytest.mark.skipif(not HAVE_FORK, reason="sharded needs fork")
-    def test_worker_violation_propagates_to_caller(self):
-        # Sharded only ever wakes nodes with staged messages or a latch, so
-        # its spurious wakes are timer-degrade wakes: a node with a pending
-        # far-out timer woken before the timer is due.
-        with pytest.raises(CongestViolation, match="spurious-wake contract"):
-            _run_pair(_TimerMutator(), scheduler="sharded", workers=2)
-
-    @pytest.mark.skipif(not HAVE_FORK, reason="sharded needs fork")
-    def test_silent_node_is_never_woken_so_never_checked(self):
-        # No messages, no latch, no timer: sharded never wakes the node,
-        # so there is no spurious activation for the sanitizer to judge.
-        results, stats = _run_pair(
-            _SpuriousMutator(), scheduler="sharded", workers=2
-        )
-        assert stats.rounds == 5
-
-    @pytest.mark.skipif(not HAVE_FORK, reason="sharded needs fork")
-    def test_conforming_sharded_run_passes(self):
-        results, stats = _run_pair(
-            _FarTimer(3), scheduler="sharded", workers=2
-        )
         assert stats.rounds == 5
 
 
@@ -193,11 +140,11 @@ class TestEnvDefault:
 
 
 class TestSanitizedEquivalence:
-    """The four-backend byte-equivalence contract holds with the sanitizer
+    """The backend byte-equivalence contract holds with the sanitizer
     on: every shipped primitive is conforming, so sanitized runs are
     byte-identical to unsanitized ones on every backend."""
 
-    BACKENDS = [("dense", None), ("event", None), ("sharded", 2), ("async", None)]
+    BACKENDS = ["dense", "event", "async"]
 
     def _projection(self, stats):
         return (stats.rounds, stats.messages, stats.message_bits)
@@ -214,12 +161,9 @@ class TestSanitizedEquivalence:
             graph, partition, delta=3.0, rng=7, scheduler="dense"
         )
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        for scheduler, workers in self.BACKENDS:
-            if scheduler == "sharded" and not HAVE_FORK:
-                continue
+        for scheduler in self.BACKENDS:
             sanitized = distributed_partial_shortcut(
                 graph, partition, delta=3.0, rng=7, scheduler=scheduler,
-                workers=workers,
             )
             assert sanitized.marked == plain.marked, scheduler
             assert sanitized.satisfied == plain.satisfied, scheduler
@@ -241,19 +185,13 @@ class TestSanitizedEquivalence:
             graph, tree, items, k=4, rng=2, scheduler="dense"
         )
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        for scheduler, workers in [("dense", None), ("sharded", 2)]:
-            if scheduler == "sharded" and not HAVE_FORK:
-                continue
-            got_tree, got_bfs = distributed_bfs(
-                graph, 0, rng=5, scheduler=scheduler, workers=workers
-            )
-            got_top, got_stats = pipelined_top_k(
-                graph, tree, items, k=4, rng=2, scheduler=scheduler,
-                workers=workers,
-            )
-            assert {v: got_tree.parent_of(v) for v in got_tree.nodes()} == {
-                v: plain_tree.parent_of(v) for v in plain_tree.nodes()
-            }
-            assert got_top == plain_top
-            assert self._projection(got_bfs) == self._projection(plain_bfs)
-            assert self._projection(got_stats) == self._projection(plain_stats)
+        got_tree, got_bfs = distributed_bfs(graph, 0, rng=5, scheduler="dense")
+        got_top, got_stats = pipelined_top_k(
+            graph, tree, items, k=4, rng=2, scheduler="dense"
+        )
+        assert {v: got_tree.parent_of(v) for v in got_tree.nodes()} == {
+            v: plain_tree.parent_of(v) for v in plain_tree.nodes()
+        }
+        assert got_top == plain_top
+        assert self._projection(got_bfs) == self._projection(plain_bfs)
+        assert self._projection(got_stats) == self._projection(plain_stats)

@@ -1,4 +1,4 @@
-"""Tests for the scheduler backends (dense, event, sharded, async, vectorized).
+"""Tests for the scheduler backends (dense, event, async, vectorized).
 
 Two concerns:
 
@@ -7,20 +7,26 @@ Two concerns:
   to the lockstep semantics;
 * equivalence — every scheduler backend produces byte-identical results,
   round counts, and message counts to the dense (seed) scheduler across
-  the primitive suite, while the event/sharded backends do far fewer node
-  activations on thin-frontier instances. The sharded backend runs with 2
-  worker processes here; ``tests/congest/test_sharded.py`` covers its
-  worker-count edge cases.
+  the primitive suite — on fixed graphs and on generated members of the
+  registered generator families — while the event backend does far fewer
+  node activations on thin-frontier instances. Per-node ``ctx.rng``
+  streams and the result order are pinned across backends too.
 """
+
+import dataclasses
+import re
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.congest import NodeAlgorithm, SyncNetwork
 from repro.congest.primitives.bfs import distributed_bfs
 from repro.congest.primitives.broadcast import tree_aggregate, tree_broadcast
 from repro.congest.primitives.election import elect_leader
 from repro.congest.primitives.pipeline import pipelined_top_k
+from repro.graphs.generators import grid_graph, k_tree, series_parallel_graph, wheel_graph
 from repro.graphs.trees import bfs_tree
 
 
@@ -75,6 +81,28 @@ class _Chatter(NodeAlgorithm):
 
     def on_round(self, ctx, inbox):
         return {neighbor: (1,) for neighbor in ctx.neighbors}
+
+
+class _RngProbe(NodeAlgorithm):
+    """Draws from ctx.rng on every observing activation; node 0 floods a wave."""
+
+    def __init__(self, node):
+        self.node = node
+        self.draws = []
+
+    def on_start(self, ctx):
+        self.draws.append(ctx.rng.randrange(2**30))
+        if self.node == 0:
+            return {neighbor: (1,) for neighbor in ctx.neighbors}
+        return {}
+
+    def on_round(self, ctx, inbox):
+        if inbox:
+            self.draws.append(ctx.rng.randrange(2**30))
+        return {}
+
+    def result(self):
+        return tuple(self.draws)
 
 
 class _WakeOnly(NodeAlgorithm):
@@ -159,6 +187,30 @@ class TestQuiescenceEdgeCases:
         with pytest.raises(ValueError):
             SyncNetwork(nx.path_graph(2), scheduler="bogus")
 
+    def test_removed_sharded_name_fails_uniformly_at_every_boundary(self):
+        from repro.apps.mst import assign_random_weights, distributed_mst
+        from repro.congest.engine import available_schedulers
+        from repro.core.providers import ShortcutRequest, build_shortcut
+        from repro.graphs.partition import grid_rows_partition
+        from repro.util.errors import ShortcutError
+
+        graph = grid_graph(3, 3)
+        expected = re.escape(
+            "unknown scheduler 'sharded'; registered schedulers: "
+            + ", ".join(available_schedulers())
+        )
+        with pytest.raises(ValueError, match=expected):
+            SyncNetwork(graph, scheduler="sharded")
+        with pytest.raises(ShortcutError, match=expected):
+            distributed_mst(
+                graph, assign_random_weights(graph, rng=1), scheduler="sharded"
+            )
+        with pytest.raises(ShortcutError, match=expected):
+            build_shortcut(ShortcutRequest(
+                graph=graph, partition=grid_rows_partition(graph),
+                construction="simulated", scheduler="sharded",
+            ))
+
     def test_on_wake_fast_path_only_fires_with_input(self):
         graph = nx.star_graph(4)
         network = SyncNetwork(graph, scheduler="event")
@@ -183,16 +235,15 @@ def _parents(tree):
     return {v: tree.parent_of(v) for v in tree.nodes()}
 
 
-# Every backend must match the dense reference byte for byte; the sharded
-# backend runs with 2 worker processes to exercise real cross-shard traffic,
-# the async backend runs in its lockstep-equivalent (uniform-latency) mode,
+# Every backend must match the dense reference byte for byte; the async
+# backend runs in its lockstep-equivalent (uniform-latency) mode,
 # and the vectorized backend (present when numpy is installed) executes
 # kernel-backed algorithms columnar — and transparently delegates the
 # kernel-less ones to the event backend, so it belongs in every case here.
-BACKENDS = [("dense", None), ("event", None), ("sharded", 2), ("async", None)]
+BACKENDS = ["dense", "event", "async"]
 try:  # not find_spec: a present-but-broken numpy must also skip the arm
     import numpy  # noqa: F401
-    BACKENDS.append(("vectorized", None))
+    BACKENDS.append("vectorized")
 except ImportError:
     pass
 
@@ -210,10 +261,8 @@ class TestSchedulerEquivalence:
     def test_bfs_equivalent(self, name):
         graph = self.GRAPHS[name]
         dense_tree, dense_stats = distributed_bfs(graph, 0, rng=5, scheduler="dense")
-        for scheduler, workers in BACKENDS[1:]:
-            tree, stats = distributed_bfs(
-                graph, 0, rng=5, scheduler=scheduler, workers=workers
-            )
+        for scheduler in BACKENDS[1:]:
+            tree, stats = distributed_bfs(graph, 0, rng=5, scheduler=scheduler)
             assert _parents(dense_tree) == _parents(tree)
             assert _equiv_stats(dense_stats) == _equiv_stats(stats)
             assert dense_stats.edge_messages == stats.edge_messages
@@ -223,8 +272,8 @@ class TestSchedulerEquivalence:
     def test_election_equivalent(self, name):
         graph = self.GRAPHS[name]
         outcomes = [
-            elect_leader(graph, rng=3, scheduler=scheduler, workers=workers)
-            for scheduler, workers in BACKENDS
+            elect_leader(graph, rng=3, scheduler=scheduler)
+            for scheduler in BACKENDS
         ]
         leaders = {leader for leader, _ in outcomes}
         assert len(leaders) == 1
@@ -235,13 +284,13 @@ class TestSchedulerEquivalence:
         graph = self.GRAPHS[name]
         tree = bfs_tree(graph, root=0)
         outcomes = {}
-        for scheduler, workers in BACKENDS:
+        for scheduler in BACKENDS:
             values, b_stats = tree_broadcast(
-                graph, tree, 42, rng=1, scheduler=scheduler, workers=workers
+                graph, tree, 42, rng=1, scheduler=scheduler
             )
             total, a_stats = tree_aggregate(
                 graph, tree, {v: 1 for v in graph}, lambda a, b: a + b,
-                rng=1, scheduler=scheduler, workers=workers,
+                rng=1, scheduler=scheduler,
             )
             outcomes[scheduler] = (
                 values, total, _equiv_stats(b_stats), _equiv_stats(a_stats)
@@ -256,10 +305,8 @@ class TestSchedulerEquivalence:
         tree = bfs_tree(graph, root=0)
         items = {v: [v * 3 + 1, 100 + v] for v in graph}
         outcomes = [
-            pipelined_top_k(
-                graph, tree, items, k=4, rng=2, scheduler=scheduler, workers=workers
-            )
-            for scheduler, workers in BACKENDS
+            pipelined_top_k(graph, tree, items, k=4, rng=2, scheduler=scheduler)
+            for scheduler in BACKENDS
         ]
         assert len({top for top, _ in outcomes}) == 1
         assert len({_equiv_stats(stats) for _, stats in outcomes}) == 1
@@ -273,10 +320,8 @@ class TestSchedulerEquivalence:
             canonical_edge(u, v): (u * 7 + v * 3) % 11 + 1 for u, v in graph.edges()
         }
         outcomes = [
-            bellman_ford_sssp(
-                graph, 0, weights, rng=4, scheduler=scheduler, workers=workers
-            )
-            for scheduler, workers in BACKENDS
+            bellman_ford_sssp(graph, 0, weights, rng=4, scheduler=scheduler)
+            for scheduler in BACKENDS
         ]
         reference = outcomes[0]
         for distances, stats in outcomes[1:]:
@@ -293,15 +338,35 @@ class TestSchedulerEquivalence:
         dense = distributed_partial_shortcut(
             graph, partition, delta=3.0, rng=7, scheduler="dense"
         )
-        for scheduler, workers in BACKENDS[1:]:
+        for scheduler in BACKENDS[1:]:
             result = distributed_partial_shortcut(
                 graph, partition, delta=3.0, rng=7, scheduler=scheduler,
-                workers=workers,
             )
             assert dense.marked == result.marked
             assert dense.satisfied == result.satisfied
             assert dense.params == result.params
             assert _equiv_stats(dense.stats) == _equiv_stats(result.stats)
+
+    def test_rng_streams_invariant_across_backends(self):
+        # Regression for the shared-RNG ordering hazard: per-node streams
+        # derive from (run_seed, node_index), so they cannot depend on
+        # global iteration order or backend.
+        graph = nx.star_graph(9)
+        runs = [
+            SyncNetwork(graph, rng=42, scheduler=scheduler).run(
+                {v: _RngProbe(v) for v in graph}
+            )[0]
+            for scheduler in BACKENDS
+        ]
+        for other in runs[1:]:
+            assert other == runs[0]
+
+    def test_result_iteration_order_matches_node_order(self):
+        graph = nx.relabel_nodes(nx.path_graph(6), {0: 0, 1: 5, 2: 1, 3: 4, 4: 2, 5: 3})
+        for scheduler in BACKENDS:
+            network = SyncNetwork(graph, rng=0, scheduler=scheduler)
+            results, _ = network.run({v: _RngProbe(v) for v in graph})
+            assert list(results) == list(graph.nodes()), scheduler
 
     def test_thin_frontier_activation_win(self):
         # A broom: star whose center hangs off a long path.  The dense
@@ -315,6 +380,68 @@ class TestSchedulerEquivalence:
         assert dense_stats.activations == n * dense_stats.rounds
         assert event_stats.activations <= 2 * event_stats.messages
         assert event_stats.activations < dense_stats.activations / 10
+
+
+_seeds = st.integers(0, 2**16)
+
+# Small members (at most 40 nodes) of the registered generator families:
+# planar grids and wheels, bounded-treewidth k-trees, and K_4-minor-free
+# series-parallel graphs.
+GENERATED_GRAPHS = st.one_of(
+    st.builds(grid_graph, st.integers(2, 6), st.integers(2, 6)),
+    st.builds(wheel_graph, st.integers(4, 40)),
+    st.integers(1, 3).flatmap(
+        lambda k: st.builds(
+            k_tree, st.integers(k + 1, 40), st.just(k), rng=_seeds,
+            locality=st.sampled_from([0.0, 0.5, 1.0]),
+        )
+    ),
+    st.builds(series_parallel_graph, st.integers(2, 40), rng=_seeds),
+)
+
+
+def _model_stats(stats):
+    """Every RoundStats field but the backend-specific ones, after ``check()``.
+
+    ``notes`` records backend provenance (the vectorized fallback),
+    ``activations`` is the cost profile the backends may differ in, and
+    ``completion_times`` belongs to the wall-model dimension only ``async``
+    reports. ``virtual_time`` is compared under its unit-latency convention:
+    lockstep backends leave it at 0, uniform ``async`` sets it to ``rounds``.
+    Everything else is part of the execution and must match.
+    """
+    stats.check()
+    fields = {
+        f.name: getattr(stats, f.name)
+        for f in dataclasses.fields(stats)
+        if f.name not in ("notes", "activations", "completion_times")
+    }
+    fields["virtual_time"] = stats.virtual_time or stats.rounds
+    return fields
+
+
+@settings(max_examples=40, deadline=None)
+@given(GENERATED_GRAPHS, _seeds)
+def test_generated_graphs_equivalent_on_every_backend(graph, seed):
+    root = min(graph.nodes())
+    values = {v: (v * 7 + seed) % 101 for v in graph}
+    outcomes = {}
+    for scheduler in BACKENDS:
+        tree, bfs_stats = distributed_bfs(graph, root, rng=seed, scheduler=scheduler)
+        leader, election_stats = elect_leader(graph, rng=seed, scheduler=scheduler)
+        total, aggregate_stats = tree_aggregate(
+            graph, tree, values, lambda a, b: a + b, rng=seed, scheduler=scheduler
+        )
+        outcomes[scheduler] = (
+            _parents(tree), leader, total,
+            _model_stats(bfs_stats), _model_stats(election_stats),
+            _model_stats(aggregate_stats),
+        )
+    reference = outcomes["dense"]
+    assert reference[1] == root
+    assert reference[2] == sum(values.values())
+    for scheduler, outcome in outcomes.items():
+        assert outcome == reference, scheduler
 
 
 class TestMeasuredCongestion:

@@ -4,11 +4,13 @@ Every field declares its composition policy once, in its dataclass field
 metadata, and ``+``/``merge``/``copy``/``add_phase`` are derived from the
 declarations. These tests pin the policy table itself, check that every
 field composes the way its policy says, and check the algebraic laws
-(merge associative and commutative, ``add_phase`` agreeing with ``+``,
-``copy`` sharing no mutable container) over generated stats.
+(merge associative and commutative with the empty stats as identity,
+``add_phase`` agreeing with ``+``, ``copy`` sharing no mutable container,
+a loss-free pickle round trip) over generated stats.
 """
 
 import dataclasses
+import pickle
 from collections import Counter
 
 import pytest
@@ -131,6 +133,19 @@ def test_merge_is_associative(a, b, c):
 def test_merge_is_commutative(a, b):
     # Notes keep first-seen order, so commutativity holds up to note order.
     assert _canonical(a.merge(b)) == _canonical(b.merge(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stats)
+def test_empty_stats_are_the_merge_identity(a):
+    assert a.merge(RoundStats()) == a
+    assert RoundStats().merge(a) == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(stats)
+def test_pickle_round_trip(original):
+    assert pickle.loads(pickle.dumps(original)) == original
 
 
 @settings(max_examples=60, deadline=None)

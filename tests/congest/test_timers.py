@@ -4,12 +4,12 @@ The contract (see :meth:`repro.congest.engine.NodeContext.schedule_wake`):
 
 * the timer-native backends (``event``, ``async``) activate a scheduled
   node exactly at its wake round — fast-forwarding the clock over empty
-  rounds when only timers remain — while the degrade backends (``dense``,
-  ``sharded``) keep the node schedulable every round until the wake fires;
-* results, round counts, and message counts are byte-identical across all
-  four backends for conforming algorithms (early wakes are no-ops); only
+  rounds when only timers remain — while the degrade backend (``dense``)
+  keeps the node schedulable every round until the wake fires;
+* results, round counts, and message counts are byte-identical across the
+  backends for conforming algorithms (early wakes are no-ops); only
   activations differ — the event backend pays one activation per fire
-  where the degrade backends pay one per round;
+  where the degrade backend pays one per round;
 * timers persist across message wakes, re-arming takes the earliest wake,
   a fired timer is cleared, and quiescence accounts for pending timers.
 """
@@ -20,7 +20,7 @@ import pytest
 from repro.congest import NodeAlgorithm, SyncNetwork
 from repro.util.errors import CongestViolation
 
-BACKENDS = [("event", None), ("dense", None), ("sharded", 2), ("async", None)]
+BACKENDS = ["event", "dense", "async"]
 
 
 class _AlarmClock(NodeAlgorithm):
@@ -30,7 +30,6 @@ class _AlarmClock(NodeAlgorithm):
         self.node = node
         self.delay = delay
         self.fired_round = None
-        self.wake_rounds = []
 
     def on_start(self, ctx):
         if self.delay:
@@ -38,7 +37,6 @@ class _AlarmClock(NodeAlgorithm):
         return {}
 
     def on_round(self, ctx, inbox):
-        self.wake_rounds.append(ctx.round)
         if self.delay and self.fired_round is None and ctx.round >= self.delay:
             self.fired_round = ctx.round
             return {neighbor: (1,) for neighbor in ctx.neighbors}
@@ -105,10 +103,10 @@ class _StreamSender(NodeAlgorithm):
 
 
 class TestTimerSemantics:
-    @pytest.mark.parametrize("scheduler,workers", BACKENDS)
-    def test_single_wake_fires_at_exact_round(self, scheduler, workers):
+    @pytest.mark.parametrize("scheduler", BACKENDS)
+    def test_single_wake_fires_at_exact_round(self, scheduler):
         graph = nx.path_graph(3)
-        network = SyncNetwork(graph, scheduler=scheduler, workers=workers)
+        network = SyncNetwork(graph, scheduler=scheduler)
         algorithms = {v: _AlarmClock(v, 5 if v == 1 else 0) for v in graph}
         results, stats = network.run(algorithms)
         assert results[1] == 5
@@ -128,8 +126,8 @@ class TestTimerSemantics:
     def test_degrade_backends_poll_but_agree_on_everything_else(self):
         graph = nx.path_graph(2)
         outcomes = {}
-        for scheduler, workers in BACKENDS:
-            network = SyncNetwork(graph, scheduler=scheduler, workers=workers)
+        for scheduler in BACKENDS:
+            network = SyncNetwork(graph, scheduler=scheduler)
             algorithms = {v: _AlarmClock(v, 7 if v == 0 else 0) for v in graph}
             results, stats = network.run(algorithms)
             outcomes[scheduler] = (
@@ -139,19 +137,19 @@ class TestTimerSemantics:
         for scheduler, outcome in outcomes.items():
             assert outcome == reference, scheduler
 
-    @pytest.mark.parametrize("scheduler,workers", BACKENDS)
-    def test_rearmed_timer_fires_repeatedly(self, scheduler, workers):
+    @pytest.mark.parametrize("scheduler", BACKENDS)
+    def test_rearmed_timer_fires_repeatedly(self, scheduler):
         graph = nx.path_graph(2)
-        network = SyncNetwork(graph, scheduler=scheduler, workers=workers)
+        network = SyncNetwork(graph, scheduler=scheduler)
         algorithms = {v: _Metronome(v, 3, 4 if v == 0 else 0) for v in graph}
         results, stats = network.run(algorithms)
         assert results[0] == (3, 6, 9, 12)
         assert stats.rounds == 12
 
-    @pytest.mark.parametrize("scheduler,workers", BACKENDS)
-    def test_stream_pacing_delivers_one_item_per_round(self, scheduler, workers):
+    @pytest.mark.parametrize("scheduler", BACKENDS)
+    def test_stream_pacing_delivers_one_item_per_round(self, scheduler):
         graph = nx.path_graph(2)
-        network = SyncNetwork(graph, scheduler=scheduler, workers=workers)
+        network = SyncNetwork(graph, scheduler=scheduler)
         algorithms = {v: _StreamSender(v, 4) for v in graph}
         results, stats = network.run(algorithms)
         # Items sent in rounds 0..3 arrive in rounds 1..4, in order.
@@ -208,7 +206,7 @@ class TestTimerSemantics:
         assert algorithms[0].wakes == [(2, True), (6, False)]
         assert stats.rounds == 6
 
-    @pytest.mark.parametrize("scheduler", ["event", "dense", "async"])
+    @pytest.mark.parametrize("scheduler", BACKENDS)
     def test_pending_timer_past_bound_times_out(self, scheduler):
         class FarFuture(NodeAlgorithm):
             def on_start(self, ctx):

@@ -1,9 +1,9 @@
 """Tests for the vectorized columnar scheduler backend.
 
-The five-backend byte-equivalence matrix lives in ``test_scheduler.py``;
+The backend byte-equivalence matrix lives in ``test_scheduler.py``;
 this file covers the backend's own surface: the event-backend fallback
 with its provenance note, RoundStats algebra over vectorized stats,
-``workers=``/``sanitize=`` as documented no-ops, the unavailable-backend
+``sanitize=`` as a documented no-op, the unavailable-backend
 registry path, the columnar bit accounting, CSR caching, and the
 violation paths (non-neighbor, bandwidth, inert kernels).
 """
@@ -120,22 +120,17 @@ class TestRoundStatsAlgebra:
 
 
 class TestNoOpKnobs:
-    def test_workers_and_sanitize_do_not_change_execution(self):
+    def test_sanitize_does_not_change_execution(self):
+        from repro.congest.primitives.bfs import BfsNode
+
         graph = _grid(4, 3)
         baseline = distributed_bfs(graph, 0, rng=3, scheduler="vectorized")
-        for kwargs in ({"workers": 4}, {}):
-            net = SyncNetwork(graph, rng=3, scheduler="vectorized",
-                              sanitize=True, **kwargs)
-            from repro.congest.primitives.bfs import BfsNode
-            results, stats = net.run({v: BfsNode(v, v == 0) for v in graph})
-            assert _proj(stats) == _proj(baseline[1])
-            assert {v: r["parent"] for v, r in results.items()} == {
-                v: baseline[0].parent_of(v) for v in graph
-            }
-
-    def test_invalid_workers_still_rejected(self):
-        with pytest.raises(ValueError, match="positive process count"):
-            SyncNetwork(_grid(2, 2), scheduler="vectorized", workers=0)
+        net = SyncNetwork(graph, rng=3, scheduler="vectorized", sanitize=True)
+        results, stats = net.run({v: BfsNode(v, v == 0) for v in graph})
+        assert _proj(stats) == _proj(baseline[1])
+        assert {v: r["parent"] for v, r in results.items()} == {
+            v: baseline[0].parent_of(v) for v in graph
+        }
 
 
 class TestRegistry:

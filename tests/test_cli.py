@@ -65,10 +65,10 @@ class TestMst:
     def test_scheduler_flag_reaches_simulated_construction(self, capsys):
         code = main(["mst", "--family", "ktree", "--n", "32", "--k", "2",
                      "--seed", "3", "--construction", "simulated",
-                     "--scheduler", "sharded", "--workers", "2"])
+                     "--scheduler", "dense"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "scheduler: sharded, workers: 2" in out
+        assert "scheduler: dense" in out
         assert "identical MSTs: True" in out
 
     def test_async_scheduler_with_latency_model_reports_virtual_time(self, capsys):
@@ -96,10 +96,15 @@ class TestMst:
             main(["mst", "--family", "ktree", "--n", "32", "--k", "2",
                   "--scheduler", "bogus"])
 
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(SystemExit):
+    def test_removed_sharded_scheduler_rejected_with_registry(self):
+        from repro.congest.engine import available_schedulers
+
+        with pytest.raises(SystemExit) as info:
             main(["mst", "--family", "ktree", "--n", "32", "--k", "2",
-                  "--workers", "0"])
+                  "--scheduler", "sharded"])
+        message = str(info.value.code)
+        assert "unknown scheduler 'sharded'" in message
+        assert ", ".join(available_schedulers()) in message
 
     def test_provider_flag_overrides_construction(self, capsys):
         code = main(["mst", "--family", "ktree", "--n", "32", "--k", "2",
@@ -122,10 +127,10 @@ class TestCertify:
     def test_certify_scheduler_flags(self, capsys):
         code = main(["certify", "--family", "grid", "--width", "6", "--height", "6",
                      "--parts", "6", "--initial-delta", "3",
-                     "--scheduler", "sharded", "--workers", "2"])
+                     "--scheduler", "dense"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "distributed check (sharded)" in out
+        assert "distributed check (dense)" in out
 
     def test_certify_non_certifying_provider_reports_honestly(self, capsys):
         code = main(["certify", "--family", "grid", "--width", "6", "--height", "6",
