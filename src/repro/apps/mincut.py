@@ -40,6 +40,7 @@ from repro.core.providers import provider_name
 from repro.congest.stats import RoundStats
 from repro.graphs.adjacency import canonical_edge
 from repro.graphs.trees import RootedTree
+from repro.util.bitsize import payload_bits
 from repro.util.errors import GraphStructureError, ShortcutError
 from repro.util.rng import ensure_rng
 
@@ -160,12 +161,17 @@ def distributed_mincut(
             loads[edge] += 1
         tree = _as_rooted_tree(mst.edges, root=min(graph.nodes()))
 
-        # Evaluation pass: 1-respecting cut values are subtree sums; charge
-        # one tree-aggregation's worth of rounds (O(depth)).
-        stats.rounds += tree.max_depth + 1
-        stats.messages += n
-
         crossings, paths = _edge_crossings(graph, tree)
+        # Evaluation pass: 1-respecting cut values are subtree sums, one
+        # convergecast over the tree's n - 1 edges. A child at depth d sends
+        # its subtree's crossing count to its parent in round max_depth - d.
+        stats.rounds += tree.max_depth + 1
+        for child, crossing in crossings.items():
+            stats.record_message(
+                child, tree.parent_of(child), payload_bits(crossing),
+                tree.max_depth - tree.depth_of(child),
+            )
+
         for child, crossing in crossings.items():
             if crossing < best_value:
                 best_value = crossing

@@ -262,24 +262,32 @@ class MessageFabric:
         self.job_id = job_id
         self.arbiter = arbiter
 
-    def validate(self, sender: int, target: int, payload: object) -> int:
-        """Check adjacency and the bit budget; return the payload's bit size.
+    def validate(self, sender: int, outbox: dict[int, object]) -> list[int]:
+        """Check adjacency and the bit budget of every send in ``outbox``.
+
+        Returns the payloads' bit sizes in outbox order. The sender's
+        neighbour set and the budget are looked up once per outbox.
 
         Raises:
             CongestViolation: on a non-neighbor target or an oversized
                 payload.
         """
-        if target not in self.neighbor_sets[sender]:
-            raise CongestViolation(
-                f"node {sender} tried to message non-neighbor {target}"
-            )
-        bits = payload_bits(payload)
-        if self.enforce_bandwidth and bits > self.bandwidth_bits:
-            raise CongestViolation(
-                f"node {sender} sent a {bits}-bit message to {target}; "
-                f"budget is {self.bandwidth_bits} bits"
-            )
-        return bits
+        neighbors = self.neighbor_sets[sender]
+        budget = self.bandwidth_bits if self.enforce_bandwidth else None
+        sizes = []
+        for target, payload in outbox.items():
+            if target not in neighbors:
+                raise CongestViolation(
+                    f"node {sender} tried to message non-neighbor {target}"
+                )
+            bits = payload_bits(payload)
+            if budget is not None and bits > budget:
+                raise CongestViolation(
+                    f"node {sender} sent a {bits}-bit message to {target}; "
+                    f"budget is {budget} bits"
+                )
+            sizes.append(bits)
+        return sizes
 
     def stage(
         self,
@@ -289,33 +297,59 @@ class MessageFabric:
         now: int,
         clock: "Stepper",
     ) -> None:
-        """Validate ``sender``'s outbox and stage it on ``clock``.
+        """Validate ``sender``'s outbox and stage it on ``clock``."""
+        self.stage_sized(
+            sender, sender_index, outbox, self.validate(sender, outbox), now, clock
+        )
+
+    def stage_sized(
+        self,
+        sender: int,
+        sender_index: int,
+        outbox: dict[int, object],
+        sizes: list[int],
+        now: int,
+        clock: "Stepper",
+    ) -> None:
+        """Stage a validated outbox whose bit sizes are ``sizes``.
 
         A message sent at tick ``now`` arrives at ``now + transit``: one
         tick without a latency table (lockstep), the table's entry, or the
         link schedule's load-dependent transit (sends come in
         non-decreasing ``now`` order, the schedule's determinism contract).
+        ``messages``, ``message_bits`` and ``messages_by_round`` are
+        charged once for the whole outbox, ``edge_messages`` per message —
+        the same totals as one :meth:`RoundStats.record_message` per send.
 
         With an :attr:`arbiter` attached (multi-tenant executions), sends
-        are validated here but *submitted* to the arbiter instead of being
-        staged: the edge grant — and therefore the arrival tick and the
-        stats charge — happens in the arbiter's per-tick resolution.
+        are *submitted* to the arbiter instead of being staged: the edge
+        grant — and therefore the arrival tick and the stats charge —
+        happens in the arbiter's per-tick resolution.
         """
+        if not sizes:
+            return
         arbiter = self.arbiter
-        stats = self.stats
+        if arbiter is not None:
+            for (target, payload), bits in zip(outbox.items(), sizes):
+                arbiter.submit(self, sender, sender_index, target, payload, bits)
+            return
         latencies = self.latencies
         link_schedule = self.link_schedule
+        stats = self.stats
+        edge_messages = stats.edge_messages
         for target, payload in outbox.items():
-            bits = self.validate(sender, target, payload)
-            if arbiter is not None:
-                arbiter.submit(self, sender, sender_index, target, payload, bits)
-                continue
             if link_schedule is not None:
                 arrive = now + link_schedule.transit(sender, target, now)
             else:
                 arrive = now + (latencies[(sender, target)] if latencies else 1)
             clock.arrive(arrive, target, (sender_index, sender, payload))
-            stats.record_message(sender, target, bits, now)
+            key = (sender, target)
+            edge_messages[key] = edge_messages.get(key, 0) + 1
+        count = len(sizes)
+        stats.messages += count
+        stats.message_bits += sum(sizes)
+        by_round = stats.messages_by_round
+        by_round[now] = by_round.get(now, 0) + count
 
 
 def timeout(stats: RoundStats, max_rounds: int, raise_on_timeout: bool, who: str = ""):
@@ -568,9 +602,10 @@ class SchedulerBackend:
 def node_contexts(net, run_seed: int, indices=None) -> dict:
     """Contexts of the nodes at ``indices`` (default all), in index order."""
     nodes = net._nodes
+    neighbors = net._neighbors
     return {
         nodes[i]: NodeContext(
-            nodes[i], net._neighbors[nodes[i]], len(nodes), derive_node_rng(run_seed, i)
+            nodes[i], neighbors[nodes[i]], len(nodes), derive_node_rng(run_seed, i)
         )
         for i in (range(len(nodes)) if indices is None else indices)
     }

@@ -510,13 +510,14 @@ class _TierFabric(MessageFabric):
         self.ingested = [[] for _ in kernels]
 
     def stage(self, sender, sender_index, outbox, now, clock):
-        interpreted = {}
-        for target, item in outbox.items():
+        sizes = self.validate(sender, outbox)
+        interpreted, interpreted_sizes = {}, []
+        for (target, item), bits in zip(outbox.items(), sizes):
             target_index = self.index.get(target)
             if target_index is None or self.owner[target_index] < 0:
                 interpreted[target] = item
+                interpreted_sizes.append(bits)
                 continue
-            bits = self.validate(sender, target, item)
             self.stats.record_message(sender, target, bits, now)
             slot = int(self.owner[target_index])
             kernel = self.kernels[slot][0]
@@ -528,8 +529,7 @@ class _TierFabric(MessageFabric):
                 )
             tag, value = kernel.ingest(item)
             self.ingested[slot].append((sender_index, target_index, tag, value))
-        if interpreted:
-            super().stage(sender, sender_index, interpreted, now, clock)
+        self.stage_sized(sender, sender_index, interpreted, interpreted_sizes, now, clock)
 
 
 def _plan(csr, net, algorithms):

@@ -5,6 +5,11 @@ simulator honest we charge every payload an explicit bit count: integers
 cost their binary length, tuples cost the sum of their fields plus a small
 per-field framing cost. Algorithms whose messages exceed the per-round
 budget raise :class:`repro.util.errors.CongestViolation` at send time.
+
+:func:`payload_bits` is called once per simulated send, so the common
+payloads — an ``int`` and a flat tuple of ``int`` fields — are sized in
+one pass with exact type tests and no recursion. Every other payload takes
+the general rules, which are the same for both paths.
 """
 
 from __future__ import annotations
@@ -30,13 +35,30 @@ def bits_for_int(value: int) -> int:
 
 
 def payload_bits(payload: object) -> int:
-    """Recursively compute the bit size of a message payload.
+    """Compute the bit size of a message payload.
 
     Supported payload types: ``int``, ``bool``, ``None``, ``str`` (8 bits per
     character), ``float`` (64 bits), and (possibly nested) tuples/lists of
     these. Anything else raises :class:`TypeError` — the simulator refuses
     to guess sizes for arbitrary objects.
     """
+    # `type(...) is int` keeps bool (an int subclass, 1 bit) off the fast path.
+    kind = type(payload)
+    if kind is int:
+        return (payload.bit_length() or 1) + (payload < 0)
+    if kind is tuple and payload:
+        total = 0
+        for item in payload:
+            if type(item) is int:
+                total += (item.bit_length() or 1) + (item < 0) + _FIELD_OVERHEAD_BITS
+            else:
+                total += _general_bits(item) + _FIELD_OVERHEAD_BITS
+        return total
+    return _general_bits(payload)
+
+
+def _general_bits(payload: object) -> int:
+    """The size rules for every payload type, recursing into containers."""
     if payload is None:
         return _NONE_BITS
     if isinstance(payload, bool):

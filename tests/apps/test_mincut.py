@@ -87,3 +87,17 @@ class TestValidation:
         tree_phases = [k for k in result.stats.phases if k.startswith("tree_")]
         assert len(tree_phases) == 3
         assert result.stats.rounds > 0
+
+
+class TestAccounting:
+    @pytest.mark.parametrize("graph", [grid_graph(5, 5), k_tree(30, 3, rng=2)])
+    def test_stats_identities_hold(self, graph):
+        result = distributed_mincut(graph, rng=3, num_trees=3)
+        result.stats.check()
+
+    def test_evaluation_pass_charges_each_tree_edge_once(self):
+        graph = grid_graph(5, 5)
+        result = distributed_mincut(graph, rng=9, num_trees=3)
+        phase_messages = sum(s.messages for s in result.stats.phases.values())
+        n = graph.number_of_nodes()
+        assert result.stats.messages == phase_messages + 3 * (n - 1)

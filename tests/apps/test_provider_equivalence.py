@@ -18,6 +18,11 @@ goldens at re-pin time (the ack protocol computes the same marking, it
 just stops counting rounds to know when it is done), so those fields still
 carry the original captured values.
 
+A second amendment: the min-cut evaluation pass charges one message per
+tree edge of each packed tree (``n - 1``; it charged ``n`` before, with no
+edge or round attributed), so ``mincut/default``'s ``messages`` dropped by
+one per packed tree. Its cut, side and rounds are unchanged.
+
 The suite also pins the cache contract: a second identical request returns
 the memoized shortcut object with the memoized (not accumulated) stats,
 and MST runs sharing fragment collections (the min-cut tree packing)

@@ -14,6 +14,7 @@ Two concerns:
 """
 
 import dataclasses
+import random
 import re
 
 import networkx as nx
@@ -21,8 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.mst import assign_random_weights, distributed_mst
 from repro.congest import NodeAlgorithm, SyncNetwork
-from repro.congest.primitives.bfs import distributed_bfs
+from repro.congest.jobs import Job, JobScheduler
+from repro.congest.primitives.bfs import BfsNode, distributed_bfs
 from repro.congest.primitives.broadcast import tree_aggregate, tree_broadcast
 from repro.congest.primitives.election import elect_leader
 from repro.congest.primitives.pipeline import pipelined_top_k
@@ -476,3 +479,56 @@ class TestMeasuredCongestion:
         # Send-round convention: the initial convergecast wave (leaves firing
         # at delay 0) appears as the explicit round-0 entry.
         assert 0 in stats.messages_by_round
+
+
+def _count_seedings(monkeypatch) -> list:
+    """Record every Mersenne Twister seeding from here on.
+
+    The sanitizer reads the stream state of every spuriously woken node,
+    which seeds it, so the counted runs are unsanitized.
+    """
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    calls = []
+    seed = random.Random.seed
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return seed(self, *args, **kwargs)
+
+    monkeypatch.setattr(random.Random, "seed", counting)
+    return calls
+
+
+class TestLazyNodeStreams:
+    """Every context gets its stream, but only a draw seeds it."""
+
+    @pytest.mark.parametrize("scheduler", BACKENDS)
+    def test_library_runs_seed_nothing(self, scheduler, monkeypatch):
+        graph = grid_graph(5, 5)
+        weights = assign_random_weights(graph, rng=2)
+        rngs = [random.Random(seed) for seed in (1, 2, 3)]
+        calls = _count_seedings(monkeypatch)
+        distributed_bfs(graph, 0, rng=rngs[0], scheduler=scheduler)
+        elect_leader(graph, rng=rngs[1], scheduler=scheduler)
+        distributed_mst(
+            graph, weights, construction="simulated", rng=rngs[2], scheduler=scheduler
+        )
+        assert calls == []
+
+    def test_solo_job_seeds_nothing(self, monkeypatch):
+        graph = grid_graph(5, 5)
+        algorithms = {v: BfsNode(v, v == 0) for v in graph}
+        rng = random.Random(11)
+        calls = _count_seedings(monkeypatch)
+        result = JobScheduler(graph).run([Job("solo", algorithms, rng=rng)])
+        assert result.outcomes["solo"].status == "completed"
+        assert calls == []
+
+    @pytest.mark.parametrize("scheduler", BACKENDS)
+    def test_each_drawing_node_seeds_once(self, scheduler, monkeypatch):
+        graph = nx.star_graph(9)
+        network = SyncNetwork(graph, rng=42, scheduler=scheduler)
+        calls = _count_seedings(monkeypatch)
+        network.run({v: _RngProbe(v) for v in graph})
+        assert len(calls) == graph.number_of_nodes()
+        assert len({id(rng) for rng in calls}) == graph.number_of_nodes()

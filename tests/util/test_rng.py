@@ -1,12 +1,34 @@
 """Tests for repro.util.rng."""
 
+import copy
+import hashlib
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.rng import ensure_rng, part_sample_hash
+from repro.util.rng import derive_node_rng, ensure_rng, part_sample_hash
+
+STREAM_KEYS = [(0, 0), (1, 7), (12345, 3), (2**62 - 1, 22499)]
+
+
+def _eager_node_rng(run_seed, node_index):
+    """The node stream as an eagerly seeded ``random.Random``."""
+    digest = hashlib.sha256(f"node:{run_seed}:{node_index}".encode()).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+def _draws(rng):
+    """A mix of draws that reaches every Mersenne Twister entry point."""
+    deck = list(range(30))
+    rng.shuffle(deck)
+    return (
+        rng.random(), rng.randrange(10**9), rng.randrange(3), deck,
+        rng.choice("abcdefgh"), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0),
+        rng.getrandbits(70), rng.sample(range(100), 5),
+    )
 
 
 class TestEnsureRng:
@@ -22,6 +44,57 @@ class TestEnsureRng:
 
     def test_different_seeds_differ(self):
         assert ensure_rng(1).random() != ensure_rng(2).random()
+
+
+@pytest.mark.parametrize("run_seed, node_index", STREAM_KEYS)
+class TestNodeStreams:
+    def test_is_a_random_generator(self, run_seed, node_index):
+        assert isinstance(derive_node_rng(run_seed, node_index), random.Random)
+
+    def test_same_draws_as_eager_seeding(self, run_seed, node_index):
+        lazy = derive_node_rng(run_seed, node_index)
+        eager = _eager_node_rng(run_seed, node_index)
+        assert _draws(lazy) == _draws(eager)
+        assert _draws(lazy) == _draws(eager)
+
+    def test_shuffle_as_first_draw(self, run_seed, node_index):
+        # shuffle's first _randbelow call binds getrandbits before the
+        # first draw seeds the stream, and for (0, 0) and (12345, 3) that
+        # draw is rejected, so the bound method draws again.
+        lazy, eager = list(range(50)), list(range(50))
+        derive_node_rng(run_seed, node_index).shuffle(lazy)
+        _eager_node_rng(run_seed, node_index).shuffle(eager)
+        assert lazy == eager
+
+    def test_getstate_and_setstate(self, run_seed, node_index):
+        lazy = derive_node_rng(run_seed, node_index)
+        eager = _eager_node_rng(run_seed, node_index)
+        assert lazy.getstate() == eager.getstate()
+        _draws(eager)
+        lazy.setstate(eager.getstate())
+        assert _draws(lazy) == _draws(eager)
+        # setstate as the first call replaces the derived stream.
+        fresh = derive_node_rng(run_seed, node_index + 1)
+        fresh.setstate(eager.getstate())
+        assert _draws(fresh) == _draws(eager)
+
+    def test_seed_replaces_the_stream(self, run_seed, node_index):
+        lazy = derive_node_rng(run_seed, node_index)
+        lazy.seed(99)
+        assert _draws(lazy) == _draws(random.Random(99))
+
+    @pytest.mark.parametrize("drawn", [False, True])
+    def test_pickle_and_deepcopy(self, run_seed, node_index, drawn):
+        lazy = derive_node_rng(run_seed, node_index)
+        eager = _eager_node_rng(run_seed, node_index)
+        if drawn:
+            _draws(lazy)
+            _draws(eager)
+        copies = [pickle.loads(pickle.dumps(lazy)), copy.deepcopy(lazy)]
+        expected = _draws(eager)
+        for clone in copies:
+            assert _draws(clone) == expected
+        assert _draws(lazy) == expected
 
 
 class TestPartSampleHash:
