@@ -10,6 +10,8 @@ The two contracts that make multiplexing trustworthy:
   same share of each edge, up to the documented ±1 bound.
 """
 
+import hashlib
+
 import networkx as nx
 import pytest
 
@@ -416,3 +418,70 @@ class TestValidation:
         result = JobScheduler(nx.path_graph(2)).run([])
         assert result.outcomes == {}
         assert result.stats.rounds == 0
+
+
+class TestContendedSchedulePin:
+    """Exact multi-tenant schedules under contention, captured as golden.
+
+    The fairness tests above bound shares and assert ``stalls > 0``; this
+    pins the schedule itself: five Bellman-Ford tenants, three ping-pong
+    jobs on edges the floods cross, and one flood that times out with
+    sends still queued (``raise_on_timeout=False``), on a 6x6 mesh. Per
+    job it pins the admitted and completed ticks, status, rounds,
+    ``arbitration_stalls``, virtual time, sorted ``edge_messages`` and
+    results, so a change to the edge resolution order, the round-robin
+    pointer, stall accounting, or the shared link schedule's grant order
+    moves it. Each value is ``(total stalls, makespan, digest)``.
+    """
+
+    PINS = {
+        ('event', None, 1, None): (202, 27, '2190fb7040e8fe1f'),
+        ('event', None, 1, 3): (31, 52, '9c63e0f7c3d93e8c'),
+        ('event', None, 2, None): (31, 23, 'c415bf829fe14827'),
+        ('event', None, 2, 3): (0, 47, 'f7c1680b6a199ab1'),
+        ('async', 'seeded-jitter', 1, None): (37, 116, '833d0220bc1909f1'),
+        ('async', 'seeded-jitter', 1, 3): (8, 158, '46bb1e24f9c7a921'),
+        ('async', 'seeded-jitter', 2, None): (0, 115, '196d628f60d4c78c'),
+        ('async', 'seeded-jitter', 2, 3): (0, 157, 'ad4b62909d1d13d0'),
+        ('async', 'contention:1.0', 1, None): (146, 35, '62815742219de008'),
+        ('async', 'contention:1.0', 1, 3): (32, 55, '2962ba5bbb4e9f77'),
+        ('async', 'contention:1.0', 2, None): (4, 35, 'a20c4c0ecf759f1f'),
+        ('async', 'contention:1.0', 2, 3): (0, 55, 'b464e6ec7ac5f680'),
+    }
+
+    @staticmethod
+    def _jobs(graph):
+        jobs = [
+            Job("late", _bf_algorithms(graph, 21), rng=7, max_rounds=5,
+                raise_on_timeout=False)
+        ]
+        for k, source in enumerate((0, 35, 14, 5, 30)):
+            jobs.append(Job(f"bf{source}", _bf_algorithms(graph, source), rng=k))
+            if k < 3:
+                u, v = ((14, 15), (20, 21), (0, 1))[k]
+                jobs.append(Job(
+                    f"pp{u}", {u: _PingPong(u, v, 12), v: _PingPong(v, u, 12)},
+                    rng=10 + k,
+                ))
+        return jobs
+
+    @pytest.mark.parametrize("mode, model, capacity, max_inflight", list(PINS))
+    def test_schedule_matches_pin(self, mode, model, capacity, max_inflight):
+        graph = nx.convert_node_labels_to_integers(
+            nx.grid_2d_graph(6, 6), ordering="sorted"
+        )
+        result = JobScheduler(
+            graph, scheduler=mode, latency_model=model, capacity=capacity,
+            max_inflight=max_inflight,
+        ).run(self._jobs(graph))
+        per_job = [
+            (o.job_id, o.admitted_tick, o.completed_tick, o.status, o.stats.rounds,
+             o.stats.arbitration_stalls, o.stats.virtual_time,
+             sorted(o.stats.edge_messages.items()), sorted(o.results.items()))
+            for o in result.outcomes.values()
+        ]
+        digest = hashlib.sha256(repr(per_job).encode()).hexdigest()[:16]
+        assert (result.stats.arbitration_stalls, result.stats.rounds, digest) == (
+            self.PINS[(mode, model, capacity, max_inflight)]
+        )
+        result.stats.check()

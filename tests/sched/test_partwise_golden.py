@@ -1,0 +1,134 @@
+"""Golden pin of the packet scheduler over its whole option matrix.
+
+Every combination of ``delay_mode``, ``queue_discipline`` and latency
+model (none, static ``seeded-jitter``, load-dependent ``contention:1.0``)
+runs on two contended instances: E12's 14x14 grid-rows ablation and a
+wheel whose four rim arcs all route through every spoke. Each case pins
+the measured rounds, message and bit counts, virtual time and planned
+load literally, plus a digest of the per-part values, completion rounds
+and per-edge message counts. The expected values were captured before
+the per-edge queue was shared with the job layer; any change to grant
+order, rng draws or transit accounting moves them.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.core.full import build_full_shortcut
+from repro.core.shortcut import Shortcut
+from repro.graphs.generators import grid_graph, wheel_graph
+from repro.graphs.partition import Partition, grid_rows_partition
+from repro.graphs.trees import bfs_tree
+from repro.sched import partwise_aggregate
+
+DELAY_MODES = ("random", "zero", "sequential")
+DISCIPLINES = ("fifo", "random")
+MODELS = (None, "seeded-jitter", "contention:1.0")
+
+
+def _grid_rows():
+    graph = grid_graph(14, 14)
+    partition = grid_rows_partition(graph)
+    shortcut = build_full_shortcut(graph, bfs_tree(graph), partition, 3.0).shortcut
+    return graph, partition, shortcut, {v: 1 for v in graph.nodes()}, lambda a, b: a + b
+
+
+def _wheel():
+    graph = wheel_graph(33)
+    rim = list(range(1, 33))
+    partition = Partition(graph, [rim[i:i + 8] for i in range(0, 32, 8)])
+    spokes = [(0, v) for v in rim]
+    shortcut = Shortcut(graph, partition, [spokes] * 4)
+    return graph, partition, shortcut, {v: (7 * v) % 11 for v in rim}, min
+
+
+INSTANCES = {"grid-rows": _grid_rows, "wheel": _wheel}
+
+
+def fingerprint(result) -> tuple:
+    stats = result.stats
+    bulky = (
+        sorted(result.values.items()),
+        sorted(result.completion_rounds.items()),
+        sorted(stats.edge_messages.items()),
+    )
+    digest = hashlib.sha256(repr(bulky).encode()).hexdigest()[:16]
+    return (
+        stats.rounds, stats.messages, stats.message_bits, stats.virtual_time,
+        result.max_edge_load, result.incomplete, digest,
+    )
+
+
+def run_case(instance, delay_mode, discipline, model):
+    graph, partition, shortcut, values, combine = instance
+    return partwise_aggregate(
+        graph, partition, shortcut, values, combine, rng=3,
+        delay_mode=delay_mode, queue_discipline=discipline, latency_model=model,
+    )
+
+
+GOLDEN = {
+    ('grid-rows', 'random', 'fifo', None): (59, 2912, 23800, 0, 13, (), '0fb40498141f6b35'),
+    ('grid-rows', 'random', 'fifo', 'seeded-jitter'): (238, 2912, 23800, 238, 13, (), '2a68e2da80cbe01e'),
+    ('grid-rows', 'random', 'fifo', 'contention:1.0'): (59, 2912, 23800, 59, 13, (), '0fb40498141f6b35'),
+    ('grid-rows', 'random', 'random', None): (62, 2912, 23800, 0, 13, (), '40c7810b8508869a'),
+    ('grid-rows', 'random', 'random', 'seeded-jitter'): (239, 2912, 23800, 239, 13, (), '9e28d9c02e4cd635'),
+    ('grid-rows', 'random', 'random', 'contention:1.0'): (62, 2912, 23800, 62, 13, (), '40c7810b8508869a'),
+    ('grid-rows', 'zero', 'fifo', None): (64, 2912, 23800, 0, 13, (), '16b4d7e7766d444e'),
+    ('grid-rows', 'zero', 'fifo', 'seeded-jitter'): (245, 2912, 23800, 245, 13, (), '686e7dceac1170a1'),
+    ('grid-rows', 'zero', 'fifo', 'contention:1.0'): (64, 2912, 23800, 64, 13, (), '16b4d7e7766d444e'),
+    ('grid-rows', 'zero', 'random', None): (61, 2912, 23800, 0, 13, (), '41063e5903a70fe6'),
+    ('grid-rows', 'zero', 'random', 'seeded-jitter'): (237, 2912, 23800, 237, 13, (), '40c2478df9206636'),
+    ('grid-rows', 'zero', 'random', 'contention:1.0'): (61, 2912, 23800, 61, 13, (), '41063e5903a70fe6'),
+    ('grid-rows', 'sequential', 'fifo', None): (754, 2912, 23800, 0, 13, (), 'bc59b8a83d351838'),
+    ('grid-rows', 'sequential', 'fifo', 'seeded-jitter'): (896, 2912, 23800, 896, 13, (), '3c6d803702442ede'),
+    ('grid-rows', 'sequential', 'fifo', 'contention:1.0'): (754, 2912, 23800, 754, 13, (), 'bc59b8a83d351838'),
+    ('grid-rows', 'sequential', 'random', None): (754, 2912, 23800, 0, 13, (), 'bc59b8a83d351838'),
+    ('grid-rows', 'sequential', 'random', 'seeded-jitter'): (896, 2912, 23800, 896, 13, (), '3c6d803702442ede'),
+    ('grid-rows', 'sequential', 'random', 'contention:1.0'): (754, 2912, 23800, 754, 13, (), 'bc59b8a83d351838'),
+    ('wheel', 'random', 'fifo', None): (9, 256, 1194, 0, 4, (), '6a525a5b1972699a'),
+    ('wheel', 'random', 'fifo', 'seeded-jitter'): (25, 256, 1194, 25, 4, (), 'ae5f836a37e18886'),
+    ('wheel', 'random', 'fifo', 'contention:1.0'): (10, 256, 1194, 10, 4, (), 'a697d5e3c091237d'),
+    ('wheel', 'random', 'random', None): (11, 256, 1194, 0, 4, (), '750d02e792806aac'),
+    ('wheel', 'random', 'random', 'seeded-jitter'): (25, 256, 1194, 25, 4, (), 'e25fe5c1a264c67a'),
+    ('wheel', 'random', 'random', 'contention:1.0'): (11, 256, 1194, 11, 4, (), '750d02e792806aac'),
+    ('wheel', 'zero', 'fifo', None): (8, 256, 1194, 0, 4, (), 'e849241711c6d7aa'),
+    ('wheel', 'zero', 'fifo', 'seeded-jitter'): (25, 256, 1194, 25, 4, (), '6f26d58a61e91654'),
+    ('wheel', 'zero', 'fifo', 'contention:1.0'): (9, 256, 1194, 9, 4, (), '3135c6fbaf966993'),
+    ('wheel', 'zero', 'random', None): (10, 256, 1194, 0, 4, (), 'bb3c3a655eceed75'),
+    ('wheel', 'zero', 'random', 'seeded-jitter'): (25, 256, 1194, 25, 4, (), '3e5fde5dd4651b9e'),
+    ('wheel', 'zero', 'random', 'contention:1.0'): (10, 256, 1194, 10, 4, (), 'bb3c3a655eceed75'),
+    ('wheel', 'sequential', 'fifo', None): (22, 256, 1194, 0, 4, (), 'b50a6fe721324323'),
+    ('wheel', 'sequential', 'fifo', 'seeded-jitter'): (40, 256, 1194, 40, 4, (), 'be2dfc61bb5e86ae'),
+    ('wheel', 'sequential', 'fifo', 'contention:1.0'): (22, 256, 1194, 22, 4, (), 'b50a6fe721324323'),
+    ('wheel', 'sequential', 'random', None): (22, 256, 1194, 0, 4, (), 'b50a6fe721324323'),
+    ('wheel', 'sequential', 'random', 'seeded-jitter'): (40, 256, 1194, 40, 4, (), 'be2dfc61bb5e86ae'),
+    ('wheel', 'sequential', 'random', 'contention:1.0'): (22, 256, 1194, 22, 4, (), 'b50a6fe721324323'),
+}
+CUTOFF = (9, 204, 957, 9, 4, (0, 1, 2, 3), '29e41ae3cb224409')
+
+
+@pytest.fixture(scope="module", params=sorted(INSTANCES))
+def instance(request):
+    return request.param, INSTANCES[request.param]()
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("discipline", DISCIPLINES)
+@pytest.mark.parametrize("delay_mode", DELAY_MODES)
+def test_matches_golden(instance, delay_mode, discipline, model):
+    name, built = instance
+    result = run_case(built, delay_mode, discipline, model)
+    assert fingerprint(result) == GOLDEN[(name, delay_mode, discipline, model)]
+
+
+def test_cutoff_matches_golden():
+    # A hard stop mid-run under the load-dependent model: every part still
+    # has packets queued or in flight, so all four are reported incomplete.
+    graph, partition, shortcut, values, combine = _wheel()
+    result = partwise_aggregate(
+        graph, partition, shortcut, values, combine, rng=3, max_rounds=9,
+        queue_discipline="random", latency_model="contention:1.0",
+    )
+    assert fingerprint(result) == CUTOFF
