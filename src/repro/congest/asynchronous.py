@@ -11,8 +11,9 @@ instances on the ``event`` engine's *virtual clock*
 on edge ``e`` at tick ``t`` is delivered at ``t + latency(e)``, where the
 per-edge latency comes from a pluggable :class:`LatencyModel`. This is the
 one delivery convention shared by every latency-aware engine in the
-codebase — the packet scheduler (:mod:`repro.sched.partwise`) uses the
-same ``send tick + latency(e)`` rule — and ``latency(e) = 1`` reproduces
+codebase — written once as :class:`~repro.congest.engine.Transit`, which
+the job layer and the packet scheduler (:mod:`repro.sched.partwise`) use
+too — and ``latency(e) = 1`` reproduces
 the lockstep sent-in-``r``, delivered-in-``r + 1`` schedule exactly (the
 test suite pins a forced all-ones latency table byte-identical to running
 with no model at all, in both engines).
@@ -105,8 +106,8 @@ class LatencyModel:
     * **load-dependent** (:class:`LoadDependentLatency`,
       ``is_dynamic = True``) — transit time is computed at *send* time
       from the send tick and the link's instantaneous in-flight load, via
-      the narrow :class:`LinkSchedule` view the engines thread through
-      :meth:`~repro.congest.engine.MessageFabric.stage`.
+      the narrow :class:`LinkSchedule` view every engine reaches through
+      :class:`~repro.congest.engine.Transit`.
       ``contention`` and ``trace-driven`` are load-dependent.
 
     Either way the one shared delivery convention holds: a message sent on
@@ -183,8 +184,8 @@ class UniformLatency(LatencyModel):
         return 1
 
     def build(self, graph, run_seed):
-        # None tells MessageFabric to skip the table lookup entirely — the
-        # hot path stays as cheap as the event backend's.
+        # No table: every edge takes one tick (Transit.resolve makes a
+        # uniform model lockstep without asking for one).
         return None
 
     @property

@@ -8,6 +8,10 @@ execution means; this module defines *how* one is driven. The split is:
   each message for delivery ``latency(e)`` ticks after its send (one tick
   under lockstep), and :class:`~repro.congest.stats.RoundStats` accounting
   (messages are charged at *send* time, keyed by the send round).
+* :class:`Transit` is the one delivery rule — a latency model resolved
+  into a static table or a link schedule — and :class:`EdgeQueues` the one
+  per-edge capacity queue. The fabric, the job layer's arbitration and the
+  packet scheduler (:mod:`repro.sched.partwise`) all use them.
 * :class:`Stepper` is the one virtual-clock engine: a population's staged
   arrivals, keep-alive latches and timer wheel, activated tick by tick in
   node-index order. The ``event`` and ``async`` backends run one per
@@ -52,6 +56,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import deque
 
 from repro.congest.stats import RoundStats
 from repro.util.bitsize import payload_bits
@@ -60,6 +65,8 @@ from repro.util.rng import derive_node_rng
 
 __all__ = [
     "NodeContext",
+    "Transit",
+    "EdgeQueues",
     "MessageFabric",
     "Stepper",
     "SchedulerBackend",
@@ -217,6 +224,120 @@ class NodeContext:
             self._wake_at = wake
 
 
+class Transit:
+    """The one delivery rule: a send on ``(u, v)`` at tick ``now`` arrives at
+    ``now + ticks(u, v, now)``.
+
+    :meth:`resolve` turns a latency model into one execution's rule for the
+    engine backends, the job layer and the packet scheduler alike: uniform
+    is lockstep (one tick, no table), a static model a per-directed-edge
+    table drawn from the run seed, a load-dependent model a
+    :class:`~repro.congest.asynchronous.LinkSchedule`, which charges each
+    send in the order it is presented.
+    """
+
+    __slots__ = ("latencies", "link_schedule")
+
+    def __init__(self, latencies=None, link_schedule=None):
+        self.latencies = latencies
+        self.link_schedule = link_schedule
+
+    @classmethod
+    def resolve(cls, model, graph, seed) -> "Transit":
+        """``model``'s rule on ``graph``; ``seed`` is the run seed or a thunk
+        drawing it, read only by a non-uniform static model."""
+        if model.is_dynamic:
+            return cls(link_schedule=model.schedule(graph))
+        if model.is_uniform:
+            return cls()
+        return cls(model.build(graph, seed() if callable(seed) else seed))
+
+    @property
+    def lockstep(self) -> bool:
+        return self.latencies is None and self.link_schedule is None
+
+    def ticks(self, u, v, now: int) -> int:
+        if self.link_schedule is not None:
+            return self.link_schedule.transit(u, v, now)
+        return self.latencies[(u, v)] if self.latencies else 1
+
+
+class EdgeQueues:
+    """Per-directed-edge capacity queues: at most ``capacity`` grants per tick.
+
+    An entry waits on its edge in its *slot*'s FIFO: the job layer gives
+    each tenant a slot, the packet scheduler uses one (plain FIFO).
+    :meth:`resolve` grants round-robin over an edge's queued slots,
+    starting after its last granted slot, so on a backlogged edge any two
+    slots' grant counts over any window differ by at most 1. The pointer
+    survives while the edge idles; :meth:`drop` forgets it on the edges it
+    empties. With ``rng`` set (the ``"random"`` discipline) the granted
+    entry is drawn uniformly from its FIFO, with one ``randrange`` only
+    when more than one entry waits.
+
+    Edges resolve in ``order`` (a sort key), by default in the order each
+    first received an entry. A load-dependent link schedule charges
+    transits in grant order, so the order is part of the schedule.
+    """
+
+    __slots__ = ("capacity", "rng", "order", "edges", "pointers", "_first")
+
+    def __init__(self, capacity: int = 1, order=None, rng: random.Random | None = None):
+        self.capacity = capacity
+        self.rng = rng
+        self.edges: dict = {}  # edge -> slot -> non-empty FIFO of entries
+        self.pointers: dict = {}  # edge -> last granted slot
+        self._first: dict | None = None if order is not None else {}
+        self.order = order if order is not None else self._first.__getitem__
+
+    def push(self, edge, entry, slot: int = 0) -> None:
+        slots = self.edges.get(edge)
+        if slots is None:
+            slots = self.edges[edge] = {}
+            if self._first is not None:
+                self._first.setdefault(edge, len(self._first))
+        fifo = slots.get(slot)
+        if fifo is None:
+            fifo = slots[slot] = deque()
+        fifo.append(entry)
+
+    def drop(self, slot: int) -> list:
+        """Forget ``slot``'s queued entries and return them."""
+        dropped = []
+        for edge in list(self.edges):
+            slots = self.edges[edge]
+            dropped.extend(slots.pop(slot, ()))
+            if not slots:
+                del self.edges[edge]
+                self.pointers.pop(edge, None)
+        return dropped
+
+    def resolve(self) -> list:
+        """Grant one tick's entries; returns ``(edge, entry)`` pairs in grant order."""
+        granted = []
+        edges, pointers, rng = self.edges, self.pointers, self.rng
+        for edge in sorted(edges, key=self.order):
+            slots = edges[edge]
+            for _ in range(self.capacity):
+                if len(slots) == 1:
+                    slot = next(iter(slots))
+                else:
+                    pointer = pointers.get(edge, -1)
+                    slot = min((s for s in slots if s > pointer), default=min(slots))
+                fifo = slots[slot]
+                if rng is not None and len(fifo) > 1:
+                    position = rng.randrange(len(fifo))
+                    fifo[position], fifo[0] = fifo[0], fifo[position]
+                granted.append((edge, fifo.popleft()))
+                pointers[edge] = slot
+                if not fifo:
+                    del slots[slot]
+                    if not slots:
+                        del edges[edge]
+                        break
+        return granted
+
+
 class MessageFabric:
     """Message validation, staging, and accounting — one per executing context.
 
@@ -226,7 +347,7 @@ class MessageFabric:
 
     __slots__ = (
         "neighbor_sets", "bandwidth_bits", "enforce_bandwidth", "stats",
-        "latencies", "link_schedule", "job_id", "arbiter",
+        "transit", "submit",
     )
 
     def __init__(
@@ -235,32 +356,17 @@ class MessageFabric:
         bandwidth_bits: int,
         enforce_bandwidth: bool,
         stats: RoundStats,
-        latencies: dict[tuple[int, int], int] | None = None,
-        link_schedule: object = None,
-        job_id: str | None = None,
-        arbiter: object = None,
+        transit: Transit | None = None,
+        submit=None,
     ):
         self.neighbor_sets = neighbor_sets
         self.bandwidth_bits = bandwidth_bits
         self.enforce_bandwidth = enforce_bandwidth
         self.stats = stats
-        # Per-directed-edge transit times in ticks (>= 1), or None when
-        # every message takes exactly one round.
-        self.latencies = latencies
-        # Load-dependent latency models hand the fabric a LinkSchedule
-        # instead of a table: transit is computed per send from the link's
-        # instantaneous in-flight count (repro.congest.asynchronous's
-        # capability split). Mutually exclusive with `latencies`.
-        self.link_schedule = link_schedule
-        # Tenancy tagging (the multi-tenant job layer, repro.congest.jobs):
-        # every message this fabric carries belongs to `job_id`, and when an
-        # `arbiter` is attached sends are submitted to it for per-edge
-        # bandwidth grants instead of being staged directly — the arbiter
-        # charges stats and stages the arrival at grant time. Both stay
-        # None for single-tenant executions, whose hot paths are unchanged
-        # beyond one attribute test.
-        self.job_id = job_id
-        self.arbiter = arbiter
+        self.transit = transit or Transit()
+        # The job layer (repro.congest.jobs) sets `submit`: validated
+        # outboxes go to its EdgeQueues, charged and staged at grant time.
+        self.submit = submit
 
     def validate(self, sender: int, outbox: dict[int, object]) -> list[int]:
         """Check adjacency and the bit budget of every send in ``outbox``.
@@ -313,36 +419,25 @@ class MessageFabric:
     ) -> None:
         """Stage a validated outbox whose bit sizes are ``sizes``.
 
-        A message sent at tick ``now`` arrives at ``now + transit``: one
-        tick without a latency table (lockstep), the table's entry, or the
-        link schedule's load-dependent transit (sends come in
-        non-decreasing ``now`` order, the schedule's determinism contract).
-        ``messages``, ``message_bits`` and ``messages_by_round`` are
-        charged once for the whole outbox, ``edge_messages`` per message —
-        the same totals as one :meth:`RoundStats.record_message` per send.
-
-        With an :attr:`arbiter` attached (multi-tenant executions), sends
-        are *submitted* to the arbiter instead of being staged: the edge
-        grant — and therefore the arrival tick and the stats charge —
-        happens in the arbiter's per-tick resolution.
+        A message sent at tick ``now`` arrives at ``now +``
+        :meth:`Transit.ticks`. ``messages``, ``message_bits`` and
+        ``messages_by_round`` are charged once for the whole outbox,
+        ``edge_messages`` per message — the same totals as one
+        :meth:`RoundStats.record_message` per send. With :attr:`submit`
+        set, the outbox goes to it instead.
         """
         if not sizes:
             return
-        arbiter = self.arbiter
-        if arbiter is not None:
-            for (target, payload), bits in zip(outbox.items(), sizes):
-                arbiter.submit(self, sender, sender_index, target, payload, bits)
+        if self.submit is not None:
+            self.submit(sender, sender_index, outbox, sizes, now)
             return
-        latencies = self.latencies
-        link_schedule = self.link_schedule
+        ticks = self.transit.ticks
         stats = self.stats
         edge_messages = stats.edge_messages
         for target, payload in outbox.items():
-            if link_schedule is not None:
-                arrive = now + link_schedule.transit(sender, target, now)
-            else:
-                arrive = now + (latencies[(sender, target)] if latencies else 1)
-            clock.arrive(arrive, target, (sender_index, sender, payload))
+            clock.arrive(
+                now + ticks(sender, target, now), target, (sender_index, sender, payload)
+            )
             key = (sender, target)
             edge_messages[key] = edge_messages.get(key, 0) + 1
         count = len(sizes)
@@ -629,26 +724,21 @@ class EventBackend(SchedulerBackend):
     name = "event"
 
     def execute(self, net, algorithms, run_seed, max_rounds, raise_on_timeout):
-        latencies = link_schedule = None
+        transit = Transit()
         if self.supports_latency_models:
             # The registry lives in the async backend's module, which
             # imports this one.
             from repro.congest.asynchronous import resolve_latency_model
 
             model = resolve_latency_model(getattr(net, "latency_model", None))
-            if model.is_dynamic:
-                # Load-dependent: no static table — each transit comes
-                # from a fresh per-run LinkSchedule at send time.
-                link_schedule = model.schedule(net.graph)
-            else:
-                latencies = model.build(net.graph, run_seed)
+            transit = Transit.resolve(model, net.graph, run_seed)
         fabric = MessageFabric(
             net._neighbor_sets, net.bandwidth_bits, net.enforce_bandwidth, RoundStats(),
-            latencies=latencies, link_schedule=link_schedule,
+            transit=transit,
         )
         clock = Stepper(
             algorithms, node_contexts(net, run_seed), net._index, fabric,
-            resort=latencies is not None or link_schedule is not None,
+            resort=not transit.lockstep,
             record_wall=self.supports_latency_models,
         )
         clock.start()

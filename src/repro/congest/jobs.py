@@ -7,17 +7,19 @@ executes exactly one algorithm population per run; this module multiplexes
 populations — over a single virtual-time execution:
 
 * every message is tagged with its job: each job owns a
-  :class:`~repro.congest.engine.MessageFabric` carrying the job id, and
-  per-node inboxes are demultiplexed per job (a node participating in two
-  jobs is two independent state machines with two independent rng
-  streams);
+  :class:`~repro.congest.engine.MessageFabric` that submits its sends
+  under the job's slot, and per-node inboxes are demultiplexed per job (a
+  node participating in two jobs is two independent state machines with
+  two independent rng streams);
 * bandwidth is arbitrated: a directed edge carries at most
   ``capacity`` (default 1 — the CONGEST rule) messages per global tick
-  *across all jobs*. Contending sends queue per ``(edge, job)`` FIFO and
-  are granted round-robin over job slots (:class:`EdgeArbiter`), so the
-  schedule is deterministic and byte-identical per seed. Each message
-  still queued at the end of a tick charges one ``arbitration_stalls``
-  unit (message-ticks spent waiting);
+  *across all jobs*. Every send waits in the shared
+  :class:`~repro.congest.engine.EdgeQueues` — the packet scheduler's
+  queue too — in its job's FIFO, and grants go round-robin over job
+  slots, so the schedule is deterministic and byte-identical per seed. A
+  granted message charges ``arbitration_stalls`` the ticks it waited
+  (grant tick minus send tick); a timed-out job's dropped sends charge
+  the same up to the drop;
 * per-job observability: every job gets its own
   :class:`~repro.congest.stats.RoundStats` in its own job-local clock,
   and the aggregate stats carry the per-job projection in
@@ -37,8 +39,9 @@ with the same rng — the contract
 to a direct run on the induced subgraph of its population, in the shared
 graph's node order.
 
-**Fairness bound.** Per directed edge, grants cycle round-robin over the
-job slots with queued messages. On a symmetric workload where all K jobs
+**Fairness bound.** Per directed edge,
+:class:`~repro.congest.engine.EdgeQueues` cycles grants round-robin over
+the job slots with queued messages. On a symmetric workload where all K jobs
 stay backlogged on an edge, any window of T consecutive ticks gives each
 job ``T / K`` grants on that edge, up to an absolute deviation of at most
 1 — no job's arbitration share deviates from ``1/K`` by more than ``1/T``
@@ -72,14 +75,14 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from repro.congest.asynchronous import resolve_latency_model
-from repro.congest.engine import MessageFabric, NodeContext, Stepper, timeout
+from repro.congest.engine import EdgeQueues, MessageFabric, NodeContext, Stepper, Transit, timeout
 from repro.congest.network import BANDWIDTH_FACTOR
 from repro.congest.node import NodeAlgorithm
 from repro.congest.stats import RoundStats
 from repro.util.errors import CongestViolation, GraphStructureError
 from repro.util.rng import derive_node_rng, ensure_rng
 
-__all__ = ["Job", "JobOutcome", "ScheduleResult", "EdgeArbiter", "JobScheduler"]
+__all__ = ["Job", "JobOutcome", "ScheduleResult", "JobScheduler"]
 
 # The two execution modes the job layer multiplexes. They reuse the
 # backend names they run as: "event" is the unit-latency active-set
@@ -195,108 +198,23 @@ class ScheduleResult:
 class _JobState:
     """Driver-internal execution state of one admitted population job."""
 
-    __slots__ = ("job", "slot", "offset", "stats", "stepper", "pending", "timed_out")
+    __slots__ = ("job", "slot", "offset", "queues", "stats", "stepper", "pending", "timed_out")
 
-    def __init__(self, job: Job, slot: int, offset: int):
+    def __init__(self, job: Job, slot: int, offset: int, queues: EdgeQueues):
         self.job = job
         self.slot = slot
         self.offset = offset  # global tick of the job's local tick 0
+        self.queues = queues
         self.stats = RoundStats()
-        self.pending = 0  # messages queued in the arbiter
+        self.pending = 0  # messages queued in the edge queues
         self.timed_out = False
 
-
-class EdgeArbiter:
-    """Deterministic per-edge bandwidth arbitration across jobs.
-
-    Each directed edge grants at most ``capacity`` messages per global
-    tick. Contending sends queue per ``(edge, job slot)`` FIFO; grants
-    cycle round-robin over the slots with queued messages, resuming after
-    the last granted slot, so on a backlogged edge every job's grant
-    count over any window differs from every other's by at most 1.
-    Messages still queued after a tick's grants each charge one
-    ``arbitration_stalls`` unit to their job (and to the aggregate).
-
-    ``states`` maps job id -> the job's driver state (the scheduler's live
-    table); ``sort_key`` orders edges for resolution (default: as is).
-    """
-
-    def __init__(self, capacity: int = 1, states: dict | None = None, sort_key=None):
-        if capacity < 1:
-            raise CongestViolation(
-                f"edge capacity must be >= 1 message per tick, got {capacity}"
-            )
-        self.capacity = capacity
-        # edge -> slot -> FIFO of (state, sender_index, sender, target,
-        # payload, bits); edges are (sender, target) in shared-graph ids.
-        self.pending: dict[tuple, dict[int, deque]] = {}
-        self.rr: dict[tuple, int] = {}  # edge -> last granted slot
-        self.total_pending = 0
-        self._states = states if states is not None else {}
-        # Edge iteration order for resolve. Grants on different edges
-        # are independent (per-edge capacity, per-edge rr pointers, summed
-        # stats), so the order is behavior-neutral for static latencies —
-        # but under a load-dependent model the shared LinkSchedule charges
-        # transits in grant order, so the scheduler pins a global
-        # node-*index* order to match the direct backends' activation
-        # order (the solo-identity contract).
-        self.sort_key = sort_key
-
-    def submit(self, fabric, sender, sender_index, target, payload, bits) -> None:
-        """Queue one validated send (called from ``MessageFabric``)."""
-        state = self._states[fabric.job_id]
-        per_slot = self.pending.setdefault((sender, target), {})
-        queue = per_slot.get(state.slot)
-        if queue is None:
-            queue = per_slot[state.slot] = deque()
-        queue.append((state, sender_index, sender, target, payload, bits))
-        state.pending += 1
-        self.total_pending += 1
-
-    def drop(self, state: _JobState) -> None:
-        """Forget a timed-out job's queued sends."""
-        for edge in list(self.pending):
-            per_slot = self.pending[edge]
-            queue = per_slot.pop(state.slot, None)
-            if queue:
-                self.total_pending -= len(queue)
-            if not per_slot:
-                del self.pending[edge]
-                self.rr.pop(edge, None)
-        state.pending = 0
-
-    def resolve(self, now: int, grant: Callable) -> bool:
-        """Grant up to ``capacity`` messages per edge for tick ``now``.
-
-        ``grant(state, sender_index, sender, target, payload, bits, now)``
-        stages the arrival and charges the job's stats. Returns True when
-        messages remain queued (the caller schedules another resolution
-        at ``now + 1``).
-        """
-        if not self.pending:
-            return False
-        for edge in sorted(self.pending, key=self.sort_key):
-            per_slot = self.pending[edge]
-            granted = 0
-            while granted < self.capacity and per_slot:
-                slots = sorted(per_slot)
-                pointer = self.rr.get(edge, -1)
-                chosen = next((s for s in slots if s > pointer), slots[0])
-                queue = per_slot[chosen]
-                state, sender_index, sender, target, payload, bits = queue.popleft()
-                if not queue:
-                    del per_slot[chosen]
-                self.rr[edge] = chosen
-                state.pending -= 1
-                self.total_pending -= 1
-                grant(state, sender_index, sender, target, payload, bits, now)
-                granted += 1
-            if per_slot:
-                for queue in per_slot.values():
-                    queue[0][0].stats.arbitration_stalls += len(queue)
-            else:
-                del self.pending[edge]
-        return bool(self.pending)
+    def submit(self, sender, sender_index, outbox, sizes, now) -> None:
+        """Queue a validated outbox sent at job tick ``now`` (the fabric's hook)."""
+        push, slot = self.queues.push, self.slot
+        for (target, payload), bits in zip(outbox.items(), sizes):
+            push((sender, target), (self, sender_index, payload, bits, now), slot)
+        self.pending += len(sizes)
 
 
 class JobScheduler:
@@ -354,8 +272,12 @@ class JobScheduler:
                 "latency_model requires scheduler='async'; the 'event' mode "
                 "runs unit latencies and would ignore it"
             )
-        if max_inflight is not None and max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
+        if type(capacity) is not int or capacity < 1:
+            raise CongestViolation(
+                f"edge capacity must be an int >= 1 message per tick, got {capacity!r}"
+            )
+        if max_inflight is not None and (type(max_inflight) is not int or max_inflight < 1):
+            raise ValueError(f"max_inflight must be an int >= 1 or None, got {max_inflight!r}")
         self.graph = graph
         self.scheduler = scheduler
         self.latency_model = latency_model
@@ -382,7 +304,7 @@ class JobScheduler:
         return tuple(v for v in self._nodes if v in members)
 
     def _admit(self, job: Job, offset: int) -> _JobState:
-        state = _JobState(job, self._next_slot, offset)
+        state = _JobState(job, self._next_slot, offset, self._queues)
         self._next_slot += 1
         nodes = self._population(job)
         # One draw per job, exactly as SyncNetwork.run draws its run seed.
@@ -401,10 +323,10 @@ class JobScheduler:
             }
             neighbor_sets = {v: frozenset(nbrs) for v, nbrs in neighbors.items()}
             graph_view = self.graph.subgraph(nodes)
-        latencies = (
-            self._model.build(graph_view, run_seed)
-            if self.scheduler == "async" and not self._model.is_dynamic
-            else None
+        # Static latencies are per job, from its own run seed (the
+        # solo-identity contract); a load-dependent schedule is shared.
+        transit = self._shared_transit or Transit.resolve(
+            self._model, graph_view, run_seed
         )
         bandwidth = self.bandwidth_bits
         if bandwidth is None:
@@ -413,7 +335,7 @@ class JobScheduler:
             )
         fabric = MessageFabric(
             neighbor_sets, bandwidth, self.enforce_bandwidth, state.stats,
-            latencies=latencies, job_id=job.job_id, arbiter=self._arbiter,
+            transit=transit, submit=state.submit,
         )
         contexts = {
             v: NodeContext(
@@ -428,10 +350,9 @@ class JobScheduler:
             resort=True, record_wall=self.scheduler == "async",
             notify=lambda tick: self._wake_global(offset + tick),
         )
-        self._states[job.job_id] = state
         self._running.append(state)
         state.stepper.start()
-        if self._arbiter.total_pending:
+        if self._queues.edges:
             self._wake_global(offset)
         return state
 
@@ -454,32 +375,28 @@ class JobScheduler:
             self._in_heap.add(tick)
             heapq.heappush(self._heap, tick)
 
-    def _stage(self, state, sender_index, sender, target, payload, bits, now) -> None:
+    def _grant(self, edge, entry, now) -> None:
         """Stage one granted message: charge stats, bucket the arrival.
 
-        Mirrors ``MessageFabric.stage`` with the grant tick as the
-        send tick — for a solo job the grant tick *is* the send tick, so
-        the accounting is byte-identical to the direct backends; under
-        contention a deferred message is charged (and starts its transit)
-        at its grant.
-
-        Under a load-dependent model the transit comes from the *shared*
-        link schedule, in global ticks: every tenant of the fabric loads
-        the same physical links, so cross-tenant contention costs virtual
-        time (on top of the grant delay charged to
-        ``arbitration_stalls``). Load-dependent models are seed-free by
-        contract, which is what makes one schedule across tenants
-        well-defined — and solo identity automatic.
+        Mirrors ``MessageFabric.stage`` with the grant tick as the send
+        tick — for a solo job the grant tick *is* the send tick, so the
+        accounting is byte-identical to the direct backends. A deferred
+        message also charges the ticks it waited to
+        ``arbitration_stalls``. A load-dependent transit is asked of the
+        shared link schedule in global ticks, so cross-tenant contention
+        costs virtual time too (the models are seed-free, so one schedule
+        across tenants is well-defined).
         """
+        state, sender_index, payload, bits, sent = entry
+        sender, target = edge
         rel = now - state.offset
+        stats = state.stats
+        stats.arbitration_stalls += rel - sent
+        state.pending -= 1
         stepper = state.stepper
-        if self._link_schedule is not None:
-            arrive = rel + self._link_schedule.transit(sender, target, now)
-        else:
-            latencies = stepper.fabric.latencies
-            arrive = rel + (latencies[(sender, target)] if latencies else 1)
+        arrive = rel + stepper.fabric.transit.ticks(sender, target, now)
         stepper.arrive(arrive, target, (sender_index, sender, payload))
-        state.stats.record_message(sender, target, bits, rel)
+        stats.record_message(sender, target, bits, rel)
 
     def _tick(self, state: _JobState, now: int) -> bool:
         """Step one job at global tick ``now``; True when it executed a round."""
@@ -492,7 +409,9 @@ class JobScheduler:
             timeout(state.stats, job.max_rounds, job.raise_on_timeout, f"job {job.job_id!r}: ")
             state.timed_out = True
             stepper.heap.clear()
-            self._arbiter.drop(state)
+            for entry in self._queues.drop(state.slot):
+                state.stats.arbitration_stalls += rel - entry[-1]
+            state.pending = 0
         else:
             stepper.step(rel)
         return True
@@ -536,7 +455,9 @@ class JobScheduler:
             job,
         )
         self._running.remove(state)
-        del self._states[job.job_id]
+        # The fabric's submit hook points back at the state; dropping the
+        # stepper breaks that cycle, so the job's contexts free right away.
+        state.stepper = None
         self._last_activity = max(self._last_activity, now)
 
     def _finish(self, outcome: JobOutcome, job: Job) -> None:
@@ -590,18 +511,20 @@ class JobScheduler:
         self._neighbor_sets = {
             v: frozenset(nbrs) for v, nbrs in self._neighbors.items()
         }
-        self._states: dict[str, _JobState] = {}
         gindex = self._gindex
-        self._arbiter = EdgeArbiter(
-            self.capacity, self._states,
-            sort_key=lambda edge: (gindex[edge[0]], gindex[edge[1]]),
+        # Edges resolve in global node-index order: under a load-dependent
+        # model the shared link schedule charges transits in grant order,
+        # and this order matches the direct backends' activation order
+        # (the solo-identity contract).
+        self._queues = EdgeQueues(
+            self.capacity, order=lambda edge: (gindex[edge[0]], gindex[edge[1]])
         )
         # One link schedule per run, shared by every tenant (global
         # ticks): load-dependent transit is a property of the physical
         # link, so concurrent jobs on a link slow each other down.
-        self._link_schedule = (
-            self._model.schedule(self.graph)
-            if self.scheduler == "async" and self._model.is_dynamic
+        self._shared_transit = (
+            Transit.resolve(self._model, self.graph, None)
+            if self._model.is_dynamic
             else None
         )
         self._running: list[_JobState] = []
@@ -627,7 +550,9 @@ class JobScheduler:
             busy = False
             for state in list(self._running):
                 busy = self._tick(state, now) or busy
-            if self._arbiter.resolve(now, self._stage):
+            for edge, entry in self._queues.resolve():
+                self._grant(edge, entry, now)
+            if self._queues.edges:
                 self._wake_global(now + 1)
                 busy = True
             if busy:

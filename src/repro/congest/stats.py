@@ -77,10 +77,10 @@ class RoundStats:
             :class:`~repro.congest.vectorized.VectorKernel`). Never part
             of the cross-backend equivalence projection — notes describe
             *how* a run executed, not what it cost.
-        arbitration_stalls: message-ticks spent queued behind the per-edge
-            bandwidth arbiter of the multi-tenant job layer
-            (:mod:`repro.congest.jobs`): each message still waiting for an
-            edge grant at the end of a tick adds one. Zero for every
+        arbitration_stalls: message-ticks spent queued for an edge grant
+            in the multi-tenant job layer (:mod:`repro.congest.jobs`):
+            each message adds its grant tick minus its send tick, the
+            number of tick ends it spent waiting. Zero for every
             single-tenant execution (a job running alone is never
             arbitrated against), so the counter is not part of the
             cross-backend equivalence projection.

@@ -10,6 +10,8 @@ graph is ``C_i = G[P_i] + H_i``. The engine:
 3. moves packets under the CONGEST capacity constraint — one packet per
    directed edge per round, FIFO per edge — with every part's start time
    shifted by a random delay in ``[0, congestion)`` (the LMR94 technique).
+   The queue is :class:`~repro.congest.engine.EdgeQueues` with one slot,
+   the same per-edge queue the job layer arbitrates tenants with.
 
 The measured completion round is the part-wise aggregation time ``T_PA``;
 with a quality-``Q`` shortcut it is ``O(Q log n)`` whp, which is exactly
@@ -17,7 +19,7 @@ the paper's claim about the usefulness of shortcuts.
 
 With a :class:`~repro.congest.asynchronous.LatencyModel` the engine runs
 latency-realistically, under the **one shared delivery convention** of the
-whole codebase (:meth:`repro.congest.engine.MessageFabric.stage`):
+whole codebase (:class:`repro.congest.engine.Transit`):
 a packet *sent* at tick ``t`` — ``t`` being the send tick recorded in
 ``RoundStats.messages_by_round`` — is delivered at ``t + latency(e)``,
 with ``latency(e) = 1`` reproducing the lockstep sent-in-``r``,
@@ -46,6 +48,7 @@ the measured shapes are unaffected; the constant is one extra pass.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from collections.abc import Callable
@@ -53,6 +56,8 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
+from repro.congest.asynchronous import resolve_latency_model
+from repro.congest.engine import EdgeQueues, Transit
 from repro.congest.stats import RoundStats
 from repro.core.shortcut import Shortcut
 from repro.graphs.partition import Partition
@@ -184,25 +189,11 @@ def partwise_aggregate(
     if queue_discipline not in ("fifo", "random"):
         raise ShortcutError(f"unknown queue_discipline {queue_discipline!r}")
     rng = ensure_rng(rng)
-    latencies = None
-    link_schedule = None
-    model = None
-    if latency_model is not None:
-        from repro.congest.asynchronous import resolve_latency_model
-
-        model = resolve_latency_model(latency_model, ShortcutError)
-        if model.is_dynamic:
-            # Load-dependent model (the capability split): transit is
-            # computed per packet from the link's instantaneous in-flight
-            # count. Seed-free by contract, so no rng draw here either.
-            link_schedule = model.schedule(graph)
-        elif not model.is_uniform:
-            # One draw per run, and only when the model is genuinely
-            # non-uniform: "uniform" must stay byte-identical to no model
-            # at all (rng stream included), so it must not consume the
-            # draw its build() would ignore anyway. Latencies derive from
-            # (run_seed, edge).
-            latencies = model.build(graph, rng.randrange(2**62))
+    model = resolve_latency_model(latency_model, ShortcutError)
+    # The run seed is drawn only for a non-uniform static model, so
+    # "uniform" stays byte-identical to no model at all, rng stream
+    # included.
+    transit = Transit.resolve(model, graph, lambda: rng.randrange(2**62))
     plans = plan_routing_trees(graph, partition, shortcut)
 
     # Planned per-directed-edge load: each routing-tree edge carries exactly
@@ -218,17 +209,15 @@ def partwise_aggregate(
     max_depth = max((plan.depth for plan in plans), default=0)
 
     delays = _make_delays(len(plans), max_load, max_depth, delay_mode, rng)
-    import math
-
     n = max(graph.number_of_nodes(), 2)
     if max_rounds is None:
         max_rounds = int(
             8 * (max_load + (max_depth + 1) * (2 + math.log2(n))) + max(delays, default=0) + 64
         )
-        if latencies:
+        if transit.latencies:
             # Every hop may take up to the slowest transit time.
-            max_rounds *= max(latencies.values())
-        elif link_schedule is not None:
+            max_rounds *= max(transit.latencies.values())
+        elif transit.link_schedule is not None:
             # Dynamic analogue: at most 2*max_load packets share a link at
             # once (one entry per directed edge per tick, both directions),
             # so every hop is bounded by the model's worst transit under
@@ -247,10 +236,8 @@ def partwise_aggregate(
             acc[node] = values.get(node) if node in part_nodes else None
         accumulator.append(acc)
 
-    queues: dict[tuple[int, int], deque] = {}
-
-    def enqueue(source: int, target: int, packet: tuple) -> None:
-        queues.setdefault((source, target), deque()).append(packet)
+    # Edges resolve in the order they first carried a packet.
+    queues = EdgeQueues(rng=rng if queue_discipline == "random" else None)
 
     def merge(part: int, node: int, value: object) -> None:
         current = accumulator[part][node]
@@ -266,9 +253,6 @@ def partwise_aggregate(
                 start_schedule.setdefault(delays[plan.index], []).append(
                     (plan.index, node)
                 )
-        if not plan.children[plan.root] and plan.parent[plan.root] is None:
-            # Single-node communication graph: completes instantly at delay.
-            pass
 
     finished_nodes: list[int] = [0] * len(plans)  # broadcast receipts
     results: dict[int, object] = {}
@@ -288,44 +272,26 @@ def partwise_aggregate(
             completion[plan.index] = delays[plan.index]
 
     in_flight: dict[int, list] = {}  # arrival tick -> [(edge, packet), ...]
+    ticks = transit.ticks
     current_round = 0
     while len(completion) < len(plans) and current_round < max_rounds:
         # Fire freshly-due convergecast leaves.
         for part, node in start_schedule.get(current_round, ()):  # leaves
             plan = plans[part]
-            enqueue(node, plan.parent[node], ("up", part, accumulator[part][node]))
+            queues.push((node, plan.parent[node]), ("up", part, accumulator[part][node]))
         current_round += 1
         # One packet may *enter* each directed edge per tick (the CONGEST
-        # capacity constraint); it is delivered after the edge's transit
-        # time (one tick without a latency model — the lockstep behavior).
-        for edge, queue in queues.items():
-            if not queue:
-                continue
-            if queue_discipline == "random" and len(queue) > 1:
-                position = rng.randrange(len(queue))
-                queue[position], queue[0] = queue[0], queue[position]
-            packet = queue.popleft()
-            # record_message also maintains the per-edge congestion counters,
-            # so aggregations report *measured* congestion alongside the
-            # planned max_edge_load.  Transmission happens during round
-            # ``current_round``; the send-round key convention of
-            # RoundStats.messages_by_round (sent in r, delivered in r+1,
-            # initial wave at 0) makes that ``current_round - 1``.
-            send_tick = current_round - 1
+        # capacity constraint). Transmission happens during round
+        # ``current_round``; the send-round key convention of
+        # RoundStats.messages_by_round (sent in r, delivered in r+1,
+        # initial wave at 0) makes that ``current_round - 1``.
+        send_tick = current_round - 1
+        for edge, packet in queues.resolve():
+            # record_message also maintains the per-edge congestion
+            # counters, so aggregations report *measured* congestion
+            # alongside the planned max_edge_load.
             stats.record_message(edge[0], edge[1], _packet_bits(packet), send_tick)
-            # Shared delivery convention with the async scheduler backend
-            # (MessageFabric.stage): sent at tick t, delivered at
-            # t + latency(e); latency 1 == the lockstep r -> r+1 schedule.
-            # Load-dependent models compute the transit here, at send
-            # time, from the link's instantaneous in-flight count (ticks
-            # are monotone across rounds; queues iterate in deterministic
-            # insertion order within one).
-            if link_schedule is not None:
-                arrive = send_tick + link_schedule.transit(
-                    edge[0], edge[1], send_tick
-                )
-            else:
-                arrive = send_tick + (latencies[edge] if latencies is not None else 1)
+            arrive = send_tick + ticks(edge[0], edge[1], send_tick)
             in_flight.setdefault(arrive, []).append((edge, packet))
         for (source, target), packet in in_flight.pop(current_round, ()):
             kind, part, value = packet
@@ -340,19 +306,21 @@ def partwise_aggregate(
                         results[part] = accumulator[part][target]
                         finished_nodes[part] += 1
                         for child in plan.children[target]:
-                            enqueue(target, child, ("down", part, results[part]))
+                            queues.push((target, child), ("down", part, results[part]))
                         finish_check(part, current_round)
                     else:
-                        enqueue(target, parent, ("up", part, accumulator[part][target]))
+                        queues.push(
+                            (target, parent), ("up", part, accumulator[part][target])
+                        )
             else:  # down
                 finished_nodes[part] += 1
                 for child in plan.children[target]:
-                    enqueue(target, child, ("down", part, value))
+                    queues.push((target, child), ("down", part, value))
                 finish_check(part, current_round)
     stats.rounds = max(completion.values(), default=0) if len(completion) == len(
         plans
     ) else current_round
-    if latencies is not None or link_schedule is not None:
+    if not transit.lockstep:
         # Latency-realistic run: ticks are virtual time, the wall-model
         # dimension round counts cannot express.
         stats.virtual_time = stats.rounds

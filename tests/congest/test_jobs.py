@@ -16,11 +16,12 @@ import networkx as nx
 import pytest
 
 from repro.apps.sssp import _BellmanFordNode
-from repro.congest.jobs import EdgeArbiter, Job, JobScheduler
+from repro.congest.jobs import Job, JobScheduler
 from repro.congest.network import SyncNetwork
 from repro.congest.node import NodeAlgorithm
 from repro.congest.stats import RoundStats
 from repro.graphs.adjacency import canonical_edge
+from repro.serve import JobServer
 from repro.util.errors import CongestViolation, GraphStructureError
 
 MODES = ("event", "async")
@@ -245,8 +246,12 @@ class TestArbitrationFairness:
         assert stalls_4.stats.arbitration_stalls == 0
 
     def test_capacity_must_be_positive(self):
-        with pytest.raises(CongestViolation, match="capacity"):
-            EdgeArbiter(capacity=0)
+        # Rejected at construction, on both API surfaces: a fractional
+        # capacity would round up, and a bool is not a message count.
+        for capacity in (0, -1, 1.5, True):
+            for make in (JobScheduler, JobServer):
+                with pytest.raises(CongestViolation, match="capacity"):
+                    make(nx.path_graph(2), capacity=capacity)
 
 
 class TestPerJobStats:
@@ -413,6 +418,12 @@ class TestValidation:
     def test_empty_graph_rejected(self):
         with pytest.raises(GraphStructureError, match="empty"):
             JobScheduler(nx.Graph())
+
+    def test_max_inflight_must_be_positive(self):
+        for max_inflight in (0, 2.5, True):
+            for make in (JobScheduler, JobServer):
+                with pytest.raises(ValueError, match="max_inflight"):
+                    make(nx.path_graph(2), max_inflight=max_inflight)
 
     def test_empty_job_list_is_a_noop(self):
         result = JobScheduler(nx.path_graph(2)).run([])
