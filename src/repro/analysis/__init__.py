@@ -21,10 +21,8 @@ mechanizes them:
   vs. interpreted class: dtypes, emitted tags, arities);
 * :mod:`repro.analysis.engine` — file discovery, rule dispatch, the
   ``# repro: allow[RULE] reason`` suppression syntax with unused/unknown/
-  unjustified-suppression hygiene, and the ``--baseline`` ratchet
-  (frozen findings pass, new ones fail, fixed ones report as stale);
-* :mod:`repro.analysis.report` — text / JSON / GitHub-annotation / SARIF
-  output.
+  unjustified-suppression hygiene;
+* :mod:`repro.analysis.report` — text / JSON / GitHub-annotation output.
 
 The CLI front end is ``python -m repro lint`` (see :mod:`repro.cli`); the
 *dynamic* twin of the static pass — the runtime spurious-wake sanitizer —
@@ -41,15 +39,12 @@ from repro.analysis.engine import (
     analyze_project,
     analyze_source,
     analyze_sources,
-    apply_baseline,
-    baseline_document,
     iter_python_files,
-    load_baseline,
     parse_suppressions,
     resolve_selection,
 )
 from repro.analysis.project import ProjectModel, build_project_model
-from repro.analysis.report import FORMATS, format_findings, sarif_document
+from repro.analysis.report import FORMATS, format_findings
 from repro.analysis.rules import (
     Finding,
     Rule,
@@ -70,18 +65,14 @@ __all__ = [
     "analyze_project",
     "analyze_source",
     "analyze_sources",
-    "apply_baseline",
     "available_rules",
-    "baseline_document",
     "build_project_model",
     "format_findings",
     "get_rule",
     "iter_python_files",
-    "load_baseline",
     "module_path",
     "parse_suppressions",
     "register_rule",
     "resolve_selection",
     "rule_table",
-    "sarif_document",
 ]

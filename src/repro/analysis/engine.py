@@ -35,11 +35,9 @@ from __future__ import annotations
 
 import ast
 import io
-import json
 import os
 import re
 import tokenize
-from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,9 +66,6 @@ __all__ = [
     "parse_suppressions",
     "resolve_selection",
     "Suppression",
-    "load_baseline",
-    "apply_baseline",
-    "baseline_document",
 ]
 
 _ALLOW_RE = re.compile(r"repro:\s*allow\[([^\]]*)\]\s*(.*)\Z")
@@ -356,88 +351,3 @@ def analyze_project(
     findings.sort()
     return findings, len(files)
 
-
-# ---------------------------------------------------------------------------
-# Baseline ratchet: freeze today's findings, fail only on new ones.
-
-_BaselineKey = tuple[str, str, str]  # (path, rule, message)
-
-
-def baseline_document(findings: Iterable[Finding]) -> dict:
-    """The JSON document freezing ``findings`` as a lint baseline.
-
-    Findings are keyed by ``(path, rule, message)`` — line numbers shift
-    with every edit, so they are recorded for human orientation but never
-    matched against. Multiset semantics: two identical findings need two
-    baseline entries.
-    """
-    return {
-        "version": 1,
-        "findings": [
-            {
-                "path": finding.path,
-                "rule": finding.rule,
-                "message": finding.message,
-                "line": finding.line,
-            }
-            for finding in sorted(findings)
-        ],
-    }
-
-
-def load_baseline(path: str | Path) -> Counter:
-    """Load a baseline file into a ``(path, rule, message)`` multiset.
-
-    Raises:
-        ValueError: unreadable file or malformed document — a corrupt
-            baseline must fail the run loudly, not silently un-freeze
-            every finding.
-    """
-    try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"could not load baseline {path}: {exc}") from exc
-    if not isinstance(document, dict) or not isinstance(
-        document.get("findings"), list
-    ):
-        raise ValueError(
-            f"malformed baseline {path}: expected an object with a "
-            "'findings' list (write one with --update-baseline)"
-        )
-    baseline: Counter = Counter()
-    for i, entry in enumerate(document["findings"]):
-        if not isinstance(entry, dict) or not all(
-            isinstance(entry.get(field), str)
-            for field in ("path", "rule", "message")
-        ):
-            raise ValueError(
-                f"malformed baseline {path}: findings[{i}] needs string "
-                "'path', 'rule', and 'message' fields"
-            )
-        baseline[(entry["path"], entry["rule"], entry["message"])] += 1
-    return baseline
-
-
-def apply_baseline(
-    findings: Iterable[Finding], baseline: Counter
-) -> tuple[list[Finding], int, list[_BaselineKey]]:
-    """Split findings against a frozen baseline.
-
-    Returns:
-        ``(new, suppressed_count, stale)`` — findings not covered by the
-        baseline (these fail the run), how many were frozen, and baseline
-        entries that matched nothing (fixed findings whose entries should
-        be deleted, so the ratchet only ever tightens).
-    """
-    remaining = Counter(baseline)
-    new: list[Finding] = []
-    suppressed = 0
-    for finding in findings:
-        key = (finding.path, finding.rule, finding.message)
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-            suppressed += 1
-        else:
-            new.append(finding)
-    stale = sorted(key for key, count in remaining.items() for _ in range(count))
-    return new, suppressed, stale

@@ -1,6 +1,6 @@
 """Output formats for ``repro lint`` findings.
 
-Four formats, selected by the CLI's ``--format`` flag:
+Three formats, selected by the CLI's ``--format`` flag:
 
 * ``text`` — one ``path:line:col: RULE message`` line per finding, the
   greppable default;
@@ -11,10 +11,7 @@ Four formats, selected by the CLI's ``--format`` flag:
   are line-oriented with ``,``/``:``-delimited properties, so finding
   text is escaped per the Actions runner's rules (``%``/CR/LF in data,
   additionally ``:``/``,`` in property values) — a message containing a
-  newline or ``::`` must not truncate or forge a command;
-* ``sarif`` — a SARIF 2.1.0 log, the interchange format code-scanning
-  UIs ingest; rule metadata comes from the registry so every result
-  carries its rule's summary.
+  newline or ``::`` must not truncate or forge a command.
 """
 
 from __future__ import annotations
@@ -22,17 +19,11 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 
-from repro.analysis.rules import Finding, rule_table
+from repro.analysis.rules import Finding
 
-__all__ = ["FORMATS", "format_findings", "sarif_document"]
+__all__ = ["FORMATS", "format_findings"]
 
-FORMATS = ("text", "json", "github", "sarif")
-
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
+FORMATS = ("text", "json", "github")
 
 def _escape_data(value: str) -> str:
     """GitHub workflow-command escaping for the message part."""
@@ -42,65 +33,6 @@ def _escape_data(value: str) -> str:
 def _escape_property(value: str) -> str:
     """GitHub workflow-command escaping for property values (file, title)."""
     return _escape_data(value).replace(":", "%3A").replace(",", "%2C")
-
-
-def sarif_document(findings: Sequence[Finding]) -> dict:
-    """The findings as a SARIF 2.1.0 log object (one run).
-
-    The driver's rule metadata lists every registered rule plus any extra
-    rule ids present in the findings (``PARSE``, the ``SUP-*`` hygiene
-    pseudo-rules), so each result's ``ruleIndex`` always resolves.
-    """
-    rules = [
-        {
-            "id": name,
-            "shortDescription": {"text": summary},
-            "properties": {"scope": scope},
-        }
-        for name, scope, summary in rule_table()
-    ]
-    known = {rule["id"]: i for i, rule in enumerate(rules)}
-    for finding in findings:
-        if finding.rule not in known:
-            known[finding.rule] = len(rules)
-            rules.append({
-                "id": finding.rule,
-                "shortDescription": {"text": "analyzer pseudo-rule"},
-            })
-    return {
-        "$schema": _SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "rules": rules,
-                    }
-                },
-                "results": [
-                    {
-                        "ruleId": finding.rule,
-                        "ruleIndex": known[finding.rule],
-                        "level": "error",
-                        "message": {"text": finding.message},
-                        "locations": [
-                            {
-                                "physicalLocation": {
-                                    "artifactLocation": {"uri": finding.path},
-                                    "region": {
-                                        "startLine": finding.line,
-                                        "startColumn": finding.col,
-                                    },
-                                }
-                            }
-                        ],
-                    }
-                    for finding in findings
-                ],
-            }
-        ],
-    }
 
 
 def format_findings(findings: Sequence[Finding], fmt: str = "text") -> str:
@@ -139,8 +71,6 @@ def format_findings(findings: Sequence[Finding], fmt: str = "text") -> str:
             f"::{_escape_data(f.message)}"
             for f in findings
         )
-    if fmt == "sarif":
-        return json.dumps(sarif_document(findings), indent=2, sort_keys=True)
     raise ValueError(
         f"unknown lint output format {fmt!r}; formats: {', '.join(FORMATS)}"
     )

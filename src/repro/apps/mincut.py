@@ -62,7 +62,8 @@ class MinCutResult:
             equal whp with enough packed trees.
         side: one side of the best cut (a set of nodes).
         trees_packed: number of spanning trees in the packing.
-        stats: accumulated measured rounds (MST runs + evaluation passes).
+        stats: accumulated measured rounds; phases ``tree_<i>`` (the MST
+            runs) and ``eval_<i>`` (the evaluation passes) sum to the totals.
         used_two_respecting: whether the 2-respecting sweep ran.
     """
 
@@ -165,12 +166,13 @@ def distributed_mincut(
         # Evaluation pass: 1-respecting cut values are subtree sums, one
         # convergecast over the tree's n - 1 edges. A child at depth d sends
         # its subtree's crossing count to its parent in round max_depth - d.
-        stats.rounds += tree.max_depth + 1
+        evaluation = RoundStats(rounds=tree.max_depth + 1)
         for child, crossing in crossings.items():
-            stats.record_message(
+            evaluation.record_message(
                 child, tree.parent_of(child), payload_bits(crossing),
                 tree.max_depth - tree.depth_of(child),
             )
+        stats.add_phase(f"eval_{index}", evaluation)
 
         for child, crossing in crossings.items():
             if crossing < best_value:

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command> ...``.
 
-Five commands cover the common workflows without writing any code:
+Seven commands cover the common workflows without writing any code:
 
 * ``quality`` — generate a graph family, obtain a shortcut from any
   registered :mod:`repro.core.providers` provider (``--provider``), print
@@ -18,12 +18,10 @@ Five commands cover the common workflows without writing any code:
 * ``registry`` — every registered extension point in one listing:
   schedulers, latency models, shortcut providers, lint rules;
 * ``lint`` — the CONGEST determinism/protocol static analyzer
-  (:mod:`repro.analysis`): nonzero exit on findings, ``--format github``
-  for CI annotations (``sarif`` for code-scanning upload), ``--select``
-  for a rule subset, ``--project`` for the whole-program pass
-  (inter-procedural DET-* taint plus PROTO-MSG / KERNEL-EQ schema
-  checks), and ``--baseline``/``--update-baseline`` for the lint
-  ratchet: frozen findings pass, new findings fail.
+  (:mod:`repro.analysis`): nonzero exit on any finding, ``--format
+  github`` for CI annotations, ``--select`` for a rule subset, and
+  ``--project`` for the whole-program pass (inter-procedural DET-* taint
+  plus PROTO-MSG / KERNEL-EQ schema checks).
 
 ``quality``, ``mst``, and ``certify`` share the unified ``--provider``
 flag; ``mst`` keeps ``--construction`` as the legacy alias.
@@ -115,6 +113,15 @@ def _add_provider_argument(
     )
 
 
+def _num_parts(args: argparse.Namespace, graph: nx.Graph) -> int:
+    """``--parts``, defaulting to one Voronoi cell per 16 nodes (at least 2)."""
+    if args.parts is None:
+        return max(2, graph.number_of_nodes() // 16)
+    if args.parts < 1:
+        raise SystemExit(f"--parts must be >= 1, got {args.parts}")
+    return args.parts
+
+
 def _cmd_quality(args: argparse.Namespace) -> int:
     from repro.core.providers import ShortcutRequest, build_shortcut
     from repro.core.verify import verify_full_result
@@ -124,7 +131,7 @@ def _cmd_quality(args: argparse.Namespace) -> int:
 
     graph = build_family(args)
     tree = bfs_tree(graph)
-    num_parts = args.parts or max(2, graph.number_of_nodes() // 16)
+    num_parts = _num_parts(args, graph)
     partition = voronoi_partition(graph, num_parts, rng=args.seed)
     delta = args.delta if args.delta is not None else analytic_delta_upper(graph)
     print(f"graph: {args.family}, n={graph.number_of_nodes()}, "
@@ -249,7 +256,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     scheduler, latency_model = _validated_scheduler(args)
     graph = build_family(args)
     tree = bfs_tree(graph)
-    num_parts = args.parts or max(2, graph.number_of_nodes() // 16)
+    num_parts = _num_parts(args, graph)
     partition = voronoi_partition(graph, num_parts, rng=args.seed)
     outcome = build_shortcut(
         ShortcutRequest(
@@ -310,10 +317,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"repro serve multiplexes the virtual-time modes (event, async); "
             f"got --scheduler {args.scheduler!r}"
         )
-    graph = build_family(args)
+    _validated_scheduler(args)
     num_jobs = args.jobs
     if num_jobs < 1:
         raise SystemExit(f"--jobs must be >= 1, got {num_jobs}")
+    if args.max_inflight is not None and args.max_inflight < 1:
+        raise SystemExit(f"--max-inflight must be >= 1, got {args.max_inflight}")
+    graph = build_family(args)
     # One tenant per Voronoi region: disjoint connected populations share
     # the fabric without contending for edges — the paper's multi-tenant
     # narrative in one command.
@@ -380,16 +390,10 @@ def _lint_formats() -> tuple[str, ...]:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from repro.analysis import (
         analyze_paths,
         analyze_project,
-        apply_baseline,
-        baseline_document,
         format_findings,
-        load_baseline,
         rule_table,
     )
 
@@ -415,57 +419,19 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
 
-    if args.update_baseline:
-        if not args.baseline:
-            print(
-                "repro lint: --update-baseline requires --baseline PATH "
-                "(where to write the frozen findings)",
-                file=sys.stderr,
-            )
-            return 2
-        Path(args.baseline).write_text(
-            json.dumps(baseline_document(findings), indent=2) + "\n",
-            encoding="utf-8",
-        )
-        print(
-            f"repro lint: froze {len(findings)} finding(s) into "
-            f"{args.baseline}"
-        )
-        return 0
-
-    suppressed, stale = 0, []
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except ValueError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-        findings, suppressed, stale = apply_baseline(findings, baseline)
-    # Stale entries are fixed findings: report them (stderr, so machine
-    # formats stay parseable on stdout) without failing the run — the
-    # ratchet tightens by deleting them from the baseline file.
-    for path, rule, message in stale:
-        print(
-            f"repro lint: stale baseline entry (already fixed — delete "
-            f"it): {path}: {rule} {message}",
-            file=sys.stderr,
-        )
-
-    machine = args.format in ("json", "sarif")
+    machine = args.format == "json"
     if findings:
         print(format_findings(findings, args.format))
         if not machine:
-            baselined = f", {suppressed} baselined" if args.baseline else ""
             print(
                 f"repro lint: {len(findings)} finding(s) in "
-                f"{file_count} file(s) scanned{baselined}"
+                f"{file_count} file(s) scanned"
             )
         return 1
     if machine:
         print(format_findings([], args.format))
     else:
-        baselined = f", {suppressed} baselined" if suppressed else ""
-        print(f"repro lint: clean ({file_count} file(s) scanned{baselined})")
+        print(f"repro lint: clean ({file_count} file(s) scanned)")
     return 0
 
 
@@ -543,8 +509,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     lint.add_argument(
         "--format", default="text", choices=_lint_formats(),
-        help="output format (github emits ::error workflow annotations, "
-             "sarif a SARIF 2.1.0 log for code-scanning upload)",
+        help="output format (github emits ::error workflow annotations)",
     )
     lint.add_argument(
         "--select", default=None,
@@ -559,15 +524,6 @@ def main(argv: list[str] | None = None) -> int:
         help="whole-program mode: build the cross-module ProjectModel, "
              "make DET-*/PROTO-STATE inter-procedural, and run the "
              "project-only PROTO-MSG / KERNEL-EQ schema rules",
-    )
-    lint.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="lint ratchet: findings frozen in this JSON file pass, new "
-             "findings fail, fixed ones are reported as stale",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true", dest="update_baseline",
-        help="rewrite --baseline PATH with the current findings and exit 0",
     )
     lint.set_defaults(func=_cmd_lint)
 

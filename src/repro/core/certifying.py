@@ -34,6 +34,9 @@ from repro.util.rng import ensure_rng
 
 __all__ = ["sample_dense_minor", "certify_or_shortcut", "CertifiedOutcome"]
 
+# Cap on δ doublings; δ = n always succeeds, so finite graphs stop sooner.
+_MAX_ESCALATIONS = 40
+
 
 def sample_dense_minor(
     result: PartialShortcutResult,
@@ -195,8 +198,6 @@ def certify_or_shortcut(
     partition: Partition,
     initial_delta: float = 1.0,
     rng: int | random.Random | None = None,
-    escalation_factor: float = 2.0,
-    max_escalations: int = 40,
 ) -> CertifiedOutcome:
     """The certifying algorithm sketched at the end of Section 3.1.
 
@@ -208,14 +209,14 @@ def certify_or_shortcut(
     ``witness.density < δ(G)`` and a shortcut of quality ``O(δ̂·D)``.
 
     Raises:
-        ShortcutError: if no δ within ``max_escalations`` doublings works
-            (impossible for finite graphs: δ = n always succeeds).
+        ShortcutError: if no δ within ``_MAX_ESCALATIONS`` (40) doublings
+            works (impossible for finite graphs: δ = n always succeeds).
     """
     rng = ensure_rng(rng)
     delta = initial_delta
     attempts: list[tuple[float, bool]] = []
     witness: MinorWitness | None = None
-    for _ in range(max_escalations):
+    for _ in range(_MAX_ESCALATIONS):
         result = build_partial_shortcut(graph, tree, partition, delta)
         attempts.append((delta, result.succeeded))
         if result.succeeded:
@@ -223,7 +224,7 @@ def certify_or_shortcut(
         candidate = sample_dense_minor(result, rng=rng)
         if candidate is not None and (witness is None or candidate.density > witness.density):
             witness = candidate
-        delta *= escalation_factor
+        delta *= 2.0
     raise ShortcutError(
-        f"certifying construction did not converge within {max_escalations} escalations"
+        f"certifying construction did not converge within {_MAX_ESCALATIONS} escalations"
     )

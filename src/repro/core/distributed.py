@@ -93,6 +93,9 @@ _ID_TAG = 0  # (0, part_id): one forwarded distinct id, more follow
 _FIN_TAG = 1  # (1, part_id): the final forwarded id, doubling as the ack
 _ACK_TAG = 2  # (2,): completion with nothing to forward (marked, or empty)
 
+# Cap on δ doublings in distributed_full_shortcut.
+_MAX_ESCALATIONS = 40
+
 # Registered sweep implementations for distributed_partial_shortcut.
 SWEEP_VARIANTS = ("ack", "keep-alive")
 
@@ -647,7 +650,6 @@ def distributed_full_shortcut(
     scheduler: str = "event",
     latency_model: object = None,
     sweep: str = "ack",
-    max_escalations: int = 40,
 ) -> DistributedFullShortcutResult:
     """Iterate Theorem 1.5 over unsatisfied parts until all are covered.
 
@@ -669,11 +671,10 @@ def distributed_full_shortcut(
         scheduler, latency_model: simulator backend plumbing.
         sweep: sweep variant for every iteration (``"ack"`` default; see
             :func:`distributed_partial_shortcut`).
-        max_escalations: cap on δ doublings.
 
     Raises:
         ShortcutError: when the construction fails to converge within
-            ``max_escalations`` doublings.
+            ``_MAX_ESCALATIONS`` (40) doublings.
     """
     rng = ensure_rng(rng)
     remaining = list(range(len(partition)))
@@ -700,7 +701,7 @@ def distributed_full_shortcut(
         if not result.satisfied:
             current_delta *= 2
             escalations += 1
-            if escalations > max_escalations:
+            if escalations > _MAX_ESCALATIONS:
                 raise ShortcutError("distributed construction failed to converge")
             continue
         satisfied = set(result.satisfied)

@@ -55,9 +55,7 @@ def build_full_shortcut(
     tree: RootedTree,
     partition: Partition,
     delta: float,
-    max_iterations: int | None = None,
     escalate_on_stall: bool = False,
-    escalation_factor: float = 2.0,
     seed_result: PartialShortcutResult | None = None,
     iteration_cache: object = None,
 ) -> FullShortcutResult:
@@ -67,13 +65,13 @@ def build_full_shortcut(
         graph, tree, partition: the instance (tree depth ≤ diameter).
         delta: minor-density parameter. With ``delta ≥ δ(G)``, every
             iteration satisfies at least half the remaining parts and the
-            loop finishes within ``⌈log₂ k⌉ + 1`` iterations.
-        max_iterations: safety cap; defaults to ``2⌈log₂ k⌉ + 8`` (generous
-            slack over the theorem bound so escalation runs can finish).
+            loop finishes within ``⌈log₂ k⌉ + 1`` iterations. The loop is
+            capped at ``2⌈log₂ k⌉ + 8`` iterations (generous slack over the
+            theorem bound so escalation runs can finish).
         escalate_on_stall: when an iteration satisfies *no* part (case II:
-            ``delta < δ(G)``), multiply δ by ``escalation_factor`` and retry
-            instead of raising. This yields the adaptive construction noted
-            at the end of Section 3.1.
+            ``delta < δ(G)``), double δ and retry instead of raising. This
+            yields the adaptive construction noted at the end of
+            Section 3.1.
         seed_result: an already-computed first iteration (a
             :func:`~repro.core.partial.build_partial_shortcut` run over the
             *whole* ``partition`` at ``delta``), consumed instead of
@@ -106,8 +104,7 @@ def build_full_shortcut(
         raise ShortcutError(
             "seed_result does not match the requested partition/delta"
         )
-    if max_iterations is None:
-        max_iterations = 2 * max(1, math.ceil(math.log2(max(k, 2)))) + 8
+    max_iterations = 2 * max(1, math.ceil(math.log2(max(k, 2)))) + 8
     remaining = list(range(k))
     assigned: dict[int, frozenset[int]] = {}
     history: list[PartialShortcutResult] = []
@@ -145,7 +142,7 @@ def build_full_shortcut(
                     "the graph has a denser minor (case II). Re-run with a larger delta, "
                     "escalate_on_stall=True, or use certify_or_shortcut()."
                 )
-            current_delta *= escalation_factor
+            current_delta *= 2.0
             continue
         satisfied_set = set(result.satisfied)
         next_remaining = []

@@ -7,21 +7,16 @@ with tokenize, not a regex over raw lines).
 """
 
 import json
-from collections import Counter
 
 import pytest
 
 from repro.analysis import (
     FORMATS,
-    Finding,
     analyze_paths,
     analyze_project,
     analyze_source,
-    apply_baseline,
-    baseline_document,
     format_findings,
     iter_python_files,
-    load_baseline,
     parse_suppressions,
 )
 
@@ -138,11 +133,11 @@ class TestFormats:
         )
 
     def test_unknown_format_lists_formats(self):
-        with pytest.raises(ValueError, match="text, json, github, sarif"):
+        with pytest.raises(ValueError, match="text, json, github"):
             format_findings([], "xml")
 
     def test_formats_tuple(self):
-        assert FORMATS == ("text", "json", "github", "sarif")
+        assert FORMATS == ("text", "json", "github")
 
 
 class TestAnalyzePaths:
@@ -204,61 +199,3 @@ class TestAnalyzeProject:
         findings, scanned = analyze_project([tmp_path])
         assert scanned == 2
         assert [f.rule for f in findings] == ["PARSE"]
-
-
-class TestBaseline:
-    def _findings(self):
-        return analyze_source(VIOLATION, SIM_PATH)
-
-    def test_document_freezes_key_fields_and_line(self):
-        document = baseline_document(self._findings())
-        assert document["version"] == 1
-        entry = document["findings"][0]
-        assert set(entry) == {"path", "rule", "message", "line"}
-        assert entry["path"] == SIM_PATH
-        assert entry["rule"] == "DET-RNG"
-
-    def test_round_trip_suppresses_exactly_the_frozen_findings(self, tmp_path):
-        findings = self._findings()
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps(baseline_document(findings)))
-        new, suppressed, stale = apply_baseline(findings, load_baseline(path))
-        assert new == [] and suppressed == len(findings) and stale == []
-
-    def test_line_drift_does_not_unfreeze(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps(baseline_document(self._findings())))
-        drifted = [
-            Finding(f.path, f.line + 40, f.col, f.rule, f.message)
-            for f in self._findings()
-        ]
-        new, suppressed, _ = apply_baseline(drifted, load_baseline(path))
-        assert new == [] and suppressed == len(drifted)
-
-    def test_new_findings_stay_and_fixed_entries_go_stale(self):
-        document = baseline_document(self._findings())
-        counter = Counter(
-            (e["path"], e["rule"], e["message"]) for e in document["findings"]
-        )
-        fresh = Finding(SIM_PATH, 9, 1, "DET-WALL", "something new")
-        new, suppressed, stale = apply_baseline([fresh], counter)
-        assert new == [fresh] and suppressed == 0
-        assert stale == sorted(counter)  # every frozen entry went unmatched
-
-    def test_multiset_semantics(self):
-        finding = self._findings()[0]
-        counter = Counter({(finding.path, finding.rule, finding.message): 1})
-        new, suppressed, stale = apply_baseline([finding, finding], counter)
-        assert suppressed == 1 and new == [finding] and stale == []
-
-    def test_corrupt_baseline_raises_value_error(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("not json {")
-        with pytest.raises(ValueError, match="could not load baseline"):
-            load_baseline(path)
-        path.write_text(json.dumps({"findings": "nope"}))
-        with pytest.raises(ValueError, match="update-baseline"):
-            load_baseline(path)
-        path.write_text(json.dumps({"findings": [{"path": "p"}]}))
-        with pytest.raises(ValueError, match="findings\\[0\\]"):
-            load_baseline(path)

@@ -1,5 +1,5 @@
-"""Report-layer tests: GitHub workflow-command escaping, JSON round-trip
-of every Finding field, and the SARIF 2.1.0 document's structure.
+"""Report-layer tests: GitHub workflow-command escaping and the JSON
+round-trip of every Finding field.
 
 The escaping cases are the satellite's reason to exist: an attacker-ish
 finding message containing a newline or ``::`` must render as exactly one
@@ -8,13 +8,7 @@ inert annotation line, never a second forged workflow command.
 
 import json
 
-from repro.analysis import (
-    Finding,
-    available_rules,
-    format_findings,
-    rule_table,
-    sarif_document,
-)
+from repro.analysis import Finding, format_findings
 
 NASTY = Finding(
     "src/repro/congest/a,b:c.py", 3, 7, "DET-RNG",
@@ -67,48 +61,3 @@ class TestJsonRoundTrip:
     def test_message_content_is_not_escaped_in_json(self):
         document = json.loads(format_findings([NASTY], "json"))
         assert document["findings"][0]["message"] == NASTY.message
-
-
-class TestSarif:
-    def test_document_shape_is_sarif_2_1_0(self):
-        document = sarif_document([PLAIN])
-        assert document["$schema"].endswith("sarif-schema-2.1.0.json")
-        assert document["version"] == "2.1.0"
-        assert len(document["runs"]) == 1
-        driver = document["runs"][0]["tool"]["driver"]
-        assert driver["name"] == "repro-lint"
-
-    def test_driver_lists_the_full_registry_with_scopes(self):
-        driver = sarif_document([])["runs"][0]["tool"]["driver"]
-        ids = [rule["id"] for rule in driver["rules"]]
-        assert ids == list(available_rules())
-        by_id = {rule["id"]: rule for rule in driver["rules"]}
-        for name, scope, summary in rule_table():
-            assert by_id[name]["shortDescription"]["text"] == summary
-            assert by_id[name]["properties"]["scope"] == scope
-
-    def test_results_resolve_their_rule_index(self):
-        document = sarif_document([PLAIN, NASTY])
-        run = document["runs"][0]
-        rules = run["tool"]["driver"]["rules"]
-        for result, finding in zip(run["results"], (PLAIN, NASTY)):
-            assert result["ruleId"] == finding.rule
-            assert rules[result["ruleIndex"]]["id"] == finding.rule
-            assert result["level"] == "error"
-            assert result["message"]["text"] == finding.message
-            location = result["locations"][0]["physicalLocation"]
-            assert location["artifactLocation"]["uri"] == finding.path
-            assert location["region"]["startLine"] == finding.line
-            assert location["region"]["startColumn"] == finding.col
-
-    def test_pseudo_rules_are_appended_so_indices_always_resolve(self):
-        parse = Finding("src/repro/x.py", 1, 1, "PARSE", "could not parse: x")
-        run = sarif_document([parse])["runs"][0]
-        rules = run["tool"]["driver"]["rules"]
-        index = run["results"][0]["ruleIndex"]
-        assert rules[index]["id"] == "PARSE"
-        assert index == len(available_rules())  # appended after the registry
-
-    def test_format_findings_sarif_is_the_document_serialized(self):
-        rendered = json.loads(format_findings([PLAIN], "sarif"))
-        assert rendered == sarif_document([PLAIN])

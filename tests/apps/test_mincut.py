@@ -1,12 +1,16 @@
 """Tests for the distributed min-cut (Corollary 1.7)."""
 
+from collections import Counter
+
 import networkx as nx
 import pytest
 
+from repro.apps.connectivity import subgraph_components
 from repro.apps.mincut import (
     degree_bound_from_density,
     distributed_mincut,
 )
+from repro.apps.mst import assign_random_weights, distributed_mst
 from repro.graphs.generators import (
     cycle_graph,
     grid_graph,
@@ -98,6 +102,26 @@ class TestAccounting:
     def test_evaluation_pass_charges_each_tree_edge_once(self):
         graph = grid_graph(5, 5)
         result = distributed_mincut(graph, rng=9, num_trees=3)
-        phase_messages = sum(s.messages for s in result.stats.phases.values())
         n = graph.number_of_nodes()
-        assert result.stats.messages == phase_messages + 3 * (n - 1)
+        for index in range(3):
+            assert result.stats.phases[f"eval_{index}"].messages == n - 1
+
+    @pytest.mark.parametrize("app", ["mincut", "mst", "connectivity"])
+    def test_phases_sum_to_totals(self, app):
+        graph = grid_graph(5, 5)
+        if app == "mincut":
+            stats = distributed_mincut(graph, rng=1).stats
+        elif app == "mst":
+            stats = distributed_mst(
+                graph, assign_random_weights(graph, rng=1), rng=1
+            ).stats
+        else:
+            edges = {edge for edge in graph.edges() if sum(edge) % 3}
+            stats = subgraph_components(graph, edges, rng=1).stats
+        phases = list(stats.phases.values())
+        assert phases
+        for counter in ("rounds", "messages", "message_bits"):
+            assert sum(getattr(p, counter) for p in phases) == getattr(stats, counter)
+        for histogram in ("messages_by_round", "edge_messages"):
+            summed = sum((Counter(getattr(p, histogram)) for p in phases), Counter())
+            assert summed == Counter(getattr(stats, histogram))

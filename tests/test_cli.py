@@ -183,6 +183,27 @@ class TestServe:
             main(["serve", "--family", "grid", "--width", "6", "--height", "6",
                   "--jobs", "0"])
 
+    def test_serve_rejects_latency_model_without_async(self):
+        with pytest.raises(SystemExit, match="latency_model requires"):
+            main(["serve", "--family", "grid", "--width", "4", "--height", "4",
+                  "--latency-model", "seeded-jitter"])
+
+    def test_serve_rejects_unknown_latency_model(self):
+        with pytest.raises(SystemExit, match="unknown latency model 'nope'"):
+            main(["serve", "--family", "grid", "--width", "4", "--height", "4",
+                  "--scheduler", "async", "--latency-model", "nope"])
+
+    def test_serve_rejects_zero_max_inflight(self):
+        with pytest.raises(SystemExit, match="--max-inflight"):
+            main(["serve", "--family", "grid", "--width", "4", "--height", "4",
+                  "--max-inflight", "0"])
+
+    @pytest.mark.parametrize("command", ["quality", "certify"])
+    def test_rejects_zero_parts(self, command):
+        with pytest.raises(SystemExit, match="--parts must be >= 1"):
+            main([command, "--family", "grid", "--width", "4", "--height", "4",
+                  "--parts", "0"])
+
 
 class TestRegistry:
     def test_registry_lists_every_extension_surface(self, capsys):
