@@ -66,21 +66,20 @@ def test_e22_contention_mst(benchmark):
     rows = []
     for name, graph in _instances():
         weights = assign_random_weights(graph, rng=SEED)
-        lockstep = distributed_mst(graph, weights, rng=SEED, scheduler="async")
+        lockstep = distributed_mst(graph, weights, rng=SEED)
         advantage_none = []
         advantage_baseline = []
         for weight in LEVELS:
             model = f"contention:{weight}"
             ours = distributed_mst(
-                graph, weights, rng=SEED, scheduler="async", latency_model=model,
+                graph, weights, rng=SEED, latency_model=model,
             )
             none = distributed_mst(
-                graph, weights, rng=SEED, provider="none", scheduler="async",
-                latency_model=model,
+                graph, weights, rng=SEED, provider="none", latency_model=model,
             )
             base = distributed_mst(
                 graph, weights, rng=SEED, shortcut_method="baseline",
-                scheduler="async", latency_model=model,
+                latency_model=model,
             )
             # All arms and all load levels agree on the tree itself:
             # contention shifts schedules, never results.
@@ -89,7 +88,7 @@ def test_e22_contention_mst(benchmark):
             # Determinism: same seed + same admission schedule replays
             # byte-identically, load-dependent transits included.
             replay = distributed_mst(
-                graph, weights, rng=SEED, scheduler="async", latency_model=model,
+                graph, weights, rng=SEED, latency_model=model,
             )
             assert replay.edges == ours.edges, (name, weight)
             assert replay.stats == ours.stats, (name, weight)
@@ -147,7 +146,6 @@ def test_e22_contention_mst(benchmark):
     small_weights = assign_random_weights(small, rng=SEED)
     benchmark(
         lambda: distributed_mst(
-            small, small_weights, rng=SEED, scheduler="async",
-            latency_model="contention:1.0",
+            small, small_weights, rng=SEED, latency_model="contention:1.0",
         )
     )

@@ -1,7 +1,7 @@
 """The rule registry and the CONGEST-specific rules behind ``repro lint``.
 
 Every guarantee the simulator makes — byte-identical executions across the
-``dense``/``event``/``async``/``vectorized`` backends, seed-replayable runs,
+``dense``/``event``/``vectorized`` backends, seed-replayable runs,
 exact Theorem 3.1 marking under any latency model — rests on a handful of
 coding invariants that no type checker sees: node code draws randomness
 only from ``ctx.rng``, never reads ``ctx.round`` as wall time, never
@@ -773,8 +773,8 @@ class RegBackendRule(Rule):
                         findings.append(_finding(
                             self, path, node,
                             f"importing {alias.name} outside repro.congest; "
-                            "the registry (engine.get_backend) is the only "
-                            "supported way to reach a backend",
+                            "the registries (engine.get_backend, "
+                            "resolve_latency_model) are the supported way in",
                         ))
         return findings
 

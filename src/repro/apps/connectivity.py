@@ -81,12 +81,12 @@ def subgraph_components(
             measured Theorem 1.5 distributed pipeline).
         delta: minor-density parameter for the shortcut construction.
         scheduler: simulator scheduler for the simulated construction
-            (``"event"``, ``"dense"``, ``"async"``, or ``"vectorized"``; see
+            (``"event"``, ``"dense"``, or ``"vectorized"``; see
             :mod:`repro.congest`).
         provider: explicit shortcut-provider name (see
             :func:`repro.core.providers.available_providers`); overrides
             ``shortcut_method``/``construction``.
-        latency_model: per-edge latency model for the async scheduler
+        latency_model: per-edge latency model for the event scheduler
             (``None`` = uniform/lockstep-equivalent).
 
     Raises:

@@ -105,12 +105,12 @@ def distributed_mincut(
         construction: forwarded to :func:`repro.apps.mst.distributed_mst`
             (``"centralized"`` or ``"simulated"``).
         scheduler: simulator scheduler for the simulated construction
-            (``"event"``, ``"dense"``, ``"async"``, or ``"vectorized"``; see
+            (``"event"``, ``"dense"``, or ``"vectorized"``; see
             :mod:`repro.congest`).
         provider: explicit shortcut-provider name (see
             :func:`repro.core.providers.available_providers`); overrides
             ``shortcut_method``/``construction``.
-        latency_model: per-edge latency model for the async scheduler,
+        latency_model: per-edge latency model for the event scheduler,
             forwarded to every packed MST (``None`` =
             uniform/lockstep-equivalent).
 

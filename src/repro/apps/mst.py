@@ -110,13 +110,13 @@ def distributed_mst(
             shared :func:`repro.core.providers.resolve_delta` rule).
         max_phases: safety cap (default ``2·ceil(log2 n) + 4``).
         scheduler: simulator scheduler for the ``"simulated"`` construction
-            (``"event"``, ``"dense"``, ``"async"``, or ``"vectorized"``; see
+            (``"event"``, ``"dense"``, or ``"vectorized"``; see
             :mod:`repro.congest`).
         provider: explicit shortcut-provider name (see
             :func:`repro.core.providers.available_providers`); overrides
             ``shortcut_method``/``construction``.
         latency_model: per-edge latency model (requires
-            ``scheduler="async"``): the simulated construction *and* every
+            ``scheduler="event"``): the simulated construction *and* every
             phase's part-wise aggregation run latency-realistically, so
             ``MstResult.stats.virtual_time`` reports the latency-weighted
             completion alongside the round count.

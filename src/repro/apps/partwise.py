@@ -95,13 +95,13 @@ def solve_partwise_aggregation(
         delta: minor-density parameter; default analytic-or-degeneracy
             (the shared :func:`repro.core.providers.resolve_delta` rule).
         scheduler: simulator scheduler for the simulated construction
-            (``"event"``, ``"dense"``, ``"async"``, or ``"vectorized"``; see
+            (``"event"``, ``"dense"``, or ``"vectorized"``; see
             :mod:`repro.congest`).
         provider: explicit shortcut-provider name (see
             :func:`repro.core.providers.available_providers`); overrides
             ``shortcut_method``/``construction``.
         latency_model: per-edge latency model (requires
-            ``scheduler="async"``): construction and aggregation run
+            ``scheduler="event"``): construction and aggregation run
             latency-realistically and the aggregation stats report
             ``virtual_time``.
 

@@ -107,10 +107,9 @@ def bellman_ford_sssp(
             budget is *defined* in lockstep rounds (synchronous
             Bellman–Ford relaxes exactly the ≤ r-hop paths by round r),
             which is why the node legitimately reads ``ctx.round`` — the
-            one suppressed ``PROTO-ROUND`` site in the library. Exact on
-            every lockstep-equivalent backend; under a non-uniform async
-            latency model the cutoff is in virtual time, bounding hops
-            only loosely.
+            one suppressed ``PROTO-ROUND`` site in the library. Exact
+            under lockstep transit; under a non-uniform latency model the
+            cutoff is in virtual time, bounding hops only loosely.
 
     Returns:
         ``(distances, stats)``; unreachable-within-budget nodes map to None.

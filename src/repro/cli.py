@@ -198,7 +198,7 @@ def _add_scheduler_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--latency-model", default=None, dest="latency_model",
-        help="per-edge latency model for --scheduler async: "
+        help="per-edge latency model: "
         + ", ".join(available_latency_models())
         + " (default: uniform = lockstep-equivalent; parameterized specs: "
         "contention:<weight>, trace-driven:<path.json>)",
@@ -312,12 +312,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.graphs.partition import voronoi_partition
     from repro.serve import JobServer
 
-    if args.scheduler not in ("event", "async"):
+    _validated_scheduler(args)
+    if args.scheduler != "event":
         raise SystemExit(
-            f"repro serve multiplexes the virtual-time modes (event, async); "
+            f"repro serve multiplexes jobs on the virtual-time backend (event); "
             f"got --scheduler {args.scheduler!r}"
         )
-    _validated_scheduler(args)
     num_jobs = args.jobs
     if num_jobs < 1:
         raise SystemExit(f"--jobs must be >= 1, got {num_jobs}")

@@ -55,14 +55,14 @@ themselves with ``register_backend``): the shared message semantics
 ``MessageFabric``, and a ``SchedulerBackend`` supplies the activation
 strategy.  Besides ``"event"`` and ``"dense"``, ``scheduler="vectorized"``
 (:mod:`repro.congest.vectorized`) runs whole rounds as numpy array passes
-for algorithms that declare a kernel.  ``scheduler="async"`` (:mod:`repro.congest.
-asynchronous`) runs the ``"event"`` engine's virtual clock with pluggable
-per-edge latencies: lockstep-equivalent under the
-default ``uniform`` model, latency-realistic (reporting
+for algorithms that declare a kernel.  ``"event"`` also takes a
+``latency_model=`` (registry in :mod:`repro.congest.asynchronous`): its
+virtual clock delivers with pluggable per-edge latencies, lockstep under
+the default ``uniform`` model and latency-realistic (reporting
 ``RoundStats.virtual_time`` and per-node completion times) under
-``seeded-jitter``/``degree-proportional``.  Per-node ``ctx.rng`` streams
-are derived from ``(run_seed, node_index)``, making them invariant across
-backends.
+``seeded-jitter``/``degree-proportional`` and the other models.
+Per-node ``ctx.rng`` streams are derived from ``(run_seed, node_index)``,
+making them invariant across backends.
 """
 
 from repro.congest.network import NodeContext, SyncNetwork

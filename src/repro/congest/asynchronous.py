@@ -1,35 +1,34 @@
-"""The latency-realistic ``async`` backend and the latency-model registry.
+"""The latency-model registry: per-edge transit for the ``event`` backend.
 
 CONGEST rounds are an abstraction over variable link latency: the paper's
 round-complexity claims (Theorem 1.2's ``O(δD log n)`` constructions) are
 stated in lockstep, but the shortcut framework is motivated by real
 networks where a message's transit time depends on the link it crosses
 (Haeupler–Li–Zuzic, arXiv:1801.06237, make the same point for minor-free
-families). This backend executes :class:`~repro.congest.node.NodeAlgorithm`
-instances on the ``event`` engine's *virtual clock*
-(:class:`~repro.congest.engine.Stepper`): a message sent
-on edge ``e`` at tick ``t`` is delivered at ``t + latency(e)``, where the
-per-edge latency comes from a pluggable :class:`LatencyModel`. This is the
-one delivery convention shared by every latency-aware engine in the
-codebase — written once as :class:`~repro.congest.engine.Transit`, which
-the job layer and the packet scheduler (:mod:`repro.sched.partwise`) use
-too — and ``latency(e) = 1`` reproduces
-the lockstep sent-in-``r``, delivered-in-``r + 1`` schedule exactly (the
-test suite pins a forced all-ones latency table byte-identical to running
-with no model at all, in both engines).
+families). ``SyncNetwork(scheduler="event", latency_model=...)`` executes
+:class:`~repro.congest.node.NodeAlgorithm` instances on the ``event``
+engine's *virtual clock* (:class:`~repro.congest.engine.Stepper`): a
+message sent on edge ``e`` at tick ``t`` is delivered at
+``t + latency(e)``, where the per-edge latency comes from a pluggable
+:class:`LatencyModel` registered here. This is the one delivery
+convention shared by every latency-aware engine in the codebase — written
+once as :class:`~repro.congest.engine.Transit`, which the job layer and
+the packet scheduler (:mod:`repro.sched.partwise`) use too — and
+``latency(e) = 1`` reproduces the lockstep sent-in-``r``,
+delivered-in-``r + 1`` schedule exactly (the test suite pins a forced
+all-ones latency table byte-identical to running with no model at all,
+in both engines).
 
 Two regimes, one code path:
 
-* **Lockstep-equivalent mode** — the default ``uniform`` model assigns
-  every edge latency 1, which makes the virtual-time schedule exactly the
-  round structure: the backend is byte-identical to ``event`` (results,
-  rounds, messages, bits, per-edge congestion, rng streams) and passes the
-  full equivalence suite in ``tests/congest/test_scheduler.py``.
+* **Lockstep mode** — the default ``uniform`` model is lockstep transit:
+  the run is byte-identical to ``event`` with no model (results, rounds,
+  messages, bits, per-edge congestion, rng streams, ``virtual_time``).
 * **Latency mode** — any non-uniform model. Activation times spread out
   per edge; :class:`~repro.congest.stats.RoundStats` gains the wall-model
   dimension (``virtual_time``, per-node ``completion_times``), so
   benchmarks can contrast round counts with latency-weighted completion —
-  the first scenario family the lockstep backends cannot express.
+  the scenario family the lockstep backends cannot express.
 
 Determinism is absolute in both modes: latencies are a deterministic
 function of ``(run_seed, edge)`` (never drawn from a shared generator),
@@ -52,14 +51,9 @@ import pathlib
 
 import networkx as nx
 
-# The one backend-class import here: async *is* the event engine, with
-# the latency-model capability this module's registry serves.
-from repro.congest.engine import EventBackend  # noqa: TID251
-from repro.congest.engine import register_backend
 from repro.util.errors import CongestViolation
 
 __all__ = [
-    "AsyncBackend",
     "LatencyModel",
     "LoadDependentLatency",
     "LinkSchedule",
@@ -174,8 +168,8 @@ class LatencyModel:
 class UniformLatency(LatencyModel):
     """Every edge takes one tick — the lockstep-equivalent mode.
 
-    The virtual-time schedule degenerates to the round structure, making
-    the async backend byte-identical to ``event``.
+    The virtual-time schedule degenerates to the round structure, so a
+    run under this model is byte-identical to one with no model.
     """
 
     name = "uniform"
@@ -248,9 +242,10 @@ class HeavyTailedLatency(LatencyModel):
     name = "heavy-tailed"
 
     def __init__(self, alpha: float = 1.5, scale: int = 1, cap: int = 64):
-        if alpha <= 0:
+        if not math.isfinite(alpha) or alpha <= 0:
             raise CongestViolation(
-                f"heavy-tailed latency model: pareto alpha must be > 0, got {alpha}"
+                f"heavy-tailed latency model: pareto alpha must be finite and > 0, "
+                f"got {alpha}"
             )
         if scale < 1:
             raise CongestViolation(
@@ -414,9 +409,9 @@ class ContentionLatency(LoadDependentLatency):
     def __init__(self, base: int = 1, weight: float = 1.0):
         if base < 1:
             raise CongestViolation(f"contention base must be >= 1, got {base}")
-        if weight < 0:
+        if not math.isfinite(weight) or weight < 0:
             raise CongestViolation(
-                f"contention weight must be >= 0, got {weight}"
+                f"contention weight must be finite and >= 0, got {weight}"
             )
         self.base = base
         self.weight = weight
@@ -686,16 +681,3 @@ def resolve_latency_model(
             raise
         raise exc(str(err)) from None
 
-
-class AsyncBackend(EventBackend):
-    """The ``event`` engine with per-edge latency models.
-
-    With the capability flag set, the engine resolves the run's model
-    through this module's registry and records the wall-model dimension.
-    """
-
-    name = "async"
-    supports_latency_models = True
-
-
-register_backend(AsyncBackend)

@@ -14,9 +14,9 @@ execution means; this module defines *how* one is driven. The split is:
   packet scheduler (:mod:`repro.sched.partwise`) all use them.
 * :class:`Stepper` is the one virtual-clock engine: a population's staged
   arrivals, keep-alive latches and timer wheel, activated tick by tick in
-  node-index order. The ``event`` and ``async`` backends run one per
-  execution, the job layer (:mod:`repro.congest.jobs`) one per tenant, and
-  the vectorized backend one for its interpreted tier.
+  node-index order. The ``event`` backend runs one per execution, the job
+  layer (:mod:`repro.congest.jobs`) one per tenant, and the vectorized
+  backend one for its interpreted tier.
 * :class:`SchedulerBackend` subclasses own the activation strategy — which
   nodes run in a round. The contract is strict: every
   backend must produce byte-identical results, round counts, and message
@@ -46,10 +46,10 @@ activation on the degrade backend (``dense``) in
 Backends register themselves here (:func:`register_backend`), mirroring
 the :mod:`repro.core.providers` registry: an unknown scheduler name fails
 with a message listing every registered backend, uniformly at every API
-boundary. ``event`` and ``dense`` live in this module; ``async`` — the
-``event`` engine with per-edge latency models — lives next to the
-latency-model registry in :mod:`repro.congest.asynchronous`, and the
-columnar ``vectorized`` backend in :mod:`repro.congest.vectorized`.
+boundary. ``event`` and ``dense`` live in this module, the columnar
+``vectorized`` backend in :mod:`repro.congest.vectorized`; the
+latency-model registry ``event`` resolves through lives in
+:mod:`repro.congest.asynchronous`.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ import heapq
 import random
 from collections import deque
 
+from repro.congest.asynchronous import resolve_latency_model
 from repro.congest.stats import RoundStats
 from repro.util.bitsize import payload_bits
 from repro.util.errors import CongestViolation
@@ -196,7 +197,7 @@ class NodeContext:
     def schedule_wake(self, delay: int = 1) -> None:
         """Request a wake-up ``delay`` rounds (virtual ticks) from now.
 
-        The timer-native backends (``event``, ``async``) activate the node
+        The timer-native backend (``event``) activates the node
         at exactly ``round + delay`` — no polling in between. The lockstep
         ``dense`` backend *degrades the timer to keep-alive*: the node is
         woken with an empty inbox every round until the wake round, so a
@@ -476,8 +477,10 @@ class Stepper:
     sends; its stats are the run's. ``resort`` sorts each inbox by sender
     index, needed only where arrivals can reach a tick out of sender order
     (non-unit transit, arbitration deferrals, cross-tier sends).
-    ``record_wall`` records per-node ``completion_times``; ``notify`` is
-    called with every scheduled tick.
+    ``record_wall`` — set exactly when the fabric's transit is not lockstep,
+    the one wall-time rule — records per-node ``completion_times`` and,
+    at the end of :meth:`run`, ``virtual_time``; ``notify`` is called with
+    every scheduled tick.
     """
 
     __slots__ = (
@@ -486,8 +489,7 @@ class Stepper:
     )
 
     def __init__(
-        self, algorithms, contexts, index, fabric, resort=False,
-        record_wall=False, notify=None,
+        self, algorithms, contexts, index, fabric, resort=False, notify=None,
     ):
         self.algorithms = algorithms
         self.contexts = contexts
@@ -495,7 +497,7 @@ class Stepper:
         self.fabric = fabric
         self.stats = fabric.stats
         self.resort = resort
-        self.record_wall = record_wall
+        self.record_wall = not fabric.transit.lockstep
         self.notify = notify
         # arrivals[t][target] -> [(sender_index, sender, payload), ...];
         # latched -> nodes due next tick; timers[t] -> nodes armed for t.
@@ -715,23 +717,17 @@ class EventBackend(SchedulerBackend):
     are ``O(total messages + keep-alives + timer fires)`` instead of the
     lockstep ``O(n * rounds)``.
 
-    With ``supports_latency_models`` set — the ``async`` backend,
-    :class:`~repro.congest.asynchronous.AsyncBackend` — transit follows the
-    run's latency model and the run records the wall-model dimension
-    (``virtual_time``, ``completion_times``).
+    Transit follows the run's latency model (``SyncNetwork(latency_model=
+    ...)``, uniform by default); a non-lockstep transit also records the
+    wall-model dimension (``virtual_time``, ``completion_times``).
     """
 
     name = "event"
+    supports_latency_models = True
 
     def execute(self, net, algorithms, run_seed, max_rounds, raise_on_timeout):
-        transit = Transit()
-        if self.supports_latency_models:
-            # The registry lives in the async backend's module, which
-            # imports this one.
-            from repro.congest.asynchronous import resolve_latency_model
-
-            model = resolve_latency_model(getattr(net, "latency_model", None))
-            transit = Transit.resolve(model, net.graph, run_seed)
+        model = resolve_latency_model(net.latency_model)
+        transit = Transit.resolve(model, net.graph, run_seed)
         fabric = MessageFabric(
             net._neighbor_sets, net.bandwidth_bits, net.enforce_bandwidth, RoundStats(),
             transit=transit,
@@ -739,7 +735,6 @@ class EventBackend(SchedulerBackend):
         clock = Stepper(
             algorithms, node_contexts(net, run_seed), net._index, fabric,
             resort=not transit.lockstep,
-            record_wall=self.supports_latency_models,
         )
         clock.start()
         clock.run(max_rounds, raise_on_timeout)

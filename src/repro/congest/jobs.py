@@ -31,13 +31,13 @@ node activates at most once per tick and emits at most one message per
 neighbor, so a single job submits at most one message per directed edge
 per tick — every send is granted at its send tick). Each job runs on the
 engine's own :class:`~repro.congest.engine.Stepper`, the loop of the
-``event``/``async`` backends, so a solo full-population job produces
+``event`` backend, so a solo full-population job produces
 byte-identical results *and* RoundStats to a direct ``SyncNetwork`` run
-with the same rng — the contract
-``tests/congest/test_jobs.py`` pins on both backends. A solo *scoped* job
-(a population covering a subset of the graph) is likewise byte-identical
-to a direct run on the induced subgraph of its population, in the shared
-graph's node order.
+with the same rng and latency model — the contract
+``tests/congest/test_jobs.py`` pins with and without a model. A solo
+*scoped* job (a population covering a subset of the graph) is likewise
+byte-identical to a direct run on the induced subgraph of its
+population, in the shared graph's node order.
 
 **Fairness bound.** Per directed edge,
 :class:`~repro.congest.engine.EdgeQueues` cycles grants round-robin over
@@ -84,13 +84,11 @@ from repro.util.rng import derive_node_rng, ensure_rng
 
 __all__ = ["Job", "JobOutcome", "ScheduleResult", "JobScheduler"]
 
-# The two execution modes the job layer multiplexes. They reuse the
-# backend names they run as: "event" is the unit-latency active-set
-# schedule, "async" the latency-realistic virtual clock (per-edge
-# latencies, wall-model stats dimension). The lockstep degrade backend
-# (dense) and the columnar backend have no virtual-time delivery
-# path to arbitrate, so the job layer does not drive them.
-_MODES = ("event", "async")
+# The job layer runs the one virtual-clock backend, "event" (with or
+# without a latency model). The lockstep degrade backend (dense) and the
+# columnar backend have no virtual-time delivery path to arbitrate, so
+# the job layer does not drive them.
+_MODES = ("event",)
 
 
 class Job:
@@ -222,15 +220,15 @@ class JobScheduler:
 
     Args:
         graph: the shared communication topology.
-        scheduler: execution mode — ``"event"`` (unit latency, active-set
-            schedule; the default) or ``"async"`` (per-edge latencies and
-            the wall-model stats dimension). Each mode runs its
-            namesake backend's engine, so a solo job is
-            byte-identical to a direct ``SyncNetwork`` run.
-        latency_model: per-edge latency model, ``"async"`` mode only.
-            Static models build a latency table per job from the job's
-            own run seed (the solo-identity contract), so jitter is
-            per-flow. Load-dependent models
+        scheduler: execution mode — only ``"event"``, the backend whose
+            engine every job runs, so a solo job is byte-identical to a
+            direct ``SyncNetwork`` run.
+        latency_model: per-edge latency model (``None`` = uniform, i.e.
+            lockstep); a non-lockstep model adds the wall-model stats
+            dimension (``virtual_time``, ``completion_times``). Static
+            models build a latency table per job from the job's own run
+            seed (the solo-identity contract), so jitter is per-flow.
+            Load-dependent models
             (:class:`~repro.congest.asynchronous.LoadDependentLatency`:
             ``contention``, ``trace-driven``) instead share one
             :class:`~repro.congest.asynchronous.LinkSchedule` across all
@@ -265,12 +263,7 @@ class JobScheduler:
         if scheduler not in _MODES:
             raise ValueError(
                 f"unknown job-layer scheduler {scheduler!r}; the job layer "
-                f"multiplexes the virtual-time modes: {', '.join(_MODES)}"
-            )
-        if latency_model is not None and scheduler != "async":
-            raise ValueError(
-                "latency_model requires scheduler='async'; the 'event' mode "
-                "runs unit latencies and would ignore it"
+                f"runs the virtual-clock backend: {', '.join(_MODES)}"
             )
         if type(capacity) is not int or capacity < 1:
             raise CongestViolation(
@@ -347,7 +340,7 @@ class JobScheduler:
         # of sender order: this stepper always re-sorts.
         state.stepper = Stepper(
             job.algorithms, contexts, {v: i for i, v in enumerate(nodes)}, fabric,
-            resort=True, record_wall=self.scheduler == "async",
+            resort=True,
             notify=lambda tick: self._wake_global(offset + tick),
         )
         self._running.append(state)
@@ -564,8 +557,8 @@ class JobScheduler:
         """The fabric aggregate: the parallel fold of every job's stats.
 
         Counters sum (:meth:`RoundStats.merge`); then the fields this
-        layer defines differently are set: ``rounds`` (and, in ``async``
-        mode, ``virtual_time``) is the service makespan, and per-node
+        layer defines differently are set: ``rounds`` (and, when transit is
+        not lockstep, ``virtual_time``) is the service makespan, and per-node
         ``completion_times`` and ``phases`` stay with the per-job
         projection in ``jobs``.
         """
@@ -573,7 +566,9 @@ class JobScheduler:
             RoundStats.merge, (o.stats for o in self._outcomes.values()), RoundStats()
         )
         agg.rounds = self._last_activity
-        agg.virtual_time = self._last_activity if self.scheduler == "async" else 0
+        # The stepper's wall-time rule: a job's transit is lockstep exactly
+        # when the model is uniform (Transit.resolve).
+        agg.virtual_time = 0 if self._model.is_uniform else self._last_activity
         agg.completion_times = {}
         agg.phases = {}
         agg.jobs = {job_id: o.stats.copy() for job_id, o in self._outcomes.items()}

@@ -19,7 +19,7 @@ per-message rules (outbox validation, bandwidth enforcement, staging for
 delivery ``latency(e)`` ticks after the send,
 :class:`~repro.congest.stats.RoundStats` accounting) live in one place,
 :class:`~repro.congest.engine.MessageFabric`, so every backend enforces
-them identically. Four backends are registered:
+them identically. Three backends are registered:
 
 * ``"event"`` (default) — the event-driven *active-set* scheduler
   (:class:`~repro.congest.engine.EventBackend`). Per round, only nodes
@@ -29,20 +29,19 @@ them identically. Four backends are registered:
   ``on_round``); quiescence falls out of an empty active set and timer
   wheel, and the clock fast-forwards over all-idle rounds. Total node
   activations are ``O(total messages + keep-alives + timer fires)``
-  instead of ``O(n * rounds)``.
+  instead of ``O(n * rounds)``. It is also the latency-realistic
+  backend: with ``latency_model=`` its virtual clock
+  (:class:`~repro.congest.engine.Stepper`) delivers each message after
+  its edge's per-edge latency. The default ``uniform`` model is lockstep
+  (byte-identical to no model); a non-uniform model adds the
+  ``RoundStats`` wall-model dimension (``virtual_time``, per-node
+  ``completion_times``).
 * ``"dense"`` — the seed lockstep loop
   (:class:`~repro.congest.engine.DenseBackend`): ``on_round`` on every node
   every round. The reference semantics for equivalence testing. Scheduled
   wakes degrade to keep-alive on this backend — see
   :meth:`~repro.congest.engine.NodeContext.schedule_wake` for the
   conformance contract that keeps results byte-identical anyway.
-* ``"async"`` — the latency-realistic backend
-  (:class:`~repro.congest.asynchronous.AsyncBackend`): the ``"event"``
-  engine's virtual clock (:class:`~repro.congest.engine.Stepper`) with
-  pluggable per-edge latencies (``latency_model=``). Under the default ``uniform``
-  model it is lockstep-equivalent (byte-identical to ``event``); under a
-  non-uniform model it reports the ``RoundStats`` wall-model dimension
-  (``virtual_time``, per-node ``completion_times``).
 * ``"vectorized"`` — the columnar numpy backend
   (:class:`~repro.congest.vectorized.VectorizedBackend`, requires the
   ``repro[vectorized]`` extra): whole rounds execute as gather/apply/
@@ -74,12 +73,10 @@ import random
 import networkx as nx
 
 # Importing the backend modules is this module's registry bootstrap:
-# repro.congest.engine registers event/dense at import, and the imports
-# below register the out-of-module backends (async via
-# resolve_latency_model's home, vectorized — which registers itself as
-# *unavailable* when numpy is missing). Backend classes are
-# never named here; everything goes through get_backend() — enforced by
-# ruff TID251 and the REG-BACKEND lint rule.
+# repro.congest.engine registers event/dense at import, and the import
+# below registers vectorized (as *unavailable* when numpy is missing).
+# Backend classes are never named here; everything goes through
+# get_backend() — enforced by ruff TID251 and the REG-BACKEND lint rule.
 import repro.congest.vectorized
 from repro.congest.asynchronous import resolve_latency_model
 from repro.congest.engine import (
@@ -96,8 +93,6 @@ __all__ = [
     "SyncNetwork",
     "NodeContext",
     "BANDWIDTH_FACTOR",
-    "SCHEDULERS",
-    "BACKENDS",
     "validate_scheduler",
 ]
 
@@ -105,12 +100,6 @@ __all__ = [
 # constant number of node ids / counters per message, as used by every
 # algorithm in this library, fits comfortably.
 BANDWIDTH_FACTOR = 8
-
-# Back-compat views of the engine registry (importing the backend modules
-# above is what populates it); SCHEDULERS is the stable name tuple used in
-# argument validation.
-BACKENDS = {name: get_backend(name) for name in available_schedulers()}
-SCHEDULERS = tuple(available_schedulers())
 
 
 def validate_scheduler(
@@ -127,7 +116,7 @@ def validate_scheduler(
     network. ``latency_model`` (a registered name or a
     :class:`~repro.congest.asynchronous.LatencyModel` instance) requires a
     backend whose ``supports_latency_models`` capability flag is set
-    (currently only ``"async"``) — the others cannot honor per-edge
+    (currently only ``"event"``) — the others cannot honor per-edge
     latencies, so accepting one there would silently drop it. Driving the
     rejection from the class flag instead of a name list means a newly
     registered backend rejects latency models by default rather than
@@ -166,16 +155,16 @@ class SyncNetwork:
             exceed the model (never done in this library's algorithms).
         rng: seed or generator; one value is drawn per run to derive every
             node's ``ctx.rng`` stream from ``(run_seed, node_index)``.
-        scheduler: ``"event"`` (active-set, default), ``"dense"``
-            (lockstep reference), ``"async"`` (``event`` with latency
-            models), or ``"vectorized"`` (columnar numpy, requires the
-            ``repro[vectorized]`` extra); see the module docstring.
-        latency_model: per-edge latency assignment for the async backend —
+        scheduler: ``"event"`` (active-set, default; takes latency
+            models), ``"dense"`` (lockstep reference), or ``"vectorized"``
+            (columnar numpy, requires the ``repro[vectorized]`` extra);
+            see the module docstring.
+        latency_model: per-edge latency assignment for the event backend —
             a registered name (``"uniform"``, ``"seeded-jitter"``,
             ``"degree-proportional"``) or a
             :class:`~repro.congest.asynchronous.LatencyModel` instance;
-            ``None`` means uniform (lockstep-equivalent). Rejected for the
-            lockstep schedulers.
+            ``None`` means uniform (lockstep). Rejected by ``dense`` and
+            ``vectorized``.
         sanitize: the runtime conformance sanitizer — the dynamic twin of
             ``repro lint``'s static pass. When on, the degrade backend
             (``dense``) wraps every *spurious* wake (empty
@@ -187,7 +176,7 @@ class SyncNetwork:
             ``None`` (default) consults the ``REPRO_SANITIZE`` environment
             variable (any value but ``""``/``"0"`` enables it), so whole
             test suites can run sanitized without threading the flag. The
-            timer-native backends (``event``, ``async``) never produce
+            timer-native backend (``event``) never produces
             spurious wakes, so the flag is a no-op there by construction.
 
     Adjacency, neighbor tuples, and the node index used for deterministic

@@ -25,8 +25,8 @@ class NodeAlgorithm:
 
     Two wake-up controls exist for silent nodes. ``ctx.keep_alive()``
     requests activation *next* round (polling); ``ctx.schedule_wake(d)``
-    requests activation ``d`` rounds out. On the timer-native backends
-    (``event``, ``async``) a scheduled wake costs exactly one activation at
+    requests activation ``d`` rounds out. On the timer-native backend
+    (``event``) a scheduled wake costs exactly one activation at
     the wake round; on the degrade backend (``dense``) the
     node may be woken with an empty inbox on every round up to it, so a
     conforming algorithm treats any wake before its own readiness condition

@@ -61,10 +61,11 @@ class RoundStats:
             :attr:`max_congestion`).
         virtual_time: the wall-model dimension — latency-weighted completion
             time in ticks, reported by latency-realistic executions (the
-            ``async`` scheduler under a non-uniform
-            :class:`~repro.congest.asynchronous.LatencyModel`, and the
-            packet scheduler when given one). Lockstep backends leave it at
-            ``0``; under uniform unit latencies it equals :attr:`rounds`.
+            ``event`` backend, the job layer and the packet scheduler under
+            a non-uniform
+            :class:`~repro.congest.asynchronous.LatencyModel`). 0 when
+            transit is lockstep (no model or ``uniform``), where the
+            wall-model time is :attr:`rounds`.
         completion_times: per-node last-activation virtual time, keyed by
             node id — the per-node completion profile of a latency-realistic
             run (a node is done when its last constituent activation is

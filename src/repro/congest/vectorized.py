@@ -60,9 +60,9 @@ Per-node RNG streams remain derived from ``(run_seed, node_index)``
 so gathers reproduce sender-index inbox order; kernel receivers count
 one activation per round exactly like event-backend wakes; timeouts,
 fast-forward over timer-only stretches, and quiescence replicate the
-event loop. The four-backend equivalence suite
+event loop. The backend equivalence suite
 (``tests/congest/test_scheduler.py``) enforces identical results and
-stats against dense/event/async for every tested seed.
+stats against every registered backend for every tested seed.
 
 Requires numpy (the ``repro[vectorized]`` extra). Without it this module
 still imports and registers the name as *unavailable*, so

@@ -31,7 +31,7 @@ The sweep used to be *level-synchronized*: a node at depth ``ℓ`` owned a
 calibrated window of ``τ + 1`` rounds and decided its marking at the
 window's first round, trusting that lockstep delivery put every child
 forward inside the previous window. That calibration reads ``ctx.round``
-as wall time, so under a non-uniform latency model (``scheduler="async"``)
+as wall time, so under a non-uniform latency model (``latency_model=``)
 slow links pushed child forwards past their window and silently degraded
 the Theorem 3.1 marking. The sweep is now *ack-driven* and event-native —
 correct under **arbitrary** per-edge latencies, the asynchronous-safe
@@ -436,9 +436,8 @@ def distributed_partial_shortcut(
         elect_root: run a real distributed leader election for the root
             instead of assuming one (adds a measured ``O(D)``-round phase).
         scheduler: simulator scheduler for every phase (``"event"``,
-            ``"dense"``, ``"async"``, or ``"vectorized"``; see
-            :mod:`repro.congest`).
-        latency_model: per-edge latency model for the async scheduler
+            ``"dense"``, or ``"vectorized"``; see :mod:`repro.congest`).
+        latency_model: per-edge latency model for the event scheduler
             (``None`` = uniform/lockstep-equivalent). The default
             ack-driven sweep keeps the marking exact under any model; the
             ``"keep-alive"`` sweep reads its calibrated windows against

@@ -112,7 +112,7 @@ class ShortcutRequest:
             default for the same graph).
         rng: seed or generator for randomized pipelines.
         scheduler: simulator scheduler backend for measured constructions.
-        latency_model: per-edge latency model for the async scheduler
+        latency_model: per-edge latency model for the event scheduler
             (name or :class:`~repro.congest.asynchronous.LatencyModel`
             instance; ``None`` = uniform/lockstep-equivalent).
         options: provider-specific extras (e.g. ``order`` for ``greedy``,
@@ -489,7 +489,7 @@ def build_shortcut(request: ShortcutRequest) -> ShortcutOutcome:
 
         outcome = build_shortcut(ShortcutRequest(
             graph, partition, provider="theorem31-centralized",
-            scheduler="async", latency_model="contention:1.0",
+            scheduler="event", latency_model="contention:1.0",
         ))
         outcome.shortcut          # the constructed Shortcut
         outcome.stats             # measured RoundStats (virtual_time under

@@ -25,7 +25,7 @@ a packet *sent* at tick ``t`` — ``t`` being the send tick recorded in
 with ``latency(e) = 1`` reproducing the lockstep sent-in-``r``,
 delivered-in-``r + 1`` schedule exactly (asserted by the test suite: a
 forced all-ones latency table is byte-identical to running with no model
-at all, in both this engine and the async scheduler backend). One packet
+at all, in both this engine and the event scheduler backend). One packet
 may still *enter* a directed edge per tick — the CONGEST capacity
 constraint — and the result's :class:`RoundStats` reports the wall-model
 ``virtual_time`` dimension. Latencies are deterministic from a seed drawn

@@ -53,8 +53,8 @@ class JobServer:
         from repro.apps.sssp import sssp_job
         from repro.serve import JobServer
 
-        server = JobServer(graph, scheduler="async",
-                           latency_model="contention:1.0", max_inflight=2)
+        server = JobServer(graph, latency_model="contention:1.0",
+                           max_inflight=2)
         for i, region in enumerate(regions):
             server.submit(sssp_job(graph, min(region), nodes=region,
                                    rng=i, job_id=f"tenant-{i}"))
@@ -71,9 +71,9 @@ class JobServer:
 
     Args:
         graph: the shared communication topology every job runs on.
-        scheduler: job-layer execution mode (``"event"`` or ``"async"``),
-            as in :class:`~repro.congest.jobs.JobScheduler`.
-        latency_model: per-edge latency model (``"async"`` mode only).
+        scheduler: job-layer execution mode (only ``"event"``), as in
+            :class:`~repro.congest.jobs.JobScheduler`.
+        latency_model: per-edge latency model (``None`` = uniform).
         max_inflight: at most this many population jobs multiplex at a
             time; further jobs wait in submission order (``None`` =
             unbounded).

@@ -236,7 +236,7 @@ class TestCacheReuse:
 
     def test_cached_virtual_time_counters_are_isolated(self):
         # Mirrors test_cached_stats_are_isolated_from_caller_mutation for
-        # the wall-model counters added with the async backend: scribbling
+        # the wall-model counters (latency-model runs): scribbling
         # on a returned outcome's virtual_time/completion_times must never
         # reach the cache entry.
         clear_shortcut_cache()

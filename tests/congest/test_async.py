@@ -1,18 +1,19 @@
-"""Tests for the latency-realistic async scheduler backend.
+"""Tests for latency models on the ``event`` backend (:mod:`repro.congest.asynchronous`).
 
 Three concerns:
 
-* lockstep-equivalent mode (uniform latencies) behaves exactly like the
-  event backend on the quiescence edge cases (keep-alive timers, timeouts,
-  mid-flight sampling) — the full primitive-suite equivalence lives in
-  ``test_scheduler.py``, which includes ``async`` in its backend matrix;
+* lockstep-equivalent mode (the ``uniform`` model, or a forced all-ones
+  table) behaves exactly like ``event`` with no model on the quiescence
+  edge cases (keep-alive timers, timeouts, mid-flight sampling) — the
+  full primitive-suite equivalence lives in ``test_scheduler.py``, whose
+  backend matrix includes an ``event`` + ``uniform`` arm;
 * latency mode is deterministic per seed, reports the wall-model
   ``RoundStats`` dimension (``virtual_time``, ``completion_times``), and
   stretches completion beyond the round count when links are slow;
 * the latency-model registry fails on unknown names with the same
   list-the-registry error convention as the scheduler and provider
-  registries, and non-async schedulers reject latency models instead of
-  silently ignoring them.
+  registries, and the backends without the capability flag reject
+  latency models instead of silently ignoring them.
 """
 
 import networkx as nx
@@ -100,7 +101,8 @@ class _InboxOrder(NodeAlgorithm):
 class TestLockstepEquivalentMode:
     def test_keep_alive_timer_matches_event(self):
         graph = nx.path_graph(3)
-        network = SyncNetwork(graph, scheduler="async")
+        # An all-ones table: lockstep timing through the latency-mode path.
+        network = SyncNetwork(graph, latency_model=SeededJitterLatency(spread=1))
         algorithms = {v: _KeepAliveTimer(4 if v == 1 else 0) for v in graph}
         _, stats = network.run(algorithms)
         assert stats.rounds == 4
@@ -113,8 +115,8 @@ class TestLockstepEquivalentMode:
 
     def test_mid_flight_sampling_without_raise(self):
         graph = nx.path_graph(4)
-        for scheduler in ("event", "async"):
-            network = SyncNetwork(graph, scheduler=scheduler)
+        for model in (None, "uniform"):
+            network = SyncNetwork(graph, latency_model=model)
             _, stats = network.run(
                 {v: _Chatter() for v in graph}, max_rounds=7, raise_on_timeout=False
             )
@@ -124,7 +126,7 @@ class TestLockstepEquivalentMode:
     def test_timeout_raises_like_event(self):
         graph = nx.path_graph(4)
         with pytest.raises(CongestViolation):
-            SyncNetwork(graph, scheduler="async").run(
+            SyncNetwork(graph, latency_model="uniform").run(
                 {v: _Chatter() for v in graph}, max_rounds=5
             )
 
@@ -135,7 +137,7 @@ class TestLockstepEquivalentMode:
             def on_round(self, ctx, inbox):
                 return {}
 
-        _, stats = SyncNetwork(graph, scheduler="async").run(
+        _, stats = SyncNetwork(graph, latency_model="uniform").run(
             {v: Silent() for v in graph}
         )
         assert stats.rounds == 0
@@ -144,7 +146,7 @@ class TestLockstepEquivalentMode:
 
     def test_completion_times_cover_activated_nodes(self):
         graph = nx.star_graph(4)
-        network = SyncNetwork(graph, scheduler="async")
+        network = SyncNetwork(graph, latency_model=SeededJitterLatency(spread=1))
         _, stats = network.run({v: _PingOnce(v) for v in graph})
         # Only the leaves are ever activated (node 0 sends from on_start and
         # never hears back).
@@ -158,7 +160,7 @@ class TestLatencyMode:
         runs = []
         for _ in range(2):
             tree, stats = distributed_bfs(
-                graph, 0, rng=7, scheduler="async", latency_model="seeded-jitter"
+                graph, 0, rng=7, latency_model="seeded-jitter"
             )
             runs.append(({v: tree.parent_of(v) for v in tree.nodes()}, stats))
         assert runs[0][0] == runs[1][0]
@@ -170,7 +172,7 @@ class TestLatencyMode:
         # tick; every inbox must still list its senders in node order.
         graph = nx.complete_graph(6)
         results, _ = SyncNetwork(
-            graph, rng=2, scheduler="async", latency_model=SeededJitterLatency(spread=4)
+            graph, rng=2, latency_model=SeededJitterLatency(spread=4)
         ).run({v: _InboxOrder(6) for v in graph})
         orders = [order for per_node in results.values() for order in per_node]
         assert any(len(order) > 2 for order in orders)
@@ -178,10 +180,9 @@ class TestLatencyMode:
 
     def test_jitter_stretches_virtual_time_beyond_lockstep(self):
         graph = nx.path_graph(20)
-        _, lockstep = distributed_bfs(graph, 0, rng=5, scheduler="async")
+        _, lockstep = distributed_bfs(graph, 0, rng=5, latency_model="uniform")
         _, jittered = distributed_bfs(
-            graph, 0, rng=5, scheduler="async",
-            latency_model=SeededJitterLatency(spread=8),
+            graph, 0, rng=5, latency_model=SeededJitterLatency(spread=8),
         )
         # Same message volume, but slow links stretch completion: virtual
         # time strictly exceeds the lockstep round count on a 19-hop path.
@@ -192,7 +193,7 @@ class TestLatencyMode:
         graph = nx.star_graph(6)
         for model in (None, "seeded-jitter", "degree-proportional"):
             results, stats = SyncNetwork(
-                graph, rng=3, scheduler="async", latency_model=model
+                graph, rng=3, latency_model=model
             ).run({v: _PingOnce(v) for v in graph})
             assert stats.messages == 6
             assert sum(stats.messages_by_round.values()) == stats.messages
@@ -242,11 +243,9 @@ class TestLatencyModelRegistry:
         assert resolve_latency_model(model) is model
 
     def test_lockstep_schedulers_reject_latency_models(self):
-        graph = nx.path_graph(3)
-        for scheduler in ("event", "dense"):
-            with pytest.raises(ValueError) as info:
-                SyncNetwork(graph, scheduler=scheduler, latency_model="seeded-jitter")
-            assert "requires scheduler='async'" in str(info.value)
+        with pytest.raises(ValueError) as info:
+            SyncNetwork(nx.path_graph(3), scheduler="dense", latency_model="seeded-jitter")
+        assert "requires scheduler='event'" in str(info.value)
 
     def test_unknown_scheduler_message_lists_registry(self):
         from repro.congest.engine import available_schedulers
@@ -257,7 +256,12 @@ class TestLatencyModelRegistry:
         assert "registered schedulers" in message
         for name in available_schedulers():
             assert name in message
-        assert "async" in message
+        assert "event" in message
+
+    def test_removed_async_scheduler_is_an_unknown_name(self):
+        with pytest.raises(ValueError, match="unknown scheduler 'async'") as info:
+            SyncNetwork(nx.path_graph(2), scheduler="async")
+        assert "dense, event" in str(info.value)
 
 
 class TestDeliveryConventionReconciled:
@@ -267,12 +271,11 @@ class TestDeliveryConventionReconciled:
     model at all. ``SeededJitterLatency(spread=1)`` builds a real table of
     ones (``is_uniform`` is False), exercising the timed code path."""
 
-    def test_async_backend_all_ones_table_equals_lockstep(self):
+    def test_event_backend_all_ones_table_equals_lockstep(self):
         graph = nx.lollipop_graph(6, 9)
-        _, no_model = distributed_bfs(graph, 0, rng=5, scheduler="async")
+        _, no_model = distributed_bfs(graph, 0, rng=5, latency_model="uniform")
         tree, ones = distributed_bfs(
-            graph, 0, rng=5, scheduler="async",
-            latency_model=SeededJitterLatency(spread=1),
+            graph, 0, rng=5, latency_model=SeededJitterLatency(spread=1),
         )
         reference, event = distributed_bfs(graph, 0, rng=5, scheduler="event")
         assert {v: tree.parent_of(v) for v in tree.nodes()} == {

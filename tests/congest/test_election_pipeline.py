@@ -99,8 +99,7 @@ class TestAckDrivenTopK:
         expected = tuple(sorted(x for lst in items.values() for x in lst)[:6])
         for model in (None, "seeded-jitter", "degree-proportional"):
             top, stats = pipelined_top_k(
-                graph, tree, items, k=6, rng=2, scheduler="async",
-                latency_model=model,
+                graph, tree, items, k=6, rng=2, latency_model=model,
             )
             assert top == expected, model
 

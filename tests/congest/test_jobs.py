@@ -3,8 +3,8 @@
 The two contracts that make multiplexing trustworthy:
 
 * **solo identity** — one job under the JobScheduler is byte-identical
-  (results *and* RoundStats) to a direct ``SyncNetwork`` run, on both the
-  ``event`` and ``async`` modes, full-population and scoped;
+  (results *and* RoundStats) to a direct ``SyncNetwork`` run, with and
+  without a latency model, full-population and scoped;
 * **conservation + fairness** — per-job stats sum to the fabric
   aggregate, and round-robin arbitration grants every backlogged job the
   same share of each edge, up to the documented ±1 bound.
@@ -16,6 +16,7 @@ import networkx as nx
 import pytest
 
 from repro.apps.sssp import _BellmanFordNode
+from repro.congest.asynchronous import SeededJitterLatency
 from repro.congest.jobs import Job, JobScheduler
 from repro.congest.network import SyncNetwork
 from repro.congest.node import NodeAlgorithm
@@ -24,7 +25,9 @@ from repro.graphs.adjacency import canonical_edge
 from repro.serve import JobServer
 from repro.util.errors import CongestViolation, GraphStructureError
 
-MODES = ("event", "async")
+# Solo-identity arms: the job layer's one mode, without a model and with
+# the (lockstep) uniform model.
+MODELS = [pytest.param(None, id="event"), pytest.param("uniform", id="event-uniform")]
 
 
 def _mesh(seed=7):
@@ -106,13 +109,13 @@ class _Immortal(NodeAlgorithm):
 
 
 class TestSoloIdentity:
-    @pytest.mark.parametrize("mode", MODES)
-    def test_full_population_matches_direct_run(self, mode):
+    @pytest.mark.parametrize("model", MODELS)
+    def test_full_population_matches_direct_run(self, model):
         graph = _mesh()
         direct_results, direct_stats = SyncNetwork(
-            graph, rng=11, scheduler=mode
+            graph, rng=11, latency_model=model
         ).run(_bf_algorithms(graph, 0))
-        result = JobScheduler(graph, scheduler=mode).run(
+        result = JobScheduler(graph, latency_model=model).run(
             [Job("solo", _bf_algorithms(graph, 0), rng=11)]
         )
         outcome = result.outcomes["solo"]
@@ -121,8 +124,8 @@ class TestSoloIdentity:
         assert outcome.stats.arbitration_stalls == 0
         assert outcome.status == "completed"
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_timer_fast_forward_matches_direct_run(self, mode):
+    @pytest.mark.parametrize("model", MODELS)
+    def test_timer_fast_forward_matches_direct_run(self, model):
         graph = nx.path_graph(4)
         delays = {0: 37, 1: 0, 2: 5, 3: 0}
 
@@ -130,34 +133,34 @@ class TestSoloIdentity:
             return {v: _AlarmClock(v, delays[v]) for v in graph.nodes()}
 
         direct_results, direct_stats = SyncNetwork(
-            graph, rng=3, scheduler=mode
+            graph, rng=3, latency_model=model
         ).run(algorithms())
-        result = JobScheduler(graph, scheduler=mode).run(
+        result = JobScheduler(graph, latency_model=model).run(
             [Job("alarm", algorithms(), rng=3)]
         )
         assert result.outcomes["alarm"].results == direct_results
         assert result.outcomes["alarm"].stats == direct_stats
 
-    def test_async_latency_model_matches_direct_run(self):
+    def test_latency_model_matches_direct_run(self):
         graph = _mesh()
         direct_results, direct_stats = SyncNetwork(
-            graph, rng=5, scheduler="async", latency_model="seeded-jitter"
+            graph, rng=5, latency_model="seeded-jitter"
         ).run(_bf_algorithms(graph, 3))
         result = JobScheduler(
-            graph, scheduler="async", latency_model="seeded-jitter"
+            graph, latency_model="seeded-jitter"
         ).run([Job("jit", _bf_algorithms(graph, 3), rng=5)])
         assert result.outcomes["jit"].results == direct_results
         assert result.outcomes["jit"].stats == direct_stats
 
-    def test_async_inbox_order_matches_direct_run(self):
+    def test_latency_inbox_order_matches_direct_run(self):
         from tests.congest.test_async import _InboxOrder
 
         graph = nx.complete_graph(6)
         direct_results, direct_stats = SyncNetwork(
-            graph, rng=2, scheduler="async", latency_model="seeded-jitter"
+            graph, rng=2, latency_model="seeded-jitter"
         ).run({v: _InboxOrder(6) for v in graph})
         result = JobScheduler(
-            graph, scheduler="async", latency_model="seeded-jitter"
+            graph, latency_model="seeded-jitter"
         ).run([Job("flood", {v: _InboxOrder(6) for v in graph}, rng=2)])
         assert result.outcomes["flood"].results == direct_results
         assert result.outcomes["flood"].stats == direct_stats
@@ -272,7 +275,10 @@ class TestPerJobStats:
         graph = _mesh()
         jobs = [Job(f"s{k}", _bf_algorithms(graph, k), rng=k) for k in range(3)]
         jobs.append(Job("call", call=lambda: ({}, RoundStats(rounds=99, messages=0))))
-        result = JobScheduler(graph, scheduler="async", max_inflight=2).run(jobs)
+        # An all-ones table: lockstep timing, but the wall model is recorded.
+        result = JobScheduler(
+            graph, latency_model=SeededJitterLatency(spread=1), max_inflight=2
+        ).run(jobs)
         result.stats.check()
         merged = RoundStats()
         for outcome in result.outcomes.values():
@@ -408,12 +414,9 @@ class TestAdmissionControl:
 
 class TestValidation:
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="event, async"):
-            JobScheduler(nx.path_graph(2), scheduler="dense")
-
-    def test_latency_model_requires_async(self):
-        with pytest.raises(ValueError, match="async"):
-            JobScheduler(nx.path_graph(2), latency_model="seeded-jitter")
+        for scheduler in ("dense", "async"):
+            with pytest.raises(ValueError, match="virtual-clock backend: event$"):
+                JobScheduler(nx.path_graph(2), scheduler=scheduler)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(GraphStructureError, match="empty"):
@@ -450,14 +453,14 @@ class TestContendedSchedulePin:
         ('event', None, 1, 3): (31, 52, '9c63e0f7c3d93e8c'),
         ('event', None, 2, None): (31, 23, 'c415bf829fe14827'),
         ('event', None, 2, 3): (0, 47, 'f7c1680b6a199ab1'),
-        ('async', 'seeded-jitter', 1, None): (37, 116, '833d0220bc1909f1'),
-        ('async', 'seeded-jitter', 1, 3): (8, 158, '46bb1e24f9c7a921'),
-        ('async', 'seeded-jitter', 2, None): (0, 115, '196d628f60d4c78c'),
-        ('async', 'seeded-jitter', 2, 3): (0, 157, 'ad4b62909d1d13d0'),
-        ('async', 'contention:1.0', 1, None): (146, 35, '62815742219de008'),
-        ('async', 'contention:1.0', 1, 3): (32, 55, '2962ba5bbb4e9f77'),
-        ('async', 'contention:1.0', 2, None): (4, 35, 'a20c4c0ecf759f1f'),
-        ('async', 'contention:1.0', 2, 3): (0, 55, 'b464e6ec7ac5f680'),
+        ('event', 'seeded-jitter', 1, None): (37, 116, '833d0220bc1909f1'),
+        ('event', 'seeded-jitter', 1, 3): (8, 158, '46bb1e24f9c7a921'),
+        ('event', 'seeded-jitter', 2, None): (0, 115, '196d628f60d4c78c'),
+        ('event', 'seeded-jitter', 2, 3): (0, 157, 'ad4b62909d1d13d0'),
+        ('event', 'contention:1.0', 1, None): (146, 35, '62815742219de008'),
+        ('event', 'contention:1.0', 1, 3): (32, 55, '2962ba5bbb4e9f77'),
+        ('event', 'contention:1.0', 2, None): (4, 35, 'a20c4c0ecf759f1f'),
+        ('event', 'contention:1.0', 2, 3): (0, 55, 'b464e6ec7ac5f680'),
     }
 
     @staticmethod

@@ -9,6 +9,7 @@ registry-style message through whichever API boundary it crosses.
 """
 
 import json
+import math
 
 import pytest
 
@@ -48,16 +49,32 @@ class TestCapabilitySplit:
 
 class TestParameterValidation:
     @pytest.mark.parametrize(
-        "kwargs", [{"alpha": 0}, {"scale": 0}, {"cap": 0}, {"alpha": -1.5}]
+        "kwargs",
+        [
+            {"alpha": 0}, {"scale": 0}, {"cap": 0}, {"alpha": -1.5},
+            {"alpha": math.nan}, {"alpha": math.inf},
+        ],
     )
     def test_heavy_tailed_rejects_bad_parameters(self, kwargs):
         with pytest.raises(CongestViolation, match="heavy-tailed"):
             HeavyTailedLatency(**kwargs)
 
-    @pytest.mark.parametrize("kwargs", [{"base": 0}, {"weight": -0.5}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"base": 0}, {"weight": -0.5}, {"weight": math.nan}, {"weight": math.inf}],
+    )
     def test_contention_rejects_bad_parameters(self, kwargs):
         with pytest.raises(CongestViolation, match="contention"):
             ContentionLatency(**kwargs)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_spec_fails_at_the_network_boundary(self, weight):
+        # Before the run, as one ValueError line — not a float-to-int
+        # conversion error on the first send.
+        with pytest.raises(ValueError, match="finite") as info:
+            SyncNetwork(grid_graph(2, 2), latency_model=f"contention:{weight}")
+        assert info.type is ValueError
+        assert "\n" not in str(info.value)
 
     def test_contention_spec_parses_weight(self):
         model = resolve_latency_model("contention:2.5")
@@ -108,9 +125,9 @@ class TestLinkSchedule:
 class TestContentionPhysics:
     def test_zero_weight_is_lockstep(self):
         graph = fat_tree(4)
-        lockstep, lockstep_stats = distributed_bfs(graph, 0, rng=2, scheduler="async")
+        lockstep, lockstep_stats = distributed_bfs(graph, 0, rng=2)
         loaded, loaded_stats = distributed_bfs(
-            graph, 0, rng=2, scheduler="async", latency_model="contention:0.0"
+            graph, 0, rng=2, latency_model="contention:0.0"
         )
         assert lockstep_stats.rounds == loaded_stats.rounds
         assert all(
@@ -123,11 +140,11 @@ class TestContentionPhysics:
         # nonzero — so contention must stretch virtual time.
         graph = cycle_graph(5)
         idle = distributed_bfs(
-            graph, 0, rng=2, scheduler="async", latency_model="contention:0.0"
+            graph, 0, rng=2, latency_model="contention:0.0"
         )[1]
         runs = [
             distributed_bfs(
-                graph, 0, rng=2, scheduler="async", latency_model="contention:2.0"
+                graph, 0, rng=2, latency_model="contention:2.0"
             )[1]
             for _ in range(2)
         ]
@@ -180,20 +197,20 @@ class TestTraceDrivenErrorPaths:
         graph = grid_graph(4, 4)
         spec = f"trace-driven:{_write_trace(tmp_path, {'default': [1]})}"
         with pytest.raises(CongestViolation, match="extend the trace"):
-            distributed_bfs(graph, 0, rng=2, scheduler="async", latency_model=spec)
+            distributed_bfs(graph, 0, rng=2, latency_model=spec)
 
     def test_errors_rewrap_at_the_network_boundary(self, tmp_path):
         # SyncNetwork's contract is ValueError for bad models; the uniform
         # trace-driven message must survive the re-wrap.
         spec = f"trace-driven:{tmp_path / 'absent.json'}"
         with pytest.raises(ValueError, match="trace-driven latency model"):
-            SyncNetwork(grid_graph(2, 2), scheduler="async", latency_model=spec)
+            SyncNetwork(grid_graph(2, 2), latency_model=spec)
 
     def test_valid_trace_replays_identically(self, tmp_path):
         graph = grid_graph(3, 3)
         trace = {"default": [1] * 32, "links": {"0-1": [3] * 32}}
         spec = f"trace-driven:{_write_trace(tmp_path, trace)}"
-        first = distributed_bfs(graph, 0, rng=2, scheduler="async", latency_model=spec)
-        second = distributed_bfs(graph, 0, rng=2, scheduler="async", latency_model=spec)
+        first = distributed_bfs(graph, 0, rng=2, latency_model=spec)
+        second = distributed_bfs(graph, 0, rng=2, latency_model=spec)
         assert first[1] == second[1]
         assert all(first[0].parent_of(v) == second[0].parent_of(v) for v in graph)

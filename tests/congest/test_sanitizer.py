@@ -78,9 +78,11 @@ class _SpuriousRearm(NodeAlgorithm):
         return {}
 
 
-def _run_pair(violator, scheduler="dense", sanitize=True, **run_kwargs):
+def _run_pair(violator, scheduler="dense", sanitize=True, latency_model=None, **run_kwargs):
     graph = nx.path_graph(2)
-    network = SyncNetwork(graph, scheduler=scheduler, rng=1, sanitize=sanitize)
+    network = SyncNetwork(
+        graph, scheduler=scheduler, rng=1, sanitize=sanitize, latency_model=latency_model
+    )
     return network.run({0: _FarTimer(5), 1: violator}, **run_kwargs)
 
 
@@ -112,11 +114,13 @@ class TestDenseViolations:
 
 
 class TestTimerNativeBackendsAreNoOps:
-    @pytest.mark.parametrize("scheduler", ["event", "async"])
-    def test_no_spurious_wakes_by_construction(self, scheduler):
-        # Even a non-conforming node cannot trip the sanitizer here: these
-        # backends only ever wake a node with something to observe.
-        results, stats = _run_pair(_SpuriousMutator(), scheduler=scheduler)
+    @pytest.mark.parametrize(
+        "model", [pytest.param(None, id="event"), pytest.param("uniform", id="event-uniform")]
+    )
+    def test_no_spurious_wakes_by_construction(self, model):
+        # Even a non-conforming node cannot trip the sanitizer here: the
+        # event backend only ever wakes a node with something to observe.
+        results, stats = _run_pair(_SpuriousMutator(), scheduler="event", latency_model=model)
         assert stats.rounds == 5
 
 
@@ -144,7 +148,11 @@ class TestSanitizedEquivalence:
     on: every shipped primitive is conforming, so sanitized runs are
     byte-identical to unsanitized ones on every backend."""
 
-    BACKENDS = ["dense", "event", "async"]
+    BACKENDS = {
+        "dense": {"scheduler": "dense"},
+        "event": {"scheduler": "event"},
+        "event-uniform": {"scheduler": "event", "latency_model": "uniform"},
+    }
 
     def _projection(self, stats):
         return (stats.rounds, stats.messages, stats.message_bits)
@@ -161,15 +169,15 @@ class TestSanitizedEquivalence:
             graph, partition, delta=3.0, rng=7, scheduler="dense"
         )
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        for scheduler in self.BACKENDS:
+        for arm, run in self.BACKENDS.items():
             sanitized = distributed_partial_shortcut(
-                graph, partition, delta=3.0, rng=7, scheduler=scheduler,
+                graph, partition, delta=3.0, rng=7, **run,
             )
-            assert sanitized.marked == plain.marked, scheduler
-            assert sanitized.satisfied == plain.satisfied, scheduler
+            assert sanitized.marked == plain.marked, arm
+            assert sanitized.satisfied == plain.satisfied, arm
             assert self._projection(sanitized.stats) == self._projection(
                 plain.stats
-            ), scheduler
+            ), arm
 
     def test_primitives_sanitized_on_degrade_backends(self, monkeypatch):
         from repro.congest.primitives.bfs import distributed_bfs

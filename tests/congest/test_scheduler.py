@@ -1,4 +1,4 @@
-"""Tests for the scheduler backends (dense, event, async, vectorized).
+"""Tests for the scheduler backends (every registered one).
 
 Two concerns:
 
@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.apps.mst import assign_random_weights, distributed_mst
 from repro.congest import NodeAlgorithm, SyncNetwork
+from repro.congest.engine import available_schedulers
 from repro.congest.jobs import Job, JobScheduler
 from repro.congest.primitives.bfs import BfsNode, distributed_bfs
 from repro.congest.primitives.broadcast import tree_aggregate, tree_broadcast
@@ -238,17 +239,15 @@ def _parents(tree):
     return {v: tree.parent_of(v) for v in tree.nodes()}
 
 
-# Every backend must match the dense reference byte for byte; the async
-# backend runs in its lockstep-equivalent (uniform-latency) mode,
-# and the vectorized backend (present when numpy is installed) executes
-# kernel-backed algorithms columnar — and transparently delegates the
-# kernel-less ones to the event backend, so it belongs in every case here.
-BACKENDS = ["dense", "event", "async"]
-try:  # not find_spec: a present-but-broken numpy must also skip the arm
-    import numpy  # noqa: F401
-    BACKENDS.append("vectorized")
-except ImportError:
-    pass
+# The equivalence matrix: arm -> run keywords. Every registered backend
+# must match the dense reference byte for byte (available_schedulers()
+# omits vectorized when numpy is missing; vectorized executes kernel-backed
+# algorithms columnar and delegates the kernel-less ones to event, so it
+# belongs in every case here), and so must ``event`` under the explicit
+# ``uniform`` model — lockstep transit, the same run as no model at all.
+BACKENDS = {name: {"scheduler": name} for name in available_schedulers()}
+BACKENDS["event-uniform"] = {"scheduler": "event", "latency_model": "uniform"}
+CHALLENGERS = [arm for arm in BACKENDS if arm != "dense"]
 
 
 class TestSchedulerEquivalence:
@@ -264,8 +263,8 @@ class TestSchedulerEquivalence:
     def test_bfs_equivalent(self, name):
         graph = self.GRAPHS[name]
         dense_tree, dense_stats = distributed_bfs(graph, 0, rng=5, scheduler="dense")
-        for scheduler in BACKENDS[1:]:
-            tree, stats = distributed_bfs(graph, 0, rng=5, scheduler=scheduler)
+        for arm in CHALLENGERS:
+            tree, stats = distributed_bfs(graph, 0, rng=5, **BACKENDS[arm])
             assert _parents(dense_tree) == _parents(tree)
             assert _equiv_stats(dense_stats) == _equiv_stats(stats)
             assert dense_stats.edge_messages == stats.edge_messages
@@ -274,10 +273,7 @@ class TestSchedulerEquivalence:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_election_equivalent(self, name):
         graph = self.GRAPHS[name]
-        outcomes = [
-            elect_leader(graph, rng=3, scheduler=scheduler)
-            for scheduler in BACKENDS
-        ]
+        outcomes = [elect_leader(graph, rng=3, **run) for run in BACKENDS.values()]
         leaders = {leader for leader, _ in outcomes}
         assert len(leaders) == 1
         assert len({_equiv_stats(stats) for _, stats in outcomes}) == 1
@@ -287,20 +283,18 @@ class TestSchedulerEquivalence:
         graph = self.GRAPHS[name]
         tree = bfs_tree(graph, root=0)
         outcomes = {}
-        for scheduler in BACKENDS:
-            values, b_stats = tree_broadcast(
-                graph, tree, 42, rng=1, scheduler=scheduler
-            )
+        for arm, run in BACKENDS.items():
+            values, b_stats = tree_broadcast(graph, tree, 42, rng=1, **run)
             total, a_stats = tree_aggregate(
                 graph, tree, {v: 1 for v in graph}, lambda a, b: a + b,
-                rng=1, scheduler=scheduler,
+                rng=1, **run,
             )
-            outcomes[scheduler] = (
+            outcomes[arm] = (
                 values, total, _equiv_stats(b_stats), _equiv_stats(a_stats)
             )
         reference = outcomes["dense"]
-        for scheduler, outcome in outcomes.items():
-            assert outcome == reference, scheduler
+        for arm, outcome in outcomes.items():
+            assert outcome == reference, arm
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_pipelined_top_k_equivalent(self, name):
@@ -308,8 +302,8 @@ class TestSchedulerEquivalence:
         tree = bfs_tree(graph, root=0)
         items = {v: [v * 3 + 1, 100 + v] for v in graph}
         outcomes = [
-            pipelined_top_k(graph, tree, items, k=4, rng=2, scheduler=scheduler)
-            for scheduler in BACKENDS
+            pipelined_top_k(graph, tree, items, k=4, rng=2, **run)
+            for run in BACKENDS.values()
         ]
         assert len({top for top, _ in outcomes}) == 1
         assert len({_equiv_stats(stats) for _, stats in outcomes}) == 1
@@ -323,8 +317,8 @@ class TestSchedulerEquivalence:
             canonical_edge(u, v): (u * 7 + v * 3) % 11 + 1 for u, v in graph.edges()
         }
         outcomes = [
-            bellman_ford_sssp(graph, 0, weights, rng=4, scheduler=scheduler)
-            for scheduler in BACKENDS
+            bellman_ford_sssp(graph, 0, weights, rng=4, **run)
+            for run in BACKENDS.values()
         ]
         reference = outcomes[0]
         for distances, stats in outcomes[1:]:
@@ -341,9 +335,9 @@ class TestSchedulerEquivalence:
         dense = distributed_partial_shortcut(
             graph, partition, delta=3.0, rng=7, scheduler="dense"
         )
-        for scheduler in BACKENDS[1:]:
+        for arm in CHALLENGERS:
             result = distributed_partial_shortcut(
-                graph, partition, delta=3.0, rng=7, scheduler=scheduler,
+                graph, partition, delta=3.0, rng=7, **BACKENDS[arm],
             )
             assert dense.marked == result.marked
             assert dense.satisfied == result.satisfied
@@ -356,20 +350,36 @@ class TestSchedulerEquivalence:
         # global iteration order or backend.
         graph = nx.star_graph(9)
         runs = [
-            SyncNetwork(graph, rng=42, scheduler=scheduler).run(
-                {v: _RngProbe(v) for v in graph}
-            )[0]
-            for scheduler in BACKENDS
+            SyncNetwork(graph, rng=42, **run).run({v: _RngProbe(v) for v in graph})[0]
+            for run in BACKENDS.values()
         ]
         for other in runs[1:]:
             assert other == runs[0]
 
     def test_result_iteration_order_matches_node_order(self):
         graph = nx.relabel_nodes(nx.path_graph(6), {0: 0, 1: 5, 2: 1, 3: 4, 4: 2, 5: 3})
-        for scheduler in BACKENDS:
-            network = SyncNetwork(graph, rng=0, scheduler=scheduler)
+        for arm, run in BACKENDS.items():
+            network = SyncNetwork(graph, rng=0, **run)
             results, _ = network.run({v: _RngProbe(v) for v in graph})
-            assert list(results) == list(graph.nodes()), scheduler
+            assert list(results) == list(graph.nodes()), arm
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_uniform_model_is_byte_identical_to_no_model(self, name):
+        graph = self.GRAPHS[name]
+        for run in (
+            lambda **kw: distributed_bfs(graph, 0, rng=5, **kw),
+            lambda **kw: elect_leader(graph, rng=3, **kw),
+        ):
+            result, stats = run()
+            uniform_result, uniform_stats = run(latency_model="uniform")
+            if not isinstance(result, int):  # a BFS tree
+                result, uniform_result = _parents(result), _parents(uniform_result)
+            assert uniform_result == result
+            # Full dataclass equality: activations, notes, virtual_time and
+            # completion_times included.
+            assert uniform_stats == stats
+            assert stats.virtual_time == 0
+            assert stats.completion_times == {}
 
     def test_thin_frontier_activation_win(self):
         # A broom: star whose center hangs off a long path.  The dense
@@ -406,21 +416,18 @@ GENERATED_GRAPHS = st.one_of(
 def _model_stats(stats):
     """Every RoundStats field but the backend-specific ones, after ``check()``.
 
-    ``notes`` records backend provenance (the vectorized fallback),
-    ``activations`` is the cost profile the backends may differ in, and
-    ``completion_times`` belongs to the wall-model dimension only ``async``
-    reports. ``virtual_time`` is compared under its unit-latency convention:
-    lockstep backends leave it at 0, uniform ``async`` sets it to ``rounds``.
-    Everything else is part of the execution and must match.
+    ``notes`` records backend provenance (the vectorized fallback) and
+    ``activations`` is the cost profile the backends may differ in.
+    Everything else — the wall-model ``virtual_time`` and
+    ``completion_times`` included, which every arm leaves empty under
+    lockstep transit — is part of the execution and must match.
     """
     stats.check()
-    fields = {
+    return {
         f.name: getattr(stats, f.name)
         for f in dataclasses.fields(stats)
-        if f.name not in ("notes", "activations", "completion_times")
+        if f.name not in ("notes", "activations")
     }
-    fields["virtual_time"] = stats.virtual_time or stats.rounds
-    return fields
 
 
 @settings(max_examples=40, deadline=None)
@@ -429,13 +436,13 @@ def test_generated_graphs_equivalent_on_every_backend(graph, seed):
     root = min(graph.nodes())
     values = {v: (v * 7 + seed) % 101 for v in graph}
     outcomes = {}
-    for scheduler in BACKENDS:
-        tree, bfs_stats = distributed_bfs(graph, root, rng=seed, scheduler=scheduler)
-        leader, election_stats = elect_leader(graph, rng=seed, scheduler=scheduler)
+    for arm, run in BACKENDS.items():
+        tree, bfs_stats = distributed_bfs(graph, root, rng=seed, **run)
+        leader, election_stats = elect_leader(graph, rng=seed, **run)
         total, aggregate_stats = tree_aggregate(
-            graph, tree, values, lambda a, b: a + b, rng=seed, scheduler=scheduler
+            graph, tree, values, lambda a, b: a + b, rng=seed, **run
         )
-        outcomes[scheduler] = (
+        outcomes[arm] = (
             _parents(tree), leader, total,
             _model_stats(bfs_stats), _model_stats(election_stats),
             _model_stats(aggregate_stats),
@@ -443,8 +450,8 @@ def test_generated_graphs_equivalent_on_every_backend(graph, seed):
     reference = outcomes["dense"]
     assert reference[1] == root
     assert reference[2] == sum(values.values())
-    for scheduler, outcome in outcomes.items():
-        assert outcome == reference, scheduler
+    for arm, outcome in outcomes.items():
+        assert outcome == reference, arm
 
 
 class TestMeasuredCongestion:
@@ -502,17 +509,16 @@ def _count_seedings(monkeypatch) -> list:
 class TestLazyNodeStreams:
     """Every context gets its stream, but only a draw seeds it."""
 
-    @pytest.mark.parametrize("scheduler", BACKENDS)
-    def test_library_runs_seed_nothing(self, scheduler, monkeypatch):
+    @pytest.mark.parametrize("arm", BACKENDS)
+    def test_library_runs_seed_nothing(self, arm, monkeypatch):
         graph = grid_graph(5, 5)
         weights = assign_random_weights(graph, rng=2)
         rngs = [random.Random(seed) for seed in (1, 2, 3)]
+        run = BACKENDS[arm]
         calls = _count_seedings(monkeypatch)
-        distributed_bfs(graph, 0, rng=rngs[0], scheduler=scheduler)
-        elect_leader(graph, rng=rngs[1], scheduler=scheduler)
-        distributed_mst(
-            graph, weights, construction="simulated", rng=rngs[2], scheduler=scheduler
-        )
+        distributed_bfs(graph, 0, rng=rngs[0], **run)
+        elect_leader(graph, rng=rngs[1], **run)
+        distributed_mst(graph, weights, construction="simulated", rng=rngs[2], **run)
         assert calls == []
 
     def test_solo_job_seeds_nothing(self, monkeypatch):
@@ -524,10 +530,10 @@ class TestLazyNodeStreams:
         assert result.outcomes["solo"].status == "completed"
         assert calls == []
 
-    @pytest.mark.parametrize("scheduler", BACKENDS)
-    def test_each_drawing_node_seeds_once(self, scheduler, monkeypatch):
+    @pytest.mark.parametrize("arm", BACKENDS)
+    def test_each_drawing_node_seeds_once(self, arm, monkeypatch):
         graph = nx.star_graph(9)
-        network = SyncNetwork(graph, rng=42, scheduler=scheduler)
+        network = SyncNetwork(graph, rng=42, **BACKENDS[arm])
         calls = _count_seedings(monkeypatch)
         network.run({v: _RngProbe(v) for v in graph})
         assert len(calls) == graph.number_of_nodes()

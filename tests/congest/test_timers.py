@@ -2,7 +2,8 @@
 
 The contract (see :meth:`repro.congest.engine.NodeContext.schedule_wake`):
 
-* the timer-native backends (``event``, ``async``) activate a scheduled
+* the timer-native backend (``event``, with or without a latency model)
+  activates a scheduled
   node exactly at its wake round — fast-forwarding the clock over empty
   rounds when only timers remain — while the degrade backend (``dense``)
   keeps the node schedulable every round until the wake fires;
@@ -18,9 +19,13 @@ import networkx as nx
 import pytest
 
 from repro.congest import NodeAlgorithm, SyncNetwork
+from repro.congest.engine import available_schedulers
 from repro.util.errors import CongestViolation
 
-BACKENDS = ["event", "dense", "async"]
+# Arm -> SyncNetwork keywords: every registered backend, plus ``event``
+# under the explicit (lockstep) ``uniform`` model.
+BACKENDS = {name: {"scheduler": name} for name in available_schedulers()}
+BACKENDS["event-uniform"] = {"scheduler": "event", "latency_model": "uniform"}
 
 
 class _AlarmClock(NodeAlgorithm):
@@ -103,10 +108,10 @@ class _StreamSender(NodeAlgorithm):
 
 
 class TestTimerSemantics:
-    @pytest.mark.parametrize("scheduler", BACKENDS)
-    def test_single_wake_fires_at_exact_round(self, scheduler):
+    @pytest.mark.parametrize("arm", BACKENDS)
+    def test_single_wake_fires_at_exact_round(self, arm):
         graph = nx.path_graph(3)
-        network = SyncNetwork(graph, scheduler=scheduler)
+        network = SyncNetwork(graph, **BACKENDS[arm])
         algorithms = {v: _AlarmClock(v, 5 if v == 1 else 0) for v in graph}
         results, stats = network.run(algorithms)
         assert results[1] == 5
@@ -126,30 +131,30 @@ class TestTimerSemantics:
     def test_degrade_backends_poll_but_agree_on_everything_else(self):
         graph = nx.path_graph(2)
         outcomes = {}
-        for scheduler in BACKENDS:
-            network = SyncNetwork(graph, scheduler=scheduler)
+        for arm, run in BACKENDS.items():
+            network = SyncNetwork(graph, **run)
             algorithms = {v: _AlarmClock(v, 7 if v == 0 else 0) for v in graph}
             results, stats = network.run(algorithms)
-            outcomes[scheduler] = (
+            outcomes[arm] = (
                 dict(results), stats.rounds, stats.messages, stats.message_bits,
             )
         reference = outcomes["event"]
-        for scheduler, outcome in outcomes.items():
-            assert outcome == reference, scheduler
+        for arm, outcome in outcomes.items():
+            assert outcome == reference, arm
 
-    @pytest.mark.parametrize("scheduler", BACKENDS)
-    def test_rearmed_timer_fires_repeatedly(self, scheduler):
+    @pytest.mark.parametrize("arm", BACKENDS)
+    def test_rearmed_timer_fires_repeatedly(self, arm):
         graph = nx.path_graph(2)
-        network = SyncNetwork(graph, scheduler=scheduler)
+        network = SyncNetwork(graph, **BACKENDS[arm])
         algorithms = {v: _Metronome(v, 3, 4 if v == 0 else 0) for v in graph}
         results, stats = network.run(algorithms)
         assert results[0] == (3, 6, 9, 12)
         assert stats.rounds == 12
 
-    @pytest.mark.parametrize("scheduler", BACKENDS)
-    def test_stream_pacing_delivers_one_item_per_round(self, scheduler):
+    @pytest.mark.parametrize("arm", BACKENDS)
+    def test_stream_pacing_delivers_one_item_per_round(self, arm):
         graph = nx.path_graph(2)
-        network = SyncNetwork(graph, scheduler=scheduler)
+        network = SyncNetwork(graph, **BACKENDS[arm])
         algorithms = {v: _StreamSender(v, 4) for v in graph}
         results, stats = network.run(algorithms)
         # Items sent in rounds 0..3 arrive in rounds 1..4, in order.
@@ -172,8 +177,8 @@ class TestTimerSemantics:
                 return {}
 
         graph = nx.path_graph(2)
-        for scheduler in ("event", "async"):
-            network = SyncNetwork(graph, scheduler=scheduler)
+        for model in (None, "uniform"):
+            network = SyncNetwork(graph, latency_model=model)
             algorithms = {v: Reschedule() for v in graph}
             _, stats = network.run(algorithms)
             assert algorithms[0].fired == [3]
@@ -206,8 +211,8 @@ class TestTimerSemantics:
         assert algorithms[0].wakes == [(2, True), (6, False)]
         assert stats.rounds == 6
 
-    @pytest.mark.parametrize("scheduler", BACKENDS)
-    def test_pending_timer_past_bound_times_out(self, scheduler):
+    @pytest.mark.parametrize("arm", BACKENDS)
+    def test_pending_timer_past_bound_times_out(self, arm):
         class FarFuture(NodeAlgorithm):
             def on_start(self, ctx):
                 ctx.schedule_wake(100)
@@ -217,10 +222,10 @@ class TestTimerSemantics:
                 return {}
 
         graph = nx.path_graph(2)
-        network = SyncNetwork(graph, scheduler=scheduler)
+        network = SyncNetwork(graph, **BACKENDS[arm])
         with pytest.raises(CongestViolation):
             network.run({v: FarFuture() for v in graph}, max_rounds=10)
-        network = SyncNetwork(graph, scheduler=scheduler)
+        network = SyncNetwork(graph, **BACKENDS[arm])
         _, stats = network.run(
             {v: FarFuture() for v in graph}, max_rounds=10, raise_on_timeout=False
         )
@@ -257,9 +262,7 @@ class TestTimerSemantics:
                 return {}
 
         graph = nx.path_graph(2)
-        network = SyncNetwork(
-            graph, rng=3, scheduler="async", latency_model="seeded-jitter"
-        )
+        network = SyncNetwork(graph, rng=3, latency_model="seeded-jitter")
         algorithms = {v: Alarm() for v in graph}
         _, stats = network.run(algorithms)
         assert algorithms[0].fired == 4

@@ -148,8 +148,8 @@ class TestRegistry:
 
     def test_latency_model_rejected_by_capability_flag(self):
         # Driven by supports_latency_models, not a name list: the message
-        # names every capable backend (currently only async).
-        with pytest.raises(ValueError, match="requires scheduler='async'"):
+        # names every capable backend (currently only event).
+        with pytest.raises(ValueError, match="requires scheduler='event'"):
             SyncNetwork(_grid(2, 2), scheduler="vectorized",
                         latency_model="uniform")
 

@@ -138,7 +138,7 @@ class TestAckSweepLatencyAdaptive:
         partition = voronoi_partition(graph, 18, rng=4)
         result = distributed_partial_shortcut(
             graph, partition, delta=0.05, rng=5, exact=True,
-            run_verification=False, scheduler="async", latency_model=model,
+            run_verification=False, latency_model=model,
         )
         # The exact centralized process on the tree the pipeline built
         # (under jitter the measured BFS tree itself may differ — the
@@ -179,7 +179,7 @@ class TestAckSweepLatencyAdaptive:
         runs = [
             distributed_partial_shortcut(
                 graph, partition, delta=1.0, rng=11, run_verification=False,
-                scheduler="async", latency_model="seeded-jitter",
+                latency_model="seeded-jitter",
             )
             for _ in range(2)
         ]
@@ -230,8 +230,7 @@ class TestKeepAliveSweepRegression:
         partition = voronoi_partition(graph, 6, rng=2)
         result = distributed_partial_shortcut(
             graph, partition, delta=1.0, rng=3, run_verification=False,
-            scheduler="async", latency_model="seeded-jitter",
-            sweep="keep-alive",
+            latency_model="seeded-jitter", sweep="keep-alive",
         )
         assert result.params["undecided"] == 0
         assert result.stats.phases["sweep"].rounds < 10**6

@@ -71,25 +71,25 @@ class TestMst:
         assert "scheduler: dense" in out
         assert "identical MSTs: True" in out
 
-    def test_async_scheduler_with_latency_model_reports_virtual_time(self, capsys):
+    def test_latency_model_reports_virtual_time(self, capsys):
         code = main(["mst", "--family", "wheel", "--n", "65", "--seed", "3",
-                     "--scheduler", "async", "--latency-model", "seeded-jitter"])
+                     "--scheduler", "event", "--latency-model", "seeded-jitter"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "scheduler: async" in out
+        assert "scheduler: event" in out
         assert "latency model: seeded-jitter" in out
         assert "virtual time" in out
         assert "identical MSTs: True" in out
 
-    def test_latency_model_requires_async_scheduler(self):
-        with pytest.raises(SystemExit):
+    def test_latency_model_rejected_by_lockstep_scheduler(self):
+        with pytest.raises(SystemExit, match="requires scheduler='event'"):
             main(["mst", "--family", "grid", "--width", "4", "--height", "4",
-                  "--scheduler", "event", "--latency-model", "seeded-jitter"])
+                  "--scheduler", "dense", "--latency-model", "seeded-jitter"])
 
     def test_unknown_latency_model_rejected(self):
         with pytest.raises(SystemExit):
             main(["mst", "--family", "grid", "--width", "4", "--height", "4",
-                  "--scheduler", "async", "--latency-model", "bogus"])
+                  "--latency-model", "bogus"])
 
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(SystemExit):
@@ -105,6 +105,17 @@ class TestMst:
         message = str(info.value.code)
         assert "unknown scheduler 'sharded'" in message
         assert ", ".join(available_schedulers()) in message
+
+    def test_removed_async_scheduler_rejected_with_registry(self):
+        from repro.congest.engine import available_schedulers
+
+        with pytest.raises(SystemExit) as info:
+            main(["mst", "--family", "wheel", "--n", "17", "--seed", "3",
+                  "--scheduler", "async", "--latency-model", "seeded-jitter"])
+        assert str(info.value.code) == (
+            "unknown scheduler 'async'; registered schedulers: "
+            + ", ".join(available_schedulers())
+        )
 
     def test_provider_flag_overrides_construction(self, capsys):
         code = main(["mst", "--family", "ktree", "--n", "32", "--k", "2",
@@ -163,9 +174,9 @@ class TestServe:
         assert "aggregate:" in out
         assert "jobs=3" in out
 
-    def test_serve_async_with_latency_and_inflight_cap(self, capsys):
+    def test_serve_with_latency_and_inflight_cap(self, capsys):
         code = main(["serve", "--family", "grid", "--width", "6", "--height", "6",
-                     "--jobs", "4", "--seed", "3", "--scheduler", "async",
+                     "--jobs", "4", "--seed", "3",
                      "--latency-model", "seeded-jitter", "--max-inflight", "2"])
         out = capsys.readouterr().out
         assert code == 0
@@ -178,20 +189,25 @@ class TestServe:
             main(["serve", "--family", "grid", "--width", "6", "--height", "6",
                   "--scheduler", "dense"])
 
+    def test_serve_rejects_removed_async_scheduler_with_registry(self):
+        with pytest.raises(SystemExit, match="unknown scheduler 'async'; registered"):
+            main(["serve", "--family", "grid", "--width", "6", "--height", "6",
+                  "--scheduler", "async"])
+
     def test_serve_rejects_zero_jobs(self):
         with pytest.raises(SystemExit, match="--jobs"):
             main(["serve", "--family", "grid", "--width", "6", "--height", "6",
                   "--jobs", "0"])
 
-    def test_serve_rejects_latency_model_without_async(self):
-        with pytest.raises(SystemExit, match="latency_model requires"):
-            main(["serve", "--family", "grid", "--width", "4", "--height", "4",
-                  "--latency-model", "seeded-jitter"])
-
     def test_serve_rejects_unknown_latency_model(self):
         with pytest.raises(SystemExit, match="unknown latency model 'nope'"):
             main(["serve", "--family", "grid", "--width", "4", "--height", "4",
-                  "--scheduler", "async", "--latency-model", "nope"])
+                  "--latency-model", "nope"])
+
+    def test_rejects_non_finite_latency_parameter(self):
+        with pytest.raises(SystemExit, match="contention weight must be finite"):
+            main(["mst", "--family", "wheel", "--n", "17", "--seed", "3",
+                  "--latency-model", "contention:nan"])
 
     def test_serve_rejects_zero_max_inflight(self):
         with pytest.raises(SystemExit, match="--max-inflight"):
@@ -215,7 +231,7 @@ class TestRegistry:
             "lint rules:",
         ):
             assert heading in out
-        for name in ("event", "async", "vectorized"):
+        for name in ("dense", "event", "vectorized"):
             assert f"  {name}" in out
         assert "  theorem31-centralized" in out
         assert "PROTO-JOB" in out
