@@ -9,6 +9,11 @@ load literally, plus a digest of the per-part values, completion rounds
 and per-edge message counts. The expected values were captured before
 the per-edge queue was shared with the job layer; any change to grant
 order, rng draws or transit accounting moves them.
+
+``ROUND_HISTOGRAM`` separately pins a digest of
+``stats.messages_by_round`` per case (captured before the packet loop
+charged its counters once per tick), and every case must pass
+``stats.check()``.
 """
 
 import hashlib
@@ -60,6 +65,11 @@ def fingerprint(result) -> tuple:
     )
 
 
+def round_digest(stats) -> str:
+    """Digest of the per-send-tick message histogram."""
+    return hashlib.sha256(repr(sorted(stats.messages_by_round.items())).encode()).hexdigest()[:16]
+
+
 def run_case(instance, delay_mode, discipline, model):
     graph, partition, shortcut, values, combine = instance
     return partwise_aggregate(
@@ -108,6 +118,46 @@ GOLDEN = {
 }
 CUTOFF = (9, 204, 957, 9, 4, (0, 1, 2, 3), '29e41ae3cb224409')
 
+ROUND_HISTOGRAM = {
+    ('grid-rows', 'random', 'fifo', None): '66d3f0b3e9e0f55f',
+    ('grid-rows', 'random', 'fifo', 'seeded-jitter'): '803ee096064cc9d8',
+    ('grid-rows', 'random', 'fifo', 'contention:1.0'): '66d3f0b3e9e0f55f',
+    ('grid-rows', 'random', 'random', None): '050be60814f192a8',
+    ('grid-rows', 'random', 'random', 'seeded-jitter'): 'bd3fac54fad12ad3',
+    ('grid-rows', 'random', 'random', 'contention:1.0'): '050be60814f192a8',
+    ('grid-rows', 'zero', 'fifo', None): '04cf0a1ff186c8da',
+    ('grid-rows', 'zero', 'fifo', 'seeded-jitter'): 'fb66e980e0e8e5d9',
+    ('grid-rows', 'zero', 'fifo', 'contention:1.0'): '04cf0a1ff186c8da',
+    ('grid-rows', 'zero', 'random', None): '615bba18afa1ee81',
+    ('grid-rows', 'zero', 'random', 'seeded-jitter'): '7f86e0f026721c45',
+    ('grid-rows', 'zero', 'random', 'contention:1.0'): '615bba18afa1ee81',
+    ('grid-rows', 'sequential', 'fifo', None): '8a37000f00320fec',
+    ('grid-rows', 'sequential', 'fifo', 'seeded-jitter'): 'fd92dc936e8ab665',
+    ('grid-rows', 'sequential', 'fifo', 'contention:1.0'): '8a37000f00320fec',
+    ('grid-rows', 'sequential', 'random', None): '8a37000f00320fec',
+    ('grid-rows', 'sequential', 'random', 'seeded-jitter'): 'fd92dc936e8ab665',
+    ('grid-rows', 'sequential', 'random', 'contention:1.0'): '8a37000f00320fec',
+    ('wheel', 'random', 'fifo', None): '5a9600470c152ecc',
+    ('wheel', 'random', 'fifo', 'seeded-jitter'): '71e23d5b052bf397',
+    ('wheel', 'random', 'fifo', 'contention:1.0'): '5c945c3140da764c',
+    ('wheel', 'random', 'random', None): 'be056db6e7b009b3',
+    ('wheel', 'random', 'random', 'seeded-jitter'): '0251bdf03dcd1007',
+    ('wheel', 'random', 'random', 'contention:1.0'): 'be056db6e7b009b3',
+    ('wheel', 'zero', 'fifo', None): '4568c44e70898874',
+    ('wheel', 'zero', 'fifo', 'seeded-jitter'): '81311ffe4949735b',
+    ('wheel', 'zero', 'fifo', 'contention:1.0'): '8be23f10eb830b17',
+    ('wheel', 'zero', 'random', None): 'c8a02f00ccfd7474',
+    ('wheel', 'zero', 'random', 'seeded-jitter'): '724a589611f3e98b',
+    ('wheel', 'zero', 'random', 'contention:1.0'): 'c8a02f00ccfd7474',
+    ('wheel', 'sequential', 'fifo', None): '2d0cee9b60bb98f8',
+    ('wheel', 'sequential', 'fifo', 'seeded-jitter'): '73085178f4bff5a0',
+    ('wheel', 'sequential', 'fifo', 'contention:1.0'): '2d0cee9b60bb98f8',
+    ('wheel', 'sequential', 'random', None): '2d0cee9b60bb98f8',
+    ('wheel', 'sequential', 'random', 'seeded-jitter'): '73085178f4bff5a0',
+    ('wheel', 'sequential', 'random', 'contention:1.0'): '2d0cee9b60bb98f8',
+}
+CUTOFF_ROUND_HISTOGRAM = 'aa95ac9dd98cdb29'
+
 
 @pytest.fixture(scope="module", params=sorted(INSTANCES))
 def instance(request):
@@ -120,7 +170,9 @@ def instance(request):
 def test_matches_golden(instance, delay_mode, discipline, model):
     name, built = instance
     result = run_case(built, delay_mode, discipline, model)
+    result.stats.check()
     assert fingerprint(result) == GOLDEN[(name, delay_mode, discipline, model)]
+    assert round_digest(result.stats) == ROUND_HISTOGRAM[(name, delay_mode, discipline, model)]
 
 
 def test_cutoff_matches_golden():
@@ -131,4 +183,6 @@ def test_cutoff_matches_golden():
         graph, partition, shortcut, values, combine, rng=3, max_rounds=9,
         queue_discipline="random", latency_model="contention:1.0",
     )
+    result.stats.check()
     assert fingerprint(result) == CUTOFF
+    assert round_digest(result.stats) == CUTOFF_ROUND_HISTOGRAM
