@@ -263,6 +263,19 @@ class Transit:
         return self.latencies[(u, v)] if self.latencies else 1
 
 
+class _Fifo(deque):
+    """One slot's queued entries on one edge."""
+
+    __slots__ = ("slot",)
+
+
+class _Slots(dict):
+    """``slot -> _Fifo`` on an edge where more than one slot has queued."""
+
+    __slots__ = ()
+    slot = None  # equals no slot, so a push always looks its slot up
+
+
 class EdgeQueues:
     """Per-directed-edge capacity queues: at most ``capacity`` grants per tick.
 
@@ -276,6 +289,9 @@ class EdgeQueues:
     entry is drawn uniformly from its FIFO, with one ``randrange`` only
     when more than one entry waits.
 
+    An edge on which one slot queues holds that slot's FIFO directly; a
+    second slot turns it into a ``slot -> FIFO`` map until the edge empties.
+
     Edges resolve in ``order`` (a sort key), by default in the order each
     first received an entry. A load-dependent link schedule charges
     transits in grant order, so the order is part of the schedule.
@@ -286,56 +302,73 @@ class EdgeQueues:
     def __init__(self, capacity: int = 1, order=None, rng: random.Random | None = None):
         self.capacity = capacity
         self.rng = rng
-        self.edges: dict = {}  # edge -> slot -> non-empty FIFO of entries
+        self.edges: dict = {}  # edge -> non-empty FIFO, or slot -> non-empty FIFO
         self.pointers: dict = {}  # edge -> last granted slot
         self._first: dict | None = None if order is not None else {}
         self.order = order if order is not None else self._first.__getitem__
 
     def push(self, edge, entry, slot: int = 0) -> None:
-        slots = self.edges.get(edge)
-        if slots is None:
-            slots = self.edges[edge] = {}
-            if self._first is not None:
-                self._first.setdefault(edge, len(self._first))
-        fifo = slots.get(slot)
-        if fifo is None:
-            fifo = slots[slot] = deque()
-        fifo.append(entry)
+        queued = self.edges.get(edge)
+        if queued is None:
+            queued = self.edges[edge] = _Fifo()
+            queued.slot = slot
+            first = self._first
+            if first is not None and edge not in first:
+                first[edge] = len(first)
+        elif queued.slot != slot:
+            if queued.slot is not None:  # a second slot queues on the edge
+                queued = self.edges[edge] = _Slots({queued.slot: queued})
+            fifo = queued.get(slot)
+            if fifo is None:
+                fifo = queued[slot] = _Fifo()
+                fifo.slot = slot
+            queued = fifo
+        queued.append(entry)
 
     def drop(self, slot: int) -> list:
         """Forget ``slot``'s queued entries and return them."""
         dropped = []
         for edge in list(self.edges):
-            slots = self.edges[edge]
-            dropped.extend(slots.pop(slot, ()))
-            if not slots:
-                del self.edges[edge]
-                self.pointers.pop(edge, None)
+            queued = self.edges[edge]
+            if queued.slot is None:
+                dropped.extend(queued.pop(slot, ()))
+                if queued:
+                    continue
+            elif queued.slot == slot:
+                dropped.extend(queued)
+            else:
+                continue
+            del self.edges[edge]
+            self.pointers.pop(edge, None)
         return dropped
 
     def resolve(self) -> list:
         """Grant one tick's entries; returns ``(edge, entry)`` pairs in grant order."""
         granted = []
         edges, pointers, rng = self.edges, self.pointers, self.rng
+        grants = range(self.capacity)
         for edge in sorted(edges, key=self.order):
-            slots = edges[edge]
-            for _ in range(self.capacity):
-                if len(slots) == 1:
-                    slot = next(iter(slots))
+            queued = edges[edge]
+            for _ in grants:
+                if queued.slot is not None:
+                    fifo = queued
+                elif len(queued) == 1:
+                    fifo = next(iter(queued.values()))
                 else:
                     pointer = pointers.get(edge, -1)
-                    slot = min((s for s in slots if s > pointer), default=min(slots))
-                fifo = slots[slot]
+                    fifo = queued[min((s for s in queued if s > pointer), default=min(queued))]
                 if rng is not None and len(fifo) > 1:
                     position = rng.randrange(len(fifo))
                     fifo[position], fifo[0] = fifo[0], fifo[position]
                 granted.append((edge, fifo.popleft()))
-                pointers[edge] = slot
+                pointers[edge] = fifo.slot
                 if not fifo:
-                    del slots[slot]
-                    if not slots:
-                        del edges[edge]
-                        break
+                    if fifo is not queued:
+                        del queued[fifo.slot]
+                        if queued:
+                            continue
+                    del edges[edge]
+                    break
         return granted
 
 

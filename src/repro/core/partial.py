@@ -252,6 +252,7 @@ def ancestor_subgraphs(
     Walks are memoized per part so shared ancestor paths are traversed once.
     """
     wanted = indices if indices is not None else tuple(range(len(partition)))
+    parent_of = tree.parent_map
     result: dict[int, frozenset[int]] = {}
     for index in wanted:
         edges: set[int] = set()
@@ -262,7 +263,7 @@ def ancestor_subgraphs(
                 visited.add(current)
                 if current in overcongested:
                     break
-                parent = tree.parent_of(current)
+                parent = parent_of[current]
                 if parent is None:
                     break
                 edges.add(current)
@@ -290,32 +291,31 @@ def steiner_prune(
     """
     if not edges:
         return edges
+    parent_of, children_of = tree.parent_map, tree.children_map
     remaining = set(edges)
     # h_children[x]: number of H-edges whose parent endpoint is x.
     h_children: dict[int, int] = {}
     for child in remaining:
-        parent = tree.parent_of(child)
+        parent = parent_of[child]
         h_children[parent] = h_children.get(parent, 0) + 1
     # Local roots: parents that are not themselves a child endpoint in H.
-    peel = [
+    # Each peels its chain down to the first junction or part node. Chains
+    # are disjoint, so every ``top`` still has its one H-edge below it.
+    local_roots = [
         node
-        for node in h_children
-        if node not in remaining and h_children[node] == 1 and node not in part
+        for node, count in h_children.items()
+        if count == 1 and node not in remaining and node not in part
     ]
-    while peel:
-        top = peel.pop()
-        if h_children.get(top, 0) != 1 or top in part:
-            continue
-        # The unique H-edge below ``top``: its child is adjacent in T.
-        child = next(
-            (c for c in tree.children_of(top) if c in remaining), None
-        )
-        if child is None:
-            continue
-        remaining.discard(child)
-        h_children[top] -= 1
-        if child in h_children and child not in part and h_children[child] == 1:
-            peel.append(child)
+    for top in local_roots:
+        while True:
+            # The unique H-edge below ``top``: its child is adjacent in T.
+            for child in children_of[top]:
+                if child in remaining:
+                    break
+            remaining.discard(child)
+            if h_children.get(child) != 1 or child in part:
+                break
+            top = child
     return frozenset(remaining)
 
 

@@ -18,7 +18,7 @@ and the maximum block count bounds the dilation via Observation 2.6:
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import networkx as nx
@@ -28,7 +28,14 @@ from repro.graphs.partition import Partition
 from repro.graphs.trees import RootedTree
 from repro.util.errors import ShortcutError
 
-__all__ = ["Shortcut", "ShortcutQuality", "TreeRestrictedShortcut", "UNREACHABLE"]
+__all__ = [
+    "Shortcut",
+    "ShortcutQuality",
+    "TreeRestrictedShortcut",
+    "UNREACHABLE",
+    "augmented_adjacency",
+    "augmented_edges",
+]
 
 Edge = tuple[int, int]
 
@@ -118,16 +125,16 @@ class Shortcut:
     # ------------------------------------------------------------------
 
     def augmented_subgraph(self, index: int) -> nx.Graph:
-        """The graph ``G[P_i] + H_i`` for part ``index``."""
+        """The graph ``G[P_i] + H_i`` for part ``index``.
+
+        Its nodes and every node's neighbours come in the order
+        :func:`augmented_edges` defines, which the packet scheduler's
+        routing trees follow.
+        """
         part = self.partition[index]
         augmented = nx.Graph()
         augmented.add_nodes_from(part)
-        for u in part:
-            for v in self.graph.neighbors(u):
-                if v in part:
-                    augmented.add_edge(u, v)
-        for u, v in self.subgraphs[index]:
-            augmented.add_edge(u, v)
+        augmented.add_edges_from(augmented_edges(self.graph, part, self.subgraphs[index]))
         return augmented
 
     def part_dilation(self, index: int, exact: bool = True) -> float:
@@ -254,6 +261,48 @@ class TreeRestrictedShortcut(Shortcut):
     def dilation_upper_bound(self) -> int:
         """Observation 2.6: ``dilation <= b(2D + 1)`` without any BFS."""
         return self.block_number() * (2 * self.tree.max_depth + 1)
+
+
+def augmented_edges(
+    graph: nx.Graph, part: frozenset[int], edges: Iterable[Edge]
+) -> Iterator[Edge]:
+    """The edges of ``G[P_i] + H_i`` in their defining order.
+
+    For each node of ``part``, in the part's iteration order, its graph
+    edges to other part nodes (so an in-part edge comes once from each
+    end); then the ``H_i`` edges in ``edges`` order. Adding the part's
+    nodes and then these edges to an ``nx.Graph`` fixes its node order and
+    every node's neighbour order; :func:`augmented_adjacency` replays the
+    same sequence into plain dicts.
+    """
+    for u in part:
+        for v in graph.neighbors(u):
+            if v in part:
+                yield u, v
+    yield from edges
+
+
+def augmented_adjacency(
+    graph: nx.Graph, part: frozenset[int], edges: Iterable[Edge]
+) -> dict[int, dict[int, None]]:
+    """``G[P_i] + H_i`` as ``node -> {neighbour: None}``, insertion-ordered.
+
+    Nodes and neighbours come in exactly the order
+    :meth:`Shortcut.augmented_subgraph` gives: :func:`augmented_edges`
+    replayed the way ``nx.Graph.add_edge`` inserts (a new endpoint ``u``
+    before a new ``v``; a repeated edge moves nothing).
+    """
+    adjacency: dict[int, dict[int, None]] = {u: {} for u in part}
+    for u, v in augmented_edges(graph, part, edges):
+        around_u = adjacency.get(u)
+        if around_u is None:
+            around_u = adjacency[u] = {}
+        around_v = adjacency.get(v)
+        if around_v is None:
+            around_v = adjacency[v] = {}
+        around_u[v] = None
+        around_v[u] = None
+    return adjacency
 
 
 def _bfs(graph: nx.Graph, source: int) -> dict[int, int]:

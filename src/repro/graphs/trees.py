@@ -107,6 +107,20 @@ class RootedTree:
         """Children of ``node``."""
         return tuple(self._children[node])
 
+    @property
+    def parent_map(self) -> dict[int, int | None]:
+        """``node -> parent`` (``None`` at the root), shared, not copied.
+
+        For loops that would otherwise call :meth:`parent_of` per step;
+        callers read it and never mutate it.
+        """
+        return self._parent
+
+    @property
+    def children_map(self) -> dict[int, list[int]]:
+        """``node -> children`` lists, shared like :attr:`parent_map`."""
+        return self._children
+
     def depth_of(self, node: int) -> int:
         """Distance from the root to ``node`` along the tree."""
         return self._depth[node]

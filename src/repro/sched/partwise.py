@@ -50,22 +50,23 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 
 from repro.congest.asynchronous import resolve_latency_model
 from repro.congest.engine import EdgeQueues, Transit
 from repro.congest.stats import RoundStats
-from repro.core.shortcut import Shortcut
+from repro.core.shortcut import Shortcut, augmented_adjacency
 from repro.graphs.partition import Partition
 from repro.util.bitsize import payload_bits
 from repro.util.errors import ShortcutError
 from repro.util.rng import ensure_rng
 
 __all__ = ["PartwiseAggregationResult", "partwise_aggregate", "plan_routing_trees"]
+
+_DELAY_MODES = ("random", "zero", "sequential")
 
 
 @dataclass
@@ -91,15 +92,22 @@ class PartwiseAggregationResult:
     max_tree_depth: int
 
 
-@dataclass
+@dataclass(slots=True)
 class _PartPlan:
-    """Routing plan for one part: a rooted tree over its communication graph."""
+    """Routing plan for one part: a rooted tree over its communication graph.
+
+    ``parent`` and ``edges`` (the ``(child, parent)`` tree edges) list
+    nodes in BFS discovery order, root first; ``children`` holds the nodes
+    that have children, in the same order, so leaves are the nodes it
+    lacks.
+    """
 
     index: int
     root: int
     parent: dict[int, int | None]
-    children: dict[int, list[int]] = field(default_factory=dict)
-    depth: int = 0
+    children: dict[int, list[int]]
+    depth: int
+    edges: list[tuple[int, int]]
 
 
 def plan_routing_trees(
@@ -109,37 +117,44 @@ def plan_routing_trees(
 ) -> list[_PartPlan]:
     """BFS routing tree of ``G[P_i] + H_i`` per part, rooted at the leader.
 
+    The BFS visits neighbours in :func:`~repro.core.shortcut.augmented_adjacency`
+    order, the neighbour order of ``shortcut.augmented_subgraph(i)``.
+
     Raises:
         ShortcutError: if some part's communication graph is disconnected
             (infinite dilation — the shortcut is unusable for aggregation).
     """
     plans: list[_PartPlan] = []
     for index in range(len(partition)):
-        communication = shortcut.augmented_subgraph(index)
+        adjacency = augmented_adjacency(graph, partition[index], shortcut.subgraphs[index])
         root = partition.leader_of(index)
         parent: dict[int, int | None] = {root: None}
-        order = [root]
-        queue = deque([root])
-        while queue:
-            node = queue.popleft()
-            for neighbor in communication.neighbors(node):
+        children: dict[int, list[int]] = {}
+        edges: list[tuple[int, int]] = []  # also the BFS queue, by position
+        node, position = root, 0
+        while True:
+            kids = None
+            for neighbor in adjacency[node]:
                 if neighbor not in parent:
                     parent[neighbor] = node
-                    order.append(neighbor)
-                    queue.append(neighbor)
-        if len(parent) != communication.number_of_nodes():
+                    edges.append((neighbor, node))
+                    if kids is None:
+                        kids = children[node] = []
+                    kids.append(neighbor)
+            if position == len(edges):
+                break
+            node = edges[position][0]
+            position += 1
+        if len(parent) != len(adjacency):
             raise ShortcutError(
                 f"part {index}: G[P_i] + H_i is disconnected; cannot aggregate"
             )
-        children: dict[int, list[int]] = {node: [] for node in parent}
-        depth_of: dict[int, int] = {root: 0}
+        # BFS discovers level by level, so the last node found is deepest.
         depth = 0
-        for node in order[1:]:
-            par = parent[node]
-            children[par].append(node)
-            depth_of[node] = depth_of[par] + 1
-            depth = max(depth, depth_of[node])
-        plans.append(_PartPlan(index, root, parent, children, depth))
+        while parent[node] is not None:
+            node = parent[node]
+            depth += 1
+        plans.append(_PartPlan(index, root, parent, children, depth, edges))
     return plans
 
 
@@ -168,7 +183,7 @@ def partwise_aggregate(
             ``"zero"`` (all parts start at once — the ablation arm), or
             ``"sequential"`` (part ``i`` starts after ``i`` planned windows —
             the trivial schedule).
-        max_rounds: hard stop; defaults to a generous
+        max_rounds: hard stop, a positive int; defaults to a generous
             ``8·(load + (depth+1)·(2+log2 n)) + 64``.
         queue_discipline: which queued packet an edge transmits each round:
             ``"fifo"`` (arrival order) or ``"random"`` (uniform among
@@ -184,10 +199,17 @@ def partwise_aggregate(
 
     Raises:
         ShortcutError: on disconnected communication graphs, an unknown
-            ``delay_mode``, ``queue_discipline``, or ``latency_model``.
+            ``delay_mode``, ``queue_discipline``, or ``latency_model``, or a
+            ``max_rounds`` that is not a positive int.
     """
     if queue_discipline not in ("fifo", "random"):
         raise ShortcutError(f"unknown queue_discipline {queue_discipline!r}")
+    if delay_mode not in _DELAY_MODES:
+        raise ShortcutError(f"unknown delay_mode {delay_mode!r}")
+    if max_rounds is not None and (
+        isinstance(max_rounds, bool) or not isinstance(max_rounds, int) or max_rounds < 1
+    ):
+        raise ShortcutError(f"max_rounds must be a positive int, got {max_rounds!r}")
     rng = ensure_rng(rng)
     model = resolve_latency_model(latency_model, ShortcutError)
     # The run seed is drawn only for a non-uniform static model, so
@@ -197,14 +219,13 @@ def partwise_aggregate(
     plans = plan_routing_trees(graph, partition, shortcut)
 
     # Planned per-directed-edge load: each routing-tree edge carries exactly
-    # one convergecast packet (up) and one broadcast packet (down).
+    # one convergecast packet (up) and one broadcast packet (down), so both
+    # directions of an edge carry the same load; count it once.
     load: dict[tuple[int, int], int] = {}
     for plan in plans:
-        for node, par in plan.parent.items():
-            if par is None:
-                continue
-            load[(node, par)] = load.get((node, par), 0) + 1
-            load[(par, node)] = load.get((par, node), 0) + 1
+        for edge in plan.edges:
+            key = edge if edge[0] <= edge[1] else (edge[1], edge[0])
+            load[key] = load.get(key, 0) + 1
     max_load = max(load.values(), default=0)
     max_depth = max((plan.depth for plan in plans), default=0)
 
@@ -226,8 +247,12 @@ def partwise_aggregate(
             max_rounds *= max(1, model.worst_transit(2 * max_load))
 
     # --- Per-part per-node execution state ---------------------------------
-    pending: list[dict[int, int]] = []  # children still to report, per node
+    # A packet is ``(up, part, value, bits)``: a convergecast (up) or
+    # broadcast packet, sized once when it is made. A broadcast packet is
+    # forwarded as is, so each part's aggregate is sized once.
+    pending: list[dict[int, int]] = []  # children still to report, per inner node
     accumulator: list[dict[int, object]] = []  # partial aggregates per node
+    part_bits: list[int] = []  # kind flag plus the part field
     for plan in plans:
         pending.append({node: len(kids) for node, kids in plan.children.items()})
         acc: dict[int, object] = {}
@@ -235,50 +260,46 @@ def partwise_aggregate(
         for node in plan.parent:
             acc[node] = values.get(node) if node in part_nodes else None
         accumulator.append(acc)
+        part_bits.append(2 + payload_bits(plan.index))
+    sizes = [len(plan.parent) for plan in plans]
 
     # Edges resolve in the order they first carried a packet.
     queues = EdgeQueues(rng=rng if queue_discipline == "random" else None)
-
-    def merge(part: int, node: int, value: object) -> None:
-        current = accumulator[part][node]
-        if value is None:
-            return
-        accumulator[part][node] = value if current is None else combine(current, value)
+    push = queues.push
 
     # Seed the convergecast: nodes with no children fire at their delay.
-    start_schedule: dict[int, list[tuple[int, int]]] = {}
+    start_schedule: dict[int, list[_PartPlan]] = {}
     for plan in plans:
-        for node, kids in plan.children.items():
-            if not kids and plan.parent[node] is not None:
-                start_schedule.setdefault(delays[plan.index], []).append(
-                    (plan.index, node)
-                )
+        start_schedule.setdefault(delays[plan.index], []).append(plan)
 
     finished_nodes: list[int] = [0] * len(plans)  # broadcast receipts
     results: dict[int, object] = {}
     completion: dict[int, int] = {}
     stats = RoundStats()
-
-    def finish_check(part: int, current_round: int) -> None:
-        plan = plans[part]
-        if finished_nodes[part] == len(plan.parent) and part not in completion:
-            completion[part] = current_round
+    edge_messages, messages_by_round = stats.edge_messages, stats.messages_by_round
 
     # Parts whose routing tree is a single node complete at their delay.
     for plan in plans:
-        if len(plan.parent) == 1:
+        if sizes[plan.index] == 1:
             results[plan.index] = accumulator[plan.index][plan.root]
             finished_nodes[plan.index] = 1
             completion[plan.index] = delays[plan.index]
 
-    in_flight: dict[int, list] = {}  # arrival tick -> [(edge, packet), ...]
+    # Under lockstep transit every packet granted this tick arrives this
+    # tick; otherwise arrivals wait in ``in_flight`` (arrival tick ->
+    # [(edge, packet), ...]).
+    lockstep = transit.lockstep
+    in_flight: dict[int, list] = {}
     ticks = transit.ticks
     current_round = 0
     while len(completion) < len(plans) and current_round < max_rounds:
         # Fire freshly-due convergecast leaves.
-        for part, node in start_schedule.get(current_round, ()):  # leaves
-            plan = plans[part]
-            queues.push((node, plan.parent[node]), ("up", part, accumulator[part][node]))
+        for plan in start_schedule.get(current_round, ()):
+            part, children, acc = plan.index, plan.children, accumulator[plan.index]
+            for edge in plan.edges:
+                if edge[0] not in children:
+                    value = acc[edge[0]]
+                    push(edge, (True, part, value, _packet_bits(part_bits[part], value)))
         current_round += 1
         # One packet may *enter* each directed edge per tick (the CONGEST
         # capacity constraint). Transmission happens during round
@@ -286,41 +307,58 @@ def partwise_aggregate(
         # RoundStats.messages_by_round (sent in r, delivered in r+1,
         # initial wave at 0) makes that ``current_round - 1``.
         send_tick = current_round - 1
-        for edge, packet in queues.resolve():
-            # record_message also maintains the per-edge congestion
-            # counters, so aggregations report *measured* congestion
-            # alongside the planned max_edge_load.
-            stats.record_message(edge[0], edge[1], _packet_bits(packet), send_tick)
-            arrive = send_tick + ticks(edge[0], edge[1], send_tick)
-            in_flight.setdefault(arrive, []).append((edge, packet))
-        for (source, target), packet in in_flight.pop(current_round, ()):
-            kind, part, value = packet
+        granted = queues.resolve()
+        if granted:
+            # The tick's sends are charged at once; the per-edge counters
+            # still count every packet, so aggregations report *measured*
+            # congestion alongside the planned max_edge_load.
+            bits = 0
+            for edge, packet in granted:
+                edge_messages[edge] = edge_messages.get(edge, 0) + 1
+                bits += packet[3]
+            stats.messages += len(granted)
+            stats.message_bits += bits
+            messages_by_round[send_tick] = len(granted)
+        if lockstep:
+            arrivals = granted
+        else:
+            for grant in granted:
+                source, target = grant[0]
+                arrive = send_tick + ticks(source, target, send_tick)
+                in_flight.setdefault(arrive, []).append(grant)
+            arrivals = in_flight.pop(current_round, ())
+        for (_, target), packet in arrivals:
+            up, part, value, _ = packet
             plan = plans[part]
-            if kind == "up":
-                merge(part, target, value)
-                pending[part][target] -= 1
-                if pending[part][target] == 0:
-                    parent = plan.parent[target]
-                    if parent is None:
-                        # Root has the aggregate; start the broadcast.
-                        results[part] = accumulator[part][target]
-                        finished_nodes[part] += 1
-                        for child in plan.children[target]:
-                            queues.push((target, child), ("down", part, results[part]))
-                        finish_check(part, current_round)
-                    else:
-                        queues.push(
-                            (target, parent), ("up", part, accumulator[part][target])
-                        )
-            else:  # down
-                finished_nodes[part] += 1
-                for child in plan.children[target]:
-                    queues.push((target, child), ("down", part, value))
-                finish_check(part, current_round)
+            if up:
+                acc = accumulator[part]
+                if value is not None:
+                    current = acc[target]
+                    acc[target] = value if current is None else combine(current, value)
+                waiting = pending[part]
+                waiting[target] -= 1
+                if waiting[target]:
+                    continue
+                parent = plan.parent[target]
+                if parent is not None:
+                    value = acc[target]
+                    push(
+                        (target, parent),
+                        (True, part, value, _packet_bits(part_bits[part], value)),
+                    )
+                    continue
+                # Root has the aggregate; start the broadcast.
+                value = results[part] = acc[target]
+                packet = (False, part, value, _packet_bits(part_bits[part], value))
+            finished_nodes[part] += 1
+            for child in plan.children.get(target, ()):
+                push((target, child), packet)
+            if finished_nodes[part] == sizes[part] and part not in completion:
+                completion[part] = current_round
     stats.rounds = max(completion.values(), default=0) if len(completion) == len(
         plans
     ) else current_round
-    if not transit.lockstep:
+    if not lockstep:
         # Latency-realistic run: ticks are virtual time, the wall-model
         # dimension round counts cannot express.
         stats.virtual_time = stats.rounds
@@ -349,16 +387,13 @@ def _make_delays(
     if delay_mode == "random":
         spread = max(1, max_load)
         return [rng.randrange(spread) for _ in range(num_parts)]
-    if delay_mode == "sequential":
-        window = 2 * (max_depth + 1)
-        return [i * window for i in range(num_parts)]
-    raise ShortcutError(f"unknown delay_mode {delay_mode!r}")
+    window = 2 * (max_depth + 1)  # "sequential"
+    return [i * window for i in range(num_parts)]
 
 
-def _packet_bits(packet: tuple) -> int:
-    kind, part, value = packet
+def _packet_bits(part_bits: int, value: object) -> int:
     try:
-        return 2 + payload_bits(part) + payload_bits(value)
+        return part_bits + payload_bits(value)
     except TypeError:
         # Arbitrary python values (e.g. frozensets in tests): charge a
         # conservative flat size.

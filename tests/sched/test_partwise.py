@@ -1,13 +1,18 @@
 """Tests for the packet-level part-wise aggregation engine."""
 
 import math
+import random
+from collections import deque
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import bfs_tree_shortcut, build_full_shortcut
+from repro.core.providers import ShortcutRequest, build_shortcut
 from repro.core.shortcut import Shortcut
-from repro.graphs.generators import grid_graph, wheel_graph
+from repro.graphs.generators import grid_graph, k_tree, series_parallel_graph, wheel_graph
 from repro.graphs.partition import Partition, grid_rows_partition, voronoi_partition
 from repro.graphs.trees import bfs_tree
 from repro.sched import partwise_aggregate
@@ -30,6 +35,107 @@ class TestPlanning:
         shortcut = Shortcut(small_grid, partition, [[(34, 35)]])
         with pytest.raises(ShortcutError):
             plan_routing_trees(small_grid, partition, shortcut)
+
+
+_seeds = st.integers(0, 2**16)
+
+# Small members of the registered generator families (planar grids and
+# wheels, k-trees, series-parallel graphs) with a Voronoi partition.
+_FAMILIES = st.one_of(
+    st.builds(grid_graph, st.integers(2, 6), st.integers(2, 6)),
+    st.builds(wheel_graph, st.integers(4, 30)),
+    st.integers(1, 3).flatmap(
+        lambda k: st.builds(k_tree, st.integers(k + 1, 30), st.just(k), rng=_seeds)
+    ),
+    st.builds(series_parallel_graph, st.integers(2, 30), rng=_seeds),
+)
+
+
+@st.composite
+def _instances(draw):
+    """A generated graph, a Voronoi partition and a shortcut for it.
+
+    The shortcut comes from ``theorem31-centralized`` or is hand-built:
+    per part, a random subset of the edges leaving it (like the golden
+    wheel's spokes), some extended one hop further out, in random order.
+    """
+    graph = draw(_FAMILIES)
+    rng = random.Random(draw(_seeds))
+    partition = voronoi_partition(graph, rng.randint(1, graph.number_of_nodes()), rng=rng)
+    if draw(st.booleans()):
+        request = ShortcutRequest(graph, partition, provider="theorem31-centralized", rng=rng)
+        return graph, partition, build_shortcut(request).shortcut
+    subgraphs = []
+    for part in partition:
+        leaving = [(u, v) for u in sorted(part) for v in graph.neighbors(u) if v not in part]
+        edges = rng.sample(leaving, rng.randint(0, len(leaving)))
+        for _, v in list(edges):
+            if rng.random() < 0.5:
+                edges.append((v, rng.choice(sorted(graph.neighbors(v)))))
+        rng.shuffle(edges)
+        subgraphs.append(edges)
+    return graph, partition, Shortcut(graph, partition, subgraphs)
+
+
+def _networkx_augmented(shortcut, index):
+    """``G[P_i] + H_i`` built edge by edge into an ``nx.Graph``."""
+    part = shortcut.partition[index]
+    augmented = nx.Graph()
+    augmented.add_nodes_from(part)
+    for u in part:
+        for v in shortcut.graph.neighbors(u):
+            if v in part:
+                augmented.add_edge(u, v)
+    for u, v in shortcut.subgraphs[index]:
+        augmented.add_edge(u, v)
+    return augmented
+
+
+def _bfs_plan(communication, root):
+    """Parent map and children lists of a FIFO BFS over ``neighbors``."""
+    parent, children = {root: None}, {root: []}
+    queue = deque([root])
+    while queue:
+        node = queue.popleft()
+        for neighbor in communication.neighbors(node):
+            if neighbor not in parent:
+                parent[neighbor] = node
+                children[neighbor] = []
+                children[node].append(neighbor)
+                queue.append(neighbor)
+    return parent, children
+
+
+class TestPlanningOrderContract:
+    """Routing trees follow the neighbour order of ``augmented_subgraph``."""
+
+    @given(_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_plan_is_bfs_over_augmented_subgraph_property(self, instance):
+        graph, partition, shortcut = instance
+        expected = []
+        for index in range(len(partition)):
+            communication = shortcut.augmented_subgraph(index)
+            reference = _networkx_augmented(shortcut, index)
+            assert list(communication.nodes) == list(reference.nodes)
+            for node in reference:
+                assert list(communication.neighbors(node)) == list(reference.neighbors(node))
+            parent, children = _bfs_plan(communication, partition.leader_of(index))
+            expected.append((parent, children, len(parent) == len(communication)))
+        if not all(connected for _, _, connected in expected):
+            with pytest.raises(ShortcutError):
+                plan_routing_trees(graph, partition, shortcut)
+            return
+        plans = plan_routing_trees(graph, partition, shortcut)
+        assert len(plans) == len(partition)
+        for plan, (parent, children, _) in zip(plans, expected):
+            assert list(plan.parent.items()) == list(parent.items())
+            assert list(plan.children.items()) == [(v, kids) for v, kids in children.items() if kids]
+            assert plan.edges == [(node, par) for node, par in parent.items() if par is not None]
+            depth = {plan.root: 0}
+            for node, par in plan.edges:
+                depth[node] = depth[par] + 1
+            assert plan.depth == max(depth.values())
 
 
 class TestLatencyRealisticAggregation:
@@ -245,3 +351,42 @@ class TestSchedulingBehaviour:
         )
         assert result.incomplete == (0,)
         assert 0 not in result.values
+
+
+class TestArgumentValidation:
+    """Bad ``max_rounds`` and ``delay_mode`` fail before any work is done."""
+
+    def _instance(self, small_grid):
+        partition = grid_rows_partition(small_grid)
+        shortcut = Shortcut(small_grid, partition, [[] for _ in partition])
+        return partition, shortcut, {v: 1 for v in small_grid.nodes()}
+
+    @pytest.mark.parametrize("max_rounds", [0, -5, 2.5, True, False, "3"])
+    def test_bad_max_rounds_raises(self, small_grid, max_rounds):
+        partition, shortcut, values = self._instance(small_grid)
+        with pytest.raises(ShortcutError, match="max_rounds must be a positive int"):
+            partwise_aggregate(
+                small_grid, partition, shortcut, values, min, rng=1, max_rounds=max_rounds,
+            )
+
+    def test_max_rounds_one_is_accepted(self, small_grid):
+        partition, shortcut, values = self._instance(small_grid)
+        result = partwise_aggregate(
+            small_grid, partition, shortcut, values, min, rng=1, max_rounds=1,
+        )
+        assert result.stats.rounds == 1
+        assert result.incomplete == tuple(range(len(partition)))
+
+    def test_unknown_delay_mode_raises_before_planning(self, small_grid):
+        # The communication graph is disconnected, so planning would raise
+        # its own error; the delay_mode check comes first and draws nothing.
+        partition = Partition(small_grid, [[0, 1]])
+        shortcut = Shortcut(small_grid, partition, [[(34, 35)]])
+        rng = random.Random(4)
+        state = rng.getstate()
+        with pytest.raises(ShortcutError, match="unknown delay_mode 'bogus'"):
+            partwise_aggregate(
+                small_grid, partition, shortcut, {0: 1, 1: 2}, min, rng=rng,
+                delay_mode="bogus",
+            )
+        assert rng.getstate() == state
