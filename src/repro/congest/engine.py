@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
 
 from repro.congest.asynchronous import resolve_latency_model
 from repro.congest.stats import RoundStats
@@ -263,8 +262,12 @@ class Transit:
         return self.latencies[(u, v)] if self.latencies else 1
 
 
-class _Fifo(deque):
-    """One slot's queued entries on one edge."""
+class _Fifo(list):
+    """One slot's queued entries on one edge, oldest first.
+
+    A list, not a deque: most FIFOs hold one entry, and a list is cheaper
+    to create; queues stay short enough that ``pop(0)`` costs nothing.
+    """
 
     __slots__ = ("slot",)
 
@@ -360,7 +363,7 @@ class EdgeQueues:
                 if rng is not None and len(fifo) > 1:
                     position = rng.randrange(len(fifo))
                     fifo[position], fifo[0] = fifo[0], fifo[position]
-                granted.append((edge, fifo.popleft()))
+                granted.append((edge, fifo.pop(0)))
                 pointers[edge] = fifo.slot
                 if not fifo:
                     if fifo is not queued:

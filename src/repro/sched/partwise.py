@@ -96,10 +96,9 @@ class PartwiseAggregationResult:
 class _PartPlan:
     """Routing plan for one part: a rooted tree over its communication graph.
 
-    ``parent`` and ``edges`` (the ``(child, parent)`` tree edges) list
-    nodes in BFS discovery order, root first; ``children`` holds the nodes
-    that have children, in the same order, so leaves are the nodes it
-    lacks.
+    ``parent`` lists the nodes in BFS discovery order, root first, so its
+    items after the root are the tree edges. ``children`` holds the nodes
+    that have children, in the same order; leaves are the nodes it lacks.
     """
 
     index: int
@@ -107,7 +106,6 @@ class _PartPlan:
     parent: dict[int, int | None]
     children: dict[int, list[int]]
     depth: int
-    edges: list[tuple[int, int]]
 
 
 def plan_routing_trees(
@@ -130,21 +128,16 @@ def plan_routing_trees(
         root = partition.leader_of(index)
         parent: dict[int, int | None] = {root: None}
         children: dict[int, list[int]] = {}
-        edges: list[tuple[int, int]] = []  # also the BFS queue, by position
-        node, position = root, 0
-        while True:
+        order = [root]  # the BFS queue; the loop reaches what it appends
+        for node in order:
             kids = None
             for neighbor in adjacency[node]:
                 if neighbor not in parent:
                     parent[neighbor] = node
-                    edges.append((neighbor, node))
+                    order.append(neighbor)
                     if kids is None:
                         kids = children[node] = []
                     kids.append(neighbor)
-            if position == len(edges):
-                break
-            node = edges[position][0]
-            position += 1
         if len(parent) != len(adjacency):
             raise ShortcutError(
                 f"part {index}: G[P_i] + H_i is disconnected; cannot aggregate"
@@ -154,7 +147,7 @@ def plan_routing_trees(
         while parent[node] is not None:
             node = parent[node]
             depth += 1
-        plans.append(_PartPlan(index, root, parent, children, depth, edges))
+        plans.append(_PartPlan(index, root, parent, children, depth))
     return plans
 
 
@@ -223,9 +216,10 @@ def partwise_aggregate(
     # directions of an edge carry the same load; count it once.
     load: dict[tuple[int, int], int] = {}
     for plan in plans:
-        for edge in plan.edges:
-            key = edge if edge[0] <= edge[1] else (edge[1], edge[0])
-            load[key] = load.get(key, 0) + 1
+        for child, par in plan.parent.items():
+            if par is not None:
+                key = (child, par) if child <= par else (par, child)
+                load[key] = load.get(key, 0) + 1
     max_load = max(load.values(), default=0)
     max_depth = max((plan.depth for plan in plans), default=0)
 
@@ -296,10 +290,10 @@ def partwise_aggregate(
         # Fire freshly-due convergecast leaves.
         for plan in start_schedule.get(current_round, ()):
             part, children, acc = plan.index, plan.children, accumulator[plan.index]
-            for edge in plan.edges:
-                if edge[0] not in children:
-                    value = acc[edge[0]]
-                    push(edge, (True, part, value, _packet_bits(part_bits[part], value)))
+            for node, par in plan.parent.items():
+                if par is not None and node not in children:
+                    value = acc[node]
+                    push((node, par), (True, part, value, _packet_bits(part_bits[part], value)))
         current_round += 1
         # One packet may *enter* each directed edge per tick (the CONGEST
         # capacity constraint). Transmission happens during round
