@@ -266,7 +266,8 @@ class _Fifo(list):
     """One slot's queued entries on one edge, oldest first.
 
     A list, not a deque: most FIFOs hold one entry, and a list is cheaper
-    to create; queues stay short enough that ``pop(0)`` costs nothing.
+    to create. ``pop(0)`` shifts the rest, which is cheap at the short
+    lengths these queues reach.
     """
 
     __slots__ = ("slot",)

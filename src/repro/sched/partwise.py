@@ -255,7 +255,6 @@ def partwise_aggregate(
             acc[node] = values.get(node) if node in part_nodes else None
         accumulator.append(acc)
         part_bits.append(2 + payload_bits(plan.index))
-    sizes = [len(plan.parent) for plan in plans]
 
     # Edges resolve in the order they first carried a packet.
     queues = EdgeQueues(rng=rng if queue_discipline == "random" else None)
@@ -274,7 +273,7 @@ def partwise_aggregate(
 
     # Parts whose routing tree is a single node complete at their delay.
     for plan in plans:
-        if sizes[plan.index] == 1:
+        if len(plan.parent) == 1:
             results[plan.index] = accumulator[plan.index][plan.root]
             finished_nodes[plan.index] = 1
             completion[plan.index] = delays[plan.index]
@@ -347,7 +346,7 @@ def partwise_aggregate(
             finished_nodes[part] += 1
             for child in plan.children.get(target, ()):
                 push((target, child), packet)
-            if finished_nodes[part] == sizes[part] and part not in completion:
+            if finished_nodes[part] == len(plan.parent) and part not in completion:
                 completion[part] = current_round
     stats.rounds = max(completion.values(), default=0) if len(completion) == len(
         plans
