@@ -31,6 +31,15 @@ def _reference_edges(graph, weights):
     return frozenset(canonical_edge(u, v) for u, v in tree.edges())
 
 
+def _phase_congestion(stats):
+    """Largest edge load of any one Boruvka phase (the per-phase claim).
+
+    ``stats.max_congestion`` is each edge's load summed over all phases,
+    which grows with the phase count; the O(δD) bound is per aggregation.
+    """
+    return max(phase.max_congestion for phase in stats.phases.values())
+
+
 def _run():
     rows = []
     gaps = []
@@ -50,9 +59,8 @@ def _run():
         # bound is the D + sqrt(n) term it pays instead.
         ours_bound = math.ceil(delta * depth)
         base_bound = math.ceil(depth + math.sqrt(n))
-        assert 1 <= ours.stats.max_congestion <= ours_bound, (
-            n, ours.stats.max_congestion, ours_bound,
-        )
+        ours_phase = _phase_congestion(ours.stats)
+        assert 1 <= ours_phase <= ours_bound, (n, ours_phase, ours_bound)
         rows.append(
             [
                 n,
@@ -61,11 +69,12 @@ def _run():
                 ours.stats.rounds,
                 base.stats.rounds,
                 f"{base.stats.rounds / ours.stats.rounds:.2f}x",
+                ours_phase,
                 ours.stats.max_congestion,
                 ours_bound,
-                base.stats.max_congestion,
+                _phase_congestion(base.stats),
                 base_bound,
-                fmt(ours.stats.max_congestion / ours_bound, 2),
+                fmt(ours_phase / ours_bound, 2),
             ]
         )
     # The shortcut arm must win at every size, and the gap must not collapse
@@ -83,7 +92,8 @@ def test_e08_mst_rounds(benchmark):
         "e08_mst",
         "Corollary 1.6: MST rounds, Theorem 3.1 shortcuts vs D+sqrt(n) baseline (2-trees)",
         ["n", "D", "phases", "shortcut rounds", "baseline rounds", "speedup",
-         "cong", "dD bound", "base cong", "D+sqrt(n)", "cong ratio"],
+         "phase cong", "run cong", "dD bound", "base phase cong", "D+sqrt(n)",
+         "cong ratio"],
         rows,
     )
     graph = k_tree(128, 2, rng=5, locality=0.0)

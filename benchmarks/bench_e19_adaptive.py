@@ -74,15 +74,15 @@ def test_e19_adaptive_ack_sweep(benchmark):
             expected, _ = mark_overcongested_edges(
                 result.tree, partition, result.congestion_budget
             )
-            assert result.marked == expected, (name, model)
-            assert result.marked, (name, model)  # non-vacuous instance
+            assert result.overcongested == expected, (name, model)
+            assert result.overcongested, (name, model)  # non-vacuous instance
             assert result.params["undecided"] == 0, (name, model)
             stats = result.stats.phases["sweep"]
             marking_rows.append(
                 [
                     name,
                     model or "uniform",
-                    len(result.marked),
+                    len(result.overcongested),
                     stats.rounds,
                     # Lockstep transit records no wall time: it is the
                     # pipeline's round count.
@@ -116,7 +116,7 @@ def test_e19_adaptive_ack_sweep(benchmark):
         ack, legacy = arms["ack"], arms["keep-alive"]
         # Same seed => same sampled parts => same marking: the contrast is
         # protocol cost, not outcome.
-        assert ack.marked == legacy.marked, name
+        assert ack.overcongested == legacy.overcongested, name
         assert ack.satisfied == legacy.satisfied, name
         ack_sweep = ack.stats.phases["sweep"]
         legacy_sweep = legacy.stats.phases["sweep"]

@@ -201,7 +201,7 @@ def _add_scheduler_arguments(parser: argparse.ArgumentParser) -> None:
         help="per-edge latency model: "
         + ", ".join(available_latency_models())
         + " (default: uniform = lockstep-equivalent; parameterized specs: "
-        "contention:<weight>, trace-driven:<path.json>)",
+        "contention:<weight>)",
     )
 
 

@@ -45,9 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import math
-import pathlib
 
 import networkx as nx
 
@@ -62,7 +60,6 @@ __all__ = [
     "DegreeProportionalLatency",
     "HeavyTailedLatency",
     "ContentionLatency",
-    "TraceDrivenLatency",
     "LATENCY_MODELS",
     "register_latency_model",
     "resolve_latency_model",
@@ -102,7 +99,7 @@ class LatencyModel:
       from the send tick and the link's instantaneous in-flight load, via
       the narrow :class:`LinkSchedule` view every engine reaches through
       :class:`~repro.congest.engine.Transit`.
-      ``contention`` and ``trace-driven`` are load-dependent.
+      ``contention`` is load-dependent.
 
     Either way the one shared delivery convention holds: a message sent on
     edge ``e`` at tick ``t`` is delivered at ``t + transit``, with
@@ -151,8 +148,7 @@ class LatencyModel:
         """Instantiate from a ``name:<arg>`` spec string (CLI surface).
 
         Models that take no parameter reject the arg uniformly; models
-        with one (``trace-driven:<path.json>``, ``contention:<weight>``)
-        override this.
+        with one (``contention:<weight>``) override this.
         """
         raise CongestViolation(
             f"latency model {cls.name!r} takes no ':<arg>' parameter "
@@ -304,11 +300,7 @@ class LoadDependentLatency(LatencyModel):
 
     def schedule(self, graph: nx.Graph) -> "LinkSchedule":
         """A fresh per-run :class:`LinkSchedule` bound to this model."""
-        self.prepare(graph)
         return LinkSchedule(self)
-
-    def prepare(self, graph: nx.Graph) -> None:
-        """Fail-fast validation hook against the run's topology (no-op)."""
 
     def worst_transit(self, max_load: int) -> int:
         """Upper bound on one transit under ``max_load`` concurrent flows.
@@ -434,170 +426,6 @@ class ContentionLatency(LoadDependentLatency):
         return math.ceil(self.base * (1.0 + self.weight * max(0, max_load)))
 
 
-class TraceDrivenLatency(LoadDependentLatency):
-    """Replay measured per-link delay traces from a JSON file.
-
-    The trace file maps canonical links to per-tick transit times::
-
-        {
-          "default": [1, 1, 2, 4, 2, 1],
-          "links": {"0-3": [2, 2, 8], "1-2": [1, 3]}
-        }
-
-    A message entering link ``{u, v}`` at send tick ``t`` transits in
-    ``trace[t]`` ticks, where ``trace`` is the link's entry in ``links``
-    (key ``"min-max"``) or, absent that, ``default``. Ticks are the
-    engine's virtual clock (global fabric time under the multi-tenant job
-    layer — a trace describes *physical* link conditions, so every tenant
-    replays the same weather). Load-independent but tick-dependent, which
-    is why it lives on the load-dependent side of the capability split:
-    a static table cannot express time-varying links.
-
-    Every failure mode — missing file, malformed JSON, a malformed entry,
-    a link with no trace, a trace shorter than the run — raises
-    :class:`~repro.util.errors.CongestViolation` with a
-    ``trace-driven latency model:`` message naming the file and the fix,
-    mirroring the registry error conventions. Spec form:
-    ``trace-driven:<path.json>``.
-    """
-
-    name = "trace-driven"
-
-    def __init__(self, trace_path: str | pathlib.Path | None = None):
-        if trace_path is None:
-            raise CongestViolation(
-                "trace-driven latency model requires a trace file: pass "
-                "TraceDrivenLatency(<path.json>) or the spec "
-                "'trace-driven:<path.json>'"
-            )
-        self.trace_path = str(trace_path)
-        self.default, self.links = _load_trace_file(self.trace_path)
-
-    @classmethod
-    def from_spec(cls, arg: str) -> "TraceDrivenLatency":
-        return cls(arg)
-
-    def prepare(self, graph):
-        """Fail fast on a link the trace cannot serve, before the run."""
-        if self.default is not None:
-            return
-        missing = [
-            (u, v) for u, v in graph.edges() if _link_key(u, v) not in self.links
-        ]
-        if missing:
-            u, v = missing[0]
-            raise CongestViolation(
-                f"trace-driven latency model: {self.trace_path!r} has no "
-                f"trace for link {_link_key(u, v)!r} (and {len(missing) - 1} "
-                f"more) and no 'default' trace; add the link or a default"
-            )
-
-    def transit_time(self, u, v, tick, inflight):
-        trace = self.links.get(_link_key(u, v), self.default)
-        if trace is None:
-            raise CongestViolation(
-                f"trace-driven latency model: {self.trace_path!r} has no "
-                f"trace for link {_link_key(u, v)!r} and no 'default' trace"
-            )
-        if tick >= len(trace):
-            raise CongestViolation(
-                f"trace-driven latency model: trace for link "
-                f"{_link_key(u, v)!r} in {self.trace_path!r} has "
-                f"{len(trace)} entries but the run reached send tick "
-                f"{tick}; extend the trace or shorten the run"
-            )
-        return trace[tick]
-
-    def worst_transit(self, max_load):
-        worst = max(self.default or [1])
-        for trace in self.links.values():
-            worst = max(worst, max(trace))
-        return worst
-
-
-def _link_key(u: int, v: int) -> str:
-    a, b = _link(u, v)
-    return f"{a}-{b}"
-
-
-def _load_trace_file(
-    path: str,
-) -> tuple[list[int] | None, dict[str, list[int]]]:
-    """Parse and validate a trace file; uniform errors name file and fix."""
-    try:
-        text = pathlib.Path(path).read_text()
-    except FileNotFoundError:
-        raise CongestViolation(
-            f"trace-driven latency model: trace file {path!r} not found"
-        ) from None
-    except OSError as exc:
-        raise CongestViolation(
-            f"trace-driven latency model: cannot read {path!r} ({exc})"
-        ) from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CongestViolation(
-            f"trace-driven latency model: {path!r} is not valid JSON ({exc})"
-        ) from None
-    if not isinstance(data, dict):
-        raise CongestViolation(
-            f"trace-driven latency model: {path!r} must be a JSON object "
-            f"with optional 'default' and 'links' keys, got "
-            f"{type(data).__name__}"
-        )
-    unknown = sorted(set(data) - {"default", "links"})
-    if unknown:
-        raise CongestViolation(
-            f"trace-driven latency model: {path!r} has unknown key(s) "
-            f"{', '.join(map(repr, unknown))}; expected 'default' and/or "
-            f"'links'"
-        )
-
-    def check_trace(label: str, trace: object) -> list[int]:
-        if (
-            not isinstance(trace, list)
-            or not trace
-            or not all(
-                isinstance(t, int) and not isinstance(t, bool) and t >= 1
-                for t in trace
-            )
-        ):
-            raise CongestViolation(
-                f"trace-driven latency model: {path!r} trace {label} must "
-                f"be a non-empty list of integer transits >= 1"
-            )
-        return trace
-
-    default = None
-    if "default" in data:
-        default = check_trace("'default'", data["default"])
-    links: dict[str, list[int]] = {}
-    raw_links = data.get("links", {})
-    if not isinstance(raw_links, dict):
-        raise CongestViolation(
-            f"trace-driven latency model: {path!r} 'links' must be an "
-            f"object mapping 'min-max' link keys to traces"
-        )
-    for key, trace in raw_links.items():
-        parts = key.split("-")
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
-            raise CongestViolation(
-                f"trace-driven latency model: {path!r} link key {key!r} "
-                f"is not of the canonical 'min-max' form (two node ids, "
-                f"smaller first)"
-            )
-        a, b = int(parts[0]), int(parts[1])
-        if a > b:
-            raise CongestViolation(
-                f"trace-driven latency model: {path!r} link key {key!r} "
-                f"is not canonical (smaller node id first: "
-                f"{_link_key(a, b)!r})"
-            )
-        links[key] = check_trace(repr(key), trace)
-    return default, links
-
-
 LATENCY_MODELS: dict[str, type[LatencyModel]] = {}
 
 
@@ -631,7 +459,6 @@ register_latency_model(SeededJitterLatency)
 register_latency_model(DegreeProportionalLatency)
 register_latency_model(HeavyTailedLatency)
 register_latency_model(ContentionLatency)
-register_latency_model(TraceDrivenLatency)
 
 
 def available_latency_models() -> tuple[str, ...]:
@@ -646,11 +473,10 @@ def resolve_latency_model(
     """Resolve a name / ``name:arg`` spec / instance / ``None`` to a model.
 
     ``None`` means uniform (lockstep-equivalent). String specs may carry
-    one model parameter after a colon — ``trace-driven:<path.json>``,
-    ``contention:<weight>`` — which :meth:`LatencyModel.from_spec`
-    interprets; construction failures (a missing trace file, a non-numeric
-    weight) are re-raised as ``exc`` so every API boundary reports them
-    uniformly.
+    one model parameter after a colon — ``contention:<weight>`` — which
+    :meth:`LatencyModel.from_spec` interprets; construction failures (a
+    non-numeric weight) are re-raised as ``exc`` so every API boundary
+    reports them uniformly.
 
     Raises:
         exc: unknown model name (the message lists the registry, matching

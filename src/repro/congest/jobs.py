@@ -230,7 +230,7 @@ class JobScheduler:
             seed (the solo-identity contract), so jitter is per-flow.
             Load-dependent models
             (:class:`~repro.congest.asynchronous.LoadDependentLatency`:
-            ``contention``, ``trace-driven``) instead share one
+            ``contention``) instead share one
             :class:`~repro.congest.asynchronous.LinkSchedule` across all
             tenants in global ticks — concurrent jobs on a link slow each
             other down, so tenant contention costs virtual time, not just

@@ -6,7 +6,8 @@ Public entry points:
   bottom-up overcongestion marking that yields tree-restricted
   ``8δD``-congestion ``8δ``-block partial shortcuts.
 * :func:`repro.core.full.build_full_shortcut` — Observation 2.7: iterate
-  partial shortcuts into a full shortcut (congestion × log₂ k).
+  partial shortcuts into a full shortcut (congestion × log₂ k), on one
+  tree, for the centralized and the simulated constructions alike.
 * :func:`repro.core.certifying.certify_or_shortcut` — the certifying
   variant: a shortcut or a dense-minor witness (case II of the proof).
 * :func:`repro.core.baseline.bfs_tree_shortcut` — the folklore ``D + √n``

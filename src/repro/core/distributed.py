@@ -2,7 +2,8 @@
 
 Pipeline (each phase runs in the simulator and is measured):
 
-1. **bfs** — build a BFS tree from the root (``O(D)`` rounds).
+1. **bfs** — build a BFS tree from the root (``O(D)`` rounds); skipped
+   when the caller passes a tree.
 2. **meta** — convergecast the tree depth to the root and broadcast the
    sweep parameters ``(seed, c, τ)`` (``O(D)`` rounds).
 3. **sweep** — the *ack-driven sampled upward sweep*: each part is
@@ -71,8 +72,8 @@ from repro.congest.vectorized import VectorKernel
 from repro.util.bitsize import payload_bits
 from repro.congest.primitives.broadcast import tree_aggregate, tree_broadcast
 from repro.congest.stats import RoundStats
-from repro.core.partial import ancestor_subgraphs, conflict_from_marking, steiner_prune
-from repro.core.shortcut import TreeRestrictedShortcut
+from repro.core.bounds import theorem31_block_budget, theorem31_congestion_budget
+from repro.core.partial import PartialShortcutResult, conflict_from_marking
 from repro.graphs.partition import Partition
 from repro.graphs.trees import RootedTree
 from repro.util.errors import ShortcutError
@@ -80,9 +81,7 @@ from repro.util.rng import ensure_rng, part_sample_hash
 
 __all__ = [
     "DistributedShortcutResult",
-    "DistributedFullShortcutResult",
     "distributed_partial_shortcut",
-    "distributed_full_shortcut",
     "SweepNode",
     "SweepLeafVectorKernel",
     "KeepAliveSweepNode",
@@ -92,9 +91,6 @@ __all__ = [
 _ID_TAG = 0  # (0, part_id): one forwarded distinct id, more follow
 _FIN_TAG = 1  # (1, part_id): the final forwarded id, doubling as the ack
 _ACK_TAG = 2  # (2,): completion with nothing to forward (marked, or empty)
-
-# Cap on δ doublings in distributed_full_shortcut.
-_MAX_ESCALATIONS = 40
 
 # Registered sweep implementations for distributed_partial_shortcut.
 SWEEP_VARIANTS = ("ack", "keep-alive")
@@ -362,46 +358,16 @@ class KeepAliveSweepNode(NodeAlgorithm):
 
 
 @dataclass
-class DistributedShortcutResult:
+class DistributedShortcutResult(PartialShortcutResult):
     """Output of the distributed construction.
 
-    Mirrors :class:`repro.core.partial.PartialShortcutResult` but with the
-    sampled marking and with measured :class:`RoundStats` per phase.
+    A :class:`~repro.core.partial.PartialShortcutResult` whose
+    ``overcongested`` set is the sampled marking and whose ``stats`` are
+    the measured rounds per phase; ``params`` records the sweep's
+    parameters (sample rate, threshold, shared seed, ...).
     """
 
-    graph: nx.Graph
-    tree: RootedTree
-    partition: Partition
-    delta: float
-    congestion_budget: int
-    block_budget: int
-    marked: frozenset[int]
-    satisfied: tuple[int, ...]
-    subgraphs: dict[int, frozenset[int]]
-    stats: RoundStats
     params: dict = field(default_factory=dict)
-
-    @property
-    def succeeded(self) -> bool:
-        """At least half of the parts got a shortcut."""
-        return 2 * len(self.satisfied) >= len(self.partition)
-
-    def shortcut(self) -> TreeRestrictedShortcut:
-        """The partial shortcut over the satisfied parts.
-
-        Raises:
-            ShortcutError: if no part is satisfied.
-        """
-        if not self.satisfied:
-            raise ShortcutError("no satisfied parts; no partial shortcut to extract")
-        sub = self.partition.restrict(self.graph, self.satisfied)
-        return TreeRestrictedShortcut(
-            self.graph,
-            sub,
-            self.tree,
-            [self.subgraphs[i] for i in self.satisfied],
-            validate=False,
-        )
 
 
 def distributed_partial_shortcut(
@@ -409,6 +375,7 @@ def distributed_partial_shortcut(
     partition: Partition,
     delta: float,
     root: int | None = None,
+    tree: RootedTree | None = None,
     rng: int | random.Random | None = None,
     sampling_factor: float = 6.0,
     exact: bool = False,
@@ -426,6 +393,9 @@ def distributed_partial_shortcut(
         delta: the minor-density parameter fixing the budgets
             ``c = 8δD`` and block budget ``8δ``.
         root: BFS root (defaults to the smallest node id).
+        tree: a rooted tree to build on instead of a fresh BFS tree: phase
+            1 is skipped and the root is ``tree.root``. Observation 2.7
+            passes its first iteration's tree to every later iteration.
         rng: seed or generator (drives the shared sampling seed and the
             verification delays).
         sampling_factor: the ``Θ(log n)`` multiplier in the sample rate.
@@ -448,8 +418,9 @@ def distributed_partial_shortcut(
             :class:`KeepAliveSweepNode`).
 
     Raises:
-        ShortcutError: if ``delta <= 0``, if both ``root`` and
-            ``elect_root`` are given, or on an unknown ``sweep`` variant.
+        ShortcutError: if ``delta <= 0``, if more than one of ``root``,
+            ``elect_root`` and ``tree`` is given, or on an unknown
+            ``sweep`` variant.
     """
     if delta <= 0:
         raise ShortcutError(f"delta must be positive, got {delta}")
@@ -463,6 +434,8 @@ def distributed_partial_shortcut(
     )
     rng = ensure_rng(rng)
     stats = RoundStats()
+    if tree is not None and (root is not None or elect_root):
+        raise ShortcutError("a given tree fixes the root; pass no root or elect_root")
     if elect_root:
         if root is not None:
             raise ShortcutError("pass either root or elect_root, not both")
@@ -476,12 +449,13 @@ def distributed_partial_shortcut(
     elif root is None:
         root = min(graph.nodes())
 
-    # Phase 1: BFS tree.
-    tree, bfs_stats = distributed_bfs(
-        graph, root, rng=rng, scheduler=scheduler,
-        latency_model=latency_model,
-    )
-    stats.add_phase("bfs", bfs_stats)
+    # Phase 1: BFS tree, unless the caller passed one.
+    if tree is None:
+        tree, bfs_stats = distributed_bfs(
+            graph, root, rng=rng, scheduler=scheduler,
+            latency_model=latency_model,
+        )
+        stats.add_phase("bfs", bfs_stats)
 
     # Phase 2: depth convergecast + parameter broadcast.
     depth_values = {v: tree.depth_of(v) for v in graph.nodes()}
@@ -491,8 +465,8 @@ def distributed_partial_shortcut(
     )
     depth_max = max(depth_max, 1)
     n = graph.number_of_nodes()
-    congestion_budget = math.ceil(8 * delta * depth_max)
-    block_budget = math.ceil(8 * delta)
+    congestion_budget = theorem31_congestion_budget(delta, depth_max)
+    block_budget = theorem31_block_budget(delta)
     # 16-bit shared seed: enough hash diversity, and a bare int fits the
     # O(log n) message budget even on tiny graphs.
     seed = rng.randrange(2**16)
@@ -561,30 +535,9 @@ def distributed_partial_shortcut(
     )
 
     # Interpret the marking exactly as the centralized construction would.
-    conflict = conflict_from_marking(tree, partition, marked)
-    satisfied = tuple(
-        sorted(
-            i
-            for i, degree in conflict.part_degrees.items()
-            if degree <= block_budget
-        )
-    )
-    subgraphs = ancestor_subgraphs(tree, partition, marked, satisfied)
-    subgraphs = {
-        index: steiner_prune(tree, partition[index], edges)
-        for index, edges in subgraphs.items()
-    }
-
-    result = DistributedShortcutResult(
-        graph=graph,
-        tree=tree,
-        partition=partition,
-        delta=delta,
-        congestion_budget=congestion_budget,
-        block_budget=block_budget,
-        marked=marked,
-        satisfied=satisfied,
-        subgraphs=subgraphs,
+    result = DistributedShortcutResult.from_marking(
+        graph, tree, partition, delta, congestion_budget, block_budget,
+        marked, conflict_from_marking(tree, partition, marked),
         stats=stats,
         params={
             "probability": probability,
@@ -598,7 +551,7 @@ def distributed_partial_shortcut(
     )
 
     # Phase 4: parts verify their shortcut by aggregating through it.
-    if run_verification and satisfied:
+    if run_verification and result.satisfied:
         from repro.sched.partwise import partwise_aggregate
 
         shortcut = result.shortcut()
@@ -615,114 +568,3 @@ def distributed_partial_shortcut(
         stats.add_phase("verify", verification.stats)
     return result
 
-
-@dataclass
-class DistributedFullShortcutResult:
-    """A full shortcut obtained by iterating the distributed construction.
-
-    Attributes:
-        shortcut: the tree-restricted shortcut covering every part.
-        tree: the BFS tree of the final iteration (the one the shortcut is
-            restricted to).
-        stats: accumulated measured rounds/messages over all iterations,
-            with the per-phase breakdown (``bfs``/``meta``/``sweep``)
-            summed across iterations.
-        iterations: number of distributed partial constructions run.
-        escalations: δ doublings forced by iterations satisfying no part.
-        delta_used: the δ of the final (successful) iteration.
-    """
-
-    shortcut: TreeRestrictedShortcut
-    tree: RootedTree
-    stats: RoundStats
-    iterations: int
-    escalations: int
-    delta_used: float
-
-
-def distributed_full_shortcut(
-    graph: nx.Graph,
-    partition: Partition,
-    delta: float,
-    tree: RootedTree | None = None,
-    rng: int | random.Random | None = None,
-    scheduler: str = "event",
-    latency_model: object = None,
-    sweep: str = "ack",
-) -> DistributedFullShortcutResult:
-    """Iterate Theorem 1.5 over unsatisfied parts until all are covered.
-
-    This is the Observation 2.7 loop for the *measured* pipeline (the
-    ``theorem31-simulated`` provider): each iteration runs
-    :func:`distributed_partial_shortcut` on the still-unsatisfied parts,
-    accumulating its measured rounds; an iteration that satisfies no part
-    doubles δ and retries. The loop consumes the ack-driven sweep
-    unchanged — each iteration's marking is complete before the iteration
-    returns, under any scheduler backend and latency model.
-
-    Args:
-        graph, partition: the instance.
-        delta: starting minor-density parameter.
-        tree: only used when the partition has no parts (every iteration
-            builds its own measured BFS tree); defaults to a memoized BFS
-            tree in that edge case.
-        rng: seed or generator (consumed by every iteration's pipeline).
-        scheduler, latency_model: simulator backend plumbing.
-        sweep: sweep variant for every iteration (``"ack"`` default; see
-            :func:`distributed_partial_shortcut`).
-
-    Raises:
-        ShortcutError: when the construction fails to converge within
-            ``_MAX_ESCALATIONS`` (40) doublings.
-    """
-    rng = ensure_rng(rng)
-    remaining = list(range(len(partition)))
-    assigned: dict[int, frozenset[int]] = {}
-    total = RoundStats()
-    current_delta = delta
-    escalations = 0
-    iterations = 0
-    if tree is None and not remaining:
-        from repro.core.providers import resolve_tree
-
-        tree = resolve_tree(graph)
-    final_tree = tree
-    while remaining:
-        sub = partition.restrict(graph, remaining)
-        result = distributed_partial_shortcut(
-            graph, sub, current_delta, rng=rng, run_verification=False,
-            scheduler=scheduler, latency_model=latency_model,
-            sweep=sweep,
-        )
-        iterations += 1
-        total = total + result.stats
-        final_tree = result.tree
-        if not result.satisfied:
-            current_delta *= 2
-            escalations += 1
-            if escalations > _MAX_ESCALATIONS:
-                raise ShortcutError("distributed construction failed to converge")
-            continue
-        satisfied = set(result.satisfied)
-        next_remaining = []
-        for sub_index, original in enumerate(remaining):
-            if sub_index in satisfied:
-                assigned[original] = result.subgraphs[sub_index]
-            else:
-                next_remaining.append(original)
-        remaining = next_remaining
-    shortcut = TreeRestrictedShortcut(
-        graph,
-        partition,
-        final_tree,
-        [assigned[i] for i in range(len(partition))],
-        validate=False,
-    )
-    return DistributedFullShortcutResult(
-        shortcut=shortcut,
-        tree=final_tree,
-        stats=total,
-        iterations=iterations,
-        escalations=escalations,
-        delta_used=current_delta,
-    )

@@ -8,15 +8,23 @@ budget, and a single edge can be reused across iterations). The block
 number — and hence the Observation 2.6 dilation bound ``b(2D+1)`` — is per
 part and unaffected, because each part receives its ``H_i`` from exactly
 one iteration.
+
+The loop is shared by the centralized and the simulated constructions:
+it takes the partial construction to run per iteration, and every
+iteration runs on the same tree ``T`` (the simulated construction's first
+iteration builds it), so the union of the per-iteration ``H_i`` is one
+``T``-restricted shortcut.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import networkx as nx
 
+from repro.congest.stats import RoundStats
 from repro.core.partial import PartialShortcutResult, build_partial_shortcut
 from repro.core.shortcut import TreeRestrictedShortcut
 from repro.graphs.partition import Partition
@@ -37,12 +45,17 @@ class FullShortcutResult:
         delta_used: the δ of the final (successful) iteration — equal to the
             requested δ unless escalation was enabled and triggered.
         per_iteration: the raw partial results, for inspection.
+        stats: the per-iteration stats composed sequentially (empty for
+            the centralized construction).
+        escalations: iterations that satisfied no part and doubled δ.
     """
 
     shortcut: TreeRestrictedShortcut
     iterations: int
     delta_used: float
     per_iteration: list[PartialShortcutResult]
+    stats: RoundStats
+    escalations: int
 
     @property
     def congestion_bound(self) -> int:
@@ -52,17 +65,20 @@ class FullShortcutResult:
 
 def build_full_shortcut(
     graph: nx.Graph,
-    tree: RootedTree,
+    tree: RootedTree | None,
     partition: Partition,
     delta: float,
     escalate_on_stall: bool = False,
     seed_result: PartialShortcutResult | None = None,
     iteration_cache: object = None,
+    partial: Callable[..., PartialShortcutResult] | None = None,
 ) -> FullShortcutResult:
     """Iterate Theorem 3.1 until every part has a shortcut (Observation 2.7).
 
     Args:
         graph, tree, partition: the instance (tree depth ≤ diameter).
+            ``tree`` may be ``None`` when ``partial`` builds its own: the
+            first iteration's tree is then used for every later one.
         delta: minor-density parameter. With ``delta ≥ δ(G)``, every
             iteration satisfies at least half the remaining parts and the
             loop finishes within ``⌈log₂ k⌉ + 1`` iterations. The loop is
@@ -90,11 +106,17 @@ def build_full_shortcut(
             deterministic and consumes no randomness). The caller owns
             scoping the mapping to one ``(graph, tree)`` pair — the key
             does not include them.
+        partial: the partial construction run per iteration, called as
+            ``partial(graph, tree, sub_partition, delta)``; defaults to
+            Theorem 3.1's :func:`~repro.core.partial.build_partial_shortcut`.
 
     Raises:
         ShortcutError: on stall without escalation, when the iteration cap
             is exceeded, or on a mismatched ``seed_result``.
     """
+    if partial is None:
+        # Looked up per call, so a rebound module attribute is honoured.
+        partial = build_partial_shortcut
     k = len(partition)
     if k == 0:
         raise ShortcutError("cannot build a shortcut for an empty part collection")
@@ -108,8 +130,10 @@ def build_full_shortcut(
     remaining = list(range(k))
     assigned: dict[int, frozenset[int]] = {}
     history: list[PartialShortcutResult] = []
+    stats = RoundStats()
     current_delta = delta
     iterations = 0
+    escalations = 0
     while remaining:
         if iterations >= max_iterations:
             raise ShortcutError(
@@ -125,15 +149,13 @@ def build_full_shortcut(
                 cache_key = (sub_partition.parts, current_delta)
                 result = iteration_cache.get(cache_key)
                 if result is None:
-                    result = build_partial_shortcut(
-                        graph, tree, sub_partition, current_delta
-                    )
+                    result = partial(graph, tree, sub_partition, current_delta)
                     iteration_cache[cache_key] = result
             else:
-                result = build_partial_shortcut(
-                    graph, tree, sub_partition, current_delta
-                )
+                result = partial(graph, tree, sub_partition, current_delta)
+        tree = result.tree
         history.append(result)
+        stats = stats + result.stats
         iterations += 1
         if not result.satisfied:
             if not escalate_on_stall:
@@ -143,6 +165,7 @@ def build_full_shortcut(
                     "escalate_on_stall=True, or use certify_or_shortcut()."
                 )
             current_delta *= 2.0
+            escalations += 1
             continue
         satisfied_set = set(result.satisfied)
         next_remaining = []
@@ -164,6 +187,8 @@ def build_full_shortcut(
         iterations=iterations,
         delta_used=current_delta,
         per_iteration=history,
+        stats=stats,
+        escalations=escalations,
     )
 
 

@@ -16,12 +16,12 @@ quantifies what the paper's structural insight actually buys over greed.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
 import networkx as nx
 
+from repro.core.bounds import theorem31_congestion_budget
 from repro.core.partial import steiner_prune
 from repro.core.shortcut import TreeRestrictedShortcut
 from repro.graphs.partition import Partition
@@ -70,7 +70,7 @@ def greedy_shortcut(
         ShortcutError: on a non-positive cap or unknown order.
     """
     if congestion_cap is None:
-        congestion_cap = math.ceil(8 * delta * max(tree.max_depth, 1))
+        congestion_cap = theorem31_congestion_budget(delta, tree.max_depth)
     if congestion_cap < 1:
         raise ShortcutError(f"congestion cap must be >= 1, got {congestion_cap}")
     rng = ensure_rng(rng)

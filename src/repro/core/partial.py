@@ -29,11 +29,12 @@ constant up to the ``+1``.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import networkx as nx
 
+from repro.congest.stats import RoundStats
+from repro.core.bounds import theorem31_block_budget, theorem31_congestion_budget
 from repro.core.shortcut import TreeRestrictedShortcut
 from repro.graphs.partition import Partition
 from repro.graphs.trees import RootedTree
@@ -104,6 +105,8 @@ class PartialShortcutResult:
         conflict: the bipartite conflict graph ``B``.
         satisfied: indices of satisfied parts, ascending.
         subgraphs: ``H_i`` (tree-edge child endpoints) for satisfied parts.
+        stats: measured rounds and messages of the run (empty for the
+            centralized construction, which is planned for free).
     """
 
     graph: nx.Graph
@@ -116,6 +119,52 @@ class PartialShortcutResult:
     conflict: ConflictGraph
     satisfied: tuple[int, ...]
     subgraphs: dict[int, frozenset[int]]
+    stats: RoundStats = field(default_factory=RoundStats)
+
+    @classmethod
+    def from_marking(
+        cls,
+        graph: nx.Graph,
+        tree: RootedTree,
+        partition: Partition,
+        delta: float,
+        congestion_budget: int,
+        block_budget: int,
+        overcongested: frozenset[int],
+        conflict: ConflictGraph,
+        prune: bool = True,
+        **extra,
+    ) -> "PartialShortcutResult":
+        """Turn a marking into satisfied parts and their ``H_i``.
+
+        A part is satisfied when its conflict degree is at most
+        ``block_budget``; it gets its ancestor edges in ``T \\ O``
+        (:func:`ancestor_subgraphs`), trimmed by :func:`steiner_prune`
+        when ``prune`` is set. ``extra`` fills the remaining fields
+        (``stats``, and ``params`` on subclasses).
+        """
+        satisfied = tuple(
+            sorted(i for i, degree in conflict.part_degrees.items() if degree <= block_budget)
+        )
+        subgraphs = ancestor_subgraphs(tree, partition, overcongested, satisfied)
+        if prune:
+            subgraphs = {
+                index: steiner_prune(tree, partition[index], edges)
+                for index, edges in subgraphs.items()
+            }
+        return cls(
+            graph=graph,
+            tree=tree,
+            partition=partition,
+            delta=delta,
+            congestion_budget=congestion_budget,
+            block_budget=block_budget,
+            overcongested=overcongested,
+            conflict=conflict,
+            satisfied=satisfied,
+            subgraphs=subgraphs,
+            **extra,
+        )
 
     @property
     def succeeded(self) -> bool:
@@ -354,32 +403,14 @@ def build_partial_shortcut(
     """
     if delta <= 0:
         raise ShortcutError(f"delta must be positive, got {delta}")
-    depth = max(tree.max_depth, 1)
     if congestion_budget is None:
-        congestion_budget = math.ceil(8 * delta * depth)
+        congestion_budget = theorem31_congestion_budget(delta, tree.max_depth)
     if block_budget is None:
-        block_budget = math.ceil(8 * delta)
+        block_budget = theorem31_block_budget(delta)
     overcongested, conflict = mark_overcongested_edges(tree, partition, congestion_budget)
-    satisfied = tuple(
-        sorted(i for i, degree in conflict.part_degrees.items() if degree <= block_budget)
-    )
-    subgraphs = ancestor_subgraphs(tree, partition, overcongested, satisfied)
-    if prune:
-        subgraphs = {
-            index: steiner_prune(tree, partition[index], edges)
-            for index, edges in subgraphs.items()
-        }
-    return PartialShortcutResult(
-        graph=graph,
-        tree=tree,
-        partition=partition,
-        delta=delta,
-        congestion_budget=congestion_budget,
-        block_budget=block_budget,
-        overcongested=overcongested,
-        conflict=conflict,
-        satisfied=satisfied,
-        subgraphs=subgraphs,
+    return PartialShortcutResult.from_marking(
+        graph, tree, partition, delta, congestion_budget, block_budget,
+        overcongested, conflict, prune=prune,
     )
 
 

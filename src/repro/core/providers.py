@@ -638,17 +638,16 @@ class Theorem31CentralizedProvider(ShortcutProvider):
             escalate_on_stall=True,
             iteration_cache=_IterationCacheView(request.graph, tree, self.name),
         )
-        stalls = sum(1 for partial in result.per_iteration if not partial.satisfied)
         return ShortcutOutcome(
             shortcut=result.shortcut,
             tree=tree,
-            stats=RoundStats(),
+            stats=result.stats,
             provenance=ShortcutProvenance(
                 provider=self.name,
                 delta_requested=request.delta,
                 delta_used=result.delta_used,
                 iterations=result.iterations,
-                escalations=stalls,
+                escalations=result.escalations,
                 details={"full_result": result},
             ),
         )
@@ -665,9 +664,10 @@ class Theorem31SimulatedProvider(ShortcutProvider):
 
     Not cacheable: the pipeline consumes the request's rng stream, so a
     cache hit would skip draws and change every downstream random choice.
-    Needs no pre-built tree either — every iteration constructs its own
-    *measured* BFS tree inside the simulator, so resolving a centralized
-    one up front would be a wasted full-graph pass.
+    Needs no pre-built tree either — the first iteration constructs a
+    *measured* BFS tree inside the simulator and every later iteration
+    reuses it, so resolving a centralized one up front would be a wasted
+    full-graph pass.
     """
 
     name = "theorem31-simulated"
@@ -676,22 +676,26 @@ class Theorem31SimulatedProvider(ShortcutProvider):
     cacheable = False
 
     def build(self, request, delta, tree):
-        from repro.core.distributed import distributed_full_shortcut
+        from repro.core import distributed
 
         sweep = request.options.get("sweep", "ack")
-        result = distributed_full_shortcut(
-            request.graph,
-            request.partition,
-            delta,
-            tree=tree,
-            rng=ensure_rng(request.rng),
-            scheduler=request.scheduler,
-            latency_model=request.latency_model,
-            sweep=sweep,
+        rng = ensure_rng(request.rng)
+
+        def iteration(graph, tree, partition, delta):
+            # Through the module attribute, so a rebound function is honoured.
+            return distributed.distributed_partial_shortcut(
+                graph, partition, delta, tree=tree, rng=rng,
+                run_verification=False, scheduler=request.scheduler,
+                latency_model=request.latency_model, sweep=sweep,
+            )
+
+        result = build_full_shortcut(
+            request.graph, None, request.partition, delta,
+            escalate_on_stall=True, partial=iteration,
         )
         return ShortcutOutcome(
             shortcut=result.shortcut,
-            tree=result.tree,
+            tree=result.shortcut.tree,
             stats=result.stats,
             provenance=ShortcutProvenance(
                 provider=self.name,

@@ -1,7 +1,7 @@
 """Datacenter network topologies: fat-tree and leaf-spine fabrics.
 
-The contention-aware latency models (:mod:`repro.congest.asynchronous`:
-``contention``, ``trace-driven``) need topologies where link sharing is
+The contention-aware latency model (:mod:`repro.congest.asynchronous`:
+``contention``) needs topologies where link sharing is
 structural — datacenter fabrics concentrate many host flows onto few
 core links, the regime Haeupler–Li–Zuzic (arXiv:1801.06237) motivate
 shortcut-based algorithms for. Both generators follow the repo-wide

@@ -63,11 +63,11 @@ class JobServer:
         result.stats.jobs["tenant-0"]         # per-job RoundStats
 
     Under a static latency model each tenant's edges keep their seeded
-    latencies; under a load-dependent model (``contention:<w>``,
-    ``trace-driven:<path>``) all tenants share one link schedule in
-    global ticks, so cross-tenant load on a link stretches everyone's
-    transit — contention costs *time*, on top of the
-    ``arbitration_stalls`` counter that records deferred grants.
+    latencies; under a load-dependent model (``contention:<w>``) all
+    tenants share one link schedule in global ticks, so cross-tenant load
+    on a link stretches everyone's transit — contention costs *time*, on
+    top of the ``arbitration_stalls`` counter that records deferred
+    grants.
 
     Args:
         graph: the shared communication topology every job runs on.

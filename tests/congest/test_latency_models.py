@@ -3,12 +3,11 @@
 The static models' registry behavior lives in
 ``tests/congest/test_async.py``; this module covers what PR 9 added —
 the capability split (``is_dynamic``), the ``LinkSchedule`` in-flight
-accounting, the ``contention`` / ``heavy-tailed`` parameter validation,
-and every ``trace-driven`` failure mode, each raising the uniform
-registry-style message through whichever API boundary it crosses.
+accounting, and the ``contention`` / ``heavy-tailed`` parameter
+validation, each raising the uniform registry-style message through
+whichever API boundary it crosses.
 """
 
-import json
 import math
 
 import pytest
@@ -17,7 +16,6 @@ from repro.congest.asynchronous import (
     ContentionLatency,
     HeavyTailedLatency,
     LinkSchedule,
-    TraceDrivenLatency,
     resolve_latency_model,
 )
 from repro.congest.network import SyncNetwork
@@ -151,66 +149,3 @@ class TestContentionPhysics:
         assert runs[0] == runs[1]
         assert runs[0].virtual_time > idle.virtual_time
 
-
-def _write_trace(tmp_path, payload, name="trace.json"):
-    path = tmp_path / name
-    path.write_text(json.dumps(payload) if not isinstance(payload, str) else payload)
-    return str(path)
-
-
-class TestTraceDrivenErrorPaths:
-    def test_requires_a_path(self):
-        with pytest.raises(CongestViolation, match="requires a trace file"):
-            TraceDrivenLatency()
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(CongestViolation, match="trace-driven latency model"):
-            TraceDrivenLatency(str(tmp_path / "absent.json"))
-
-    def test_malformed_json(self, tmp_path):
-        with pytest.raises(CongestViolation, match="trace-driven latency model"):
-            TraceDrivenLatency(_write_trace(tmp_path, "{not json"))
-
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            [1, 2, 3],                                # not an object
-            {"default": []},                          # empty trace
-            {"default": [1, 0]},                      # transit below one
-            {"default": [1, True]},                   # bool is not a delay
-            {"links": {"3-0": [1]}},                  # non-canonical key
-            {"default": [1], "extra": {}},            # unknown top-level key
-        ],
-    )
-    def test_invalid_payloads(self, tmp_path, payload):
-        with pytest.raises(CongestViolation, match="trace-driven latency model"):
-            TraceDrivenLatency(_write_trace(tmp_path, payload))
-
-    def test_uncovered_link_fails_fast_at_prepare(self, tmp_path):
-        # No default and a trace for only one link: prepare() names the gap
-        # before the run starts instead of mid-flight.
-        model = TraceDrivenLatency(_write_trace(tmp_path, {"links": {"0-1": [1]}}))
-        with pytest.raises(CongestViolation, match="no trace for link"):
-            model.schedule(grid_graph(2, 2))
-
-    def test_trace_shorter_than_run(self, tmp_path):
-        graph = grid_graph(4, 4)
-        spec = f"trace-driven:{_write_trace(tmp_path, {'default': [1]})}"
-        with pytest.raises(CongestViolation, match="extend the trace"):
-            distributed_bfs(graph, 0, rng=2, latency_model=spec)
-
-    def test_errors_rewrap_at_the_network_boundary(self, tmp_path):
-        # SyncNetwork's contract is ValueError for bad models; the uniform
-        # trace-driven message must survive the re-wrap.
-        spec = f"trace-driven:{tmp_path / 'absent.json'}"
-        with pytest.raises(ValueError, match="trace-driven latency model"):
-            SyncNetwork(grid_graph(2, 2), latency_model=spec)
-
-    def test_valid_trace_replays_identically(self, tmp_path):
-        graph = grid_graph(3, 3)
-        trace = {"default": [1] * 32, "links": {"0-1": [3] * 32}}
-        spec = f"trace-driven:{_write_trace(tmp_path, trace)}"
-        first = distributed_bfs(graph, 0, rng=2, latency_model=spec)
-        second = distributed_bfs(graph, 0, rng=2, latency_model=spec)
-        assert first[1] == second[1]
-        assert all(first[0].parent_of(v) == second[0].parent_of(v) for v in graph)

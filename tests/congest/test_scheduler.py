@@ -339,7 +339,7 @@ class TestSchedulerEquivalence:
             result = distributed_partial_shortcut(
                 graph, partition, delta=3.0, rng=7, **BACKENDS[arm],
             )
-            assert dense.marked == result.marked
+            assert dense.overcongested == result.overcongested
             assert dense.satisfied == result.satisfied
             assert dense.params == result.params
             assert _equiv_stats(dense.stats) == _equiv_stats(result.stats)

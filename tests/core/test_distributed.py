@@ -1,8 +1,12 @@
 """Tests for the Theorem 1.5 distributed construction."""
 
+import math
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import HealthCheck, assume, find, given, settings
+from hypothesis import strategies as st
 
 from repro.congest.network import NodeContext
 from repro.core.distributed import (
@@ -14,8 +18,9 @@ from repro.core.partial import (
     conflict_from_marking,
     mark_overcongested_edges,
 )
+from repro.core.providers import ShortcutRequest, build_shortcut
 from repro.graphs.generators import broom_graph, grid_graph, k_tree
-from repro.graphs.partition import grid_rows_partition, voronoi_partition
+from repro.graphs.partition import Partition, grid_rows_partition, voronoi_partition
 from repro.graphs.trees import bfs_tree
 from repro.util.errors import ShortcutError
 
@@ -30,7 +35,7 @@ class TestExactModeAgreesWithCentralized:
         central = build_partial_shortcut(
             graph, bfs_tree(graph, 0), partition, delta=0.02
         )
-        assert distributed.marked == central.overcongested
+        assert distributed.overcongested == central.overcongested
 
     def test_satisfied_sets_identical(self):
         graph = grid_graph(10, 10)
@@ -119,7 +124,7 @@ class TestSampledConstruction:
         result = distributed_partial_shortcut(
             graph, partition, delta=1.0, rng=8, run_verification=False
         )
-        conflict = conflict_from_marking(result.tree, partition, result.marked)
+        conflict = conflict_from_marking(result.tree, partition, result.overcongested)
         # Degrees must be consistent with the satisfied decision.
         for index in result.satisfied:
             assert conflict.part_degrees[index] <= result.block_budget
@@ -146,7 +151,7 @@ class TestAckSweepLatencyAdaptive:
         expected, _ = mark_overcongested_edges(
             result.tree, partition, result.congestion_budget
         )
-        assert result.marked == expected
+        assert result.overcongested == expected
         assert result.params["undecided"] == 0
 
     def test_ack_and_keep_alive_sweeps_agree_in_lockstep(self):
@@ -160,7 +165,7 @@ class TestAckSweepLatencyAdaptive:
             graph, partition, delta=0.05, rng=7, exact=True,
             run_verification=False, sweep="keep-alive",
         )
-        assert ack.marked == legacy.marked
+        assert ack.overcongested == legacy.overcongested
         assert ack.satisfied == legacy.satisfied
         # The ack protocol needs no calibrated horizon: strictly fewer
         # rounds and activations than the windowed schedule on any
@@ -183,7 +188,7 @@ class TestAckSweepLatencyAdaptive:
             )
             for _ in range(2)
         ]
-        assert runs[0].marked == runs[1].marked
+        assert runs[0].overcongested == runs[1].overcongested
         assert runs[0].stats == runs[1].stats
         assert runs[0].stats.virtual_time > 0
 
@@ -234,3 +239,91 @@ class TestKeepAliveSweepRegression:
         )
         assert result.params["undecided"] == 0
         assert result.stats.phases["sweep"].rounds < 10**6
+
+
+STATIC_LATENCY_MODELS = ("uniform", "seeded-jitter", "degree-proportional", "heavy-tailed")
+
+
+def _simulated(graph, partition, delta, rng, latency_model):
+    return build_shortcut(ShortcutRequest(
+        graph, partition, provider="theorem31-simulated", delta=delta,
+        rng=rng, latency_model=latency_model,
+    ))
+
+
+@st.composite
+def _simulated_instances(draw):
+    """A grid, k-tree or random regular graph with a Voronoi partition, a
+    low starting δ (so Observation 2.7 often needs several iterations) and
+    a static latency model."""
+    seed = draw(st.integers(0, 2**16))
+    family = draw(st.sampled_from(("grid", "k-tree", "regular")))
+    if family == "grid":
+        graph = grid_graph(draw(st.integers(4, 16)), draw(st.integers(4, 16)))
+    elif family == "k-tree":
+        graph = k_tree(draw(st.integers(10, 90)), draw(st.integers(1, 3)), rng=seed)
+    else:
+        degree = draw(st.sampled_from((3, 4, 6)))
+        graph = nx.convert_node_labels_to_integers(
+            nx.random_regular_graph(degree, 2 * draw(st.integers(5, 60)), seed=seed)
+        )
+        assume(nx.is_connected(graph))
+    parts = draw(st.integers(1, max(1, graph.number_of_nodes() // 3)))
+    partition = voronoi_partition(graph, parts, rng=seed)
+    delta = draw(st.sampled_from((0.01, 0.05, 0.2)))
+    model = draw(st.sampled_from(STATIC_LATENCY_MODELS))
+    return graph, partition, delta, seed, model
+
+
+class TestSimulatedFullShortcutOneTree:
+    """Observation 2.7 runs every iteration on one tree, so the simulated
+    full shortcut meets Observation 2.6's dilation bound under every static
+    latency model (iterations used to build fresh BFS trees, which differ
+    under non-uniform latencies, and read earlier ``H_i`` against the last
+    one)."""
+
+    def test_pinned_multi_iteration_instance_under_seeded_jitter(self):
+        graph = nx.convert_node_labels_to_integers(nx.random_regular_graph(6, 120, seed=0))
+        partition = voronoi_partition(graph, 40, rng=random.Random(0))
+        outcome = _simulated(graph, partition, 0.05, 0, "seeded-jitter")
+        assert outcome.provenance.iterations > 1
+        dilation = outcome.quality().dilation
+        assert math.isfinite(dilation)
+        assert dilation <= outcome.shortcut.dilation_upper_bound()
+        outcome.stats.check()
+
+    @given(_simulated_instances())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_dilation_within_observation26_bound(self, case):
+        graph, partition, delta, seed, model = case
+        outcome = _simulated(graph, partition, delta, seed, model)
+        assert len(outcome.shortcut.partition) == len(partition)
+        dilation = outcome.quality().dilation
+        assert math.isfinite(dilation)
+        assert dilation <= outcome.shortcut.dilation_upper_bound()
+        outcome.stats.check()
+
+    def test_generated_cases_need_several_iterations(self):
+        # The property above is not vacuous: its strategy reaches
+        # multi-iteration constructions under a non-uniform model.
+        find(
+            _simulated_instances(),
+            lambda case: case[4] != "uniform"
+            and _simulated(*case).provenance.iterations >= 2,
+            settings=settings(max_examples=200, deadline=None, database=None),
+        )
+
+    def test_empty_part_collection_is_rejected(self):
+        graph = grid_graph(3, 3)
+        with pytest.raises(ShortcutError, match="empty part collection"):
+            _simulated(graph, Partition(graph, []), 1.0, 0, None)
+
+    def test_given_tree_skips_the_bfs_phase(self):
+        graph = grid_graph(6, 6)
+        partition = voronoi_partition(graph, 6, rng=1)
+        fresh = distributed_partial_shortcut(graph, partition, 0.5, rng=2)
+        reused = distributed_partial_shortcut(graph, partition, 0.5, tree=fresh.tree, rng=2)
+        assert "bfs" in fresh.stats.phases and "bfs" not in reused.stats.phases
+        assert reused.tree is fresh.tree
+        with pytest.raises(ShortcutError, match="fixes the root"):
+            distributed_partial_shortcut(graph, partition, 0.5, tree=fresh.tree, root=0)
