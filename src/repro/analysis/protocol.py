@@ -333,8 +333,12 @@ def _linked_kernel(model: ProjectModel, info):
     return None
 
 
-def _materializer_arity(model: ProjectModel, info, expr: ast.AST) -> int | None:
-    """Tuple arity returned by a ``materialize=`` function, when uniform."""
+def _materializer_arity(model: ProjectModel, info, expr: ast.AST, tag) -> int | None:
+    """Tuple arity a ``materialize=`` function returns for ``tag``, when uniform.
+
+    A returned tuple led by another tag constant belongs to that tag, so
+    one materializer may serve a batch that mixes tags.
+    """
     dotted = _dotted(expr)
     if dotted is None:
         return None
@@ -342,25 +346,41 @@ def _materializer_arity(model: ProjectModel, info, expr: ast.AST) -> int | None:
     fn = model.functions.get(qual) if qual else None
     if fn is None:
         return None
-    arities = {
-        len(sub.value.elts)
-        for sub in ast.walk(fn.node)
-        if isinstance(sub, ast.Return) and isinstance(sub.value, ast.Tuple)
-    }
+    arities = set()
+    for sub in ast.walk(fn.node):
+        if isinstance(sub, ast.Return) and isinstance(sub.value, ast.Tuple):
+            elts = sub.value.elts
+            led_by = model.constant_value(fn.module, elts[0]) if elts else None
+            if led_by is None or led_by == tag:
+                arities.add(len(elts))
     return arities.pop() if len(arities) == 1 else None
+
+
+def _emitted_tags(tag_expr: ast.AST | None) -> list[ast.AST]:
+    """The tag expressions an ``emit``'s ``tag=`` names: the expression
+    itself, or both branches of a per-message ``np.where(mask, A, B)``."""
+    if (
+        isinstance(tag_expr, ast.Call)
+        and isinstance(tag_expr.func, ast.Attribute)
+        and tag_expr.func.attr == "where"
+        and len(tag_expr.args) == 3
+    ):
+        return tag_expr.args[1:]
+    return [tag_expr]
 
 
 def _scan_emits(model: ProjectModel, info, call: ast.Call) -> list[TagUse]:
     kwargs = {kw.arg: kw.value for kw in call.keywords if kw.arg}
     out: list[TagUse] = []
-    tag_expr = kwargs.get("tag")
-    if isinstance(tag_expr, (ast.Name, ast.Attribute)):
+    for tag_expr in _emitted_tags(kwargs.get("tag")):
+        if not isinstance(tag_expr, (ast.Name, ast.Attribute)):
+            continue
         value = model.constant_value(info.module, tag_expr)
         if value is not None:
             arity = None
             materializer = kwargs.get("materialize")
             if isinstance(materializer, (ast.Name, ast.Attribute)):
-                arity = _materializer_arity(model, info, materializer)
+                arity = _materializer_arity(model, info, materializer, value)
             out.append(TagUse(
                 value, _dotted(tag_expr) or "?", arity, info.path, call,
             ))

@@ -4,10 +4,12 @@
 execution means; this module defines *how* one is driven. The split is:
 
 * :class:`MessageFabric` owns the per-message semantics every backend must
-  enforce identically — adjacency validation, the bandwidth budget, staging
-  each message for delivery ``latency(e)`` ticks after its send (one tick
-  under lockstep), and :class:`~repro.congest.stats.RoundStats` accounting
-  (messages are charged at *send* time, keyed by the send round).
+  enforce identically — adjacency validation against the graph's own
+  adjacency, the bandwidth budget (a whole outbox is checked before any of
+  it is staged), staging each message for delivery ``latency(e)`` ticks
+  after its send (one tick under lockstep), and
+  :class:`~repro.congest.stats.RoundStats` accounting (messages are
+  charged at *send* time, keyed by the send round).
 * :class:`Transit` is the one delivery rule — a latency model resolved
   into a static table or a link schedule — and :class:`EdgeQueues` the one
   per-edge capacity queue. The fabric, the job layer's arbitration and the
@@ -16,7 +18,10 @@ execution means; this module defines *how* one is driven. The split is:
   arrivals, keep-alive latches and timer wheel, activated tick by tick in
   node-index order. The ``event`` backend runs one per execution, the job
   layer (:mod:`repro.congest.jobs`) one per tenant, and the vectorized
-  backend one for its interpreted tier.
+  backend one for its interpreted tier. Under lockstep transit its
+  arrivals are the receivers' inbox dicts themselves, filled in
+  sender-index order as the senders run; only steppers whose arrivals can
+  reach a tick out of sender order keep per-message entries and sort them.
 * :class:`SchedulerBackend` subclasses own the activation strategy — which
   nodes run in a round. The contract is strict: every
   backend must produce byte-identical results, round counts, and message
@@ -236,11 +241,12 @@ class Transit:
     send in the order it is presented.
     """
 
-    __slots__ = ("latencies", "link_schedule")
+    __slots__ = ("latencies", "link_schedule", "lockstep")
 
     def __init__(self, latencies=None, link_schedule=None):
         self.latencies = latencies
         self.link_schedule = link_schedule
+        self.lockstep = latencies is None and link_schedule is None
 
     @classmethod
     def resolve(cls, model, graph, seed) -> "Transit":
@@ -251,10 +257,6 @@ class Transit:
         if model.is_uniform:
             return cls()
         return cls(model.build(graph, seed() if callable(seed) else seed))
-
-    @property
-    def lockstep(self) -> bool:
-        return self.latencies is None and self.link_schedule is None
 
     def ticks(self, u, v, now: int) -> int:
         if self.link_schedule is not None:
@@ -376,28 +378,35 @@ class EdgeQueues:
         return granted
 
 
+# Matches no payload: validate's "last payload sized" before the first one.
+_UNSIZED = object()
+
+
 class MessageFabric:
     """Message validation, staging, and accounting — one per executing context.
 
     A single-network backend builds one fabric for the whole graph; the
     job layer builds one per tenant (:mod:`repro.congest.jobs`).
+    ``adjacency`` maps each node to its neighbours (anything supporting
+    ``in``): the graph's own ``_adj`` for a full population, so a run
+    builds no neighbour sets, or frozensets for an induced subgraph.
     """
 
     __slots__ = (
-        "neighbor_sets", "bandwidth_bits", "enforce_bandwidth", "stats",
+        "adjacency", "bandwidth_bits", "enforce_bandwidth", "stats",
         "transit", "submit",
     )
 
     def __init__(
         self,
-        neighbor_sets: dict[int, frozenset[int]],
+        adjacency,
         bandwidth_bits: int,
         enforce_bandwidth: bool,
         stats: RoundStats,
         transit: Transit | None = None,
         submit=None,
     ):
-        self.neighbor_sets = neighbor_sets
+        self.adjacency = adjacency
         self.bandwidth_bits = bandwidth_bits
         self.enforce_bandwidth = enforce_bandwidth
         self.stats = stats
@@ -410,26 +419,31 @@ class MessageFabric:
         """Check adjacency and the bit budget of every send in ``outbox``.
 
         Returns the payloads' bit sizes in outbox order. The sender's
-        neighbour set and the budget are looked up once per outbox.
+        neighbours and the budget are looked up once per outbox, and a
+        payload object sent to consecutive targets (a flood's one
+        announcement) is sized once.
 
         Raises:
             CongestViolation: on a non-neighbor target or an oversized
                 payload.
         """
-        neighbors = self.neighbor_sets[sender]
+        neighbors = self.adjacency[sender]
         budget = self.bandwidth_bits if self.enforce_bandwidth else None
         sizes = []
+        last = _UNSIZED
         for target, payload in outbox.items():
             if target not in neighbors:
                 raise CongestViolation(
                     f"node {sender} tried to message non-neighbor {target}"
                 )
-            bits = payload_bits(payload)
-            if budget is not None and bits > budget:
-                raise CongestViolation(
-                    f"node {sender} sent a {bits}-bit message to {target}; "
-                    f"budget is {budget} bits"
-                )
+            if payload is not last:
+                last = payload
+                bits = payload_bits(payload)
+                if budget is not None and bits > budget:
+                    raise CongestViolation(
+                        f"node {sender} sent a {bits}-bit message to {target}; "
+                        f"budget is {budget} bits"
+                    )
             sizes.append(bits)
         return sizes
 
@@ -441,7 +455,11 @@ class MessageFabric:
         now: int,
         clock: "Stepper",
     ) -> None:
-        """Validate ``sender``'s outbox and stage it on ``clock``."""
+        """Validate ``sender``'s outbox and stage it on ``clock``.
+
+        Every send is checked before any is staged or charged, so a
+        violation anywhere in the outbox leaves the run's state untouched.
+        """
         self.stage_sized(
             sender, sender_index, outbox, self.validate(sender, outbox), now, clock
         )
@@ -455,34 +473,48 @@ class MessageFabric:
         now: int,
         clock: "Stepper",
     ) -> None:
-        """Stage a validated outbox whose bit sizes are ``sizes``.
+        """Charge a validated outbox whose bit sizes are ``sizes`` and stage
+        it on ``clock``.
 
-        A message sent at tick ``now`` arrives at ``now +``
-        :meth:`Transit.ticks`. ``messages``, ``message_bits`` and
-        ``messages_by_round`` are charged once for the whole outbox,
-        ``edge_messages`` per message — the same totals as one
-        :meth:`RoundStats.record_message` per send. With :attr:`submit`
-        set, the outbox goes to it instead.
+        ``messages``, ``message_bits`` and ``messages_by_round`` are charged
+        once for the whole outbox, ``edge_messages`` per message — the same
+        totals as one :meth:`RoundStats.record_message` per send. An
+        in-order clock gets each message written straight into its
+        receiver's inbox dict for ``now + 1``; a resorting clock gets an
+        entry per message at ``now +`` :meth:`Transit.ticks`
+        (:meth:`Stepper.arrive`). With :attr:`submit` set, the outbox goes
+        to it instead.
         """
         if not sizes:
             return
         if self.submit is not None:
             self.submit(sender, sender_index, outbox, sizes, now)
             return
-        ticks = self.transit.ticks
         stats = self.stats
-        edge_messages = stats.edge_messages
-        for target, payload in outbox.items():
-            clock.arrive(
-                now + ticks(sender, target, now), target, (sender_index, sender, payload)
-            )
-            key = (sender, target)
-            edge_messages[key] = edge_messages.get(key, 0) + 1
         count = len(sizes)
         stats.messages += count
         stats.message_bits += sum(sizes)
         by_round = stats.messages_by_round
         by_round[now] = by_round.get(now, 0) + count
+        edge_messages = stats.edge_messages
+        if clock.resort:
+            ticks = self.transit.ticks
+            for target, payload in outbox.items():
+                key = (sender, target)
+                edge_messages[key] = edge_messages.get(key, 0) + 1
+                clock.arrive(
+                    now + ticks(sender, target, now), target, (sender_index, sender, payload)
+                )
+            return
+        bucket = clock.bucket(now + 1)
+        for target, payload in outbox.items():
+            key = (sender, target)
+            edge_messages[key] = edge_messages.get(key, 0) + 1
+            inbox = bucket.get(target)
+            if inbox is None:
+                bucket[target] = {sender: payload}
+            else:
+                inbox[sender] = payload
 
 
 def timeout(stats: RoundStats, max_rounds: int, raise_on_timeout: bool, who: str = ""):
@@ -511,13 +543,28 @@ class Stepper:
 
     ``contexts`` (node -> NodeContext) is in node-index order and ``index``
     gives each node's index. ``fabric`` validates, stages, and charges
-    sends; its stats are the run's. ``resort`` sorts each inbox by sender
-    index, needed only where arrivals can reach a tick out of sender order
-    (non-unit transit, arbitration deferrals, cross-tier sends).
-    ``record_wall`` — set exactly when the fabric's transit is not lockstep,
-    the one wall-time rule — records per-node ``completion_times`` and,
-    at the end of :meth:`run`, ``virtual_time``; ``notify`` is called with
-    every scheduled tick.
+    sends; its stats are the run's. ``notify`` is called with every
+    scheduled tick.
+
+    Arrivals come in one of two forms, fixed per stepper:
+
+    * **in order** (the default under lockstep transit): ``arrivals[t]``
+      maps each target to its inbox dict, ``{sender: payload}``.
+      :meth:`MessageFabric.stage` writes every message straight into it
+      for ``now + 1``; senders are activated in index order, so every
+      inbox fills in sender-index order and :meth:`step` hands it to
+      ``on_wake`` as is.
+    * **resorted** (``resort=True``, and always under a non-lockstep
+      transit): ``arrivals[t]`` maps each target to a list of
+      ``(sender_index, sender, payload)`` entries (:meth:`arrive`), sorted
+      and turned into inbox dicts when the tick is stepped. Needed
+      wherever arrivals can reach a tick out of sender order: non-unit
+      transit, arbitration deferrals (the job layer), cross-tier sends (the
+      vectorized backend's interpreted tier).
+
+    ``record_wall`` — set exactly when the fabric's transit is not
+    lockstep, the one wall-time rule — records per-node
+    ``completion_times`` and, at the end of :meth:`run`, ``virtual_time``.
     """
 
     __slots__ = (
@@ -533,13 +580,14 @@ class Stepper:
         self.index = index
         self.fabric = fabric
         self.stats = fabric.stats
-        self.resort = resort
         self.record_wall = not fabric.transit.lockstep
+        self.resort = resort or self.record_wall
         self.notify = notify
-        # arrivals[t][target] -> [(sender_index, sender, payload), ...];
-        # latched -> nodes due next tick; timers[t] -> nodes armed for t.
-        # The heap holds every tick with pending work (repeats allowed).
-        self.arrivals: dict[int, dict[int, list]] = {}
+        # arrivals[t][target] -> inbox dict (in order) or entry list
+        # (resorted); latched -> nodes due next tick; timers[t] -> nodes
+        # armed for t. The heap holds every tick with pending work
+        # (repeats allowed).
+        self.arrivals: dict[int, dict] = {}
         self.latched: list = []
         self.timers: dict[int, set] = {}
         self.heap: list[int] = []
@@ -549,12 +597,18 @@ class Stepper:
         if self.notify is not None:
             self.notify(tick)
 
-    def arrive(self, tick: int, target, entry: tuple) -> None:
-        """Stage one ``(sender_index, sender, payload)`` entry for ``tick``."""
+    def bucket(self, tick: int) -> dict:
+        """The arrivals of ``tick``, scheduling it on first use."""
         bucket = self.arrivals.get(tick)
         if bucket is None:
             bucket = self.arrivals[tick] = {}
             self.schedule(tick)
+        return bucket
+
+    def arrive(self, tick: int, target, entry: tuple) -> None:
+        """Stage one ``(sender_index, sender, payload)`` entry for ``tick``
+        (resorting steppers only)."""
+        bucket = self.bucket(tick)
         entries = bucket.get(target)
         if entries is None:
             bucket[target] = [entry]
@@ -578,10 +632,11 @@ class Stepper:
         """Tick 0: ``on_start`` on every node, by definition."""
         algorithms, index, fabric = self.algorithms, self.index, self.fabric
         for v, ctx in self.contexts.items():
-            outbox = algorithms[v].on_start(ctx) or {}
+            outbox = algorithms[v].on_start(ctx)
             if outbox:
                 fabric.stage(v, index[v], outbox, 0, self)
-            self._settle(v, ctx, 0)
+            if ctx._keep_alive or ctx._wake_at is not None:
+                self._settle(v, ctx, 0)
 
     def next_tick(self) -> int | None:
         """The earliest tick with live work, or ``None`` at quiescence."""
@@ -602,37 +657,38 @@ class Stepper:
         heap = self.heap
         while heap and heap[0] == now:
             heapq.heappop(heap)
-        contexts = self.contexts
+        contexts, index = self.contexts, self.index
         bucket = self.arrivals.pop(now, None) or {}
-        due = set(bucket)
-        due.update(self.latched)
-        self.latched = []
-        due.update(v for v in self.timers.pop(now, ()) if contexts[v]._wake_at == now)
-        algorithms, index, fabric, stats = (
-            self.algorithms, self.index, self.fabric, self.stats
-        )
-        resort, record_wall = self.resort, self.record_wall
+        timers = self.timers.pop(now, None)
+        due = bucket
+        if self.latched or timers:
+            due = set(bucket)
+            due.update(self.latched)
+            self.latched = []
+            if timers:
+                due.update(v for v in timers if contexts[v]._wake_at == now)
+        if self.resort:
+            for v, entries in bucket.items():
+                entries.sort()
+                bucket[v] = {sender: payload for _, sender, payload in entries}
+        order = sorted(due, key=index.__getitem__)
+        algorithms, fabric, stats = self.algorithms, self.fabric, self.stats
         stats.rounds = now
-        for v in sorted(due, key=index.__getitem__):
+        stats.activations += len(order)
+        completion_times = stats.completion_times if self.record_wall else None
+        for v in order:
             ctx = contexts[v]
             ctx.round = now
             ctx._keep_alive = False
             if ctx._wake_at is not None and ctx._wake_at <= now:
                 ctx._wake_at = None  # the timer fires with this wake
-            entries = bucket.get(v)
-            if entries:
-                if resort:
-                    entries.sort()
-                inbox = {sender: payload for _, sender, payload in entries}
-            else:
-                inbox = {}
-            outbox = algorithms[v].on_wake(ctx, inbox) or {}
-            stats.activations += 1
-            if record_wall:
-                stats.completion_times[v] = now
+            outbox = algorithms[v].on_wake(ctx, bucket.get(v) or {})
+            if completion_times is not None:
+                completion_times[v] = now
             if outbox:
                 fabric.stage(v, index[v], outbox, now, self)
-            self._settle(v, ctx, now)
+            if ctx._keep_alive or ctx._wake_at is not None:
+                self._settle(v, ctx, now)
 
     def run(self, max_rounds: int, raise_on_timeout: bool) -> None:
         """Step every live tick; quiescence is an empty schedule."""
@@ -709,8 +765,9 @@ class SchedulerBackend:
     0 (``on_start`` on every node, by definition), the round loop, and
     result collection — and returns ``(results, stats)``. The network
     object passed in exposes the topology snapshot (``_nodes``, ``_index``,
-    ``_neighbors``, ``_neighbor_sets``) and the model parameters
-    (``bandwidth_bits``, ``enforce_bandwidth``).
+    ``_neighbors``), the live graph whose ``_adj`` the fabric validates
+    sends against, and the model parameters (``bandwidth_bits``,
+    ``enforce_bandwidth``).
     """
 
     name = "abstract"
@@ -766,13 +823,10 @@ class EventBackend(SchedulerBackend):
         model = resolve_latency_model(net.latency_model)
         transit = Transit.resolve(model, net.graph, run_seed)
         fabric = MessageFabric(
-            net._neighbor_sets, net.bandwidth_bits, net.enforce_bandwidth, RoundStats(),
+            net.graph._adj, net.bandwidth_bits, net.enforce_bandwidth, RoundStats(),
             transit=transit,
         )
-        clock = Stepper(
-            algorithms, node_contexts(net, run_seed), net._index, fabric,
-            resort=not transit.lockstep,
-        )
+        clock = Stepper(algorithms, node_contexts(net, run_seed), net._index, fabric)
         clock.start()
         clock.run(max_rounds, raise_on_timeout)
         return {v: algorithms[v].result() for v in net._nodes}, clock.stats
@@ -797,7 +851,7 @@ class DenseBackend(SchedulerBackend):
         index = net._index
         stats = RoundStats()
         fabric = MessageFabric(
-            net._neighbor_sets, net.bandwidth_bits, net.enforce_bandwidth, stats
+            net.graph._adj, net.bandwidth_bits, net.enforce_bandwidth, stats
         )
         contexts = node_contexts(net, run_seed)
         # The stepper runs round 0 and is the staging sink; the rounds
@@ -823,8 +877,7 @@ class DenseBackend(SchedulerBackend):
                 timer_fired = ctx._wake_at is not None and ctx._wake_at <= round_no
                 if timer_fired:
                     ctx._wake_at = None  # the timer fires with this round
-                entries = bucket.get(v)
-                inbox = {s: payload for _, s, payload in entries} if entries else {}
+                inbox = bucket.get(v) or {}
                 algorithm = algorithms[v]
                 if sanitize and not inbox and not latched_prev and not timer_fired:
                     # This activation exists only because the dense loop

@@ -303,18 +303,19 @@ class JobScheduler:
         # One draw per job, exactly as SyncNetwork.run draws its run seed.
         run_seed = ensure_rng(job.rng).randrange(2**62)
         if len(nodes) == len(self._nodes):
+            # A full population validates against the graph's own adjacency.
             neighbors = self._neighbors
-            neighbor_sets = self._neighbor_sets
+            adjacency = self.graph._adj
             graph_view = self.graph
         else:
             # Induced-subgraph semantics: the job runs on G[population]
             # with neighbor order inherited from the shared graph.
             members = set(nodes)
             neighbors = {
-                v: tuple(w for w in self._neighbors[v] if w in members)
+                v: tuple([w for w in self._neighbors[v] if w in members])
                 for v in nodes
             }
-            neighbor_sets = {v: frozenset(nbrs) for v, nbrs in neighbors.items()}
+            adjacency = {v: frozenset(nbrs) for v, nbrs in neighbors.items()}
             graph_view = self.graph.subgraph(nodes)
         # Static latencies are per job, from its own run seed (the
         # solo-identity contract); a load-dependent schedule is shared.
@@ -327,7 +328,7 @@ class JobScheduler:
                 1, math.ceil(math.log2(max(len(nodes), 2)))
             )
         fabric = MessageFabric(
-            neighbor_sets, bandwidth, self.enforce_bandwidth, state.stats,
+            adjacency, bandwidth, self.enforce_bandwidth, state.stats,
             transit=transit, submit=state.submit,
         )
         contexts = {
@@ -368,28 +369,34 @@ class JobScheduler:
             self._in_heap.add(tick)
             heapq.heappush(self._heap, tick)
 
-    def _grant(self, edge, entry, now) -> None:
-        """Stage one granted message: charge stats, bucket the arrival.
+    def _grant(self, granted: list, now: int) -> None:
+        """Stage one tick's granted messages: charge stats, bucket the arrivals.
 
-        Mirrors ``MessageFabric.stage`` with the grant tick as the send
-        tick — for a solo job the grant tick *is* the send tick, so the
-        accounting is byte-identical to the direct backends. A deferred
+        Mirrors ``MessageFabric.stage_sized`` with the grant tick as the
+        send tick — for a solo job the grant tick *is* the send tick, so
+        the accounting is byte-identical to the direct backends. A deferred
         message also charges the ticks it waited to
         ``arbitration_stalls``. A load-dependent transit is asked of the
         shared link schedule in global ticks, so cross-tenant contention
         costs virtual time too (the models are seed-free, so one schedule
-        across tenants is well-defined).
+        across tenants is well-defined); lockstep transit is one tick.
         """
-        state, sender_index, payload, bits, sent = entry
-        sender, target = edge
-        rel = now - state.offset
-        stats = state.stats
-        stats.arbitration_stalls += rel - sent
-        state.pending -= 1
-        stepper = state.stepper
-        arrive = rel + stepper.fabric.transit.ticks(sender, target, now)
-        stepper.arrive(arrive, target, (sender_index, sender, payload))
-        stats.record_message(sender, target, bits, rel)
+        for edge, (state, sender_index, payload, bits, sent) in granted:
+            rel = now - state.offset
+            stats = state.stats
+            stats.arbitration_stalls += rel - sent
+            state.pending -= 1
+            stepper = state.stepper
+            transit = stepper.fabric.transit
+            sender, target = edge
+            arrive = rel + (1 if transit.lockstep else transit.ticks(sender, target, now))
+            stepper.arrive(arrive, target, (sender_index, sender, payload))
+            stats.messages += 1
+            stats.message_bits += bits
+            by_round = stats.messages_by_round
+            by_round[rel] = by_round.get(rel, 0) + 1
+            edge_messages = stats.edge_messages
+            edge_messages[edge] = edge_messages.get(edge, 0) + 1
 
     def _tick(self, state: _JobState, now: int) -> bool:
         """Step one job at global tick ``now``; True when it executed a round."""
@@ -500,17 +507,16 @@ class JobScheduler:
         # serial path pays once per run).
         self._nodes = tuple(self.graph.nodes())
         self._gindex = {v: i for i, v in enumerate(self._nodes)}
-        self._neighbors = {v: tuple(self.graph.neighbors(v)) for v in self._nodes}
-        self._neighbor_sets = {
-            v: frozenset(nbrs) for v, nbrs in self._neighbors.items()
-        }
+        adj = self.graph._adj
+        self._neighbors = {v: tuple(adj[v]) for v in self._nodes}
         gindex = self._gindex
         # Edges resolve in global node-index order: under a load-dependent
         # model the shared link schedule charges transits in grant order,
         # and this order matches the direct backends' activation order
         # (the solo-identity contract).
+        n = len(self._nodes)
         self._queues = EdgeQueues(
-            self.capacity, order=lambda edge: (gindex[edge[0]], gindex[edge[1]])
+            self.capacity, order=lambda edge: gindex[edge[0]] * n + gindex[edge[1]]
         )
         # One link schedule per run, shared by every tenant (global
         # ticks): load-dependent transit is a property of the physical
@@ -543,8 +549,7 @@ class JobScheduler:
             busy = False
             for state in list(self._running):
                 busy = self._tick(state, now) or busy
-            for edge, entry in self._queues.resolve():
-                self._grant(edge, entry, now)
+            self._grant(self._queues.resolve(), now)
             if self._queues.edges:
                 self._wake_global(now + 1)
                 busy = True

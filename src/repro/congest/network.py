@@ -179,12 +179,16 @@ class SyncNetwork:
             timer-native backend (``event``) never produces
             spurious wakes, so the flag is a no-op there by construction.
 
-    Adjacency, neighbor tuples, and the node index used for deterministic
-    activation ordering are snapshotted once per :meth:`run` (so graph
-    mutations between runs are honored, as before) and built lazily on
-    first access; the per-round loops do no graph lookups or per-round
-    dict rebuilding, and a pure-kernel vectorized run never materializes
-    the per-node adjacency dicts at all.
+    Neighbor tuples and the node index used for deterministic activation
+    ordering are snapshotted once per :meth:`run` (so graph mutations
+    between runs are honored, as before) and built lazily on first access;
+    the per-round loops do no per-round dict rebuilding, and a pure-kernel
+    vectorized run never materializes the per-node neighbor tuples at all.
+    Sends are validated against the graph's own adjacency mapping
+    (``graph._adj``, the one networkx's algorithms read), which is live, so
+    a run builds no neighbor sets and always sees the current edges.
+    Neighbor *sets* are built only where a population is an induced
+    subgraph (scoped jobs in :mod:`repro.congest.jobs`).
     """
 
     def __init__(
@@ -218,16 +222,16 @@ class SyncNetwork:
         """Snapshot the topology for the hot loops; adjacency stays lazy.
 
         ``_nodes`` is materialized eagerly (every backend and the
-        coverage check need it); the ``_index``/``_neighbors``/
-        ``_neighbor_sets`` dicts are built on first access and
-        invalidated here, per run. The interpreted backends touch them
-        immediately, so nothing changes for them — but a pure-kernel run
-        on the vectorized backend never does, and skipping three O(n + m)
-        dict builds is a measurable slice of its wall-clock budget.
+        coverage check need it); the ``_index``/``_neighbors`` dicts are
+        built on first access and invalidated here, per run. The
+        interpreted backends touch them immediately, so nothing changes
+        for them — but a pure-kernel run on the vectorized backend never
+        does, and skipping two O(n + m) dict builds is a measurable slice
+        of its wall-clock budget.
         """
         self._nodes: tuple = tuple(self.graph.nodes())
         self._index_cache: dict | None = None
-        self._adjacency_cache: tuple[dict, dict] | None = None
+        self._neighbors_cache: dict | None = None
 
     @property
     def _index(self) -> dict:
@@ -237,21 +241,10 @@ class SyncNetwork:
 
     @property
     def _neighbors(self) -> dict:
-        return self._adjacency()[0]
-
-    @property
-    def _neighbor_sets(self) -> dict:
-        return self._adjacency()[1]
-
-    def _adjacency(self) -> tuple[dict, dict]:
-        if self._adjacency_cache is None:
-            graph = self.graph
-            neighbors = {v: tuple(graph.neighbors(v)) for v in self._nodes}
-            self._adjacency_cache = (
-                neighbors,
-                {v: frozenset(nbrs) for v, nbrs in neighbors.items()},
-            )
-        return self._adjacency_cache
+        if self._neighbors_cache is None:
+            adj = self.graph._adj
+            self._neighbors_cache = {v: tuple(adj[v]) for v in self._nodes}
+        return self._neighbors_cache
 
     def run(
         self,
@@ -279,7 +272,8 @@ class SyncNetwork:
         # Refresh the topology snapshot so callers that mutated the graph
         # after construction (the seed contract) see their changes.
         self._build_tables()
-        if set(algorithms) != set(self._nodes):
+        nodes = self._nodes
+        if len(algorithms) != len(nodes) or not all(map(algorithms.__contains__, nodes)):
             raise GraphStructureError("algorithms must cover exactly the graph nodes")
         # One draw per run: every per-node stream derives from this value
         # and the node's index, independent of backend.

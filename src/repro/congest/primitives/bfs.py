@@ -29,55 +29,83 @@ _JOIN_BITS = payload_bits((_JOIN,))
 
 
 class BfsNode(NodeAlgorithm):
-    """Per-node state machine for BFS flooding."""
+    """Per-node state machine for BFS flooding.
+
+    Event-native: ``on_wake`` is the event backend's entry point (a BFS
+    node never latches keep-alive, so a wake always carries messages) and
+    ``on_round`` the dense scheduler's; the equivalence suite pins the two.
+    A node announces one shared ``(ADV, depth)`` object to all its other
+    neighbours, so the fabric sizes it once per outbox.
+    """
 
     def __init__(self, node: int, is_root: bool):
         self.node = node
         self.is_root = is_root
         self.parent: int | None = None
         self.depth: int | None = 0 if is_root else None
-        self.children: list[int] = []
+        # Sorted ids in a tuple, not a list: the collector stops tracking a
+        # tuple of ints, and result() hands it out as is, so neither the
+        # node's state nor its result dict adds a long-lived container per
+        # node for the cyclic collector to walk.
+        self.children: tuple[int, ...] = ()
 
     def on_start(self, ctx):
         if not self.is_root:
             return {}
         return {neighbor: (_ADV, 0) for neighbor in ctx.neighbors}
 
-    def on_round(self, ctx, inbox):
-        outbox: dict[int, object] = {}
-        advertisers = []
-        for sender, payload in inbox.items():
-            tag = payload[0]
-            if tag == _ADV:
-                advertisers.append((sender, payload[1]))
-            elif tag == _JOIN:
-                self.children.append(sender)
-        if self.depth is None and advertisers:
-            # All first-round advertisers have the same depth (synchronous
-            # flooding); adopt the smallest id for determinism.
-            parent, parent_depth = min(advertisers)
-            self.parent = parent
-            self.depth = parent_depth + 1
-            outbox[parent] = (_JOIN,)
-            for neighbor in ctx.neighbors:
-                if neighbor != parent:
-                    outbox[neighbor] = (_ADV, self.depth)
+    def _adopt(self, ctx, parent, parent_depth):
+        """Join below ``parent``: JOIN to it, announce the depth to the rest."""
+        self.parent = parent
+        self.depth = depth = parent_depth + 1
+        outbox = {parent: (_JOIN,)}
+        announce = (_ADV, depth)
+        for neighbor in ctx.neighbors:
+            if neighbor != parent:
+                outbox[neighbor] = announce
         return outbox
+
+    def _add_children(self, inbox):
+        joins = [sender for sender, payload in inbox.items() if payload[0] == _JOIN]
+        if joins:
+            joins.extend(self.children)
+            joins.sort()
+            self.children = tuple(joins)
+
+    def on_round(self, ctx, inbox):
+        self._add_children(inbox)
+        if self.depth is None:
+            advertisers = [
+                (sender, payload[1]) for sender, payload in inbox.items() if payload[0] == _ADV
+            ]
+            if advertisers:
+                # All first-round advertisers have the same depth
+                # (synchronous flooding); adopt the smallest id for
+                # determinism.
+                return self._adopt(ctx, *min(advertisers))
+        return {}
+
+    def on_wake(self, ctx, inbox):
+        if self.depth is None:
+            # A node hears JOINs only once it has joined, so this first
+            # inbox holds ADVs alone: adopt the smallest-id advertiser.
+            parent = min(inbox)
+            return self._adopt(ctx, parent, inbox[parent][1])
+        self._add_children(inbox)
+        return {}
 
     def result(self):
         return {
             "parent": self.parent,
             "depth": self.depth,
-            "children": tuple(sorted(self.children)),
+            "children": self.children,
         }
 
 
-def _materialize_adv(tag, value):
+def _materialize(tag, value):
+    if tag == _JOIN:
+        return (_JOIN,)
     return (_ADV, value)
-
-
-def _materialize_join(tag, value):
-    return (_JOIN,)
 
 
 class BfsVectorKernel(VectorKernel):
@@ -88,7 +116,7 @@ class BfsVectorKernel(VectorKernel):
     ``(sender, depth)`` pairs is decided by the sender id alone (ids are
     unique within an inbox), reproduced here as a ``(receiver, id)``
     lexsort + first-per-group. ``scatter`` emits the JOIN to each parent
-    and re-advertises to the remaining neighbors as two flat batches.
+    and re-advertises to the remaining neighbors in one flat batch.
     """
 
     dtypes = {"depth": "int64", "parent": "int64"}
@@ -120,7 +148,7 @@ class BfsVectorKernel(VectorKernel):
         src, dst = ops.expand(self.roots)
         ops.emit(
             src, dst, tag=_ADV, value=0, bits=payload_bits((_ADV, 0)),
-            materialize=_materialize_adv,
+            materialize=_materialize,
         )
 
     def apply(self, ops, inbox):
@@ -145,20 +173,18 @@ class BfsVectorKernel(VectorKernel):
         return newly
 
     def scatter(self, ops, ready):
-        ops.emit(
-            ready, self.parent[ready], tag=_JOIN, value=0,
-            bits=_JOIN_BITS, materialize=_materialize_join,
-        )
+        np = ops.np
         src, dst = ops.expand(ready)
-        keep = dst != self.parent[src]
-        src, dst = src[keep], dst[keep]
+        join = dst == self.parent[src]
         # Synchronous flooding: every node adopted this round shares one
-        # depth, so the per-message ADV size is a single scalar.
+        # depth, so the ADV value and size are scalars. One batch carries
+        # the JOINs and the ADVs alike.
         depth_val = int(self.depth[ready[0]])
         ops.emit(
-            src, dst, tag=_ADV, value=depth_val,
-            bits=payload_bits((_ADV, depth_val)),
-            materialize=_materialize_adv,
+            src, dst, tag=np.where(join, _JOIN, _ADV),
+            value=np.where(join, 0, depth_val),
+            bits=np.where(join, _JOIN_BITS, payload_bits((_ADV, depth_val))),
+            materialize=_materialize,
         )
 
     def fill_results(self, ops, results):
@@ -174,7 +200,7 @@ class BfsVectorKernel(VectorKernel):
             child_ids = ops.ids[all_src]
             order = np.lexsort((child_ids, all_dst))
             sorted_dst = all_dst[order]
-            sorted_children = child_ids[order].tolist()
+            sorted_children = tuple(child_ids[order].tolist())
             span = np.arange(n, dtype=np.int64)
             child_lo = np.searchsorted(sorted_dst, span, side="left").tolist()
             child_hi = np.searchsorted(sorted_dst, span, side="right").tolist()
@@ -182,8 +208,7 @@ class BfsVectorKernel(VectorKernel):
         depths = [d if d >= 0 else None for d in self.depth.tolist()]
         parents = [nodes[p] if p >= 0 else None for p in self.parent.tolist()]
         if child_lo is not None:
-            kids = [tuple(sorted_children[lo:hi])
-                    for lo, hi in zip(child_lo, child_hi)]
+            kids = [sorted_children[lo:hi] for lo, hi in zip(child_lo, child_hi)]
         else:
             kids = [()] * n
         if len(claimed) == n:

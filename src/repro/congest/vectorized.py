@@ -334,16 +334,17 @@ class VectorFabric:
         if indptr is None:
             indptr, indices = self.csr.indptr, self.csr.indices
         sources = np.asarray(sources, dtype=np.int64)
-        counts = indptr[sources + 1] - indptr[sources]
+        starts = indptr[sources]
+        counts = indptr[sources + 1] - starts
         total = int(counts.sum())
-        empty = np.zeros(0, dtype=np.int64)
         if total == 0:
+            empty = np.zeros(0, dtype=np.int64)
             return empty, empty
-        src_rep = np.repeat(sources, counts)
-        cum = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts)[:-1]))
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(cum, counts)
-        slots = np.repeat(indptr[sources], counts) + offsets
-        return src_rep, indices[slots]
+        # The j-th flattened entry sits at its row's start plus j minus the
+        # entries of the rows before it.
+        shift = starts - (np.cumsum(counts) - counts)
+        slots = np.arange(total, dtype=np.int64) + np.repeat(shift, counts)
+        return np.repeat(sources, counts), indices[slots]
 
     # -- emission -----------------------------------------------------------
 
@@ -400,15 +401,8 @@ class VectorFabric:
         )
         np.add.at(self._edge_counts, slots, 1)
 
-        # Broadcast views only — batches are read downstream, never
-        # written, and boolean masking copies anyway.
-        tag_arr = np.broadcast_to(
-            np.asarray(tag if tag is not None else 0, dtype=np.int64), src.shape
-        )
-        value_arr = np.broadcast_to(
-            np.asarray(value if value is not None else 0, dtype=np.int64),
-            src.shape,
-        )
+        tag_arr = _int_column(tag, src.shape)
+        value_arr = _int_column(value, src.shape)
         if self._has_interp:
             interp = self._owner[dst] < 0
             if interp.any():
@@ -502,7 +496,7 @@ class _TierFabric(MessageFabric):
 
     def __init__(self, net, stats, kernels, owner, index):
         super().__init__(
-            net._neighbor_sets, net.bandwidth_bits, net.enforce_bandwidth, stats
+            net.graph._adj, net.bandwidth_bits, net.enforce_bandwidth, stats
         )
         self.kernels = kernels
         self.owner = owner
@@ -570,6 +564,19 @@ def _plan(csr, net, algorithms):
         kernels.append((kernel, claimed))
     interpreted = np.flatnonzero(owner < 0).tolist()
     return kernels, owner, interpreted
+
+
+def _int_column(values, shape):
+    """A batch's int64 column: a scalar (``None`` reads as 0) filled out to
+    ``shape``, or an array used as is (broadcast if it is shorter).
+
+    Batches are read downstream, never written. A fill is cheaper to make
+    than a broadcast view at the sizes one emit carries.
+    """
+    if np.ndim(values) == 0:
+        return np.full(shape, 0 if values is None else values, dtype=np.int64)
+    values = np.asarray(values, dtype=np.int64)
+    return values if values.shape == shape else np.broadcast_to(values, shape)
 
 
 def _shared_fill(size, fill):

@@ -6,7 +6,9 @@ cost their binary length, tuples cost the sum of their fields plus a small
 per-field framing cost. Algorithms whose messages exceed the per-round
 budget raise :class:`repro.util.errors.CongestViolation` at send time.
 
-:func:`payload_bits` is called once per simulated send, so the common
+:func:`payload_bits` is called once per payload object of an outbox (a
+payload sent to consecutive targets is sized once; see
+:meth:`repro.congest.engine.MessageFabric.validate`), so the common
 payloads — an ``int`` and a flat tuple of ``int`` fields — are sized in
 one pass with exact type tests and no recursion. Every other payload takes
 the general rules, which are the same for both paths.

@@ -291,3 +291,70 @@ class TestKernelEqEdges:
         message = findings[0].message
         assert "filters on tag GHOST (= 12)" in message
         assert "can never match" in message
+
+
+class TestMixedTagEmits:
+    """``emit(tag=np.where(mask, A, B), materialize=fn)``: one batch that
+    carries two tags, each checked against the interpreted schema with the
+    arity ``fn`` returns for it."""
+
+    WIRE = "src/repro/congest/primitives/duowire.py"
+    NODE = "src/repro/congest/primitives/duonode.py"
+    KERNEL = "src/repro/congest/primitives/duokernel.py"
+
+    SOURCES = {
+        WIRE: "ADV = 0\nJOIN = 1\nGHOST = 12\n",
+        NODE: (
+            "from repro.congest.primitives.duowire import ADV, JOIN\n"
+            "\n"
+            "\n"
+            "class DuoNode(NodeAlgorithm):\n"
+            "    def on_round(self, ctx, inbox):\n"
+            "        for s, payload in inbox.items():\n"
+            "            if payload[0] == ADV:\n"
+            "                self.depth = payload[1]\n"
+            "            elif payload[0] == JOIN:\n"
+            "                self.child = s\n"
+            "        return {ctx.neighbors[0]: (JOIN,), ctx.neighbors[1]: (ADV, 1)}\n"
+        ),
+    }
+
+    def _kernel(self, second_tag, join_return):
+        return (
+            "from repro.congest.primitives.duonode import DuoNode\n"
+            f"from repro.congest.primitives.duowire import ADV, JOIN, {second_tag}\n"
+            "\n"
+            "\n"
+            "def _materialize(tag, value):\n"
+            "    if tag == JOIN:\n"
+            f"        return {join_return}\n"
+            "    return (ADV, value)\n"
+            "\n"
+            "\n"
+            "class DuoKernel(VectorKernel):\n"
+            "    def scatter(self, ops, ready):\n"
+            "        join = ready == 0\n"
+            f"        ops.emit(0, 1, tag=np.where(join, {second_tag}, ADV),\n"
+            "                 materialize=_materialize)\n"
+            "\n"
+            "\n"
+            "DuoNode.vector_kernel = DuoKernel\n"
+        )
+
+    def _findings(self, second_tag, join_return):
+        sources = dict(self.SOURCES)
+        sources[self.KERNEL] = self._kernel(second_tag, join_return)
+        return analyze_sources(sources, select=("KERNEL-EQ", "PROTO-MSG"))
+
+    def test_matching_mixed_batch_is_clean(self):
+        assert self._findings("JOIN", "(JOIN,)") == []
+
+    def test_each_branch_gets_its_own_arity(self):
+        messages = [f.message for f in self._findings("JOIN", "(JOIN, value)")]
+        assert any("emits tag JOIN (= 1) with payload arity 2" in m for m in messages)
+        assert not any("ADV" in m for m in messages)
+
+    def test_foreign_tag_in_a_branch(self):
+        findings = self._findings("GHOST", "(GHOST,)")
+        assert len(findings) == 1
+        assert "GHOST (= 12)" in findings[0].message
