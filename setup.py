@@ -23,7 +23,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["networkx>=3.0"],
+    install_requires=["networkx>=3.3"],
     extras_require={
         "vectorized": ["numpy>=1.24"],
     },

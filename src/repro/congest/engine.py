@@ -12,14 +12,13 @@ execution means; this module defines *how* one is driven. The split is:
   charged at *send* time, keyed by the send round).
 * :class:`Transit` is the one delivery rule — a latency model resolved
   into a static table or a link schedule — and :class:`EdgeQueues` the one
-  per-edge capacity queue. The fabric, the job layer's arbitration and the
+  per-edge queue (one grant per edge per tick). The fabric, the job layer's arbitration and the
   packet scheduler (:mod:`repro.sched.partwise`) all use them.
 * :class:`Stepper` is the one virtual-clock engine: a population's staged
   arrivals, keep-alive latches and timer wheel, activated tick by tick in
-  node-index order. The ``event`` backend runs one per execution, the job
-  layer (:mod:`repro.congest.jobs`) one per tenant, and the vectorized
-  backend one for its interpreted tier. Under lockstep transit its
-  arrivals are the receivers' inbox dicts themselves, filled in
+  node-index order. The ``event`` backend runs one per execution and the
+  job layer (:mod:`repro.congest.jobs`) one per tenant. Under lockstep
+  transit its arrivals are the receivers' inbox dicts themselves, filled in
   sender-index order as the senders run; only steppers whose arrivals can
   reach a tick out of sender order keep per-message entries and sort them.
 * :class:`SchedulerBackend` subclasses own the activation strategy — which
@@ -283,7 +282,7 @@ class _Slots(dict):
 
 
 class EdgeQueues:
-    """Per-directed-edge capacity queues: at most ``capacity`` grants per tick.
+    """Per-directed-edge queues: one grant per edge per tick, the CONGEST rule.
 
     An entry waits on its edge in its *slot*'s FIFO: the job layer gives
     each tenant a slot, the packet scheduler uses one (plain FIFO).
@@ -303,10 +302,9 @@ class EdgeQueues:
     transits in grant order, so the order is part of the schedule.
     """
 
-    __slots__ = ("capacity", "rng", "order", "edges", "pointers", "_first")
+    __slots__ = ("rng", "order", "edges", "pointers", "_first")
 
-    def __init__(self, capacity: int = 1, order=None, rng: random.Random | None = None):
-        self.capacity = capacity
+    def __init__(self, order=None, rng: random.Random | None = None):
         self.rng = rng
         self.edges: dict = {}  # edge -> non-empty FIFO, or slot -> non-empty FIFO
         self.pointers: dict = {}  # edge -> last granted slot
@@ -349,32 +347,30 @@ class EdgeQueues:
         return dropped
 
     def resolve(self) -> list:
-        """Grant one tick's entries; returns ``(edge, entry)`` pairs in grant order."""
+        """Grant one entry per queued edge; returns ``(edge, entry)`` pairs in
+        grant order."""
         granted = []
         edges, pointers, rng = self.edges, self.pointers, self.rng
-        grants = range(self.capacity)
         for edge in sorted(edges, key=self.order):
             queued = edges[edge]
-            for _ in grants:
-                if queued.slot is not None:
-                    fifo = queued
-                elif len(queued) == 1:
-                    fifo = next(iter(queued.values()))
-                else:
-                    pointer = pointers.get(edge, -1)
-                    fifo = queued[min((s for s in queued if s > pointer), default=min(queued))]
-                if rng is not None and len(fifo) > 1:
-                    position = rng.randrange(len(fifo))
-                    fifo[position], fifo[0] = fifo[0], fifo[position]
-                granted.append((edge, fifo.pop(0)))
-                pointers[edge] = fifo.slot
-                if not fifo:
-                    if fifo is not queued:
-                        del queued[fifo.slot]
-                        if queued:
-                            continue
-                    del edges[edge]
-                    break
+            if queued.slot is not None:
+                fifo = queued
+            elif len(queued) == 1:
+                fifo = next(iter(queued.values()))
+            else:
+                pointer = pointers.get(edge, -1)
+                fifo = queued[min((s for s in queued if s > pointer), default=min(queued))]
+            if rng is not None and len(fifo) > 1:
+                position = rng.randrange(len(fifo))
+                fifo[position], fifo[0] = fifo[0], fifo[position]
+            granted.append((edge, fifo.pop(0)))
+            pointers[edge] = fifo.slot
+            if not fifo:
+                if fifo is not queued:
+                    del queued[fifo.slot]
+                    if queued:
+                        continue
+                del edges[edge]
         return granted
 
 
@@ -559,8 +555,7 @@ class Stepper:
       ``(sender_index, sender, payload)`` entries (:meth:`arrive`), sorted
       and turned into inbox dicts when the tick is stepped. Needed
       wherever arrivals can reach a tick out of sender order: non-unit
-      transit, arbitration deferrals (the job layer), cross-tier sends (the
-      vectorized backend's interpreted tier).
+      transit and arbitration deferrals (the job layer).
 
     ``record_wall`` — set exactly when the fabric's transit is not
     lockstep, the one wall-time rule — records per-node
@@ -790,15 +785,14 @@ class SchedulerBackend:
         raise NotImplementedError
 
 
-def node_contexts(net, run_seed: int, indices=None) -> dict:
-    """Contexts of the nodes at ``indices`` (default all), in index order."""
+def node_contexts(net, run_seed: int) -> dict:
+    """Every node's context, in index order."""
     nodes = net._nodes
     neighbors = net._neighbors
+    n = len(nodes)
     return {
-        nodes[i]: NodeContext(
-            nodes[i], neighbors[nodes[i]], len(nodes), derive_node_rng(run_seed, i)
-        )
-        for i in (range(len(nodes)) if indices is None else indices)
+        v: NodeContext(v, neighbors[v], n, derive_node_rng(run_seed, i))
+        for i, v in enumerate(nodes)
     }
 
 

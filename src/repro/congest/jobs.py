@@ -11,9 +11,8 @@ populations — over a single virtual-time execution:
   under the job's slot, and per-node inboxes are demultiplexed per job (a
   node participating in two jobs is two independent state machines with
   two independent rng streams);
-* bandwidth is arbitrated: a directed edge carries at most
-  ``capacity`` (default 1 — the CONGEST rule) messages per global tick
-  *across all jobs*. Every send waits in the shared
+* bandwidth is arbitrated: a directed edge carries at most one message
+  per global tick *across all jobs* — the CONGEST rule. Every send waits in the shared
   :class:`~repro.congest.engine.EdgeQueues` — the packet scheduler's
   queue too — in its job's FIFO, and grants go round-robin over job
   slots, so the schedule is deterministic and byte-identical per seed. A
@@ -241,8 +240,6 @@ class JobScheduler:
             per job is the ``SyncNetwork`` rule over the job's population
             size.
         enforce_bandwidth: as in ``SyncNetwork``.
-        capacity: messages a directed edge may carry per global tick
-            across all jobs (default 1 — the CONGEST rule).
         max_inflight: admission control — at most this many population
             jobs multiplex at once (``None`` = unbounded); the rest queue
             in submission order.
@@ -255,7 +252,6 @@ class JobScheduler:
         latency_model: object = None,
         bandwidth_bits: int | None = None,
         enforce_bandwidth: bool = True,
-        capacity: int = 1,
         max_inflight: int | None = None,
     ):
         if graph.number_of_nodes() == 0:
@@ -265,10 +261,6 @@ class JobScheduler:
                 f"unknown job-layer scheduler {scheduler!r}; the job layer "
                 f"runs the virtual-clock backend: {', '.join(_MODES)}"
             )
-        if type(capacity) is not int or capacity < 1:
-            raise CongestViolation(
-                f"edge capacity must be an int >= 1 message per tick, got {capacity!r}"
-            )
         if max_inflight is not None and (type(max_inflight) is not int or max_inflight < 1):
             raise ValueError(f"max_inflight must be an int >= 1 or None, got {max_inflight!r}")
         self.graph = graph
@@ -277,7 +269,6 @@ class JobScheduler:
         self._model = resolve_latency_model(latency_model)
         self.bandwidth_bits = bandwidth_bits
         self.enforce_bandwidth = enforce_bandwidth
-        self.capacity = capacity
         self.max_inflight = max_inflight
 
     # ------------------------------------------------------------------
@@ -515,9 +506,7 @@ class JobScheduler:
         # and this order matches the direct backends' activation order
         # (the solo-identity contract).
         n = len(self._nodes)
-        self._queues = EdgeQueues(
-            self.capacity, order=lambda edge: gindex[edge[0]] * n + gindex[edge[1]]
-        )
+        self._queues = EdgeQueues(order=lambda edge: gindex[edge[0]] * n + gindex[edge[1]])
         # One link schedule per run, shared by every tenant (global
         # ticks): load-dependent transit is a property of the physical
         # link, so concurrent jobs on a link slow each other down.

@@ -45,10 +45,12 @@ them identically. Three backends are registered:
 * ``"vectorized"`` — the columnar numpy backend
   (:class:`~repro.congest.vectorized.VectorizedBackend`, requires the
   ``repro[vectorized]`` extra): whole rounds execute as gather/apply/
-  scatter array passes over a cached CSR adjacency for algorithms that
-  declare a :class:`~repro.congest.vectorized.VectorKernel`; runs whose
-  algorithms have no kernel are transparently delegated to ``event``
-  (recorded in ``stats.notes``), so the flag is always safe to pass.
+  scatter array passes over a cached CSR adjacency for a single-class
+  population whose class declares a
+  :class:`~repro.congest.vectorized.VectorKernel`; every other run (no
+  kernel, a refusing kernel, or mixed classes) is transparently delegated
+  to ``event`` (recorded in ``stats.notes``), so the flag is always safe
+  to pass.
 
 The backend contract is strict: results, round counts, message counts,
 bits, and per-edge congestion must be byte-identical across backends for

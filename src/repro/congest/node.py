@@ -65,9 +65,10 @@ class NodeAlgorithm:
     #: Columnar companion kernel for the vectorized scheduler backend, or
     #: ``None`` (the default) for interpreted-only algorithms. Point this
     #: at a :class:`repro.congest.vectorized.VectorKernel` subclass to opt
-    #: the algorithm into whole-round array execution; a run containing
-    #: any algorithm class that leaves it ``None`` is transparently
-    #: delegated to the ``event`` backend (recorded in ``stats.notes``).
+    #: the algorithm into whole-round array execution. A run executes
+    #: on the kernel only when every node runs this one class; any other
+    #: run is transparently delegated to the ``event`` backend (recorded
+    #: in ``stats.notes``).
     vector_kernel = None
 
     def on_start(self, ctx: "NodeContext") -> dict[int, object]:

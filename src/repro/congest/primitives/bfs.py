@@ -122,22 +122,20 @@ class BfsVectorKernel(VectorKernel):
     dtypes = {"depth": "int64", "parent": "int64"}
 
     @classmethod
-    def accepts(cls, csr, members, algorithms):
+    def accepts(cls, csr, algorithms):
         # The advertiser tie-break compares node *ids*; without an int64
         # id column there is nothing to lexsort by.
         return csr.ids is not None
 
-    def setup(self, ops, claimed, algorithms):
+    def setup(self, ops, algorithms):
         np = ops.np
-        self.claimed = claimed
         cols = ops.columns(self.dtypes)
         self.depth = cols["depth"]
         self.depth.fill(-1)
         self.parent = cols["parent"]
         self.parent.fill(-1)
-        nodes = ops.csr.nodes
         self.roots = np.array(
-            [i for i in claimed.tolist() if algorithms[nodes[i]].is_root],
+            [i for i, v in enumerate(ops.csr.nodes) if algorithms[v].is_root],
             dtype=np.int64,
         )
         self.depth[self.roots] = 0
@@ -204,24 +202,16 @@ class BfsVectorKernel(VectorKernel):
             span = np.arange(n, dtype=np.int64)
             child_lo = np.searchsorted(sorted_dst, span, side="left").tolist()
             child_hi = np.searchsorted(sorted_dst, span, side="right").tolist()
-        claimed = self.claimed.tolist()
         depths = [d if d >= 0 else None for d in self.depth.tolist()]
         parents = [nodes[p] if p >= 0 else None for p in self.parent.tolist()]
         if child_lo is not None:
             kids = [sorted_children[lo:hi] for lo, hi in zip(child_lo, child_hi)]
         else:
             kids = [()] * n
-        if len(claimed) == n:
-            results.update(zip(nodes, [
-                {"parent": p, "depth": d, "children": k}
-                for p, d, k in zip(parents, depths, kids)
-            ]))
-        else:
-            results.update(zip(
-                (nodes[i] for i in claimed),
-                [{"parent": parents[i], "depth": depths[i],
-                  "children": kids[i]} for i in claimed],
-            ))
+        results.update(zip(nodes, [
+            {"parent": p, "depth": d, "children": k}
+            for p, d, k in zip(parents, depths, kids)
+        ]))
 
 
 BfsNode.vector_kernel = BfsVectorKernel

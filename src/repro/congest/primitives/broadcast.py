@@ -74,18 +74,16 @@ class _BroadcastVectorKernel(VectorKernel):
 
     dtypes = {"has_value": "bool"}
 
-    def setup(self, ops, claimed, algorithms):
+    def setup(self, ops, algorithms):
         np = ops.np
-        nodes = ops.csr.nodes
         index = ops.csr.index
-        self.claimed = claimed
         self.has_value = ops.columns(self.dtypes)["has_value"]
         counts = np.zeros(ops.n + 1, dtype=np.int64)
         child_rows: list = []
         roots = []
         self.value = None
-        for i in claimed.tolist():
-            alg = algorithms[nodes[i]]
+        for i, v in enumerate(ops.csr.nodes):
+            alg = algorithms[v]
             row = [index[c] for c in alg.children]
             child_rows.extend(row)
             counts[i + 1] = len(row)
@@ -115,9 +113,10 @@ class _BroadcastVectorKernel(VectorKernel):
         self._forward(ops, ready)
 
     def fill_results(self, ops, results):
-        nodes = ops.csr.nodes
-        for i in self.claimed.tolist():
-            results[nodes[i]] = self.value if self.has_value[i] else None
+        value = self.value
+        results.update(zip(ops.csr.nodes, [
+            value if has else None for has in self.has_value.tolist()
+        ]))
 
 
 _BroadcastNode.vector_kernel = _BroadcastVectorKernel
@@ -193,19 +192,17 @@ class _AggregateVectorKernel(VectorKernel):
 
     dtypes = {"pending": "int64", "sent": "bool"}
 
-    def setup(self, ops, claimed, algorithms):
+    def setup(self, ops, algorithms):
         np = ops.np
-        nodes = ops.csr.nodes
         index = ops.csr.index
-        self.claimed = claimed
         cols = ops.columns(self.dtypes)
         self.pending = cols["pending"]
         self.sent = cols["sent"]
         self.parent = np.full(ops.n, -1, dtype=np.int64)
         self.acc: list = [None] * ops.n
         self.combine = None
-        for i in claimed.tolist():
-            alg = algorithms[nodes[i]]
+        for i, v in enumerate(ops.csr.nodes):
+            alg = algorithms[v]
             if alg.parent is not None:
                 self.parent[i] = index[alg.parent]
             self.pending[i] = len(alg.pending)
@@ -228,8 +225,7 @@ class _AggregateVectorKernel(VectorKernel):
         ops.emit(senders, self.parent[senders], objs=objs, bits=bits)
 
     def on_start(self, ops):
-        ready = self.claimed[self.pending[self.claimed] == 0]
-        self._report(ops, ready)
+        self._report(ops, ops.np.flatnonzero(self.pending == 0))
 
     def apply(self, ops, inbox):
         combine = self.combine
@@ -244,9 +240,7 @@ class _AggregateVectorKernel(VectorKernel):
         self._report(ops, ready)
 
     def fill_results(self, ops, results):
-        nodes = ops.csr.nodes
-        for i in self.claimed.tolist():
-            results[nodes[i]] = self.acc[i]
+        results.update(zip(ops.csr.nodes, self.acc))
 
 
 _AggregateNode.vector_kernel = _AggregateVectorKernel

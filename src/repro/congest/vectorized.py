@@ -33,23 +33,21 @@ per-node instances, emits round-0 messages in
 :meth:`~VectorKernel.on_start`, advances state in
 :meth:`~VectorKernel.apply` (called with a :class:`VectorInbox` of this
 round's deliveries), emits in :meth:`~VectorKernel.scatter`, and
-reports per-node results in :meth:`~VectorKernel.fill_results`. A kernel
-may *claim* only a subset of its instances (:meth:`~VectorKernel.claim`
-— e.g. the ack sweep's leaf tier); unclaimed nodes run on the
-event-backend activation rule in the same round loop, so kernel and
-interpreted tiers interoperate within one execution.
+reports per-node results in :meth:`~VectorKernel.fill_results`. One
+kernel runs one execution and owns every node of it.
 
 Fallback policy
 ---------------
 
-The backend is transparent: when any algorithm class in the run has no
-kernel (``vector_kernel is None``), or its kernel refuses the instance
-(:meth:`VectorKernel.accepts` — e.g. BFS on non-integer node labels),
-the whole run is delegated to the ``event`` backend — legal because
-backends are observably identical by contract — and the delegation is
-recorded as a provenance note in ``stats.notes``. ``scheduler=``
-threading through primitives, apps, and the CLI therefore keeps working
-unchanged; ``sanitize=`` is a documented no-op here (the round loop never
+The backend runs a single-class population whose class has a kernel
+that accepts the instance. Anything else is delegated to the ``event``
+backend: a population that mixes algorithm classes, a class with no
+kernel (``vector_kernel is None``), or a kernel that refuses the
+instance (:meth:`VectorKernel.accepts` — e.g. BFS on non-integer node
+labels). Delegation is legal because backends are observably identical
+by contract, and it is recorded as a provenance note in ``stats.notes``.
+``scheduler=`` threading through primitives, apps, and the CLI therefore
+keeps working unchanged; ``sanitize=`` is a documented no-op here (the round loop never
 produces the spurious wakes the sanitizer checks).
 
 Determinism and byte-identity
@@ -58,9 +56,9 @@ Determinism and byte-identity
 Per-node RNG streams remain derived from ``(run_seed, node_index)``
 (:meth:`VectorFabric.node_rng`); CSR rows are sorted by neighbor index
 so gathers reproduce sender-index inbox order; kernel receivers count
-one activation per round exactly like event-backend wakes; timeouts,
-fast-forward over timer-only stretches, and quiescence replicate the
-event loop. The backend equivalence suite
+one activation per round exactly like event-backend wakes; timeouts and
+quiescence replicate the event loop (a kernel has no timers, so a run
+ends on the first round with nothing staged). The backend equivalence suite
 (``tests/congest/test_scheduler.py``) enforces identical results and
 stats against every registered backend for every tested seed.
 
@@ -73,11 +71,8 @@ unknown-scheduler error.
 from __future__ import annotations
 
 from repro.congest.engine import (
-    MessageFabric,
     SchedulerBackend,
-    Stepper,
     get_backend,
-    node_contexts,
     register_backend,
     register_unavailable_backend,
     timeout,
@@ -111,12 +106,11 @@ _NO_PAYLOAD = object()
 class VectorKernel:
     """Columnar companion of a :class:`~repro.congest.node.NodeAlgorithm`.
 
-    One kernel instance executes *all* claimed nodes of its algorithm
-    class; per-node state lives in arrays indexed by node index (the
-    graph's node order), not in the per-node instances. Subclasses
-    override the hooks below; every hook receives the run's
-    :class:`VectorFabric` (``ops``) for emission, CSR expansion, bit
-    accounting, and RNG derivation.
+    One kernel instance executes *every* node of a run; per-node state
+    lives in arrays indexed by node index (the graph's node order), not in
+    the per-node instances. Subclasses override the hooks below; every
+    hook receives the run's :class:`VectorFabric` (``ops``) for emission,
+    CSR expansion, bit accounting, and RNG derivation.
 
     The engine drives a round as: deliveries are gathered into a
     :class:`VectorInbox` (sorted by receiver then sender index), then
@@ -124,7 +118,7 @@ class VectorKernel:
     ``kernel.scatter(ops, ready)`` emits — the apply/scatter kernel split
     of the FPGA graph engines. Kernels are message-driven: there is no
     keep-alive or timer surface on the columnar path (algorithms needing
-    one stay on the interpreted tier).
+    one declare no kernel and run on ``event``).
 
     The contract a kernel signs up for: reproduce the interpreted
     messaging **bit-for-bit** — same messages, same per-message bit
@@ -142,33 +136,20 @@ class VectorKernel:
     #: :meth:`VectorFabric.columns` materializes zeroed arrays from.
     dtypes: dict[str, str] = {}
 
-    #: True when claimed nodes emit only in ``on_start`` and never
-    #: receive (the ack sweep's leaf tier). The engine rejects any
-    #: message addressed to a claimed node of an inert kernel — such a
-    #: delivery could only mean a protocol violation.
-    inert_after_start = False
-
     @classmethod
-    def accepts(cls, csr, members, algorithms) -> bool:
+    def accepts(cls, csr, algorithms) -> bool:
         """Whether this kernel can execute these instances columnar.
 
         Refusing (e.g. BFS without integer node ids to order advertisers
-        by) falls the whole run back to the event backend.
+        by) delegates the run to the event backend.
         """
         return True
 
-    def claim(self, csr, members, algorithms):
-        """Indices (subset of ``members``) this kernel executes.
-
-        Defaults to all members; unclaimed nodes run interpreted.
-        """
-        return members
-
-    def setup(self, ops, claimed, algorithms) -> None:
+    def setup(self, ops, algorithms) -> None:
         """Build state columns from the per-node instances (once per run)."""
 
     def on_start(self, ops) -> None:
-        """Round-0 emission (``NodeAlgorithm.on_start`` for the column tier)."""
+        """Round-0 emission (``NodeAlgorithm.on_start`` for every node)."""
 
     def apply(self, ops, inbox):
         """Advance state for this round's receivers; return the ready set.
@@ -182,24 +163,11 @@ class VectorKernel:
         """Emit messages for the nodes :meth:`apply` marked ready."""
 
     def fill_results(self, ops, results: dict) -> None:
-        """Write ``results[node_id]`` for every claimed node."""
-
-    def ingest(self, payload):
-        """Convert an interpreted node's payload into ``(tag, value)`` ints.
-
-        Only called when an interpreted-tier node messages a
-        kernel-claimed node. The default refuses: none of the shipped
-        hybrid protocols route interpreted traffic into a kernel tier,
-        and silently guessing a schema would corrupt the columns.
-        """
-        raise CongestViolation(
-            f"{type(self).__name__} does not ingest interpreted-tier "
-            "messages; override VectorKernel.ingest to accept them"
-        )
+        """Write ``results[node_id]`` for every node."""
 
 
 class VectorInbox:
-    """One round of deliveries to a kernel's claimed nodes, columnar.
+    """One round of deliveries, columnar.
 
     All arrays are parallel and lex-sorted by ``(dst, src)`` — the same
     receiver-then-sender-index order interpreted inboxes materialize in.
@@ -259,12 +227,10 @@ class VectorFabric:
 
     __slots__ = (
         "np", "csr", "n", "ids", "round", "stats", "run_seed",
-        "bandwidth_bits", "enforce_bandwidth", "_owner", "_staged",
-        "_edge_counts", "_interp", "_has_interp",
+        "bandwidth_bits", "enforce_bandwidth", "_staged", "_edge_counts",
     )
 
-    def __init__(self, csr, owner, stats, run_seed, bandwidth_bits,
-                 enforce_bandwidth, has_interp=True):
+    def __init__(self, csr, stats, run_seed, bandwidth_bits, enforce_bandwidth):
         self.np = np
         self.csr = csr
         self.n = csr.n
@@ -274,13 +240,8 @@ class VectorFabric:
         self.run_seed = run_seed
         self.bandwidth_bits = bandwidth_bits
         self.enforce_bandwidth = enforce_bandwidth
-        self._owner = owner
         self._staged: list[_Batch] = []
         self._edge_counts = np.zeros(len(csr.indices), dtype=np.int64)
-        self._interp = None  # the interpreted tier's Stepper, if any
-        # Pure-kernel runs (no interpreted tier) skip the per-emit
-        # owner-split entirely.
-        self._has_interp = has_interp
 
     # -- derivation helpers -------------------------------------------------
 
@@ -356,11 +317,13 @@ class VectorFabric:
         ``bits`` is the exact per-message ``payload_bits`` (array or
         scalar, broadcast). The payload travels as the kernel's own
         columnar schema — ``tag``/``value`` int columns, an ``objs``
-        object array, or one shared ``payload`` object. Messages whose
-        destination runs on the interpreted tier are materialized to
-        Python payloads here (``objs``/``payload`` directly, else
-        ``materialize(tag, value)`` per message) and staged into that
-        tier's next-round arrivals.
+        object array, or one shared ``payload`` object.
+
+        ``materialize(tag, value)`` names the Python payload a tag/value
+        message stands for. The engine never calls it (receivers read the
+        columns), but ``repro lint`` reads its return tuples as the
+        batch's payload arity (KERNEL-EQ, PROTO-MSG), so a kernel that
+        emits tag/value columns passes it.
 
         Validates adjacency and the bandwidth budget, and charges every
         RoundStats counter at send time keyed by the current round —
@@ -401,24 +364,10 @@ class VectorFabric:
         )
         np.add.at(self._edge_counts, slots, 1)
 
-        tag_arr = _int_column(tag, src.shape)
-        value_arr = _int_column(value, src.shape)
-        if self._has_interp:
-            interp = self._owner[dst] < 0
-            if interp.any():
-                self._stage_to_interp(
-                    src[interp], dst[interp], tag_arr[interp],
-                    value_arr[interp],
-                    objs[interp] if objs is not None else None,
-                    payload, materialize,
-                )
-                keep = ~interp
-                if not keep.any():
-                    return
-                src, dst = src[keep], dst[keep]
-                tag_arr, value_arr = tag_arr[keep], value_arr[keep]
-                objs = objs[keep] if objs is not None else None
-        self._staged.append(_Batch(src, dst, tag_arr, value_arr, objs, payload))
+        self._staged.append(_Batch(
+            src, dst, _int_column(tag, src.shape), _int_column(value, src.shape),
+            objs, payload,
+        ))
 
     def _raise_non_neighbor(self, src, dst, keys):
         nodes = self.csr.nodes
@@ -439,26 +388,6 @@ class VectorFabric:
             f"budget is {self.bandwidth_bits} bits"
         )
 
-    def _stage_to_interp(self, src, dst, tags, values, objs, payload,
-                         materialize) -> None:
-        """Materialize kernel emissions bound for interpreted-tier inboxes."""
-        nodes = self.csr.nodes
-        arrive_at = self.round + 1
-        for j, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
-            if objs is not None:
-                item = objs[j]
-            elif payload is not _NO_PAYLOAD:
-                item = payload
-            elif materialize is not None:
-                item = materialize(int(tags[j]), int(values[j]))
-            else:
-                raise CongestViolation(
-                    f"kernel message from node {nodes[s]} to interpreted "
-                    f"node {nodes[d]} has no materializer; pass objs=, "
-                    "payload=, or materialize= to emit()"
-                )
-            self._interp.arrive(arrive_at, nodes[d], (s, nodes[s], item))
-
     def flush_edge_counts(self) -> None:
         """Fold the per-slot send counters into ``stats.edge_messages``."""
         counts = self._edge_counts
@@ -478,92 +407,23 @@ class VectorFabric:
                 edge_messages[key] = edge_messages.get(key, 0) + total
         else:
             # One slot per directed edge, so the keys are unique — a bulk
-            # update is exact when nothing was charged yet (the common
-            # pure-kernel case; the interpreted tier charges eagerly).
+            # update is exact when nothing was charged yet.
             edge_messages.update(zip(keys, totals))
 
 
-class _TierFabric(MessageFabric):
-    """The interpreted tier's fabric: sends to kernel-claimed nodes divert.
-
-    A message to a kernel-owned target is validated and charged here, then
-    converted by that kernel's :meth:`VectorKernel.ingest` into its next
-    round's columnar inbox (``ingested[slot]``); everything else stages on
-    the interpreted tier's :class:`~repro.congest.engine.Stepper`.
-    """
-
-    __slots__ = ("kernels", "owner", "index", "ingested")
-
-    def __init__(self, net, stats, kernels, owner, index):
-        super().__init__(
-            net.graph._adj, net.bandwidth_bits, net.enforce_bandwidth, stats
-        )
-        self.kernels = kernels
-        self.owner = owner
-        self.index = index
-        self.ingested = [[] for _ in kernels]
-
-    def stage(self, sender, sender_index, outbox, now, clock):
-        sizes = self.validate(sender, outbox)
-        interpreted, interpreted_sizes = {}, []
-        for (target, item), bits in zip(outbox.items(), sizes):
-            target_index = self.index.get(target)
-            if target_index is None or self.owner[target_index] < 0:
-                interpreted[target] = item
-                interpreted_sizes.append(bits)
-                continue
-            self.stats.record_message(sender, target, bits, now)
-            slot = int(self.owner[target_index])
-            kernel = self.kernels[slot][0]
-            if kernel.inert_after_start:
-                raise CongestViolation(
-                    f"node {sender} messaged {target}, which is claimed "
-                    f"by the inert {type(kernel).__name__} kernel and "
-                    "can no longer receive"
-                )
-            tag, value = kernel.ingest(item)
-            self.ingested[slot].append((sender_index, target_index, tag, value))
-        self.stage_sized(sender, sender_index, interpreted, interpreted_sizes, now, clock)
-
-
-def _plan(csr, net, algorithms):
-    """Partition the node set into kernel tiers, or explain the fallback.
-
-    Returns ``(kernels, owner, interpreted)`` — ``kernels`` a list of
-    ``(kernel, claimed_indices)``, ``owner`` mapping node index to kernel
-    slot (``-1`` = interpreted) — or a string reason when the run must
-    delegate to the event backend.
-    """
+def _plan(csr, algorithms):
+    """The run's kernel, or the reason the run delegates to ``event``."""
     classes = set(map(type, algorithms.values()))
-    if len(classes) == 1:
-        # Homogeneous run (the overwhelmingly common case): all nodes in
-        # graph order, no per-node grouping pass.
-        groups = {classes.pop(): None}
-    else:
-        groups = {cls: [] for cls in classes}
-        for i, v in enumerate(net._nodes):
-            groups[type(algorithms[v])].append(i)
-    kernels = []
-    owner = np.full(csr.n, -1, dtype=np.int64)
-    for cls, member_list in groups.items():
-        kernel_cls = cls.vector_kernel
-        if kernel_cls is None:
-            return f"{cls.__name__} declares no VectorKernel"
-        if member_list is None:
-            members = np.arange(csr.n, dtype=np.int64)
-        else:
-            members = np.array(member_list, dtype=np.int64)
-        if not kernel_cls.accepts(csr, members, algorithms):
-            return f"{kernel_cls.__name__} refused the instance"
-        kernel = kernel_cls()
-        claimed = np.asarray(
-            kernel.claim(csr, members, algorithms), dtype=np.int64
-        )
-        if claimed.size:
-            owner[claimed] = len(kernels)
-        kernels.append((kernel, claimed))
-    interpreted = np.flatnonzero(owner < 0).tolist()
-    return kernels, owner, interpreted
+    if len(classes) != 1:
+        names = ", ".join(sorted(cls.__name__ for cls in classes))
+        return f"the population mixes algorithm classes ({names})"
+    cls = classes.pop()
+    kernel_cls = cls.vector_kernel
+    if kernel_cls is None:
+        return f"{cls.__name__} declares no VectorKernel"
+    if not kernel_cls.accepts(csr, algorithms):
+        return f"{kernel_cls.__name__} refused the instance"
+    return kernel_cls()
 
 
 def _int_column(values, shape):
@@ -587,91 +447,40 @@ def _shared_fill(size, fill):
     return shared
 
 
-def _build_inbox(batches, ingested, owner, slot, whole=False):
-    """Assemble one kernel's :class:`VectorInbox` from this round's batches.
-
-    With ``whole=True`` (single kernel claiming every node, no
-    interpreted tier) the owner-mask pass is skipped: every staged
-    message belongs to this kernel.
-    """
-    if whole and not ingested:
-        if not batches:
-            return None
-        if len(batches) == 1:
-            batch = batches[0]
-            objs = batch.objs
-            if objs is None and batch.payload is not _NO_PAYLOAD:
-                objs = _shared_fill(batch.src.size, batch.payload)
-            return VectorInbox(batch.src, batch.dst, batch.tag, batch.value,
-                               objs)
-        objs = None
-        if any(b.objs is not None or b.payload is not _NO_PAYLOAD
-               for b in batches):
-            objs = np.concatenate([
-                b.objs if b.objs is not None else _shared_fill(
-                    b.src.size,
-                    b.payload if b.payload is not _NO_PAYLOAD else None,
-                )
-                for b in batches
-            ])
-        return VectorInbox(
-            np.concatenate([b.src for b in batches]),
-            np.concatenate([b.dst for b in batches]),
-            np.concatenate([b.tag for b in batches]),
-            np.concatenate([b.value for b in batches]),
-            objs,
-        )
-    srcs, dsts, tags, values, obj_parts = [], [], [], [], []
-    have_objs = False
-    for batch in batches:
-        mask = owner[batch.dst] == slot
-        if not mask.any():
-            continue
-        srcs.append(batch.src[mask])
-        dsts.append(batch.dst[mask])
-        tags.append(batch.tag[mask])
-        values.append(batch.value[mask])
-        if batch.objs is not None:
-            obj_parts.append(batch.objs[mask])
-            have_objs = True
-        else:
-            obj_parts.append(batch.payload if batch.payload is not _NO_PAYLOAD
-                             else None)
-            have_objs = have_objs or batch.payload is not _NO_PAYLOAD
-    if ingested:
-        srcs.append(np.array([entry[0] for entry in ingested], dtype=np.int64))
-        dsts.append(np.array([entry[1] for entry in ingested], dtype=np.int64))
-        tags.append(np.array([entry[2] for entry in ingested], dtype=np.int64))
-        values.append(np.array([entry[3] for entry in ingested], dtype=np.int64))
-        obj_parts.append(None)
-    if not srcs:
-        return None
+def _build_inbox(batches):
+    """Assemble one round's :class:`VectorInbox` from its staged batches."""
+    if len(batches) == 1:
+        batch = batches[0]
+        objs = batch.objs
+        if objs is None and batch.payload is not _NO_PAYLOAD:
+            objs = _shared_fill(batch.src.size, batch.payload)
+        return VectorInbox(batch.src, batch.dst, batch.tag, batch.value, objs)
     objs = None
-    if have_objs:
-        filled = []
-        for part, fill in zip(srcs, obj_parts):
-            if isinstance(fill, np.ndarray):
-                filled.append(fill)
-            else:
-                filled.append(_shared_fill(part.size, fill))
-        objs = np.concatenate(filled)
+    if any(b.objs is not None or b.payload is not _NO_PAYLOAD for b in batches):
+        objs = np.concatenate([
+            b.objs if b.objs is not None else _shared_fill(
+                b.src.size, b.payload if b.payload is not _NO_PAYLOAD else None,
+            )
+            for b in batches
+        ])
     return VectorInbox(
-        np.concatenate(srcs), np.concatenate(dsts),
-        np.concatenate(tags), np.concatenate(values), objs,
+        np.concatenate([b.src for b in batches]),
+        np.concatenate([b.dst for b in batches]),
+        np.concatenate([b.tag for b in batches]),
+        np.concatenate([b.value for b in batches]),
+        objs,
     )
 
 
 class VectorizedBackend(SchedulerBackend):
     """Columnar gather -> apply -> scatter execution over a CSR adjacency.
 
-    Kernel-claimed nodes execute as whole-round array passes; unclaimed
-    nodes run the event activation rule (active set, keep-alive latches,
-    timer wheel with fast-forward) in the same round loop, exchanging
-    messages with the kernel tier at round boundaries. ``sanitize=`` has
+    One kernel executes every node as whole-round array passes; the run
+    quiesces on the first round with nothing staged. ``sanitize=`` has
     nothing to check here (no spurious wakes are ever generated, as on
-    ``event``). Runs whose algorithms carry no kernel delegate to the event
-    backend with a provenance note in ``stats.notes`` — see the module
-    docstring for the full policy.
+    ``event``). Populations the backend cannot run as one kernel
+    delegate to the event backend with a provenance note in
+    ``stats.notes`` — see the module docstring for the full policy.
     """
 
     name = "vectorized"
@@ -682,92 +491,42 @@ class VectorizedBackend(SchedulerBackend):
         from repro.graphs.adjacency import graph_csr
 
         csr = graph_csr(net.graph)
-        plan = _plan(csr, net, algorithms)
-        if isinstance(plan, str):
+        kernel = _plan(csr, algorithms)
+        if isinstance(kernel, str):
             results, stats = get_backend("event")().execute(
                 net, algorithms, run_seed, max_rounds, raise_on_timeout
             )
             stats.notes = stats.notes + (
-                f"scheduler='vectorized' delegated to the event backend: {plan}",
+                f"scheduler='vectorized' delegated to the event backend: {kernel}",
             )
             return results, stats
-        kernels, owner, interpreted = plan
-        nodes = net._nodes
-        index = csr.index
         stats = RoundStats()
         ops = VectorFabric(
-            csr, owner, stats, run_seed, net.bandwidth_bits,
-            net.enforce_bandwidth, has_interp=bool(interpreted),
+            csr, stats, run_seed, net.bandwidth_bits, net.enforce_bandwidth
         )
-        # A run with every node kernel-claimed (the common case) skips
-        # the whole interpreted tier: no fabric, no per-node contexts, no
-        # adjacency-dict materialization.
-        whole = len(kernels) == 1 and not interpreted
-        fabric = interp = None
-        if interpreted:
-            # Interpreted tier: the event engine over the unclaimed nodes
-            # (the kernel tier has no keep-alive or timers by contract).
-            # Kernel emissions join its inboxes after its own same-round
-            # sends, so it re-sorts by sender index.
-            fabric = _TierFabric(net, stats, kernels, owner, index)
-            interp = ops._interp = Stepper(
-                algorithms, node_contexts(net, run_seed, interpreted), index,
-                fabric, resort=True,
-            )
-
-        # Round 0: kernel setup + on_start, then the interpreted tier's
-        # on_start in node order (cross-tier order is unobservable — no
-        # activation sees another's same-round sends).
-        for kernel, claimed in kernels:
-            kernel.setup(ops, claimed, algorithms)
-        for kernel, claimed in kernels:
-            kernel.on_start(ops)
-        if interp is not None:
-            interp.start()
-
-        ingested = [[] for _ in kernels]
-        round_no = 0
-        while True:
-            tick = interp.next_tick() if interp is not None else None
-            if ops._staged or (fabric is not None and any(fabric.ingested)):
-                now = round_no + 1
-            elif tick is None:
-                break
-            else:
-                now = tick  # only interpreted timers remain: fast-forward
+        kernel.setup(ops, algorithms)
+        kernel.on_start(ops)
+        while ops._staged:
+            now = ops.round + 1
             if now > max_rounds:
                 timeout(stats, max_rounds, raise_on_timeout)
                 break
-            round_no = stats.rounds = ops.round = now
-
+            stats.rounds = ops.round = now
             batches, ops._staged = ops._staged, []
-            if fabric is not None:
-                ingested, fabric.ingested = fabric.ingested, [[] for _ in kernels]
-            if tick == now:
-                interp.step(now)
-
-            # Kernel tier: gather -> apply -> scatter per kernel. Each
-            # receiver counts one activation, exactly an event-backend
-            # wake with a non-empty inbox.
-            for slot, (kernel, _) in enumerate(kernels):
-                inbox = _build_inbox(batches, ingested[slot], owner, slot,
-                                     whole=whole)
-                if inbox is None:
-                    continue
-                stats.activations += int(inbox.receivers.size)
-                ready = kernel.apply(ops, inbox)
-                if ready is not None and len(ready):
-                    kernel.scatter(ops, ready)
+            # Gather -> apply -> scatter. Each receiver counts one
+            # activation, exactly an event-backend wake with a non-empty
+            # inbox.
+            inbox = _build_inbox(batches)
+            stats.activations += int(inbox.receivers.size)
+            ready = kernel.apply(ops, inbox)
+            if ready is not None and len(ready):
+                kernel.scatter(ops, ready)
 
         ops.flush_edge_counts()
         results: dict = {}
-        for kernel, _ in kernels:
-            kernel.fill_results(ops, results)
-        for i in interpreted:
-            v = nodes[i]
-            results[v] = algorithms[v].result()
-        if len(results) != len(nodes):
-            missing = len(nodes) - len(results)
+        kernel.fill_results(ops, results)
+        if len(results) != csr.n:
+            missing = csr.n - len(results)
             raise CongestViolation(
                 f"kernel fill_results left {missing} nodes without a result"
             )

@@ -68,14 +68,15 @@ import networkx as nx
 from repro.congest.network import SyncNetwork, validate_scheduler
 from repro.congest.node import NodeAlgorithm
 from repro.congest.primitives.bfs import distributed_bfs
-from repro.congest.vectorized import VectorKernel
-from repro.util.bitsize import payload_bits
 from repro.congest.primitives.broadcast import tree_aggregate, tree_broadcast
 from repro.congest.stats import RoundStats
 from repro.core.bounds import theorem31_block_budget, theorem31_congestion_budget
 from repro.core.partial import PartialShortcutResult, conflict_from_marking
 from repro.graphs.partition import Partition
 from repro.graphs.trees import RootedTree
+# Unused here, but perfbench/spans.py rebinds ``payload_bits`` by name in
+# this module to count bit-sizing calls, so the name must stay bound.
+from repro.util.bitsize import payload_bits  # noqa: F401
 from repro.util.errors import ShortcutError
 from repro.util.rng import ensure_rng, part_sample_hash
 
@@ -83,7 +84,6 @@ __all__ = [
     "DistributedShortcutResult",
     "distributed_partial_shortcut",
     "SweepNode",
-    "SweepLeafVectorKernel",
     "KeepAliveSweepNode",
     "SWEEP_VARIANTS",
 ]
@@ -188,97 +188,6 @@ class SweepNode(NodeAlgorithm):
             "ids_seen": len(self.ids),
             "decided": self.decided,
         }
-
-
-def _materialize_fin(tag, value):
-    return (_FIN_TAG, value)
-
-
-class SweepLeafVectorKernel(VectorKernel):
-    """Columnar tier for the sweep's leaves — the hybrid-execution case.
-
-    Leaves are the data-parallel bulk of the sweep: each decides in
-    ``on_start`` (at most one sampled id, so the upward "stream" is a
-    single ``FIN`` or a bare ``ACK``) and never receives again. This
-    kernel claims exactly those nodes and emits their round-0 batch;
-    internal nodes — whose paced streams and ack bookkeeping are
-    inherently sequential per node — stay on the interpreted tier of the
-    same round loop, receiving the leaves' batch as ordinary inbox
-    entries.
-    """
-
-    dtypes = {"marked": "bool", "has_id": "bool", "item": "int64",
-              "tau": "int64"}
-    inert_after_start = True
-
-    @classmethod
-    def accepts(cls, csr, members, algorithms):
-        # Leaf part-ids ride an int64 value column.
-        nodes = csr.nodes
-        for i in members.tolist():
-            alg = algorithms[nodes[i]]
-            if not alg.pending and any(
-                type(part) is not int or abs(part) >= 2**62
-                for part in alg.ids
-            ):
-                return False
-        return True
-
-    def claim(self, csr, members, algorithms):
-        nodes = csr.nodes
-        return [i for i in members.tolist() if not algorithms[nodes[i]].pending]
-
-    def setup(self, ops, claimed, algorithms):
-        np = ops.np
-        nodes = ops.csr.nodes
-        index = ops.csr.index
-        self.claimed = claimed
-        cols = ops.columns(self.dtypes)
-        self.has_id = cols["has_id"]
-        self.item = cols["item"]
-        self.tau = cols["tau"]
-        self.marked = cols["marked"]
-        self.parent = np.full(ops.n, -1, dtype=np.int64)
-        for i in claimed.tolist():
-            alg = algorithms[nodes[i]]
-            if alg.parent is not None:
-                self.parent[i] = index[alg.parent]
-            if alg.ids:
-                self.has_id[i] = True
-                self.item[i] = min(alg.ids)
-            self.tau[i] = alg.tau
-
-    def on_start(self, ops):
-        claimed = self.claimed
-        # _decide, vectorized: a root leaf returns before the threshold
-        # check, so only leaves with a parent can mark.
-        sendable = self.parent[claimed] >= 0
-        counts = self.has_id[claimed].astype(ops.np.int64)
-        self.marked[claimed[sendable & (counts >= self.tau[claimed])]] = True
-        acked = claimed[sendable & (self.marked[claimed] | ~self.has_id[claimed])]
-        ops.emit(
-            acked, self.parent[acked],
-            payload=(_ACK_TAG,), bits=payload_bits((_ACK_TAG,)),
-        )
-        finned = claimed[sendable & ~self.marked[claimed] & self.has_id[claimed]]
-        ops.emit(
-            finned, self.parent[finned],
-            tag=_FIN_TAG, value=self.item[finned],
-            bits=ops.tuple_bits(_FIN_TAG, self.item[finned]),
-            materialize=_materialize_fin,
-        )
-
-    def fill_results(self, ops, results):
-        nodes = ops.csr.nodes
-        for i in self.claimed.tolist():
-            results[nodes[i]] = {
-                "marked": bool(self.marked[i]),
-                "ids_seen": int(self.has_id[i]),
-                "decided": True,
-            }
-
-
-SweepNode.vector_kernel = SweepLeafVectorKernel
 
 
 class KeepAliveSweepNode(NodeAlgorithm):

@@ -8,7 +8,6 @@ nearly every code path.
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -160,15 +159,19 @@ class CSRAdjacency:
         return pairs
 
 
-# Weakly keyed on the graph object, invalidated by an (n, m) signature —
-# the same idiom as the provider-layer tree/delta caches
-# (repro.core.providers): values hold no reference back to the graph, so
-# entries vanish with it, and a mutated graph misses on the signature.
-_CSR_CACHE: "weakref.WeakKeyDictionary[nx.Graph, tuple]" = weakref.WeakKeyDictionary()
+# The key of the CSR in ``graph.__networkx_cache__``. networkx clears that
+# cache on every structural mutation (add/remove of a node or an edge), so
+# a cached CSR is never stale and a hit costs one dict lookup.
+_CSR_KEY = "repro.graph_csr"
 
 
 def graph_csr(graph: nx.Graph) -> CSRAdjacency:
     """The memoized :class:`CSRAdjacency` of ``graph``.
+
+    The CSR lives in ``graph.__networkx_cache__``, which networkx clears
+    whenever the graph's structure changes. Frozen graphs, graph views
+    among them, are never cached: a view's cache is not cleared when the
+    graph it views mutates, so their CSR is rebuilt on every call.
 
     Requires numpy (the vectorized backend's optional dependency).
 
@@ -177,14 +180,11 @@ def graph_csr(graph: nx.Graph) -> CSRAdjacency:
     """
     import numpy
 
-    # number_of_edges() iterates every degree through the NodeView layer;
-    # summing the adjacency dict sizes directly is the same count an order
-    # of magnitude cheaper, and this runs on every cache *hit*.
-    adj = graph._adj
-    signature = (len(adj), sum(map(len, adj.values())))
-    cached = _CSR_CACHE.get(graph)
-    if cached is not None and cached[0] == signature:
-        return cached[1]
+    cache = None if nx.is_frozen(graph) else getattr(graph, "__networkx_cache__", None)
+    if cache is not None:
+        csr = cache.get(_CSR_KEY)
+        if csr is not None:
+            return csr
     nodes = tuple(graph.nodes())
     index = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
@@ -209,5 +209,6 @@ def graph_csr(graph: nx.Graph) -> CSRAdjacency:
         nodes=nodes, index=index, indptr=indptr, indices=indices, ids=ids,
         flat_keys=flat_keys,
     )
-    _CSR_CACHE[graph] = (signature, csr)
+    if cache is not None:
+        cache[_CSR_KEY] = csr
     return csr

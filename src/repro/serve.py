@@ -77,8 +77,6 @@ class JobServer:
         max_inflight: at most this many population jobs multiplex at a
             time; further jobs wait in submission order (``None`` =
             unbounded).
-        capacity: messages one directed edge carries per tick across all
-            jobs (default 1 — the CONGEST rule).
         bandwidth_bits / enforce_bandwidth: per-message budget plumbing,
             as in :class:`~repro.congest.network.SyncNetwork`.
     """
@@ -89,7 +87,6 @@ class JobServer:
         scheduler: str = "event",
         latency_model: object = None,
         max_inflight: int | None = None,
-        capacity: int = 1,
         bandwidth_bits: int | None = None,
         enforce_bandwidth: bool = True,
     ):
@@ -99,7 +96,6 @@ class JobServer:
             latency_model=latency_model,
             bandwidth_bits=bandwidth_bits,
             enforce_bandwidth=enforce_bandwidth,
-            capacity=capacity,
             max_inflight=max_inflight,
         )
         self._queue: deque[Job] = deque()

@@ -16,10 +16,10 @@ from repro.congest.engine import EdgeQueues
 
 
 class _ReferenceQueues:
-    """Per-edge ``slot -> deque`` maps, round-robin over slots."""
+    """Per-edge ``slot -> deque`` maps, round-robin over slots, one grant
+    per edge per tick."""
 
-    def __init__(self, capacity, order=None, rng=None):
-        self.capacity = capacity
+    def __init__(self, order=None, rng=None):
         self.rng = rng
         self.edges = {}
         self.pointers = {}
@@ -48,38 +48,33 @@ class _ReferenceQueues:
         granted = []
         for edge in sorted(self.edges, key=self.order):
             slots = self.edges[edge]
-            for _ in range(self.capacity):
-                pointer = self.pointers.get(edge, -1)
-                slot = min((s for s in slots if s > pointer), default=min(slots))
-                fifo = slots[slot]
-                if self.rng is not None and len(fifo) > 1:
-                    position = self.rng.randrange(len(fifo))
-                    fifo[position], fifo[0] = fifo[0], fifo[position]
-                granted.append((edge, fifo.popleft()))
-                self.pointers[edge] = slot
-                if not fifo:
-                    del slots[slot]
-                    if not slots:
-                        del self.edges[edge]
-                        break
+            pointer = self.pointers.get(edge, -1)
+            slot = min((s for s in slots if s > pointer), default=min(slots))
+            fifo = slots[slot]
+            if self.rng is not None and len(fifo) > 1:
+                position = self.rng.randrange(len(fifo))
+                fifo[position], fifo[0] = fifo[0], fifo[position]
+            granted.append((edge, fifo.popleft()))
+            self.pointers[edge] = slot
+            if not fifo:
+                del slots[slot]
+                if not slots:
+                    del self.edges[edge]
         return granted
 
 
 @given(
     st.integers(0, 2**31 - 1),
-    st.integers(1, 3),
     st.sampled_from([1, 2, 4]),
     st.booleans(),
     st.booleans(),
 )
 @settings(max_examples=150, deadline=None)
-def test_matches_reference_property(seed, capacity, num_slots, random_grants, sort_key):
+def test_matches_reference_property(seed, num_slots, random_grants, sort_key):
     script = random.Random(seed)
     order = (lambda edge: (edge[1], edge[0])) if sort_key else None
-    queues = EdgeQueues(capacity, order=order, rng=random.Random(seed) if random_grants else None)
-    reference = _ReferenceQueues(
-        capacity, order=order, rng=random.Random(seed) if random_grants else None
-    )
+    queues = EdgeQueues(order=order, rng=random.Random(seed) if random_grants else None)
+    reference = _ReferenceQueues(order=order, rng=random.Random(seed) if random_grants else None)
     entry = 0
     for _ in range(40):
         for _ in range(script.randint(0, 6)):

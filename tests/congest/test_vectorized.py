@@ -5,8 +5,10 @@ this file covers the backend's own surface: the event-backend fallback
 with its provenance note, RoundStats algebra over vectorized stats,
 ``sanitize=`` as a documented no-op, the unavailable-backend
 registry path, the columnar bit accounting, CSR caching, and the
-violation paths (non-neighbor, bandwidth, inert kernels).
+violation paths (non-neighbor, bandwidth).
 """
+
+import dataclasses
 
 import networkx as nx
 import pytest
@@ -17,15 +19,12 @@ from repro.congest.engine import get_backend, register_unavailable_backend
 from repro.congest.engine import _UNAVAILABLE
 from repro.congest.network import SyncNetwork
 from repro.congest.node import NodeAlgorithm
-from repro.congest.primitives.bfs import distributed_bfs
+from repro.congest.primitives.bfs import BfsNode, distributed_bfs
 from repro.congest.stats import RoundStats
-from repro.congest.vectorized import (
-    NUMPY_HINT,
-    VectorFabric,
-    VectorInbox,
-    VectorKernel,
-)
+from repro.congest.vectorized import NUMPY_HINT, VectorFabric, VectorInbox
+from repro.core.distributed import SweepNode
 from repro.graphs.adjacency import graph_csr
+from repro.graphs.trees import RootedTree
 from repro.util.bitsize import bits_for_int, payload_bits
 from repro.util.errors import CongestViolation
 
@@ -48,6 +47,23 @@ def _proj(stats):
     return (
         stats.rounds, stats.messages, stats.message_bits, stats.activations,
         dict(stats.messages_by_round), dict(stats.edge_messages),
+    )
+
+
+class _BfsTwin(BfsNode):
+    """A second kernel-backed class: inherits ``BfsNode.vector_kernel``."""
+
+
+def _assert_delegates_like_event(graph, make, reason):
+    """Both backends on fresh populations from ``make``: same results,
+    same RoundStats but for the vectorized run's delegation note."""
+    event = SyncNetwork(graph, rng=4, scheduler="event").run(make())
+    vect = SyncNetwork(graph, rng=4, scheduler="vectorized").run(make())
+    assert vect[0] == event[0]
+    assert dataclasses.replace(vect[1], notes=()) == event[1]
+    assert event[1].notes == ()
+    assert vect[1].notes == (
+        f"scheduler='vectorized' delegated to the event backend: {reason}",
     )
 
 
@@ -77,6 +93,23 @@ class TestFallback:
     def test_native_run_has_no_notes(self):
         _, stats = distributed_bfs(_grid(4, 4), 0, rng=1, scheduler="vectorized")
         assert stats.notes == ()
+
+    def test_sweep_population_delegates(self):
+        # The sweep's nodes stream ids on timers, which no kernel expresses.
+        graph = _grid(5, 4)
+        tree = RootedTree(0, dict(nx.bfs_predecessors(graph, 0)) | {0: None})
+        _assert_delegates_like_event(graph, lambda: {
+            v: SweepNode(v, v % 3, tree.parent_of(v), tree.children_of(v),
+                         tau=2, probability=1.0, seed=5)
+            for v in graph
+        }, "SweepNode declares no VectorKernel")
+
+    def test_mixed_kernel_classes_delegate(self):
+        # Both classes have a kernel, but one run executes one kernel.
+        graph = _grid(4, 4)
+        _assert_delegates_like_event(graph, lambda: {
+            v: (BfsNode if v % 2 else _BfsTwin)(v, v == 0) for v in graph
+        }, "the population mixes algorithm classes (BfsNode, _BfsTwin)")
 
 
 class TestRoundStatsAlgebra:
@@ -121,8 +154,6 @@ class TestRoundStatsAlgebra:
 
 class TestNoOpKnobs:
     def test_sanitize_does_not_change_execution(self):
-        from repro.congest.primitives.bfs import BfsNode
-
         graph = _grid(4, 3)
         baseline = distributed_bfs(graph, 0, rng=3, scheduler="vectorized")
         net = SyncNetwork(graph, rng=3, scheduler="vectorized", sanitize=True)
@@ -157,10 +188,9 @@ class TestRegistry:
 class TestColumnarAccounting:
     def _fabric(self, graph):
         csr = graph_csr(graph)
-        owner = np.zeros(csr.n, dtype=np.int64)  # all kernel-owned
         return csr, VectorFabric(
-            csr, owner, RoundStats(), run_seed=0, bandwidth_bits=32,
-            enforce_bandwidth=True, has_interp=False,
+            csr, RoundStats(), run_seed=0, bandwidth_bits=32,
+            enforce_bandwidth=True,
         )
 
     def test_int_bits_matches_bits_for_int(self):
@@ -210,10 +240,6 @@ class TestColumnarAccounting:
         assert inbox.starts.tolist() == [0, 1]
         assert inbox.counts.tolist() == [1, 3]
 
-    def test_default_ingest_refuses_interpreted_traffic(self):
-        with pytest.raises(CongestViolation, match="does not ingest"):
-            VectorKernel().ingest((1, 2))
-
 
 class TestCsrCache:
     def test_cache_hit_is_identity(self):
@@ -227,6 +253,29 @@ class TestCsrCache:
         after = graph_csr(graph)
         assert after is not before
         assert after.indices.size == before.indices.size + 2
+
+    def test_rewired_edge_with_same_counts_invalidates(self):
+        # Same node and edge counts after the rewiring: only the edge set
+        # tells the old CSR from the new one.
+        graph = nx.path_graph(4)
+        distributed_bfs(graph, 0, rng=1, scheduler="vectorized")
+        graph.remove_edge(2, 3)
+        graph.add_edge(0, 3)
+        vect, _ = distributed_bfs(graph, 0, rng=1, scheduler="vectorized")
+        event, _ = distributed_bfs(graph, 0, rng=1, scheduler="event")
+        assert vect.parent_of(3) == event.parent_of(3) == 0
+
+    def test_view_follows_its_graph(self):
+        # A view's own networkx cache is not cleared when the graph under
+        # it mutates, so a view's CSR must not be cached there.
+        graph = nx.path_graph(5)
+        view = graph.subgraph(range(4))
+        distributed_bfs(view, 0, rng=1, scheduler="vectorized")
+        graph.remove_edge(2, 3)
+        graph.add_edge(0, 3)
+        vect, _ = distributed_bfs(view, 0, rng=1, scheduler="vectorized")
+        event, _ = distributed_bfs(view, 0, rng=1, scheduler="event")
+        assert vect.parent_of(3) == event.parent_of(3) == 0
 
     def test_rows_sorted_and_flat_keys_strictly_increasing(self):
         csr = graph_csr(nx.lollipop_graph(5, 4))
