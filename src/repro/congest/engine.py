@@ -408,7 +408,8 @@ class MessageFabric:
         self.stats = stats
         self.transit = transit or Transit()
         # The job layer (repro.congest.jobs) sets `submit`: validated
-        # outboxes go to its EdgeQueues, charged and staged at grant time.
+        # outboxes go to its edge claims and queues, charged and staged at
+        # grant time.
         self.submit = submit
 
     def validate(self, sender: int, outbox: dict[int, object]) -> list[int]:
@@ -544,18 +545,21 @@ class Stepper:
 
     Arrivals come in one of two forms, fixed per stepper:
 
-    * **in order** (the default under lockstep transit): ``arrivals[t]``
+    * **in order** (exactly under lockstep transit): ``arrivals[t]``
       maps each target to its inbox dict, ``{sender: payload}``.
       :meth:`MessageFabric.stage` writes every message straight into it
       for ``now + 1``; senders are activated in index order, so every
       inbox fills in sender-index order and :meth:`step` hands it to
       ``on_wake`` as is.
-    * **resorted** (``resort=True``, and always under a non-lockstep
-      transit): ``arrivals[t]`` maps each target to a list of
+    * **resorted** (exactly under a non-lockstep transit):
+      ``arrivals[t]`` maps each target to a list of
       ``(sender_index, sender, payload)`` entries (:meth:`arrive`), sorted
-      and turned into inbox dicts when the tick is stepped. Needed
-      wherever arrivals can reach a tick out of sender order: non-unit
-      transit and arbitration deferrals (the job layer).
+      and turned into inbox dicts when the tick is stepped: under non-unit
+      transit, arrivals can reach a tick out of sender order.
+
+    The job layer (:mod:`repro.congest.jobs`) fills in-order inboxes
+    itself at grant time and re-sorts the one inbox an arbitration
+    deferral lands in.
 
     ``record_wall`` — set exactly when the fabric's transit is not
     lockstep, the one wall-time rule — records per-node
@@ -567,16 +571,13 @@ class Stepper:
         "record_wall", "notify", "arrivals", "latched", "timers", "heap",
     )
 
-    def __init__(
-        self, algorithms, contexts, index, fabric, resort=False, notify=None,
-    ):
+    def __init__(self, algorithms, contexts, index, fabric, notify=None):
         self.algorithms = algorithms
         self.contexts = contexts
         self.index = index
         self.fabric = fabric
         self.stats = fabric.stats
-        self.record_wall = not fabric.transit.lockstep
-        self.resort = resort or self.record_wall
+        self.record_wall = self.resort = not fabric.transit.lockstep
         self.notify = notify
         # arrivals[t][target] -> inbox dict (in order) or entry list
         # (resorted); latched -> nodes due next tick; timers[t] -> nodes

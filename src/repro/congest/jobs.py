@@ -12,13 +12,19 @@ populations — over a single virtual-time execution:
   node participating in two jobs is two independent state machines with
   two independent rng streams);
 * bandwidth is arbitrated: a directed edge carries at most one message
-  per global tick *across all jobs* — the CONGEST rule. Every send waits in the shared
-  :class:`~repro.congest.engine.EdgeQueues` — the packet scheduler's
-  queue too — in its job's FIFO, and grants go round-robin over job
-  slots, so the schedule is deterministic and byte-identical per seed. A
-  granted message charges ``arbitration_stalls`` the ticks it waited
-  (grant tick minus send tick); a timed-out job's dropped sends charge
-  the same up to the drop;
+  per global tick *across all jobs* — the CONGEST rule. A send on an
+  edge with nothing queued *claims* the edge for its tick and is granted
+  at the end of that tick without queueing. Only contention queues: a
+  second claim on the edge in the same tick moves both sends, in claim
+  order, into the shared :class:`~repro.congest.engine.EdgeQueues` — the
+  packet scheduler's queue too — and a send on a backlogged edge waits
+  there behind the backlog, in its job's FIFO. Grants go round-robin over
+  job slots (a claim moves the edge's pointer to its slot, as a queued
+  grant does), so the schedule is exactly the one that queueing every
+  send would give, deterministic and byte-identical per seed. A granted
+  message charges ``arbitration_stalls`` the ticks it waited (grant tick
+  minus send tick; zero for a claim); a timed-out job's dropped sends
+  charge the same up to the drop;
 * per-job observability: every job gets its own
   :class:`~repro.congest.stats.RoundStats` in its own job-local clock,
   and the aggregate stats carry the per-job projection in
@@ -195,23 +201,51 @@ class ScheduleResult:
 class _JobState:
     """Driver-internal execution state of one admitted population job."""
 
-    __slots__ = ("job", "slot", "offset", "queues", "stats", "stepper", "pending", "timed_out")
+    __slots__ = (
+        "job", "slot", "offset", "queues", "claims", "stats", "stepper", "pending",
+        "timed_out",
+    )
 
-    def __init__(self, job: Job, slot: int, offset: int, queues: EdgeQueues):
+    def __init__(self, job: Job, slot: int, offset: int, queues: EdgeQueues, claims: dict):
         self.job = job
         self.slot = slot
         self.offset = offset  # global tick of the job's local tick 0
         self.queues = queues
+        self.claims = claims  # the tick's claims, shared by every job
         self.stats = RoundStats()
-        self.pending = 0  # messages queued in the edge queues
+        self.pending = 0  # messages claimed or queued, not yet granted
         self.timed_out = False
 
     def submit(self, sender, sender_index, outbox, sizes, now) -> None:
-        """Queue a validated outbox sent at job tick ``now`` (the fabric's hook)."""
+        """Claim or queue a validated outbox sent at job tick ``now`` (the
+        fabric's hook).
+
+        A send claims its edge when nothing is queued on it; a second claim
+        on the edge in the same tick moves both sends into the queues, in
+        claim order; a send on a backlogged edge queues behind the backlog.
+        """
+        queued, claims = self.queues.edges, self.claims
         push, slot = self.queues.push, self.slot
         for (target, payload), bits in zip(outbox.items(), sizes):
-            push((sender, target), (self, sender_index, payload, bits, now), slot)
+            edge = (sender, target)
+            entry = (self, sender_index, payload, bits, now)
+            if edge in queued:
+                push(edge, entry, slot)
+            elif (claim := claims.setdefault(edge, entry)) is not entry:
+                del claims[edge]
+                push(edge, claim, claim[0].slot)
+                push(edge, entry, slot)
         self.pending += len(sizes)
+
+    def charge(self, rel: int, count: int, bits: int) -> None:
+        """Charge ``count`` granted messages of ``bits`` in all, sent at job
+        tick ``rel``, to every counter but ``edge_messages``."""
+        stats = self.stats
+        stats.messages += count
+        stats.message_bits += bits
+        by_round = stats.messages_by_round
+        by_round[rel] = by_round.get(rel, 0) + count
+        self.pending -= count
 
 
 class JobScheduler:
@@ -288,7 +322,7 @@ class JobScheduler:
         return tuple(v for v in self._nodes if v in members)
 
     def _admit(self, job: Job, offset: int) -> _JobState:
-        state = _JobState(job, self._next_slot, offset, self._queues)
+        state = _JobState(job, self._next_slot, offset, self._queues, self._claims)
         self._next_slot += 1
         nodes = self._population(job)
         # One draw per job, exactly as SyncNetwork.run draws its run seed.
@@ -328,16 +362,13 @@ class JobScheduler:
             )
             for i, v in enumerate(nodes)
         }
-        # Grants can defer a send across ticks, so an inbox may fill out
-        # of sender order: this stepper always re-sorts.
         state.stepper = Stepper(
             job.algorithms, contexts, {v: i for i, v in enumerate(nodes)}, fabric,
-            resort=True,
             notify=lambda tick: self._wake_global(offset + tick),
         )
         self._running.append(state)
         state.stepper.start()
-        if self._queues.edges:
+        if self._claims or self._queues.edges:
             self._wake_global(offset)
         return state
 
@@ -360,34 +391,83 @@ class JobScheduler:
             self._in_heap.add(tick)
             heapq.heappush(self._heap, tick)
 
-    def _grant(self, granted: list, now: int) -> None:
-        """Stage one tick's granted messages: charge stats, bucket the arrivals.
+    def _grant(self, now: int) -> None:
+        """Grant global tick ``now``'s sends: every claim, and one queued send
+        per backlogged edge (:meth:`EdgeQueues.resolve`).
 
         Mirrors ``MessageFabric.stage_sized`` with the grant tick as the
-        send tick — for a solo job the grant tick *is* the send tick, so
-        the accounting is byte-identical to the direct backends. A deferred
-        message also charges the ticks it waited to
-        ``arbitration_stalls``. A load-dependent transit is asked of the
-        shared link schedule in global ticks, so cross-tenant contention
-        costs virtual time too (the models are seed-free, so one schedule
-        across tenants is well-defined); lockstep transit is one tick.
+        send tick — for a solo job every send is a claim granted at its
+        send tick, so the accounting is byte-identical to the direct
+        backends. A claim moves its edge's round-robin pointer to its slot,
+        as a queued grant does. Under lockstep transit a job's claims are
+        written straight into its in-order inbox dicts, in activation order
+        (sender-index order within the job), and charged once per job; a
+        queued grant, which may land after later senders, re-sorts the one
+        inbox it lands in and charges ``arbitration_stalls`` the ticks it
+        waited. Otherwise every grant becomes a resorted arrival at
+        ``Transit.ticks``; a load-dependent transit is asked of the shared
+        link schedule in global ticks, in the edge order that queueing
+        every send would grant them, so cross-tenant contention costs
+        virtual time too.
         """
-        for edge, (state, sender_index, payload, bits, sent) in granted:
-            rel = now - state.offset
-            stats = state.stats
-            stats.arbitration_stalls += rel - sent
-            state.pending -= 1
-            stepper = state.stepper
-            transit = stepper.fabric.transit
-            sender, target = edge
-            arrive = rel + (1 if transit.lockstep else transit.ticks(sender, target, now))
-            stepper.arrive(arrive, target, (sender_index, sender, payload))
-            stats.messages += 1
-            stats.message_bits += bits
-            by_round = stats.messages_by_round
-            by_round[rel] = by_round.get(rel, 0) + 1
-            edge_messages = stats.edge_messages
+        claims, queues = self._claims, self._queues
+        deferred = queues.resolve() if queues.edges else []
+        if not self._model.is_uniform:
+            granted = [*claims.items(), *deferred]
+            claims.clear()
+            if self._shared_transit is not None:
+                order = queues.order
+                granted.sort(key=lambda grant: order(grant[0]))
+            for edge, entry in granted:
+                self._deliver(edge, entry, now)
+            return
+        pointers = queues.pointers
+        state = None
+        for edge, (owner, _, payload, bits, _) in claims.items():
+            if owner is not state:
+                if state is not None:
+                    state.charge(rel, count, total)
+                state, slot, count, total = owner, owner.slot, 0, 0
+                rel = now - state.offset
+                bucket = state.stepper.bucket(rel + 1)
+                edge_messages = state.stats.edge_messages
+            pointers[edge] = slot
+            count += 1
+            total += bits
             edge_messages[edge] = edge_messages.get(edge, 0) + 1
+            sender, target = edge
+            inbox = bucket.get(target)
+            if inbox is None:
+                bucket[target] = {sender: payload}
+            else:
+                inbox[sender] = payload
+        if state is not None:
+            state.charge(rel, count, total)
+        claims.clear()
+        for edge, entry in deferred:
+            self._deliver(edge, entry, now)
+
+    def _deliver(self, edge, entry: tuple, now: int) -> None:
+        """Charge and stage one message granted at global tick ``now``."""
+        state, sender_index, payload, bits, sent = entry
+        rel = now - state.offset
+        stats = state.stats
+        stats.arbitration_stalls += rel - sent
+        state.charge(rel, 1, bits)
+        stats.edge_messages[edge] = stats.edge_messages.get(edge, 0) + 1
+        self._queues.pointers[edge] = state.slot
+        stepper = state.stepper
+        sender, target = edge
+        if stepper.resort:
+            ticks = stepper.fabric.transit.ticks(sender, target, now)
+            stepper.arrive(rel + ticks, target, (sender_index, sender, payload))
+            return
+        bucket = stepper.bucket(rel + 1)
+        inbox = bucket.setdefault(target, {})
+        inbox[sender] = payload
+        if len(inbox) > 1:
+            index = stepper.index
+            bucket[target] = dict(sorted(inbox.items(), key=lambda item: index[item[0]]))
 
     def _tick(self, state: _JobState, now: int) -> bool:
         """Step one job at global tick ``now``; True when it executed a round."""
@@ -459,15 +539,20 @@ class JobScheduler:
             self._on_complete(outcome)
 
     def _reap(self, now: int) -> None:
-        finished = [
-            state for state in self._running
-            if state.pending == 0 and state.stepper.next_tick() is None
-        ]
-        for state in finished:
-            self._complete(state, now)
-        if finished and self._queue:
-            self._admit_from_queue(now + 1)
-            self._reap(now + 1)
+        """Complete the quiesced jobs; while that frees slots for queued
+        jobs, admit them at the next tick and reap again there (a job can
+        quiesce at its admission)."""
+        while True:
+            finished = [
+                state for state in self._running
+                if state.pending == 0 and state.stepper.next_tick() is None
+            ]
+            for state in finished:
+                self._complete(state, now)
+            if not (finished and self._queue):
+                return
+            now += 1
+            self._admit_from_queue(now)
 
     # ------------------------------------------------------------------
     # Public API
@@ -507,6 +592,7 @@ class JobScheduler:
         # (the solo-identity contract).
         n = len(self._nodes)
         self._queues = EdgeQueues(order=lambda edge: gindex[edge[0]] * n + gindex[edge[1]])
+        self._claims: dict = {}  # edge -> the send claiming it this tick
         # One link schedule per run, shared by every tenant (global
         # ticks): load-dependent transit is a property of the physical
         # link, so concurrent jobs on a link slow each other down.
@@ -538,7 +624,7 @@ class JobScheduler:
             busy = False
             for state in list(self._running):
                 busy = self._tick(state, now) or busy
-            self._grant(self._queues.resolve(), now)
+            self._grant(now)
             if self._queues.edges:
                 self._wake_global(now + 1)
                 busy = True

@@ -1,29 +1,36 @@
 """Tests for the multi-tenant job layer (:mod:`repro.congest.jobs`).
 
-The two contracts that make multiplexing trustworthy:
+The contracts that make multiplexing trustworthy:
 
 * **solo identity** — one job under the JobScheduler is byte-identical
   (results *and* RoundStats) to a direct ``SyncNetwork`` run, with and
   without a latency model, full-population and scoped;
 * **conservation + fairness** — per-job stats sum to the fabric
   aggregate, and round-robin arbitration grants every backlogged job the
-  same share of each edge, up to the documented ±1 bound.
+  same share of each edge, up to the documented ±1 bound;
+* **claims grant what queueing grants** — granting uncontended sends
+  without queueing gives the schedule, stats and results of a reference
+  loop that queues every send and grants through ``EdgeQueues.resolve``.
 """
 
 import hashlib
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.sssp import _BellmanFordNode
 from repro.congest.asynchronous import SeededJitterLatency
-from repro.congest.jobs import Job, JobScheduler
+from repro.congest.jobs import Job, JobScheduler, _JobState
 from repro.congest.network import SyncNetwork
 from repro.congest.node import NodeAlgorithm
 from repro.congest.stats import RoundStats
 from repro.graphs.adjacency import canonical_edge
+from repro.graphs.generators import grid_graph, k_tree
 from repro.serve import JobServer
 from repro.util.errors import CongestViolation, GraphStructureError
+from tests.congest.test_async import _InboxOrder
 
 # Solo-identity arms: the job layer's one mode, without a model and with
 # the (lockstep) uniform model.
@@ -153,8 +160,6 @@ class TestSoloIdentity:
         assert result.outcomes["jit"].stats == direct_stats
 
     def test_latency_inbox_order_matches_direct_run(self):
-        from tests.congest.test_async import _InboxOrder
-
         graph = nx.complete_graph(6)
         direct_results, direct_stats = SyncNetwork(
             graph, rng=2, latency_model="seeded-jitter"
@@ -388,6 +393,17 @@ class TestAdmissionControl:
         assert result.outcomes["after"].status == "completed"
         assert result.outcomes["after"].admitted_tick > 10
 
+    def test_quiet_admission_waves_are_reaped_without_recursion(self):
+        # Each job sends nothing and arms nothing, so it quiesces at its
+        # admission and every reap admits the next one a tick later; 2,000
+        # such waves must not grow the stack.
+        graph = nx.path_graph(2)
+        jobs = [Job(f"q{k}", {v: _AlarmClock(v, 0) for v in graph}) for k in range(2000)]
+        result = JobScheduler(graph, max_inflight=1).run(jobs)
+        assert [o.admitted_tick for o in result.outcomes.values()] == list(range(2000))
+        assert [o.completed_tick for o in result.outcomes.values()] == list(range(2000))
+        assert result.stats.rounds == 1999
+
     def test_timeout_raises_by_default(self):
         graph = nx.path_graph(2)
         with pytest.raises(CongestViolation, match="did not quiesce"):
@@ -479,3 +495,104 @@ class TestContendedSchedulePin:
             self.PINS[(mode, model, capacity, max_inflight)]
         )
         result.stats.check()
+
+
+def _queue_every_send(state, sender, sender_index, outbox, sizes, now):
+    """Reference submit: every send waits in its job's FIFO, claims or not."""
+    for (target, payload), bits in zip(outbox.items(), sizes):
+        state.queues.push((sender, target), (state, sender_index, payload, bits, now), state.slot)
+    state.pending += len(sizes)
+
+
+def _grant_every_queued_send(scheduler, now):
+    """Reference grant loop: one ``EdgeQueues.resolve`` per tick, each grant
+    charged and delivered on its own, every touched inbox sorted in full."""
+    for (sender, target), entry in scheduler._queues.resolve():
+        state, sender_index, payload, bits, sent = entry
+        rel = now - state.offset
+        state.stats.arbitration_stalls += rel - sent
+        state.stats.record_message(sender, target, bits, rel)
+        state.pending -= 1
+        stepper = state.stepper
+        transit = stepper.fabric.transit
+        if transit.lockstep:
+            bucket = stepper.bucket(rel + 1)
+            inbox = {**bucket.get(target, {}), sender: payload}
+            bucket[target] = {
+                v: inbox[v] for v in sorted(inbox, key=stepper.index.__getitem__)
+            }
+        else:
+            stepper.arrive(
+                rel + transit.ticks(sender, target, now), target,
+                (sender_index, sender, payload),
+            )
+
+
+_TENANTS = st.lists(
+    st.tuples(
+        st.sampled_from(["flood", "pingpong", "late", "chatter"]),
+        st.integers(0, 2**16),
+        st.integers(2, 8),
+    ),
+    min_size=2, max_size=6,
+)
+
+
+def _tenant_jobs(graph, tenants):
+    """Overlapping full-graph floods, ping-pongs on shared edges, floods
+    that time out with sends still queued, and floods that record every
+    inbox's sender order."""
+    nodes, edges = sorted(graph), sorted(canonical_edge(u, v) for u, v in graph.edges())
+    jobs = []
+    for k, (kind, pick, volleys) in enumerate(tenants):
+        if kind == "pingpong":
+            u, v = edges[pick % len(edges)]
+            algorithms = {u: _PingPong(u, v, volleys), v: _PingPong(v, u, volleys)}
+            jobs.append(Job(f"t{k}", algorithms, rng=k))
+        elif kind == "chatter":
+            jobs.append(Job(f"t{k}", {v: _InboxOrder(volleys) for v in graph}, rng=k))
+        else:
+            jobs.append(Job(
+                f"t{k}", _bf_algorithms(graph, nodes[pick % len(nodes)]), rng=k,
+                max_rounds=volleys if kind == "late" else 10**6,
+                raise_on_timeout=False,
+            ))
+    return jobs
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.builds(grid_graph, st.integers(2, 6), st.integers(2, 6)),
+        st.integers(1, 3).flatmap(
+            lambda k: st.builds(k_tree, st.integers(k + 1, 30), st.just(k), rng=st.integers(0, 99))
+        ),
+    ),
+    _TENANTS,
+    st.sampled_from([None, "seeded-jitter", "contention:1.0"]),
+    st.sampled_from([None, 2]),
+)
+def test_claims_grant_what_queueing_every_send_grants(graph, tenants, model, max_inflight):
+    # The scheduler grants uncontended sends without queueing them; the
+    # reference queues every send and grants through EdgeQueues.resolve
+    # alone. Both must give every job the same schedule and the same stats.
+    def run():
+        return JobScheduler(graph, latency_model=model, max_inflight=max_inflight).run(
+            _tenant_jobs(graph, tenants)
+        )
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_JobState, "submit", _queue_every_send)
+        patch.setattr(JobScheduler, "_grant", _grant_every_queued_send)
+        reference = run()
+    result = run()
+
+    def outcomes(schedule):
+        return [
+            (o.job_id, o.admitted_tick, o.completed_tick, o.status, o.stats, o.results)
+            for o in schedule.outcomes.values()
+        ]
+
+    assert outcomes(result) == outcomes(reference)
+    assert result.stats == reference.stats
+    result.stats.check()
