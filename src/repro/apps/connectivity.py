@@ -6,14 +6,19 @@ compute the connected components of ``H`` — in rounds governed by *G*'s
 diameter, not H's (components of ``H`` can have huge diameter, the wheel
 problem again).
 
-Algorithm (Boruvka-style label hooking, [GH16b]):
+Algorithm (Boruvka-style label hooking, [GH16b]): every node starts with
+its own id as component label, and the label classes are the *parts*
+(connected in H ⊆ G). The phases run in the Borůvka loop shared with the
+MST, :func:`repro.apps.mst.boruvka_phases`, which builds each phase's
+shortcut and aggregates; this module supplies only its two rules:
 
-1. every node starts with its own id as component label;
-2. each phase: current label classes are the *parts* (connected in H ⊆ G);
-   build a shortcut for them; every part aggregates the minimum neighboring
-   label over H-edges leaving the part; parts hook onto that minimum;
-3. O(log n) phases merge everything; round cost per phase = one part-wise
-   aggregation = O~(shortcut quality).
+* local value — a node's minimum label across its H-edges that leave its
+  class (the label exchange round runs over H's edges only);
+* merge — every class hooks onto its part's minimum when that is smaller,
+  and pointer jumping collapses the hook chains.
+
+O(log n) phases merge everything; round cost per phase = one part-wise
+aggregation = O~(shortcut quality).
 
 The H-components are exactly the final label classes, cross-checked against
 networkx in the tests.
@@ -21,20 +26,15 @@ networkx in the tests.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 
 import networkx as nx
 
-from repro.congest.network import validate_scheduler
+from repro.apps.mst import boruvka_phases
 from repro.congest.stats import RoundStats
-from repro.core.providers import ShortcutRequest, build_shortcut, provider_name, resolve_tree
 from repro.graphs.adjacency import canonical_edge
-from repro.graphs.partition import Partition
-from repro.sched.partwise import partwise_aggregate
-from repro.util.errors import GraphStructureError, ShortcutError
-from repro.util.rng import ensure_rng
+from repro.util.errors import GraphStructureError
 
 __all__ = ["ConnectivityResult", "subgraph_components", "connectivity_job"]
 
@@ -93,11 +93,6 @@ def subgraph_components(
         GraphStructureError: if some subgraph edge is not a ``G`` edge.
         ShortcutError: unknown provider/method/construction.
     """
-    provider_name(shortcut_method, construction, provider)  # fail fast, uniformly
-    validate_scheduler(
-        scheduler, ShortcutError, latency_model=latency_model
-    )
-    rng = ensure_rng(rng)
     normalized: set[Edge] = set()
     for u, v in subgraph_edges:
         if not graph.has_edge(u, v):
@@ -109,100 +104,49 @@ def subgraph_components(
         adjacency[u].append(v)
         adjacency[v].append(u)
 
-    tree = resolve_tree(graph)
-    label = {v: v for v in graph.nodes()}
-    stats = RoundStats()
-    n = graph.number_of_nodes()
-    max_phases = 2 * max(1, math.ceil(math.log2(max(n, 2)))) + 4
-    phases = 0
-
-    while phases < max_phases:
-        classes: dict[int, list[int]] = {}
-        for node, lab in label.items():
-            classes.setdefault(lab, []).append(node)
-        partition = Partition(graph, classes.values(), validate=False)
-        class_labels = list(classes)
-
-        phase_stats = RoundStats()
-        # Neighbor label exchange over H-edges: one round, |H| messages each
-        # way, charged per directed edge (bits not modeled).
-        phase_stats.rounds += 1
-        for u, v in normalized:
-            phase_stats.record_message(u, v, 0, 0)
-            phase_stats.record_message(v, u, 0, 0)
-
-        # Per-node minimum foreign label over incident H-edges.
-        values: dict[int, int | None] = {}
-        for node in graph.nodes():
-            foreign = [
-                label[w] for w in adjacency[node] if label[w] != label[node]
-            ]
-            values[node] = min(foreign) if foreign else None
-        if all(value is None for value in values.values()):
-            break
-
-        outcome = build_shortcut(
-            ShortcutRequest(
-                graph=graph,
-                partition=partition,
-                tree=tree,
-                method=shortcut_method,
-                construction=construction,
-                provider=provider,
-                delta=delta,
-                rng=rng,
-                scheduler=scheduler,
-                latency_model=latency_model,
+    def min_foreign_labels(label):
+        """Per node: the minimum label of its H-neighbours in other classes, or None."""
+        return {
+            node: min(
+                (label[w] for w in adjacency[node] if label[w] != label[node]),
+                default=None,
             )
-        )
-        shortcut = outcome.shortcut
-        phase_stats = phase_stats + outcome.stats
-        aggregation = partwise_aggregate(
-            graph, partition, shortcut, values, _min_or_none, rng=rng,
-            latency_model=latency_model,
-        )
-        if aggregation.incomplete:
-            raise ShortcutError(
-                f"phase {phases}: aggregation incomplete for {aggregation.incomplete}"
-            )
-        phase_stats = phase_stats + aggregation.stats
+            for node in graph.nodes()
+        }
 
-        # Hook each class onto its minimum neighboring label (pointer
-        # jumping collapses chains because hooks always point to smaller
-        # labels: following them strictly decreases, so the union below is
-        # acyclic).
-        hook: dict[int, int] = {}
-        for index, class_label in enumerate(class_labels):
-            target = aggregation.values.get(index)
-            if target is not None and target < class_label:
-                hook[class_label] = target
+    def hook(label, targets):
+        # Each class hooks onto its minimum neighboring label. Hooks always
+        # point to smaller labels, so following them strictly decreases and
+        # the union is acyclic; pointer jumping collapses the chains.
+        hooks = {
+            class_label: target for class_label, target in targets.items()
+            if target is not None and target < class_label
+        }
 
         def resolve(lab: int) -> int:
             seen = [lab]
-            while lab in hook:
-                lab = hook[lab]
+            while lab in hooks:
+                lab = hooks[lab]
                 seen.append(lab)
             for item in seen:
                 if item != lab:
-                    hook[item] = lab
+                    hooks[item] = lab
             return lab
 
-        label = {node: resolve(lab) for node, lab in label.items()}
-        stats.add_phase(f"phase_{phases}", phase_stats)
-        phases += 1
+        return {node: resolve(lab) for node, lab in label.items()}
 
-    components = len(set(label.values()))
+    label, stats = boruvka_phases(
+        graph, normalized, min_foreign_labels, hook,
+        method=shortcut_method, construction=construction, provider=provider,
+        delta=delta, rng=rng, scheduler=scheduler, latency_model=latency_model,
+    )
     return ConnectivityResult(
-        labels=label, num_components=components, phases=phases, stats=stats
+        labels=label,
+        num_components=len(set(label.values())),
+        phases=len(stats.phases),
+        stats=stats,
     )
 
-
-def _min_or_none(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 def connectivity_job(
     graph, subgraph_edges, job_id="connectivity", on_complete=None, **kwargs

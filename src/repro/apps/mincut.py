@@ -96,9 +96,9 @@ def distributed_mincut(
     Args:
         graph: connected graph (unweighted; the paper's corollary).
         delta: minor-density parameter for the shortcut-based MSTs.
-        num_trees: packing size; defaults to ``min_degree · ceil(log2 n)``
-            capped at 24 (enough for the evaluation families; raise for
-            adversarial instances).
+        num_trees: packing size, a positive int; defaults to
+            ``min_degree · ceil(log2 n)`` capped at 24 (enough for the
+            evaluation families; raise for adversarial instances).
         two_respecting: run the 2-respecting sweep; defaults to
             ``n <= 400``.
         shortcut_method: forwarded to :func:`repro.apps.mst.distributed_mst`.
@@ -116,7 +116,8 @@ def distributed_mincut(
 
     Raises:
         GraphStructureError: if the graph is disconnected or has < 2 nodes.
-        ShortcutError: unknown provider/method/construction.
+        ShortcutError: unknown provider/method/construction, or a
+            ``num_trees`` that is not a positive int.
     """
     provider_name(shortcut_method, construction, provider)  # fail fast, uniformly
     validate_scheduler(
@@ -131,6 +132,8 @@ def distributed_mincut(
     min_degree = min(degree for _, degree in graph.degree())
     if num_trees is None:
         num_trees = max(4, min(24, min_degree * max(1, math.ceil(math.log2(n)))))
+    elif isinstance(num_trees, bool) or not isinstance(num_trees, int) or num_trees < 1:
+        raise ShortcutError(f"num_trees must be a positive int, got {num_trees!r}")
     if two_respecting is None:
         two_respecting = n <= _TWO_RESPECTING_DEFAULT_LIMIT
 

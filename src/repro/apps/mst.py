@@ -7,17 +7,25 @@ part-wise aggregation problem (Definition 2.1) over the current fragments,
 so a quality-``Q`` shortcut per phase yields an ``O~(Q)``-round phase and an
 ``O~(δD)``-round MST algorithm on graphs with minor density δ.
 
-Round accounting per phase (all measured, never asserted):
+The phase loop itself, :func:`boruvka_phases`, is shared with subgraph
+connectivity (:mod:`repro.apps.connectivity`): an app supplies only a
+per-node local value and a merge rule. Round accounting per phase (all
+measured, never asserted):
 
-* 1 round of fragment-id exchange (every node tells each neighbor its
-  fragment id — one ``O(log n)``-bit message per edge direction);
+* 1 round of label exchange (every node tells each neighbor over the app's
+  edge set its fragment id — one ``O(log n)``-bit message per edge
+  direction);
 * optional shortcut construction, obtained from the
   :mod:`repro.core.providers` registry (``construction="simulated"`` runs
   the Theorem 1.5 distributed pipeline and adds its measured rounds;
   ``"centralized"`` plans the same shortcut for free — the arm used to
   isolate aggregation costs);
-* one simulated part-wise aggregation (MOE convergecast + decision
+* one simulated part-wise min aggregation (convergecast + decision
   broadcast) through the shortcut.
+
+The loop calls ``build_shortcut`` and ``partwise_aggregate`` through this
+module's globals, so a caller that rebinds ``repro.apps.mst.build_shortcut``
+or ``repro.apps.mst.partwise_aggregate`` sees every phase of both apps.
 
 Weights must be integers (CONGEST messages carry ``O(log n)`` bits; floats
 are not re-encodable faithfully). Ties are broken by edge endpoints, making
@@ -26,27 +34,25 @@ the MST unique and the result comparable edge-for-edge with Kruskal.
 
 from __future__ import annotations
 
+import math
 import random
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import networkx as nx
 
 from repro.congest.network import validate_scheduler
 from repro.congest.stats import RoundStats
-from repro.core.providers import ShortcutRequest, build_shortcut, provider_name, resolve_tree
-from repro.graphs.adjacency import canonical_edge
+from repro.core.providers import ShortcutRequest, build_shortcut, provider_name
+from repro.graphs.adjacency import canonical_edge, edge_weights
 from repro.graphs.partition import Partition
 from repro.sched.partwise import partwise_aggregate
 from repro.util.errors import GraphStructureError, ShortcutError
 from repro.util.rng import ensure_rng
 
-__all__ = ["MstResult", "distributed_mst", "assign_random_weights", "mst_job"]
+__all__ = ["MstResult", "distributed_mst", "assign_random_weights", "mst_job", "boruvka_phases"]
 
 Edge = tuple[int, int]
-
-# Sentinel MOE value for fragments with no outgoing edge (only possible once
-# a fragment spans a whole connected component).
-_NO_EDGE = None
 
 
 @dataclass
@@ -80,6 +86,97 @@ def assign_random_weights(
     }
 
 
+def boruvka_phases(
+    graph: nx.Graph,
+    exchange_edges: Iterable[Edge],
+    local_values: Callable[[dict[int, int]], dict[int, object]],
+    merge: Callable[[dict[int, int], dict[int, object]], dict[int, int]],
+    *,
+    method: str,
+    construction: str,
+    provider: str | None,
+    delta: float | None,
+    rng: int | random.Random | None,
+    scheduler: str,
+    latency_model: object,
+) -> tuple[dict[int, int], RoundStats]:
+    """Borůvka phases with a part-wise min aggregation as the merge step.
+
+    Labels start as the node ids. Each phase (at most
+    ``2·ceil(log2 n) + 4``):
+
+    1. ``local_values(labels)`` gives each node's value, ``None`` for none;
+       the loop stops once every value is ``None``;
+    2. the label classes, in node order, become the parts; one exchange
+       round is charged over ``exchange_edges`` (one message each way,
+       bits not modeled);
+    3. the phase shortcut is built and every part aggregates the minimum
+       of its members' non-``None`` values;
+    4. ``merge(labels, minima)`` returns the new labels, where ``minima``
+       maps each class label to its part's minimum (``None`` if none).
+
+    The keyword arguments are the phase shortcuts'
+    :class:`~repro.core.providers.ShortcutRequest` fields.
+
+    Returns:
+        ``(labels, stats)``; ``stats.phases`` holds one ``phase_<i>`` entry
+        per phase and sums to the totals.
+
+    Raises:
+        ShortcutError: unknown provider/method/construction or scheduler, or
+            an aggregation that did not complete.
+    """
+    provider_name(method, construction, provider)  # fail fast, uniformly
+    validate_scheduler(scheduler, ShortcutError, latency_model=latency_model)
+    rng = ensure_rng(rng)
+    n = graph.number_of_nodes()
+    max_phases = 2 * max(1, math.ceil(math.log2(max(n, 2)))) + 4
+    labels = {v: v for v in graph.nodes()}
+    stats = RoundStats()
+    for phase in range(max_phases):
+        values = local_values(labels)
+        if all(value is None for value in values.values()):
+            break
+        classes: dict[int, list[int]] = {}
+        for node, label in labels.items():
+            classes.setdefault(label, []).append(node)
+        partition = Partition(graph, classes.values(), validate=False)
+        phase_stats = RoundStats(rounds=1)
+        for u, v in exchange_edges:
+            phase_stats.record_message(u, v, 0, 0)
+            phase_stats.record_message(v, u, 0, 0)
+        # Identical class collections (e.g. the singleton phase repeated
+        # across a min-cut tree packing) hit the provider's memo cache.
+        outcome = build_shortcut(ShortcutRequest(
+            graph=graph, partition=partition, method=method,
+            construction=construction, provider=provider, delta=delta,
+            rng=rng, scheduler=scheduler, latency_model=latency_model,
+        ))
+        aggregation = partwise_aggregate(
+            graph, partition, outcome.shortcut, values, _min_or_none, rng=rng,
+            latency_model=latency_model,
+        )
+        if aggregation.incomplete:
+            raise ShortcutError(
+                f"phase {phase}: aggregation did not complete for parts "
+                f"{aggregation.incomplete}"
+            )
+        stats.add_phase(f"phase_{phase}", phase_stats + outcome.stats + aggregation.stats)
+        labels = merge(labels, {
+            label: aggregation.values.get(index) for index, label in enumerate(classes)
+        })
+    return labels, stats
+
+
+def _min_or_none(a, b):
+    """Min combiner tolerating None (= no value)."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
 def distributed_mst(
     graph: nx.Graph,
     weights: dict[Edge, int] | None = None,
@@ -87,7 +184,6 @@ def distributed_mst(
     construction: str = "centralized",
     delta: float | None = None,
     rng: int | random.Random | None = None,
-    max_phases: int | None = None,
     scheduler: str = "event",
     provider: str | None = None,
     latency_model: object = None,
@@ -96,8 +192,10 @@ def distributed_mst(
 
     Args:
         graph: connected graph.
-        weights: integer edge weights (canonical-edge keyed); default all 1
-            (any spanning tree — still exercises the full machinery).
+        weights: integer edge weights keyed by
+            :func:`~repro.graphs.adjacency.canonical_edge`, one for every
+            graph edge; default all 1 (any spanning tree — still exercises
+            the full machinery).
         shortcut_method: ``"theorem31"`` (the paper's shortcuts, built fresh
             for each phase's fragments) or ``"baseline"`` (the ``D + √n``
             BFS-tree shortcut — the comparison arm of experiment E8).
@@ -108,7 +206,6 @@ def distributed_mst(
         delta: minor-density parameter; defaults to the generator's
             analytic bound or, failing that, the graph's degeneracy (the
             shared :func:`repro.core.providers.resolve_delta` rule).
-        max_phases: safety cap (default ``2·ceil(log2 n) + 4``).
         scheduler: simulator scheduler for the ``"simulated"`` construction
             (``"event"``, ``"dense"``, or ``"vectorized"``; see
             :mod:`repro.congest`).
@@ -122,158 +219,54 @@ def distributed_mst(
             completion alongside the round count.
 
     Raises:
-        GraphStructureError: disconnected input or non-integer weights.
+        GraphStructureError: disconnected input, non-integer weights, or a
+            graph edge without a weight.
         ShortcutError: unknown provider/method/construction.
     """
-    import math
-
     if graph.number_of_nodes() == 0:
         raise GraphStructureError("MST of an empty graph is undefined")
     if not nx.is_connected(graph):
         raise GraphStructureError("MST requires a connected graph")
-    rng = ensure_rng(rng)
-    if weights is None:
-        weights = {canonical_edge(u, v): 1 for u, v in graph.edges()}
-    for edge, weight in weights.items():
-        if not isinstance(weight, int):
-            raise GraphStructureError(
-                f"edge weights must be integers (CONGEST messages); {edge} has {weight!r}"
-            )
-    provider_name(shortcut_method, construction, provider)  # fail fast, uniformly
-    validate_scheduler(
-        scheduler, ShortcutError, latency_model=latency_model
-    )
-    n = graph.number_of_nodes()
-    if max_phases is None:
-        max_phases = 2 * max(1, math.ceil(math.log2(max(n, 2)))) + 4
-
-    tree = resolve_tree(graph)
-    fragment_of = {v: v for v in graph.nodes()}  # fragment id = leader node
+    weights = edge_weights(graph.edges(), weights)
     mst_edges: set[Edge] = set()
-    stats = RoundStats()
-    phase_rounds: list[int] = []
-    phases = 0
 
-    while phases < max_phases:
-        fragments = _fragment_sets(fragment_of)
-        if len(fragments) == 1:
-            break
-        partition = Partition(graph, fragments.values(), validate=False)
-        index_of_fragment = {
-            fragment_id: index for index, fragment_id in enumerate(fragments)
-        }
+    def local_moe_values(fragment_of):
+        """Per node: its lightest outgoing edge as ``(weight, u, v)`` or None."""
+        values = {}
+        for node in graph.nodes():
+            best = None
+            for neighbor in graph.neighbors(node):
+                if fragment_of[neighbor] == fragment_of[node]:
+                    continue
+                edge = canonical_edge(node, neighbor)
+                candidate = (weights[edge], edge[0], edge[1])
+                if best is None or candidate < best:
+                    best = candidate
+            values[node] = best
+        return values
 
-        phase_stats = RoundStats()
-        # Step 1: fragment-id exchange (1 round, one message per edge
-        # direction, charged per directed edge; its bits are not modeled).
-        phase_stats.rounds += 1
-        for u, v in graph.edges():
-            phase_stats.record_message(u, v, 0, 0)
-            phase_stats.record_message(v, u, 0, 0)
+    def merge(fragment_of, moes):
+        chosen = {moe[1:] for moe in moes.values() if moe is not None}
+        mst_edges.update(chosen)
+        return _merge_fragments(fragment_of, chosen)
 
-        # Step 2: shortcut for the current fragments, via the provider
-        # registry (identical fragment collections — e.g. the singleton
-        # phase repeated across a min-cut tree packing — hit the memo cache
-        # instead of rebuilding).
-        outcome = build_shortcut(
-            ShortcutRequest(
-                graph=graph,
-                partition=partition,
-                tree=tree,
-                method=shortcut_method,
-                construction=construction,
-                provider=provider,
-                delta=delta,
-                rng=rng,
-                scheduler=scheduler,
-                latency_model=latency_model,
-            )
-        )
-        shortcut = outcome.shortcut
-        phase_stats = phase_stats + outcome.stats
-
-        # Step 3: per-node local MOE, then part-wise min aggregation.
-        values = _local_moe_values(graph, weights, fragment_of)
-        aggregation = partwise_aggregate(
-            graph, partition, shortcut, values, _min_edge, rng=rng,
-            latency_model=latency_model,
-        )
-        if aggregation.incomplete:
-            raise ShortcutError(
-                f"phase {phases}: aggregation did not complete for parts "
-                f"{aggregation.incomplete}"
-            )
-        phase_stats = phase_stats + aggregation.stats
-
-        # Step 4: merge along the chosen MOEs.
-        chosen: set[Edge] = set()
-        for index in range(len(partition)):
-            moe = aggregation.values.get(index, _NO_EDGE)
-            if moe is not _NO_EDGE and moe is not None:
-                _, u, v = moe
-                chosen.add(canonical_edge(u, v))
-        if not chosen:
-            break
-        mst_edges |= chosen
-        fragment_of = _merge_fragments(graph, fragment_of, chosen)
-
-        stats.add_phase(f"phase_{phases}", phase_stats)
-        phase_rounds.append(phase_stats.rounds)
-        phases += 1
-
-    if len(_fragment_sets(fragment_of)) != 1:
-        raise ShortcutError(f"Boruvka did not converge within {max_phases} phases")
-    total_weight = sum(weights[edge] for edge in mst_edges)
+    fragment_of, stats = boruvka_phases(
+        graph, graph.edges(), local_moe_values, merge,
+        method=shortcut_method, construction=construction, provider=provider,
+        delta=delta, rng=rng, scheduler=scheduler, latency_model=latency_model,
+    )
+    if len(set(fragment_of.values())) != 1:
+        raise ShortcutError(f"Boruvka did not converge within {len(stats.phases)} phases")
     return MstResult(
         edges=frozenset(mst_edges),
-        weight=total_weight,
-        phases=phases,
+        weight=sum(weights[edge] for edge in mst_edges),
+        phases=len(stats.phases),
         stats=stats,
-        phase_rounds=phase_rounds,
+        phase_rounds=[phase.rounds for phase in stats.phases.values()],
     )
 
 
-def _fragment_sets(fragment_of: dict[int, int]) -> dict[int, list[int]]:
-    sets: dict[int, list[int]] = {}
-    for node, fragment in fragment_of.items():
-        sets.setdefault(fragment, []).append(node)
-    return sets
-
-
-def _local_moe_values(
-    graph: nx.Graph,
-    weights: dict[Edge, int],
-    fragment_of: dict[int, int],
-) -> dict[int, tuple[int, int, int] | None]:
-    """Per node: its lightest outgoing edge as ``(weight, u, v)`` or None."""
-    values: dict[int, tuple[int, int, int] | None] = {}
-    for node in graph.nodes():
-        best: tuple[int, int, int] | None = None
-        for neighbor in graph.neighbors(node):
-            if fragment_of[neighbor] == fragment_of[node]:
-                continue
-            edge = canonical_edge(node, neighbor)
-            candidate = (weights[edge], edge[0], edge[1])
-            if best is None or candidate < best:
-                best = candidate
-        values[node] = best
-    return values
-
-
-def _min_edge(a, b):
-    """Min combiner tolerating None (= no outgoing edge)."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _merge_fragments(
-    graph: nx.Graph,
-    fragment_of: dict[int, int],
-    chosen: set[Edge],
-) -> dict[int, int]:
+def _merge_fragments(fragment_of: dict[int, int], chosen: set[Edge]) -> dict[int, int]:
     """Union fragments along chosen MOE edges; new id = min member node."""
     parent: dict[int, int] = {}
 

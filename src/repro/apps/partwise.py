@@ -166,13 +166,17 @@ def solve_partwise_multicast(
     the input — the engine's convergecast carries it up from the leader).
 
     Raises:
-        ShortcutError: unknown provider, a part index without a message, or
-            failed delivery.
+        ShortcutError: unknown provider, a part index without a message, a
+            message keyed by anything but a part index, or failed delivery.
     """
     provider_name(shortcut_method, construction, provider)  # fail fast, uniformly
-    missing = [i for i in range(len(partition)) if i not in messages]
+    parts = range(len(partition))
+    missing = [i for i in parts if i not in messages]
     if missing:
         raise ShortcutError(f"no message provided for parts {missing[:5]}")
+    unknown = [key for key in messages if not (isinstance(key, int) and key in parts)]
+    if unknown:
+        raise ShortcutError(f"messages for parts not in the partition: {unknown[:5]}")
     leader_values = {
         partition.leader_of(index): (index, message)
         for index, message in messages.items()

@@ -22,10 +22,10 @@ import networkx as nx
 from repro.congest.network import SyncNetwork
 from repro.congest.node import NodeAlgorithm
 from repro.congest.stats import RoundStats
-from repro.graphs.adjacency import canonical_edge
+from repro.graphs.adjacency import canonical_edge, edge_weights
 from repro.util.errors import GraphStructureError
 
-__all__ = ["distributed_bfs_sssp", "bellman_ford_sssp", "approx_sssp", "sssp_job"]
+__all__ = ["distributed_bfs_sssp", "bellman_ford_sssp", "sssp_job"]
 
 Edge = tuple[int, int]
 
@@ -101,7 +101,9 @@ def bellman_ford_sssp(
 
     Args:
         graph: connected graph.
-        weights: nonnegative integer weights (default 1).
+        weights: nonnegative integer weights keyed by
+            :func:`~repro.graphs.adjacency.canonical_edge`, one for every
+            graph edge (default all 1).
         max_hops: if set, restrict relaxations to ``max_hops`` rounds —
             distances become exact over ≤ ``max_hops``-hop paths. The
             budget is *defined* in lockstep rounds (synchronous
@@ -115,18 +117,12 @@ def bellman_ford_sssp(
         ``(distances, stats)``; unreachable-within-budget nodes map to None.
 
     Raises:
-        GraphStructureError: on negative or non-integer weights, or an
-            unknown source.
+        GraphStructureError: on negative or non-integer weights, a graph
+            edge without a weight, or an unknown source.
     """
     if source not in graph:
         raise GraphStructureError(f"source {source} is not in the graph")
-    if weights is None:
-        weights = {canonical_edge(u, v): 1 for u, v in graph.edges()}
-    for edge, weight in weights.items():
-        if not isinstance(weight, int) or weight < 0:
-            raise GraphStructureError(
-                f"weights must be nonnegative integers; {edge} has {weight!r}"
-            )
+    weights = edge_weights(graph.edges(), weights, nonnegative=True)
     network = SyncNetwork(
         graph, rng=rng, scheduler=scheduler,
         latency_model=latency_model,
@@ -163,6 +159,10 @@ def sssp_job(
             subgraph of that region (the source must be in it). Scoped
             regions are how concurrent tenants share a graph without
             contending: disjoint regions touch disjoint edges.
+        weights: as in :func:`bellman_ford_sssp`, but only the edges among
+            the population need one; a missing one raises
+            :class:`~repro.util.errors.GraphStructureError` here, before
+            the job is submitted.
 
     Other arguments as in :func:`bellman_ford_sssp`; the outcome's
     ``results`` maps each population node to its distance (``None`` if
@@ -171,13 +171,9 @@ def sssp_job(
     population = tuple(graph.nodes()) if nodes is None else tuple(nodes)
     if source not in population:
         raise GraphStructureError(f"source {source} is not in the job population")
-    if weights is None:
-        weights = {canonical_edge(u, v): 1 for u, v in graph.edges()}
-    for edge, weight in weights.items():
-        if not isinstance(weight, int) or weight < 0:
-            raise GraphStructureError(
-                f"weights must be nonnegative integers; {edge} has {weight!r}"
-            )
+    members = set(population)
+    edges = [(u, v) for u, v in graph.edges(population) if v in members]
+    weights = edge_weights(edges, weights, nonnegative=True)
     from repro.congest.jobs import Job
 
     return Job(
@@ -187,64 +183,3 @@ def sssp_job(
         on_complete=on_complete,
     )
 
-
-def approx_sssp(
-    graph: nx.Graph,
-    source: int,
-    weights: dict[Edge, int],
-    epsilon: float,
-    hop_bound: int,
-    rng: int | random.Random | None = None,
-    scheduler: str = "event",
-    latency_model: object = None,
-) -> tuple[dict[int, int | None], RoundStats]:
-    """(1+ε)-approximate SSSP for paths of at most ``hop_bound`` hops.
-
-    The classic weight-rounding reduction: round each weight up to the next
-    multiple of ``μ = ε·w_min / hop_bound`` (where ``w_min`` is the smallest
-    positive weight), then run Bellman–Ford for ``hop_bound`` rounds on the
-    *rescaled integer* weights ``⌈w/μ⌉``. Rounding adds at most ``μ`` per
-    hop, i.e. at most ``hop_bound·μ = ε·w_min ≤ ε·dist(v)`` in total for any
-    node at ≥ 1 hop, giving
-
-        dist(v) ≤ result(v) ≤ (1 + ε)·dist_h(v),
-
-    where ``dist_h`` is the shortest distance over ≤ ``hop_bound``-hop paths.
-    The benefit over exact Bellman–Ford is that the rescaled weights fit in
-    ``O(log(hop_bound/ε))`` bits — the message-size reduction that
-    hopset-based algorithms like [HL18] build on (the full [HL18] machinery
-    is out of scope; see the faithfulness notes in ``docs/architecture.md``).
-
-    Returns:
-        ``(distances, stats)``: upscaled approximate distances in the
-        original weight units, within one unit of the guarantee interval
-        due to the final integer truncation (``None`` where no
-        ≤ hop_bound-hop path exists).
-
-    Raises:
-        GraphStructureError: on invalid ε, hop bound, or weights.
-    """
-    if not 0 < epsilon <= 1:
-        raise GraphStructureError(f"epsilon must be in (0, 1], got {epsilon}")
-    if hop_bound < 1:
-        raise GraphStructureError(f"hop_bound must be >= 1, got {hop_bound}")
-    positive = [w for w in weights.values() if w > 0]
-    if not positive:
-        raise GraphStructureError("approx_sssp needs at least one positive weight")
-    w_min = min(positive)
-    # mu chosen so that hop_bound roundings cost at most epsilon * w_min.
-    mu = max(1e-12, epsilon * w_min / hop_bound)
-    rescaled = {
-        edge: -(-weight // mu) if weight > 0 else 0  # ceil(w / mu) as int
-        for edge, weight in weights.items()
-    }
-    rescaled = {edge: int(value) for edge, value in rescaled.items()}
-    distances, stats = bellman_ford_sssp(
-        graph, source, rescaled, max_hops=hop_bound, rng=rng, scheduler=scheduler,
-        latency_model=latency_model,
-    )
-    upscaled = {
-        v: (None if d is None else int(d * mu) if v != source else 0)
-        for v, d in distances.items()
-    }
-    return upscaled, stats

@@ -18,6 +18,7 @@ from repro.util.errors import GraphStructureError
 __all__ = [
     "normalize_graph",
     "canonical_edge",
+    "edge_weights",
     "require_connected",
     "require_nodes_exist",
     "induces_connected_subgraph",
@@ -55,6 +56,37 @@ def normalize_graph(graph: nx.Graph) -> nx.Graph:
 def canonical_edge(u: int, v: int) -> tuple[int, int]:
     """Canonical (sorted) representation of the undirected edge ``{u, v}``."""
     return (u, v) if u <= v else (v, u)
+
+
+def edge_weights(
+    edges: Iterable[tuple[int, int]],
+    weights: dict[tuple[int, int], int] | None,
+    nonnegative: bool = False,
+) -> dict[tuple[int, int], int]:
+    """Validated integer weights for ``edges``, keyed by :func:`canonical_edge`.
+
+    ``None`` weighs every edge 1. Otherwise every weight must be an int
+    (nonnegative if asked) and every edge of ``edges`` — the edges a run
+    will read — must have a canonical key, so a gap fails here instead of
+    as a ``KeyError`` mid-run.
+
+    Raises:
+        GraphStructureError: naming the first bad weight or unweighted edge.
+    """
+    if weights is None:
+        return {canonical_edge(u, v): 1 for u, v in edges}
+    kind = "nonnegative integers" if nonnegative else "integers"
+    for edge, weight in weights.items():
+        if not isinstance(weight, int) or (nonnegative and weight < 0):
+            raise GraphStructureError(
+                f"edge weights must be {kind} (CONGEST messages); {edge} has {weight!r}"
+            )
+    for u, v in edges:
+        if canonical_edge(u, v) not in weights:
+            raise GraphStructureError(
+                f"edge {canonical_edge(u, v)} has no weight (keys must be canonical_edge(u, v))"
+            )
+    return weights
 
 
 def require_connected(graph: nx.Graph, what: str = "graph") -> None:
