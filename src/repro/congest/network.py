@@ -162,9 +162,9 @@ class SyncNetwork:
             (columnar numpy, requires the ``repro[vectorized]`` extra);
             see the module docstring.
         latency_model: per-edge latency assignment for the event backend —
-            a registered name (``"uniform"``, ``"seeded-jitter"``,
-            ``"degree-proportional"``) or a
-            :class:`~repro.congest.asynchronous.LatencyModel` instance;
+            a registered name (see
+            :func:`~repro.congest.asynchronous.available_latency_models`)
+            or a :class:`~repro.congest.asynchronous.LatencyModel` instance;
             ``None`` means uniform (lockstep). Rejected by ``dense`` and
             ``vectorized``.
         sanitize: the runtime conformance sanitizer — the dynamic twin of

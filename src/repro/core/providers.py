@@ -26,26 +26,21 @@ parts, mirroring the ``SchedulerBackend`` registry of :mod:`repro.congest`:
   CONGEST pipeline iterated per Observation 2.7), ``greedy`` (the E14
   ablation arm), ``certifying`` (shortcut plus dense-minor witness), and
   ``none`` (bare parts — the slow control arm).
-* a **process-level memoizing cache** keyed on ``(graph identity,
-  partition signature, provider, …)`` so repeated requests — MST phases
-  inside the min-cut tree packing, repeated part-wise solves — reuse trees
-  and shortcuts instead of rebuilding. Only providers whose construction
-  is deterministic and consumes no randomness are cached (caching a
-  rng-consuming pipeline would silently change downstream random streams
-  and break the backend byte-identity contract). The cache is a bounded
-  LRU (cached outcomes necessarily keep their graph alive, so a weak map
-  could never evict); the oldest entries fall out past
-  ``_CACHE_MAX_ENTRIES`` and :func:`clear_shortcut_cache` drops
-  everything. Keys carry the graph's ``(n, m)`` signature, so topology
-  mutations that change either count invalidate stale entries; mutations
-  preserving both counts (an edge swap) are the caveat — call
-  :func:`clear_shortcut_cache` after such edits.
+* **reuse** across repeated requests (MST phases, min-cut tree packing,
+  tenants). The BFS tree, the degeneracy δ and a per-graph token are
+  :func:`~repro.graphs.adjacency.graph_memo` memos, dropped on any
+  structural mutation. Two bounded LRU tiers (outcomes, Observation 2.7
+  iterations) key on the token, so a mutated graph never finds its old
+  shortcuts; frozen graphs are never stored. Only deterministic providers
+  that consume no randomness are cached (a cached rng-consuming pipeline
+  would silently change downstream random streams).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
@@ -58,9 +53,10 @@ from repro.core.certifying import certify_or_shortcut
 from repro.core.full import build_full_shortcut
 from repro.core.greedy import greedy_shortcut
 from repro.core.shortcut import Shortcut, ShortcutQuality
+from repro.graphs.adjacency import graph_memo
 from repro.graphs.partition import Partition
 from repro.graphs.trees import RootedTree, bfs_tree
-from repro.util.errors import ShortcutError
+from repro.util.errors import GraphStructureError, ShortcutError
 from repro.util.rng import ensure_rng
 
 __all__ = [
@@ -96,8 +92,9 @@ class ShortcutRequest:
     Attributes:
         graph: the host graph ``G``.
         partition: the parts ``P_1 .. P_k``.
-        tree: optional pre-built rooted tree; auto-resolved (and memoized
-            per graph) when the provider needs one and none is given.
+        tree: optional pre-built rooted tree, which must span ``graph``;
+            auto-resolved (and memoized per graph) when the provider needs
+            one and none is given.
         method: legacy method selector (``"theorem31"``, ``"baseline"``,
             ``"none"``, ``"greedy"``, ``"certifying"``) — kept so existing
             call sites keep working; combined with ``construction`` it maps
@@ -106,10 +103,10 @@ class ShortcutRequest:
             ``"simulated"`` (the measured Theorem 1.5 pipeline).
         provider: explicit registered provider name; overrides
             ``method``/``construction`` when given.
-        delta: minor-density parameter; ``None`` auto-resolves to the
-            generator's analytic bound or, failing that, the graph's
-            degeneracy (memoized per graph — every app sees the same
-            default for the same graph).
+        delta: minor-density parameter, a finite real > 0; ``None``
+            auto-resolves to the generator's analytic bound or, failing
+            that, the graph's degeneracy (memoized per graph — every app
+            sees the same default for the same graph).
         rng: seed or generator for randomized pipelines.
         scheduler: simulator scheduler backend for measured constructions.
         latency_model: per-edge latency model for the event scheduler
@@ -270,85 +267,70 @@ def provider_name(
 # Per-graph memoization: delta, trees, shortcuts
 # ----------------------------------------------------------------------
 
-# Delta and tree maps are weakly keyed on the graph object (their values
-# hold no reference back to the graph, so entries really do vanish with
-# it); object identity keeps distinct graphs apart even when isomorphic.
-_DELTA_CACHE: "weakref.WeakKeyDictionary[nx.Graph, tuple]" = weakref.WeakKeyDictionary()
-_TREE_CACHE: "weakref.WeakKeyDictionary[nx.Graph, tuple]" = weakref.WeakKeyDictionary()
-# Outcomes DO reference their graph (``Shortcut.graph``), so a weak map
-# could never evict them; instead this is a bounded LRU keyed by
-# ``(id(graph), provider key)``. The strong reference each entry holds to
-# its graph is what keeps the ``id`` stable for the entry's lifetime.
+# Outcomes reference their graph (``Shortcut.graph``), so shortcuts sit in
+# bounded LRUs rather than on the graph. Both tiers key on the graph's
+# token (:func:`_graph_token`), which a structural mutation replaces.
 _OUTCOME_CACHE: "OrderedDict[tuple, ShortcutOutcome]" = OrderedDict()
 _CACHE_MAX_ENTRIES = 256
-_CACHE_COUNTS = {"hits": 0, "misses": 0, "evictions": 0}
 
-# Per-provider breakdown of the same events, plus the iteration tier's.
-# Keyed by registered provider name; counters appear on first touch so
-# providers that never went through the cache stay absent.
+# Hit/miss/eviction counts of both tiers per registered provider name;
+# counters appear on first touch so providers that never went through the
+# cache stay absent.
 _PROVIDER_COUNTS: dict[str, dict[str, int]] = {}
+_COUNTED_EVENTS = (
+    "hits", "misses", "evictions",
+    "iteration_hits", "iteration_misses", "iteration_evictions",
+)
 
 # The shared service tier for *per-iteration* partial results: concurrent
 # jobs whose full-shortcut requests differ (different deltas, different
 # option sets — distinct outcome-cache keys) still overlap iteration by
 # iteration whenever their partitions agree on the still-unsatisfied
-# tail. Entries store ``(graph, tree, result)`` so the ids in the key stay
-# stable for the entry's lifetime, mirroring the outcome cache's strong
-# references.
-_ITERATION_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
+# tail. Keys are ``(token, tree, parts, delta)``.
+_ITERATION_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
 _ITERATION_CACHE_MAX_ENTRIES = 1024
 
 
 def _provider_counts(name: str) -> dict[str, int]:
-    counts = _PROVIDER_COUNTS.get(name)
-    if counts is None:
-        counts = _PROVIDER_COUNTS[name] = {
-            "hits": 0, "misses": 0, "evictions": 0,
-            "iteration_hits": 0, "iteration_misses": 0,
-            "iteration_evictions": 0,
-        }
-    return counts
+    return _PROVIDER_COUNTS.setdefault(name, dict.fromkeys(_COUNTED_EVENTS, 0))
+
+
+def _graph_token(graph: nx.Graph) -> object | None:
+    """``graph``'s key in both shortcut tiers, replaced by any mutation;
+    ``None`` for a frozen graph, whose requests are never stored."""
+    if nx.is_frozen(graph):
+        return None
+    return graph_memo(graph, "repro.shortcut_token", object)
 
 
 class _IterationCacheView:
     """The ``iteration_cache`` mapping a provider hands to
     :func:`~repro.core.full.build_full_shortcut`.
 
-    Scopes the per-iteration keys ``(parts, delta)`` to one
-    ``(graph, tree)`` pair (by identity, with the ``(n, m)`` signature
-    guarding the same mutation caveat as the outcome cache), charges
-    hit/miss/eviction events to the owning provider's counters, and
-    enforces the shared LRU bound.
+    Scopes the per-iteration keys ``(parts, delta)`` to one graph token and
+    tree, charges hit/miss/eviction events to the owning provider's
+    counters, and enforces the shared LRU bound.
     """
 
-    __slots__ = ("graph", "tree", "provider")
+    __slots__ = ("scope", "provider")
 
-    def __init__(self, graph: nx.Graph, tree: RootedTree, provider: str):
-        self.graph = graph
-        self.tree = tree
+    def __init__(self, token: object, tree: RootedTree, provider: str):
+        self.scope = (token, tree)
         self.provider = provider
 
-    def _full_key(self, key: tuple) -> tuple:
-        return (
-            id(self.graph),
-            self.graph.number_of_nodes(),
-            self.graph.number_of_edges(),
-            id(self.tree),
-            *key,
-        )
-
     def get(self, key: tuple):
-        entry = _ITERATION_CACHE.get(self._full_key(key))
+        full_key = (*self.scope, *key)
+        result = _ITERATION_CACHE.get(full_key)
         counts = _provider_counts(self.provider)
-        if entry is None:
+        if result is None:
             counts["iteration_misses"] += 1
             return None
-        _ITERATION_CACHE.move_to_end(self._full_key(key))
+        _ITERATION_CACHE.move_to_end(full_key)
         counts["iteration_hits"] += 1
-        return entry[2]
+        return result
 
     def __setitem__(self, key: tuple, result) -> None:
-        _ITERATION_CACHE[self._full_key(key)] = (self.graph, self.tree, result)
+        _ITERATION_CACHE[(*self.scope, *key)] = result
         while len(_ITERATION_CACHE) > _ITERATION_CACHE_MAX_ENTRIES:
             _ITERATION_CACHE.popitem(last=False)
             _provider_counts(self.provider)["iteration_evictions"] += 1
@@ -358,51 +340,47 @@ def resolve_delta(graph: nx.Graph, delta: float | None = None) -> float:
     """The single delta-defaulting rule every app shares.
 
     An explicit ``delta`` wins; otherwise the generator's analytic bound
-    (:func:`repro.graphs.minors.analytic_delta_upper`), and failing that the
-    graph's degeneracy (always an upper bound on minor density). The
-    fallback is memoized per graph.
+    (:func:`repro.graphs.minors.analytic_delta_upper`, read on each call),
+    and failing that the graph's degeneracy (always an upper bound on minor
+    density), memoized on the graph by :func:`graph_memo`.
     """
     if delta is not None:
         return delta
-    signature = (graph.number_of_nodes(), graph.number_of_edges())
-    cached = _DELTA_CACHE.get(graph)
-    if cached is not None and cached[0] == signature:
-        return cached[1]
     from repro.graphs.minors import analytic_delta_upper
     from repro.graphs.properties import degeneracy
 
     resolved = analytic_delta_upper(graph)
-    if resolved is None:
-        resolved = max(1.0, float(degeneracy(graph)))
-    _DELTA_CACHE[graph] = (signature, resolved)
-    return resolved
+    if resolved is not None:
+        return resolved
+    return graph_memo(
+        graph, "repro.degeneracy_delta", lambda: max(1.0, float(degeneracy(graph)))
+    )
 
 
 def resolve_tree(graph: nx.Graph, tree: RootedTree | None = None) -> RootedTree:
-    """A BFS tree for ``graph``, memoized so repeated requests (MST phases,
-    repeated part-wise solves) reuse one tree instead of rebuilding it."""
+    """A BFS tree for ``graph``, memoized on the graph by :func:`graph_memo`
+    so repeated requests (MST phases, repeated part-wise solves) reuse one
+    tree instead of rebuilding it."""
     if tree is not None:
         return tree
-    signature = (graph.number_of_nodes(), graph.number_of_edges())
-    cached = _TREE_CACHE.get(graph)
-    if cached is not None and cached[0] == signature:
-        return cached[1]
-    built = bfs_tree(graph)
-    _TREE_CACHE[graph] = (signature, built)
-    return built
+    return graph_memo(graph, "repro.bfs_tree", lambda: bfs_tree(graph))
 
 
 def shortcut_cache_info() -> dict:
     """Cache statistics — a superset of the historical keys.
 
     Returns ``{"hits", "misses", "evictions", "entries"}`` for the
-    outcome cache, ``"iteration_entries"`` for the shared per-iteration
-    tier, and ``"providers"``: a per-provider breakdown (``hits``/
-    ``misses``/``evictions`` plus the ``iteration_*`` triple), present
-    only for providers that touched a cache since the last clear.
+    outcome cache (the counts summed over providers),
+    ``"iteration_entries"`` for the shared per-iteration tier, and
+    ``"providers"``: a per-provider breakdown (``hits``/``misses``/
+    ``evictions`` plus the ``iteration_*`` triple), present only for
+    providers that touched a cache since the last clear.
     """
     return {
-        **_CACHE_COUNTS,
+        **{
+            event: sum(counts[event] for counts in _PROVIDER_COUNTS.values())
+            for event in ("hits", "misses", "evictions")
+        },
         "entries": len(_OUTCOME_CACHE),
         "iteration_entries": len(_ITERATION_CACHE),
         "providers": {
@@ -412,15 +390,48 @@ def shortcut_cache_info() -> dict:
 
 
 def clear_shortcut_cache() -> None:
-    """Drop all memoized shortcuts, trees, deltas, iterations, counters."""
+    """Drop both shortcut tiers (outcomes and iterations) and their counters.
+
+    BFS trees and degeneracy δ are structure memos on each graph, like its
+    CSR: they stay until the graph mutates or is freed.
+    """
     _OUTCOME_CACHE.clear()
     _ITERATION_CACHE.clear()
-    _TREE_CACHE.clear()
-    _DELTA_CACHE.clear()
     _PROVIDER_COUNTS.clear()
-    _CACHE_COUNTS["hits"] = 0
-    _CACHE_COUNTS["misses"] = 0
-    _CACHE_COUNTS["evictions"] = 0
+
+
+def _check_delta(value: object, name: str = "delta") -> None:
+    """Raise :class:`ShortcutError` unless ``value`` is a finite real > 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ShortcutError(f"{name} must be a finite real number > 0, got {value!r}")
+
+
+def _check_tree(tree: RootedTree, graph: nx.Graph) -> None:
+    """Raise :class:`ShortcutError` unless ``tree`` spans ``graph``."""
+    try:
+        tree.validate_on(graph)
+    except GraphStructureError as error:
+        raise ShortcutError(f"the request's tree does not span its graph: {error}") from None
+    if len(tree) != len(graph):
+        raise ShortcutError(
+            f"the request's tree does not span its graph: {len(tree)} of {len(graph)} nodes"
+        )
+
+
+def _copy_outcome(outcome: ShortcutOutcome, cache_hit: bool = False) -> ShortcutOutcome:
+    """Copy stats and provenance (on store and on hit), so a caller editing
+    its outcome never reaches the cache; the read-only products are shared."""
+    return ShortcutOutcome(
+        shortcut=outcome.shortcut,
+        tree=outcome.tree,
+        stats=outcome.stats.copy(),
+        provenance=replace(
+            outcome.provenance,
+            cache_hit=cache_hit,
+            details=dict(outcome.provenance.details),
+        ),
+        _quality_cache=outcome._quality_cache,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -504,71 +515,43 @@ def build_shortcut(request: ShortcutRequest) -> ShortcutOutcome:
 
     Raises:
         ShortcutError: unknown provider/method/construction, bad
-            scheduler/latency-model, or any provider-specific
-            failure.
+            scheduler/latency-model, a ``delta`` that is not a finite
+            real > 0, a ``tree`` that does not span the graph, or any
+            provider-specific failure.
     """
     provider = get_provider(request.provider_name())
     validate_scheduler(
         request.scheduler, ShortcutError,
         latency_model=request.latency_model,
     )
-    delta = resolve_delta(request.graph, request.delta) if provider.needs_delta else request.delta
+    if request.delta is not None:
+        _check_delta(request.delta)
     tree = request.tree
-    if tree is None and provider.needs_tree:
+    if tree is not None:
+        _check_tree(tree, request.graph)
+    elif provider.needs_tree:
         tree = resolve_tree(request.graph)
+    delta = resolve_delta(request.graph, request.delta) if provider.needs_delta else request.delta
 
     key = provider.cache_key(request, delta, tree)
-    full_key: tuple | None = None
-    if key is not None:
-        # The (n, m) signature invalidates entries when the caller mutates
-        # the graph between requests (mutations preserving both counts are
-        # the documented caveat); id stability is guaranteed by the strong
-        # graph reference each cached outcome holds.
-        full_key = (
-            id(request.graph),
-            request.graph.number_of_nodes(),
-            request.graph.number_of_edges(),
-            *key,
-        )
+    token = None if key is None else _graph_token(request.graph)
+    if token is not None:
+        full_key = (token, *key)
+        counts = _provider_counts(provider.name)
         cached = _OUTCOME_CACHE.get(full_key)
         if cached is not None:
             _OUTCOME_CACHE.move_to_end(full_key)
-            _CACHE_COUNTS["hits"] += 1
-            _provider_counts(provider.name)["hits"] += 1
-            return ShortcutOutcome(
-                shortcut=cached.shortcut,
-                tree=cached.tree,
-                stats=cached.stats.copy(),
-                provenance=replace(
-                    cached.provenance,
-                    cache_hit=True,
-                    details=dict(cached.provenance.details),
-                ),
-                _quality_cache=cached._quality_cache,
-            )
-        _CACHE_COUNTS["misses"] += 1
-        _provider_counts(provider.name)["misses"] += 1
+            counts["hits"] += 1
+            return _copy_outcome(cached, cache_hit=True)
+        counts["misses"] += 1
 
     outcome = provider.build(request, delta, tree)
-    if full_key is not None:
-        # Stats and provenance are copied on both store and hit so callers
-        # scribbling on their outcome can never corrupt the cache (the
-        # shortcut/tree/details *values* are shared by design — they are
-        # read-only products).
-        _OUTCOME_CACHE[full_key] = ShortcutOutcome(
-            shortcut=outcome.shortcut,
-            tree=outcome.tree,
-            stats=outcome.stats.copy(),
-            provenance=replace(
-                outcome.provenance, details=dict(outcome.provenance.details)
-            ),
-            _quality_cache=outcome._quality_cache,
-        )
+    if token is not None:
+        _OUTCOME_CACHE[full_key] = _copy_outcome(outcome)
         while len(_OUTCOME_CACHE) > _CACHE_MAX_ENTRIES:
             evicted_key, _ = _OUTCOME_CACHE.popitem(last=False)
-            _CACHE_COUNTS["evictions"] += 1
-            # full_key layout: (id(graph), n, m, provider_name, ...).
-            _provider_counts(evicted_key[3])["evictions"] += 1
+            # full_key layout: (token, provider_name, ...).
+            _provider_counts(evicted_key[1])["evictions"] += 1
     return outcome
 
 
@@ -633,10 +616,13 @@ class Theorem31CentralizedProvider(ShortcutProvider):
     cacheable = True
 
     def build(self, request, delta, tree):
+        token = _graph_token(request.graph)
         result = build_full_shortcut(
             request.graph, tree, request.partition, delta,
             escalate_on_stall=True,
-            iteration_cache=_IterationCacheView(request.graph, tree, self.name),
+            iteration_cache=(
+                None if token is None else _IterationCacheView(token, tree, self.name)
+            ),
         )
         return ShortcutOutcome(
             shortcut=result.shortcut,
@@ -772,6 +758,7 @@ class CertifyingProvider(ShortcutProvider):
         initial_delta = request.options.get(
             "initial_delta", request.delta if request.delta is not None else 1.0
         )
+        _check_delta(initial_delta, "initial_delta")
         certified = certify_or_shortcut(
             request.graph,
             tree,

@@ -8,7 +8,7 @@ nearly every code path.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import networkx as nx
@@ -24,6 +24,7 @@ __all__ = [
     "induces_connected_subgraph",
     "CSRAdjacency",
     "graph_csr",
+    "graph_memo",
 ]
 
 
@@ -68,7 +69,8 @@ def edge_weights(
     ``None`` weighs every edge 1. Otherwise every weight must be an int
     (nonnegative if asked) and every edge of ``edges`` — the edges a run
     will read — must have a canonical key, so a gap fails here instead of
-    as a ``KeyError`` mid-run.
+    as a ``KeyError`` mid-run. Returns a new dict of those edges' weights,
+    so later edits to ``weights`` cannot reach the run.
 
     Raises:
         GraphStructureError: naming the first bad weight or unweighted edge.
@@ -86,7 +88,7 @@ def edge_weights(
             raise GraphStructureError(
                 f"edge {canonical_edge(u, v)} has no weight (keys must be canonical_edge(u, v))"
             )
-    return weights
+    return {canonical_edge(u, v): weights[canonical_edge(u, v)] for u, v in edges}
 
 
 def require_connected(graph: nx.Graph, what: str = "graph") -> None:
@@ -191,32 +193,34 @@ class CSRAdjacency:
         return pairs
 
 
-# The key of the CSR in ``graph.__networkx_cache__``. networkx clears that
-# cache on every structural mutation (add/remove of a node or an edge), so
-# a cached CSR is never stale and a hit costs one dict lookup.
-_CSR_KEY = "repro.graph_csr"
+def graph_memo(graph: nx.Graph, key: str, build: Callable[[], object]):
+    """``build()``, memoized under ``key`` in ``graph.__networkx_cache__``.
+
+    networkx clears that cache on every structural mutation, so a memo is
+    never stale. Frozen graphs (views among them) are never cached: a
+    view's cache is not cleared when the graph under it mutates.
+    """
+    if nx.is_frozen(graph):
+        return build()
+    cache = graph.__networkx_cache__
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = build()
+    return value
 
 
 def graph_csr(graph: nx.Graph) -> CSRAdjacency:
-    """The memoized :class:`CSRAdjacency` of ``graph``.
-
-    The CSR lives in ``graph.__networkx_cache__``, which networkx clears
-    whenever the graph's structure changes. Frozen graphs, graph views
-    among them, are never cached: a view's cache is not cleared when the
-    graph it views mutates, so their CSR is rebuilt on every call.
-
-    Requires numpy (the vectorized backend's optional dependency).
+    """The :class:`CSRAdjacency` of ``graph``, memoized by :func:`graph_memo`.
 
     Raises:
-        ImportError: when numpy is not installed.
+        ImportError: when numpy (the vectorized extra) is not installed.
     """
+    return graph_memo(graph, "repro.graph_csr", lambda: _build_csr(graph))
+
+
+def _build_csr(graph: nx.Graph) -> CSRAdjacency:
     import numpy
 
-    cache = None if nx.is_frozen(graph) else getattr(graph, "__networkx_cache__", None)
-    if cache is not None:
-        csr = cache.get(_CSR_KEY)
-        if csr is not None:
-            return csr
     nodes = tuple(graph.nodes())
     index = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
@@ -237,10 +241,7 @@ def graph_csr(graph: nx.Graph) -> CSRAdjacency:
         numpy.arange(n, dtype=numpy.int64), numpy.diff(indptr)
     )
     flat_keys = src_of_slot * n + indices
-    csr = CSRAdjacency(
+    return CSRAdjacency(
         nodes=nodes, index=index, indptr=indptr, indices=indices, ids=ids,
         flat_keys=flat_keys,
     )
-    if cache is not None:
-        cache[_CSR_KEY] = csr
-    return csr

@@ -57,6 +57,19 @@ class TestMissingWeights:
         report = server.drain()
         assert report.outcomes["ok"].results == {0: 0, 1: 2, 4: 1, 5: 3}
 
+    def test_sssp_job_keeps_the_weights_it_validated(self):
+        # Editing the caller's dict after submission must not reach the
+        # drain, nor cost the other tenant its outcome.
+        graph = grid_graph(3, 3)
+        weights = {canonical_edge(u, v): 2 for u, v in graph.edges()}
+        server = JobServer(graph, scheduler="event")
+        server.submit(sssp_job(graph, 0, weights=weights, job_id="weighted"))
+        server.submit(sssp_job(graph, 8, job_id="other"))
+        del weights[(0, 1)]
+        report = server.drain()
+        assert report.outcomes["weighted"].results[1] == 2
+        assert report.outcomes["other"].results[8] == 0
+
 
 class TestMulticastPartIndices:
     @pytest.mark.parametrize("key", [7, -1, "0"])

@@ -1,5 +1,9 @@
 """Tests for the ShortcutProvider registry (the unified construction API)."""
 
+import math
+import re
+
+import networkx as nx
 import pytest
 
 from repro.apps.connectivity import subgraph_components
@@ -19,10 +23,12 @@ from repro.core.providers import (
     provider_name,
     register_provider,
     resolve_delta,
+    resolve_tree,
 )
 from repro.graphs.adjacency import canonical_edge
 from repro.graphs.generators import grid_graph, k_tree
-from repro.graphs.partition import voronoi_partition
+from repro.graphs.partition import Partition, voronoi_partition
+from repro.graphs.trees import bfs_tree
 from repro.util.errors import ShortcutError
 
 EXPECTED_PROVIDERS = (
@@ -446,3 +452,136 @@ class TestCacheEvictionAndCounters:
         assert counts["iteration_hits"] == first_misses
         assert counts["iteration_misses"] == first_misses
         clear_shortcut_cache()
+
+
+def _swap_edge(graph, removed, added):
+    """Replace one edge by a non-edge: the node and edge counts stay put."""
+    assert graph.has_edge(*removed) and not graph.has_edge(*added)
+    graph.remove_edge(*removed)
+    graph.add_edge(*added)
+
+
+class TestMemosFollowMutation:
+    """Trees, the default δ and both shortcut tiers are memos on the graph,
+    so an edge swap that keeps ``n`` and ``m`` still invalidates them."""
+
+    @staticmethod
+    def _columns(graph, width=6):
+        # Grid columns stay connected under the (0, 1) -> (0, 7) swap.
+        return Partition(graph, [range(c, width * width, width) for c in range(width)])
+
+    def test_resolve_tree_is_valid_after_an_edge_swap(self):
+        graph = grid_graph(6, 6)
+        before = resolve_tree(graph)
+        assert resolve_tree(graph) is before
+        _swap_edge(graph, (0, 1), (0, 7))
+        resolve_tree(graph).validate_on(graph)
+
+    def test_centralized_build_misses_after_an_edge_swap(self):
+        clear_shortcut_cache()
+        graph = grid_graph(6, 6)
+        request = ShortcutRequest(
+            graph=graph, partition=self._columns(graph),
+            provider="theorem31-centralized",
+        )
+        build_shortcut(request)
+        assert build_shortcut(request).provenance.cache_hit
+        _swap_edge(graph, (0, 1), (0, 7))
+        outcome = build_shortcut(request)
+        assert not outcome.provenance.cache_hit
+        for subgraph in outcome.shortcut.subgraphs:
+            for u, v in subgraph:
+                assert graph.has_edge(u, v)
+        clear_shortcut_cache()
+
+    def test_iteration_tier_misses_after_an_edge_swap(self):
+        clear_shortcut_cache()
+        graph = grid_graph(6, 6)
+        request = ShortcutRequest(
+            graph=graph, partition=self._columns(graph),
+            provider="theorem31-centralized",
+        )
+        build_shortcut(request)
+        _swap_edge(graph, (0, 1), (0, 7))
+        providers._OUTCOME_CACHE.clear()
+        build_shortcut(request)
+        counts = providers.shortcut_cache_info()["providers"]["theorem31-centralized"]
+        assert counts["iteration_hits"] == 0
+        clear_shortcut_cache()
+
+    def test_default_delta_follows_an_edge_swap(self):
+        graph = nx.path_graph(5)
+        assert resolve_delta(graph) == 1.0
+        # Closing the triangle 0-1-2 raises the degeneracy to 2.
+        _swap_edge(graph, (3, 4), (0, 2))
+        assert resolve_delta(graph) == 2.0
+
+    @pytest.mark.parametrize("provider", ["theorem31-centralized", "baseline"])
+    def test_requests_on_a_view_are_never_stored(self, provider):
+        clear_shortcut_cache()
+        graph = grid_graph(5, 5)
+        view = graph.subgraph(graph.nodes())
+        request = ShortcutRequest(
+            graph=view, partition=voronoi_partition(graph, 3, rng=1),
+            provider=provider,
+        )
+        for _ in range(2):
+            assert not build_shortcut(request).provenance.cache_hit
+        info = providers.shortcut_cache_info()
+        assert info["entries"] == info["iteration_entries"] == 0
+        assert info["hits"] == info["misses"] == 0
+
+
+class TestRequestValidation:
+    @pytest.mark.parametrize(
+        "provider", ["theorem31-centralized", "theorem31-simulated", "greedy"]
+    )
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, "3", True])
+    def test_rejects_bad_delta(self, provider, delta):
+        self._assert_rejected(provider, delta)
+
+    @pytest.mark.parametrize("delta", [0, -1.5, -math.inf])
+    def test_greedy_rejects_non_positive_delta(self, delta):
+        self._assert_rejected("greedy", delta)
+
+    @staticmethod
+    def _assert_rejected(provider, delta):
+        graph = grid_graph(4, 4)
+        request = ShortcutRequest(
+            graph=graph, partition=voronoi_partition(graph, 3, rng=1),
+            provider=provider, delta=delta, rng=1,
+        )
+        with pytest.raises(ShortcutError, match=f"delta must be .*{re.escape(repr(delta))}"):
+            build_shortcut(request)
+
+    @pytest.mark.parametrize("initial_delta", [math.nan, math.inf, "3", False, 0])
+    def test_certifying_rejects_bad_initial_delta(self, initial_delta):
+        graph = grid_graph(4, 4)
+        request = ShortcutRequest(
+            graph=graph, partition=voronoi_partition(graph, 3, rng=1),
+            provider="certifying", rng=1,
+            options={"initial_delta": initial_delta},
+        )
+        with pytest.raises(ShortcutError, match="initial_delta"):
+            build_shortcut(request)
+
+    @pytest.mark.parametrize("provider", ["theorem31-centralized", "baseline"])
+    def test_rejects_a_tree_of_another_graph(self, provider):
+        graph = grid_graph(5, 5)
+        request = ShortcutRequest(
+            graph=graph, partition=voronoi_partition(graph, 3, rng=1),
+            tree=bfs_tree(grid_graph(4, 4)), provider=provider,
+        )
+        with pytest.raises(ShortcutError, match="does not span"):
+            build_shortcut(request)
+
+    def test_rejects_a_tree_using_a_non_edge(self):
+        graph = grid_graph(4, 4)
+        tree = bfs_tree(graph)
+        _swap_edge(graph, (0, 1), (0, 5))
+        request = ShortcutRequest(
+            graph=graph, partition=voronoi_partition(graph, 3, rng=1),
+            tree=tree, provider="baseline",
+        )
+        with pytest.raises(ShortcutError, match=r"\(0, 1\)"):
+            build_shortcut(request)

@@ -5,6 +5,8 @@ import pytest
 
 from repro.graphs.adjacency import (
     canonical_edge,
+    edge_weights,
+    graph_memo,
     induces_connected_subgraph,
     normalize_graph,
     require_connected,
@@ -83,3 +85,50 @@ class TestInducesConnected:
 
     def test_singleton(self):
         assert induces_connected_subgraph(nx.path_graph(3), {1})
+
+
+class TestEdgeWeights:
+    def test_result_is_a_copy_of_the_checked_edges(self):
+        weights = {(0, 1): 4, (1, 2): 5, (7, 8): 6}
+        checked = edge_weights([(1, 0), (1, 2)], weights)
+        assert checked == {(0, 1): 4, (1, 2): 5}
+        del weights[(0, 1)]
+        assert checked[(0, 1)] == 4
+
+
+class TestGraphMemo:
+    """The one memo rule: values live in the graph's networkx cache, which
+    every structural mutation clears; frozen graphs are never cached."""
+
+    @staticmethod
+    def _counting_build(calls):
+        def build():
+            calls.append(None)
+            return object()
+
+        return build
+
+    def test_hit_is_identity(self):
+        graph = nx.path_graph(4)
+        calls = []
+        first = graph_memo(graph, "test.memo", self._counting_build(calls))
+        assert graph_memo(graph, "test.memo", self._counting_build(calls)) is first
+        assert len(calls) == 1
+
+    def test_edge_swap_with_same_counts_rebuilds(self):
+        graph = nx.path_graph(5)
+        calls = []
+        first = graph_memo(graph, "test.memo", self._counting_build(calls))
+        graph.remove_edge(3, 4)
+        graph.add_edge(0, 2)
+        assert graph_memo(graph, "test.memo", self._counting_build(calls)) is not first
+        assert len(calls) == 2
+
+    def test_view_is_never_cached(self):
+        graph = nx.path_graph(5)
+        view = graph.subgraph(range(4))
+        calls = []
+        first = graph_memo(view, "test.memo", self._counting_build(calls))
+        assert graph_memo(view, "test.memo", self._counting_build(calls)) is not first
+        assert len(calls) == 2
+        assert "test.memo" not in view.__networkx_cache__
