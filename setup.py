@@ -8,7 +8,9 @@ packaged as the ``vectorized`` extra::
 
 Without the extra the backend name still registers as *unavailable*, so
 selecting it fails with the install hint rather than an unknown-scheduler
-error (see ``repro.congest.vectorized``).
+error (see ``repro.congest.vectorized``). With it, numpy is imported by
+the first columnar run, never by ``import repro``, so interpreted runs
+do not pay for it.
 """
 
 from setuptools import find_packages, setup

@@ -19,6 +19,7 @@ import random
 
 import networkx as nx
 
+from repro.congest.engine import require_int
 from repro.congest.network import SyncNetwork
 from repro.congest.node import NodeAlgorithm
 from repro.congest.stats import RoundStats
@@ -45,6 +46,11 @@ def distributed_bfs_sssp(
         latency_model=latency_model,
     )
     return {v: tree.depth_of(v) for v in graph.nodes()}, stats
+
+
+def _check_max_hops(max_hops) -> None:
+    if max_hops is not None:
+        require_int("max_hops", max_hops, minimum=0, error=GraphStructureError)
 
 
 class _BellmanFordNode(NodeAlgorithm):
@@ -104,22 +110,25 @@ def bellman_ford_sssp(
         weights: nonnegative integer weights keyed by
             :func:`~repro.graphs.adjacency.canonical_edge`, one for every
             graph edge (default all 1).
-        max_hops: if set, restrict relaxations to ``max_hops`` rounds —
-            distances become exact over ≤ ``max_hops``-hop paths. The
-            budget is *defined* in lockstep rounds (synchronous
-            Bellman–Ford relaxes exactly the ≤ r-hop paths by round r),
-            which is why the node legitimately reads ``ctx.round`` — the
-            one suppressed ``PROTO-ROUND`` site in the library. Exact
-            under lockstep transit; under a non-uniform latency model the
-            cutoff is in virtual time, bounding hops only loosely.
+        max_hops: ``None`` or an int >= 0; if set, restrict relaxations
+            to ``max_hops`` rounds — distances become exact over
+            ≤ ``max_hops``-hop paths. The budget is *defined* in lockstep
+            rounds (synchronous Bellman–Ford relaxes exactly the ≤ r-hop
+            paths by round r), which is why the node legitimately reads
+            ``ctx.round`` — the one suppressed ``PROTO-ROUND`` site in the
+            library. Exact under lockstep transit; under a non-uniform
+            latency model the cutoff is in virtual time, bounding hops
+            only loosely.
 
     Returns:
         ``(distances, stats)``; unreachable-within-budget nodes map to None.
 
     Raises:
         GraphStructureError: on negative or non-integer weights, a graph
-            edge without a weight, or an unknown source.
+            edge without a weight, an unknown source, or a ``max_hops``
+            that is neither ``None`` nor an int >= 0.
     """
+    _check_max_hops(max_hops)
     if source not in graph:
         raise GraphStructureError(f"source {source} is not in the graph")
     weights = edge_weights(graph.edges(), weights, nonnegative=True)
@@ -167,7 +176,12 @@ def sssp_job(
     Other arguments as in :func:`bellman_ford_sssp`; the outcome's
     ``results`` maps each population node to its distance (``None`` if
     unreachable within the budget).
+
+    Raises:
+        GraphStructureError: as :func:`bellman_ford_sssp`, and when the
+            source is outside the population — all before the job exists.
     """
+    _check_max_hops(max_hops)
     population = tuple(graph.nodes()) if nodes is None else tuple(nodes)
     if source not in population:
         raise GraphStructureError(f"source {source} is not in the job population")

@@ -82,6 +82,7 @@ __all__ = [
     "available_schedulers",
     "checked_spurious_wake",
     "node_contexts",
+    "require_int",
     "timeout",
 ]
 
@@ -512,6 +513,16 @@ class MessageFabric:
                 bucket[target] = {sender: payload}
             else:
                 inbox[sender] = payload
+
+
+def require_int(name: str, value, minimum: int = 1, error: type[Exception] = ValueError) -> None:
+    """Reject a ``value`` for ``name`` that is not an int ``>= minimum``.
+
+    ``bool`` is refused although it subclasses ``int``: ``True`` as a
+    budget or a bound is a caller's slip, not 1.
+    """
+    if type(value) is not int or value < minimum:
+        raise error(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
 def timeout(stats: RoundStats, max_rounds: int, raise_on_timeout: bool, who: str = ""):

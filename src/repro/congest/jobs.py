@@ -80,7 +80,15 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from repro.congest.asynchronous import resolve_latency_model
-from repro.congest.engine import EdgeQueues, MessageFabric, NodeContext, Stepper, Transit, timeout
+from repro.congest.engine import (
+    EdgeQueues,
+    MessageFabric,
+    NodeContext,
+    Stepper,
+    Transit,
+    require_int,
+    timeout,
+)
 from repro.congest.network import BANDWIDTH_FACTOR
 from repro.congest.node import NodeAlgorithm
 from repro.congest.stats import RoundStats
@@ -119,7 +127,7 @@ class Job:
         rng: seed or generator; one ``run_seed`` is drawn at admission
             exactly as ``SyncNetwork.run`` draws it, so a solo job
             replays a direct run byte for byte.
-        max_rounds: job-local tick bound (same default as
+        max_rounds: job-local tick bound, an int >= 1 (same default as
             ``SyncNetwork.run``).
         raise_on_timeout: raise :class:`CongestViolation` on timeout
             instead of completing the job with ``status="timeout"``.
@@ -128,6 +136,10 @@ class Job:
         on_complete: optional callback invoked with the
             :class:`JobOutcome` the moment the job completes (while the
             schedule is still running).
+
+    Raises:
+        CongestViolation: unless exactly one of ``algorithms`` and
+            ``call`` is given, or when ``max_rounds`` is not an int >= 1.
     """
 
     def __init__(
@@ -147,6 +159,7 @@ class Job:
                 f"job {job_id!r} must define exactly one of algorithms= "
                 "(population job) or call= (call job)"
             )
+        require_int(f"job {job_id!r}: max_rounds", max_rounds, error=CongestViolation)
         self.job_id = job_id
         self.algorithms = algorithms
         self.call = call
@@ -270,13 +283,18 @@ class JobScheduler:
             ``arbitration_stalls``. They are seed-free by contract, which
             keeps the shared schedule well-defined and solo runs
             byte-identical to the direct backend.
-        bandwidth_bits: per-message budget applied to every job; default
-            per job is the ``SyncNetwork`` rule over the job's population
-            size.
+        bandwidth_bits: per-message budget applied to every job, an int
+            >= 1; default per job is the ``SyncNetwork`` rule over the
+            job's population size.
         enforce_bandwidth: as in ``SyncNetwork``.
         max_inflight: admission control — at most this many population
             jobs multiplex at once (``None`` = unbounded); the rest queue
             in submission order.
+
+    Raises:
+        GraphStructureError: on an empty graph.
+        ValueError: on an unknown scheduler, or a ``bandwidth_bits`` or
+            ``max_inflight`` that is neither ``None`` nor an int >= 1.
     """
 
     def __init__(
@@ -295,8 +313,10 @@ class JobScheduler:
                 f"unknown job-layer scheduler {scheduler!r}; the job layer "
                 f"runs the virtual-clock backend: {', '.join(_MODES)}"
             )
-        if max_inflight is not None and (type(max_inflight) is not int or max_inflight < 1):
-            raise ValueError(f"max_inflight must be an int >= 1 or None, got {max_inflight!r}")
+        if bandwidth_bits is not None:
+            require_int("bandwidth_bits", bandwidth_bits)
+        if max_inflight is not None:
+            require_int("max_inflight", max_inflight)
         self.graph = graph
         self.scheduler = scheduler
         self.latency_model = latency_model

@@ -85,6 +85,7 @@ from repro.congest.engine import (
     NodeContext,
     available_schedulers,
     get_backend,
+    require_int,
 )
 from repro.congest.node import NodeAlgorithm
 from repro.congest.stats import RoundStats
@@ -151,8 +152,8 @@ class SyncNetwork:
 
     Args:
         graph: the communication topology.
-        bandwidth_bits: per-message payload budget; defaults to
-            ``BANDWIDTH_FACTOR * ceil(log2 n)``.
+        bandwidth_bits: per-message payload budget, an int >= 1; defaults
+            to ``BANDWIDTH_FACTOR * ceil(log2 n)``.
         enforce_bandwidth: disable only for experiments that deliberately
             exceed the model (never done in this library's algorithms).
         rng: seed or generator; one value is drawn per run to derive every
@@ -213,6 +214,7 @@ class SyncNetwork:
         n = graph.number_of_nodes()
         if bandwidth_bits is None:
             bandwidth_bits = BANDWIDTH_FACTOR * max(1, math.ceil(math.log2(max(n, 2))))
+        require_int("bandwidth_bits", bandwidth_bits)
         self.bandwidth_bits = bandwidth_bits
         self.enforce_bandwidth = enforce_bandwidth
         self.scheduler = scheduler
@@ -258,7 +260,7 @@ class SyncNetwork:
 
         Args:
             algorithms: one algorithm instance per graph node.
-            max_rounds: hard stop.
+            max_rounds: hard stop, an int >= 1.
             raise_on_timeout: raise :class:`CongestViolation` if the run hits
                 ``max_rounds`` without quiescing (off for algorithms that
                 intentionally run forever and are sampled mid-flight).
@@ -268,9 +270,11 @@ class SyncNetwork:
             ``algorithms[v].result()``.
 
         Raises:
+            ValueError: if ``max_rounds`` is not an int >= 1.
             GraphStructureError: if ``algorithms`` does not cover the nodes.
             CongestViolation: on model violations or timeout.
         """
+        require_int("max_rounds", max_rounds)
         # Refresh the topology snapshot so callers that mutated the graph
         # after construction (the seed contract) see their changes.
         self._build_tables()

@@ -29,6 +29,7 @@ from repro.congest.stats import RoundStats
 from repro.congest.vectorized import VectorKernel
 from repro.graphs.trees import RootedTree
 from repro.util.bitsize import payload_bits
+from repro.util.errors import GraphStructureError
 
 __all__ = ["tree_broadcast", "tree_aggregate"]
 
@@ -122,6 +123,16 @@ class _BroadcastVectorKernel(VectorKernel):
 _BroadcastNode.vector_kernel = _BroadcastVectorKernel
 
 
+def _check_tree(graph: nx.Graph, tree: RootedTree) -> None:
+    """The tree must span exactly the graph's nodes (O(n); a tree edge
+    that is not a graph edge already fails at its first send)."""
+    if len(tree) != graph.number_of_nodes() or not all(map(tree.__contains__, graph)):
+        raise GraphStructureError(
+            f"the tree ({len(tree)} nodes) does not span exactly the "
+            f"graph's {graph.number_of_nodes()} nodes"
+        )
+
+
 def tree_broadcast(
     graph: nx.Graph,
     tree: RootedTree,
@@ -130,7 +141,13 @@ def tree_broadcast(
     scheduler: str = "event",
     latency_model: object = None,
 ) -> tuple[dict[int, object], RoundStats]:
-    """Send ``value`` from the tree root to every node (``depth`` rounds)."""
+    """Send ``value`` from the tree root to every node (``depth`` rounds).
+
+    Raises:
+        GraphStructureError: if ``tree`` does not span exactly the graph's
+            nodes.
+    """
+    _check_tree(graph, tree)
     network = SyncNetwork(
         graph, rng=rng, scheduler=scheduler,
         latency_model=latency_model,
@@ -259,7 +276,17 @@ def tree_aggregate(
 
     ``combine`` must be associative and commutative and keep payloads within
     the bit budget (ints, small tuples).
+
+    Raises:
+        GraphStructureError: if ``tree`` does not span exactly the graph's
+            nodes, or ``values`` misses a node.
     """
+    _check_tree(graph, tree)
+    missing = [v for v in graph if v not in values]
+    if missing:
+        raise GraphStructureError(
+            f"values miss {len(missing)} graph nodes, e.g. {missing[:5]}"
+        )
     network = SyncNetwork(
         graph, rng=rng, scheduler=scheduler,
         latency_model=latency_model,

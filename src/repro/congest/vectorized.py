@@ -62,13 +62,20 @@ ends on the first round with nothing staged). The backend equivalence suite
 (``tests/congest/test_scheduler.py``) enforces identical results and
 stats against every registered backend for every tested seed.
 
-Requires numpy (the ``repro[vectorized]`` extra). Without it this module
-still imports and registers the name as *unavailable*, so
+Requires numpy (the ``repro[vectorized]`` extra), which loads with the
+first columnar run — the first :meth:`VectorizedBackend.execute`,
+:class:`VectorFabric` or :class:`VectorInbox` — not when this module
+imports, so every interpreted run (``event``, ``dense``, the job layer,
+the packet scheduler) runs without numpy in the process. Registration
+only asks whether numpy is installed (``importlib.util.find_spec``):
+without it the name is registered as *unavailable*, so
 ``get_backend("vectorized")`` fails with the install hint instead of an
 unknown-scheduler error.
 """
 
 from __future__ import annotations
+
+from importlib.util import find_spec
 
 from repro.congest.engine import (
     SchedulerBackend,
@@ -80,11 +87,6 @@ from repro.congest.engine import (
 from repro.congest.stats import RoundStats
 from repro.util.errors import CongestViolation
 from repro.util.rng import derive_node_rng
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via the registry stub
-    np = None
 
 __all__ = [
     "VectorizedBackend",
@@ -101,6 +103,26 @@ NUMPY_HINT = (
 
 # Sentinel distinguishing "no shared payload" from a shared payload of None.
 _NO_PAYLOAD = object()
+
+# numpy, bound by _numpy() on the first columnar run; every array helper
+# below runs only after a VectorFabric or VectorInbox has bound it.
+np = None
+
+
+def _numpy():
+    """Import numpy on first use and bind it as this module's ``np``.
+
+    Raises:
+        CongestViolation: numpy is not installed (the install hint).
+    """
+    global np
+    if np is None:
+        try:
+            import numpy
+        except ImportError:
+            raise CongestViolation(NUMPY_HINT) from None
+        np = numpy
+    return np
 
 
 class VectorKernel:
@@ -181,6 +203,7 @@ class VectorInbox:
     __slots__ = ("src", "dst", "tag", "value", "objs", "receivers", "starts", "counts")
 
     def __init__(self, src, dst, tag, value, objs):
+        np = _numpy()
         order = np.lexsort((src, dst))
         dst = dst[order]
         self.src = src[order]
@@ -231,7 +254,7 @@ class VectorFabric:
     )
 
     def __init__(self, csr, stats, run_seed, bandwidth_bits, enforce_bandwidth):
-        self.np = np
+        self.np = np = _numpy()
         self.csr = csr
         self.n = csr.n
         self.ids = csr.ids
@@ -486,8 +509,7 @@ class VectorizedBackend(SchedulerBackend):
     name = "vectorized"
 
     def execute(self, net, algorithms, run_seed, max_rounds, raise_on_timeout):
-        if np is None:  # direct instantiation without the extra installed
-            raise CongestViolation(NUMPY_HINT)
+        _numpy()  # the install hint, not graph_csr's bare ImportError
         from repro.graphs.adjacency import graph_csr
 
         csr = graph_csr(net.graph)
@@ -533,7 +555,7 @@ class VectorizedBackend(SchedulerBackend):
         return results, stats
 
 
-if np is not None:
+if find_spec("numpy") is not None:
     register_backend(VectorizedBackend)
-else:  # pragma: no cover - exercised by the registry tests via the stub API
+else:  # pragma: no cover - exercised by the no-numpy guard test
     register_unavailable_backend(VectorizedBackend.name, NUMPY_HINT)

@@ -270,9 +270,9 @@ class TestCacheReuse:
         assert second.provenance.iterations == 1
 
     def test_graph_mutation_invalidates_cache(self):
-        # The cache is keyed by graph identity *and* (n, m): topology edits
-        # that change either count must miss instead of serving a shortcut
-        # for the old graph.
+        # The cache is keyed by a per-graph token that networkx drops on
+        # every structural mutation: a topology edit must miss instead of
+        # serving a shortcut for the old graph.
         clear_shortcut_cache()
         graph = grid_graph(6, 6)
         partition = voronoi_partition(graph, 4, rng=2)

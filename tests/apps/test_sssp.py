@@ -4,10 +4,11 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from repro.apps.sssp import bellman_ford_sssp, distributed_bfs_sssp
+from repro.apps.sssp import bellman_ford_sssp, distributed_bfs_sssp, sssp_job
 from repro.apps.mst import assign_random_weights
 from repro.graphs.adjacency import canonical_edge
 from repro.graphs.generators import grid_graph, wheel_graph
+from repro.serve import JobServer
 from repro.util.errors import GraphStructureError
 
 from tests.conftest import connected_graphs
@@ -65,6 +66,30 @@ class TestBellmanFord:
     def test_rejects_unknown_source(self):
         with pytest.raises(GraphStructureError):
             bellman_ford_sssp(nx.path_graph(3), 99)
+
+    @pytest.mark.parametrize("max_hops", [-1, 1.5, True, "a"])
+    def test_rejects_bad_max_hops(self, max_hops):
+        graph = nx.path_graph(3)
+        for make in (bellman_ford_sssp, sssp_job):
+            with pytest.raises(GraphStructureError, match="max_hops") as err:
+                make(graph, 0, max_hops=max_hops)
+            assert repr(max_hops) in str(err.value)
+
+    def test_zero_hops_reaches_only_the_source(self):
+        distances, stats = bellman_ford_sssp(nx.path_graph(3), 0, max_hops=0)
+        assert distances == {0: 0, 1: None, 2: None}
+        assert stats.messages == 1  # the source's one announcement
+
+    def test_bad_max_hops_never_reaches_a_drain(self):
+        # Rejected at construction, so the other tenant's drain completes.
+        graph = grid_graph(5, 5)
+        server = JobServer(graph)
+        server.submit(sssp_job(graph, 0, rng=1, job_id="good"))
+        with pytest.raises(GraphStructureError, match="max_hops"):
+            server.submit(sssp_job(graph, 24, max_hops="a", job_id="bad"))
+        result = server.drain()
+        assert set(result.outcomes) == {"good"}
+        assert result.outcomes["good"].results[24] == 8
 
     @given(connected_graphs(min_nodes=2, max_nodes=20))
     @settings(max_examples=15, deadline=None)

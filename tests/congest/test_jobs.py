@@ -428,6 +428,20 @@ class TestValidation:
                 with pytest.raises(ValueError, match="max_inflight"):
                     make(nx.path_graph(2), max_inflight=max_inflight)
 
+    def test_bandwidth_must_be_a_positive_int(self):
+        for bandwidth_bits in (0, -3, 2.5, True):
+            for make in (JobScheduler, JobServer):
+                with pytest.raises(ValueError, match="bandwidth_bits") as err:
+                    make(nx.path_graph(2), bandwidth_bits=bandwidth_bits)
+                assert repr(bandwidth_bits) in str(err.value)
+
+    def test_job_max_rounds_must_be_a_positive_int(self):
+        graph = nx.path_graph(2)
+        for max_rounds in (0, -1, 2.5, True):
+            with pytest.raises(CongestViolation, match="'j': max_rounds") as err:
+                Job("j", _bf_algorithms(graph, 0), max_rounds=max_rounds)
+            assert repr(max_rounds) in str(err.value)
+
     def test_empty_job_list_is_a_noop(self):
         result = JobScheduler(nx.path_graph(2)).run([])
         assert result.outcomes == {}

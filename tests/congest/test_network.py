@@ -129,6 +129,20 @@ class TestSyncNetwork:
         _, stats = network.run({v: _PingOnce(v) for v in graph})
         assert stats.message_bits > 0
 
+    @pytest.mark.parametrize("bandwidth_bits", [0, -3, 2.5, True])
+    def test_bandwidth_must_be_a_positive_int(self, bandwidth_bits):
+        with pytest.raises(ValueError, match="bandwidth_bits") as err:
+            SyncNetwork(nx.path_graph(2), bandwidth_bits=bandwidth_bits)
+        assert repr(bandwidth_bits) in str(err.value)
+
+    @pytest.mark.parametrize("max_rounds", [0, -1, 2.5, True])
+    def test_max_rounds_must_be_a_positive_int(self, max_rounds):
+        graph = nx.path_graph(2)
+        network = SyncNetwork(graph)
+        with pytest.raises(ValueError, match="max_rounds") as err:
+            network.run({v: _PingOnce(v) for v in graph}, max_rounds=max_rounds)
+        assert repr(max_rounds) in str(err.value)
+
 
 class TestRoundStats:
     def test_addition(self):

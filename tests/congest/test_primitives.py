@@ -69,6 +69,28 @@ class TestBroadcast:
         assert stats.rounds == 0
 
 
+class TestTreeMismatch:
+    def test_tree_of_a_smaller_graph_rejected(self):
+        tree, _ = distributed_bfs(grid_graph(3, 3), 0, rng=1)
+        graph = grid_graph(4, 4)
+        with pytest.raises(GraphStructureError, match="tree"):
+            tree_broadcast(graph, tree, 1)
+        with pytest.raises(GraphStructureError, match="tree"):
+            tree_aggregate(graph, tree, {v: 1 for v in graph}, min)
+
+    def test_tree_over_other_nodes_rejected(self):
+        tree, _ = distributed_bfs(nx.path_graph(3), 0, rng=1)
+        graph = nx.relabel_nodes(nx.path_graph(3), {2: 7})
+        with pytest.raises(GraphStructureError, match="tree"):
+            tree_broadcast(graph, tree, 1)
+
+    def test_values_missing_a_node_rejected(self):
+        graph = grid_graph(3, 3)
+        tree, _ = distributed_bfs(graph, 0, rng=1)
+        with pytest.raises(GraphStructureError, match="values miss 1"):
+            tree_aggregate(graph, tree, {v: 1 for v in graph if v != 4}, min)
+
+
 class TestAggregate:
     def test_sum(self):
         graph = grid_graph(5, 5)
