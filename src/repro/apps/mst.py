@@ -79,7 +79,15 @@ def assign_random_weights(
     rng: int | random.Random | None = None,
     max_weight: int = 10**6,
 ) -> dict[Edge, int]:
-    """Distinct-ish random integer weights for every edge (for benchmarks)."""
+    """Distinct-ish random integer weights in ``[1, max_weight)`` for every
+    edge (for benchmarks).
+
+    Raises:
+        GraphStructureError: unless ``max_weight`` is an int >= 2, so that
+            the range holds a weight.
+    """
+    if type(max_weight) is not int or max_weight < 2:
+        raise GraphStructureError(f"max_weight must be an int >= 2, got {max_weight!r}")
     rng = ensure_rng(rng)
     return {
         canonical_edge(u, v): rng.randrange(1, max_weight) for u, v in graph.edges()

@@ -12,8 +12,11 @@ execution means; this module defines *how* one is driven. The split is:
   charged at *send* time, keyed by the send round).
 * :class:`Transit` is the one delivery rule — a latency model resolved
   into a static table or a link schedule — and :class:`EdgeQueues` the one
-  per-edge queue (one grant per edge per tick). The fabric, the job layer's arbitration and the
-  packet scheduler (:mod:`repro.sched.partwise`) all use them.
+  per-edge queue (one grant per edge per tick; a send on an idle edge
+  claims it instead of queueing). The fabric, the job layer's arbitration
+  and the packet scheduler (:mod:`repro.sched.partwise`) all use them, and
+  both of the latter send through the one claim path,
+  :meth:`EdgeQueues.send`.
 * :class:`Stepper` is the one virtual-clock engine: a population's staged
   arrivals, keep-alive latches and timer wheel, activated tick by tick in
   node-index order. The ``event`` backend runs one per execution and the
@@ -264,114 +267,120 @@ class Transit:
         return self.latencies[(u, v)] if self.latencies else 1
 
 
-class _Fifo(list):
-    """One slot's queued entries on one edge, oldest first.
-
-    A list, not a deque: most FIFOs hold one entry, and a list is cheaper
-    to create. ``pop(0)`` shifts the rest, which is cheap at the short
-    lengths these queues reach.
-    """
-
-    __slots__ = ("slot",)
-
-
-class _Slots(dict):
-    """``slot -> _Fifo`` on an edge where more than one slot has queued."""
-
-    __slots__ = ()
-    slot = None  # equals no slot, so a push always looks its slot up
-
-
 class EdgeQueues:
     """Per-directed-edge queues: one grant per edge per tick, the CONGEST rule.
 
-    An entry waits on its edge in its *slot*'s FIFO: the job layer gives
-    each tenant a slot, the packet scheduler uses one (plain FIFO).
-    :meth:`resolve` grants round-robin over an edge's queued slots,
-    starting after its last granted slot, so on a backlogged edge any two
-    slots' grant counts over any window differ by at most 1. The pointer
-    survives while the edge idles; :meth:`drop` forgets it on the edges it
-    empties. With ``rng`` set (the ``"random"`` discipline) the granted
-    entry is drawn uniformly from its FIFO, with one ``randrange`` only
-    when more than one entry waits.
+    :meth:`send` is the one way in for the job layer and the packet
+    scheduler. A send on an edge with nothing queued *claims* the edge for
+    the tick and waits nowhere; a second send on a claimed edge in the same
+    tick queues both, in send order, and a send onto a backlog queues
+    behind it. :meth:`grants` then grants every claim and one queued entry
+    per backlogged edge — exactly what queueing every send and calling
+    :meth:`resolve` would grant (``tests/congest/test_edge_queues.py``).
 
-    An edge on which one slot queues holds that slot's FIFO directly; a
-    second slot turns it into a ``slot -> FIFO`` map until the edge empties.
+    A queued entry waits on its edge in its *slot*'s FIFO, a plain
+    ``slot -> list`` map per edge: the job layer gives each tenant a slot,
+    the packet scheduler uses one (plain FIFO). :meth:`resolve` grants
+    round-robin over an edge's queued slots, starting after its last
+    granted slot, so on a backlogged edge any two slots' grant counts over
+    any window differ by at most 1. A granted claim moves the pointer to
+    its slot too. The pointer survives while the edge idles; :meth:`drop`
+    forgets it on the edges it empties. With ``rng`` set (the ``"random"``
+    discipline) the granted entry is drawn uniformly from its FIFO, with
+    one ``randrange`` only when more than one entry waits, so a claim never
+    draws.
 
-    Edges resolve in ``order`` (a sort key), by default in the order each
-    first received an entry. A load-dependent link schedule charges
-    transits in grant order, so the order is part of the schedule.
+    Edges are granted in ``order`` (a sort key), by default in the order
+    each was first sent on. A load-dependent link schedule charges transits
+    in grant order, so the order is part of the schedule.
     """
 
-    __slots__ = ("rng", "order", "edges", "pointers", "_first")
+    __slots__ = ("rng", "order", "edges", "claims", "pointers", "_first")
 
     def __init__(self, order=None, rng: random.Random | None = None):
         self.rng = rng
-        self.edges: dict = {}  # edge -> non-empty FIFO, or slot -> non-empty FIFO
+        self.edges: dict = {}  # edge -> {slot: non-empty list}
+        self.claims: dict = {}  # edge -> (slot, entry), the tick's uncontended sends
         self.pointers: dict = {}  # edge -> last granted slot
         self._first: dict | None = None if order is not None else {}
         self.order = order if order is not None else self._first.__getitem__
 
+    def send(self, edge, entry, slot: int = 0) -> None:
+        """Claim ``edge`` for the tick, or queue ``entry`` when it is taken."""
+        claim = (slot, entry)
+        if edge in self.edges or self.claims.setdefault(edge, claim) is not claim:
+            self.push(edge, entry, slot)
+            return
+        first = self._first
+        if first is not None and edge not in first:
+            first[edge] = len(first)
+
     def push(self, edge, entry, slot: int = 0) -> None:
+        """Queue ``entry`` on ``edge``, behind the edge's claim if it has one."""
         queued = self.edges.get(edge)
         if queued is None:
-            queued = self.edges[edge] = _Fifo()
-            queued.slot = slot
+            queued = self.edges[edge] = {}
+            claim = self.claims.pop(edge, None)
+            if claim is not None:
+                queued[claim[0]] = [claim[1]]
             first = self._first
             if first is not None and edge not in first:
                 first[edge] = len(first)
-        elif queued.slot != slot:
-            if queued.slot is not None:  # a second slot queues on the edge
-                queued = self.edges[edge] = _Slots({queued.slot: queued})
-            fifo = queued.get(slot)
-            if fifo is None:
-                fifo = queued[slot] = _Fifo()
-                fifo.slot = slot
-            queued = fifo
-        queued.append(entry)
+        fifo = queued.get(slot)
+        if fifo is None:
+            queued[slot] = [entry]
+        else:
+            fifo.append(entry)
 
     def drop(self, slot: int) -> list:
-        """Forget ``slot``'s queued entries and return them."""
+        """Forget ``slot``'s claims and queued entries and return them."""
         dropped = []
         for edge in list(self.edges):
             queued = self.edges[edge]
-            if queued.slot is None:
-                dropped.extend(queued.pop(slot, ()))
-                if queued:
-                    continue
-            elif queued.slot == slot:
-                dropped.extend(queued)
-            else:
-                continue
-            del self.edges[edge]
-            self.pointers.pop(edge, None)
+            dropped.extend(queued.pop(slot, ()))
+            if not queued:
+                del self.edges[edge]
+                self.pointers.pop(edge, None)
+        for edge, (claimed, entry) in list(self.claims.items()):
+            if claimed == slot:
+                dropped.append(entry)
+                del self.claims[edge]
+                self.pointers.pop(edge, None)
         return dropped
 
     def resolve(self) -> list:
-        """Grant one entry per queued edge; returns ``(edge, entry)`` pairs in
-        grant order."""
+        """Grant one entry per queued edge, claims aside; returns
+        ``(edge, entry)`` pairs in grant order."""
+        return self._grant(self.edges, {})
+
+    def grants(self) -> list:
+        """Grant every claim and one entry per queued edge; returns
+        ``(edge, entry)`` pairs in ``order``."""
+        claims, self.claims = self.claims, {}
+        return self._grant([*claims, *self.edges] if self.edges else claims, claims)
+
+    def _grant(self, edges, claims: dict) -> list:
         granted = []
-        edges, pointers, rng = self.edges, self.pointers, self.rng
+        queues, pointers, rng = self.edges, self.pointers, self.rng
         for edge in sorted(edges, key=self.order):
-            queued = edges[edge]
-            if queued.slot is not None:
-                fifo = queued
-            elif len(queued) == 1:
-                fifo = next(iter(queued.values()))
-            else:
-                pointer = pointers.get(edge, -1)
-                fifo = queued[min((s for s in queued if s > pointer), default=min(queued))]
+            claim = claims.get(edge)
+            if claim is not None:
+                pointers[edge] = claim[0]
+                granted.append((edge, claim[1]))
+                continue
+            queued = queues[edge]
+            pointer = pointers.get(edge, -1)
+            slot = min((s for s in queued if s > pointer), default=min(queued))
+            fifo = queued[slot]
             if rng is not None and len(fifo) > 1:
                 position = rng.randrange(len(fifo))
                 fifo[position], fifo[0] = fifo[0], fifo[position]
             granted.append((edge, fifo.pop(0)))
-            pointers[edge] = fifo.slot
+            pointers[edge] = slot
             if not fifo:
-                if fifo is not queued:
-                    del queued[fifo.slot]
-                    if queued:
-                        continue
-                del edges[edge]
+                del queued[slot]
+                if not queued:
+                    del queues[edge]
         return granted
 
 

@@ -12,16 +12,14 @@ populations — over a single virtual-time execution:
   node participating in two jobs is two independent state machines with
   two independent rng streams);
 * bandwidth is arbitrated: a directed edge carries at most one message
-  per global tick *across all jobs* — the CONGEST rule. A send on an
-  edge with nothing queued *claims* the edge for its tick and is granted
-  at the end of that tick without queueing. Only contention queues: a
-  second claim on the edge in the same tick moves both sends, in claim
-  order, into the shared :class:`~repro.congest.engine.EdgeQueues` — the
-  packet scheduler's queue too — and a send on a backlogged edge waits
-  there behind the backlog, in its job's FIFO. Grants go round-robin over
-  job slots (a claim moves the edge's pointer to its slot, as a queued
-  grant does), so the schedule is exactly the one that queueing every
-  send would give, deterministic and byte-identical per seed. A granted
+  per global tick *across all jobs* — the CONGEST rule. Every send goes
+  through the shared :class:`~repro.congest.engine.EdgeQueues` — the
+  packet scheduler's queue too — under its job's slot: a send on an edge
+  with nothing queued *claims* the edge for its tick and is granted at the
+  end of that tick without queueing; only contention queues, in the
+  job's FIFO. Grants go round-robin over job slots, so the schedule is
+  exactly the one that queueing every send would give, deterministic and
+  byte-identical per seed. A granted
   message charges ``arbitration_stalls`` the ticks it waited (grant tick
   minus send tick; zero for a claim); a timed-out job's dropped sends
   charge the same up to the drop;
@@ -215,39 +213,24 @@ class _JobState:
     """Driver-internal execution state of one admitted population job."""
 
     __slots__ = (
-        "job", "slot", "offset", "queues", "claims", "stats", "stepper", "pending",
-        "timed_out",
+        "job", "slot", "offset", "queues", "stats", "stepper", "pending", "timed_out",
     )
 
-    def __init__(self, job: Job, slot: int, offset: int, queues: EdgeQueues, claims: dict):
+    def __init__(self, job: Job, slot: int, offset: int, queues: EdgeQueues):
         self.job = job
         self.slot = slot
         self.offset = offset  # global tick of the job's local tick 0
         self.queues = queues
-        self.claims = claims  # the tick's claims, shared by every job
         self.stats = RoundStats()
         self.pending = 0  # messages claimed or queued, not yet granted
         self.timed_out = False
 
     def submit(self, sender, sender_index, outbox, sizes, now) -> None:
-        """Claim or queue a validated outbox sent at job tick ``now`` (the
-        fabric's hook).
-
-        A send claims its edge when nothing is queued on it; a second claim
-        on the edge in the same tick moves both sends into the queues, in
-        claim order; a send on a backlogged edge queues behind the backlog.
-        """
-        queued, claims = self.queues.edges, self.claims
-        push, slot = self.queues.push, self.slot
+        """Send a validated outbox sent at job tick ``now`` under the job's
+        slot (the fabric's hook); :meth:`EdgeQueues.send` claims or queues."""
+        send, slot = self.queues.send, self.slot
         for (target, payload), bits in zip(outbox.items(), sizes):
-            edge = (sender, target)
-            entry = (self, sender_index, payload, bits, now)
-            if edge in queued:
-                push(edge, entry, slot)
-            elif (claim := claims.setdefault(edge, entry)) is not entry:
-                del claims[edge]
-                push(edge, claim, claim[0].slot)
-                push(edge, entry, slot)
+            send((sender, target), (self, sender_index, payload, bits, now), slot)
         self.pending += len(sizes)
 
     def charge(self, rel: int, count: int, bits: int) -> None:
@@ -342,7 +325,7 @@ class JobScheduler:
         return tuple(v for v in self._nodes if v in members)
 
     def _admit(self, job: Job, offset: int) -> _JobState:
-        state = _JobState(job, self._next_slot, offset, self._queues, self._claims)
+        state = _JobState(job, self._next_slot, offset, self._queues)
         self._next_slot += 1
         nodes = self._population(job)
         # One draw per job, exactly as SyncNetwork.run draws its run seed.
@@ -388,7 +371,7 @@ class JobScheduler:
         )
         self._running.append(state)
         state.stepper.start()
-        if self._claims or self._queues.edges:
+        if self._queues.claims or self._queues.edges:
             self._wake_global(offset)
         return state
 
@@ -413,41 +396,36 @@ class JobScheduler:
 
     def _grant(self, now: int) -> None:
         """Grant global tick ``now``'s sends: every claim, and one queued send
-        per backlogged edge (:meth:`EdgeQueues.resolve`).
+        per backlogged edge.
 
         Mirrors ``MessageFabric.stage_sized`` with the grant tick as the
         send tick — for a solo job every send is a claim granted at its
         send tick, so the accounting is byte-identical to the direct
-        backends. A claim moves its edge's round-robin pointer to its slot,
-        as a queued grant does. Under lockstep transit a job's claims are
-        written straight into its in-order inbox dicts, in activation order
+        backends. Under lockstep transit a job's claims are written
+        straight into its in-order inbox dicts, in activation order
         (sender-index order within the job), and charged once per job; a
-        queued grant, which may land after later senders, re-sorts the one
-        inbox it lands in and charges ``arbitration_stalls`` the ticks it
-        waited. Otherwise every grant becomes a resorted arrival at
+        queued grant (:meth:`EdgeQueues.resolve`), which may land after
+        later senders, re-sorts the one inbox it lands in and charges
+        ``arbitration_stalls`` the ticks it waited. Otherwise every grant
+        of :meth:`EdgeQueues.grants` becomes a resorted arrival at
         ``Transit.ticks``; a load-dependent transit is asked of the shared
-        link schedule in global ticks, in the edge order that queueing
-        every send would grant them, so cross-tenant contention costs
-        virtual time too.
+        link schedule in global ticks, in grant order, so cross-tenant
+        contention costs virtual time too.
         """
-        claims, queues = self._claims, self._queues
-        deferred = queues.resolve() if queues.edges else []
+        queues = self._queues
         if not self._model.is_uniform:
-            granted = [*claims.items(), *deferred]
-            claims.clear()
-            if self._shared_transit is not None:
-                order = queues.order
-                granted.sort(key=lambda grant: order(grant[0]))
-            for edge, entry in granted:
+            for edge, entry in queues.grants():
                 self._deliver(edge, entry, now)
             return
+        claims, queues.claims = queues.claims, {}
+        deferred = queues.resolve() if queues.edges else []
         pointers = queues.pointers
         state = None
-        for edge, (owner, _, payload, bits, _) in claims.items():
+        for edge, (slot, (owner, _, payload, bits, _)) in claims.items():
             if owner is not state:
                 if state is not None:
                     state.charge(rel, count, total)
-                state, slot, count, total = owner, owner.slot, 0, 0
+                state, count, total = owner, 0, 0
                 rel = now - state.offset
                 bucket = state.stepper.bucket(rel + 1)
                 edge_messages = state.stats.edge_messages
@@ -463,7 +441,6 @@ class JobScheduler:
                 inbox[sender] = payload
         if state is not None:
             state.charge(rel, count, total)
-        claims.clear()
         for edge, entry in deferred:
             self._deliver(edge, entry, now)
 
@@ -475,7 +452,6 @@ class JobScheduler:
         stats.arbitration_stalls += rel - sent
         state.charge(rel, 1, bits)
         stats.edge_messages[edge] = stats.edge_messages.get(edge, 0) + 1
-        self._queues.pointers[edge] = state.slot
         stepper = state.stepper
         sender, target = edge
         if stepper.resort:
@@ -612,7 +588,6 @@ class JobScheduler:
         # (the solo-identity contract).
         n = len(self._nodes)
         self._queues = EdgeQueues(order=lambda edge: gindex[edge[0]] * n + gindex[edge[1]])
-        self._claims: dict = {}  # edge -> the send claiming it this tick
         # One link schedule per run, shared by every tenant (global
         # ticks): load-dependent transit is a property of the physical
         # link, so concurrent jobs on a link slow each other down.

@@ -118,6 +118,18 @@ class Partition:
 # ----------------------------------------------------------------------
 
 
+def _require_num_parts(num_parts, num_nodes: int) -> None:
+    """Reject a ``num_parts`` that is not an int in ``[1, num_nodes]``.
+
+    ``bool`` is refused although it subclasses ``int``: ``True`` is a
+    caller's slip, not one part.
+    """
+    if type(num_parts) is not int or not 1 <= num_parts <= num_nodes:
+        raise PartitionError(
+            f"num_parts must be an int in [1, {num_nodes}], got {num_parts!r}"
+        )
+
+
 def voronoi_partition(
     graph: nx.Graph,
     num_parts: int,
@@ -130,12 +142,11 @@ def voronoi_partition(
     center order). Cells are connected by construction and cover all nodes.
 
     Raises:
-        PartitionError: if ``num_parts`` exceeds the node count or is < 1.
+        PartitionError: unless ``num_parts`` is an int in ``[1, n]``.
     """
     rng = ensure_rng(rng)
     nodes = list(graph.nodes())
-    if not 1 <= num_parts <= len(nodes):
-        raise PartitionError(f"num_parts must be in [1, {len(nodes)}], got {num_parts}")
+    _require_num_parts(num_parts, len(nodes))
     centers = rng.sample(nodes, num_parts)
     owner: dict[int, int] = {center: idx for idx, center in enumerate(centers)}
     queue = deque(centers)
@@ -160,11 +171,13 @@ def forest_cut_partition(
 
     Produces connected parts of irregular sizes — a good stress test for the
     shortcut constructions since part shapes do not follow BFS geometry.
+
+    Raises:
+        PartitionError: unless ``num_parts`` is an int in ``[1, n]``.
     """
     rng = ensure_rng(rng)
     nodes = list(graph.nodes())
-    if not 1 <= num_parts <= len(nodes):
-        raise PartitionError(f"num_parts must be in [1, {len(nodes)}], got {num_parts}")
+    _require_num_parts(num_parts, len(nodes))
     for u, v in graph.edges():
         graph.edges[u, v]["_rand_weight"] = rng.random()
     tree = nx.minimum_spanning_tree(graph, weight="_rand_weight")

@@ -11,7 +11,9 @@ graph is ``C_i = G[P_i] + H_i``. The engine:
    directed edge per round, FIFO per edge — with every part's start time
    shifted by a random delay in ``[0, congestion)`` (the LMR94 technique).
    The queue is :class:`~repro.congest.engine.EdgeQueues` with one slot,
-   the same per-edge queue the job layer arbitrates tenants with.
+   the same per-edge queue the job layer arbitrates tenants with: a packet
+   sent on an idle edge claims it and waits nowhere, and only the rare
+   collision the random delays leave queues.
 
 The measured completion round is the part-wise aggregation time ``T_PA``;
 with a quality-``Q`` shortcut it is ``O(Q log n)`` whp, which is exactly
@@ -256,9 +258,9 @@ def partwise_aggregate(
         accumulator.append(acc)
         part_bits.append(2 + payload_bits(plan.index))
 
-    # Edges resolve in the order they first carried a packet.
+    # Edges are granted in the order of their first claim.
     queues = EdgeQueues(rng=rng if queue_discipline == "random" else None)
-    push = queues.push
+    send = queues.send
 
     # Seed the convergecast: nodes with no children fire at their delay.
     start_schedule: dict[int, list[_PartPlan]] = {}
@@ -292,7 +294,7 @@ def partwise_aggregate(
             for node, par in plan.parent.items():
                 if par is not None and node not in children:
                     value = acc[node]
-                    push((node, par), (True, part, value, _packet_bits(part_bits[part], value)))
+                    send((node, par), (True, part, value, _packet_bits(part_bits[part], value)))
         current_round += 1
         # One packet may *enter* each directed edge per tick (the CONGEST
         # capacity constraint). Transmission happens during round
@@ -300,7 +302,7 @@ def partwise_aggregate(
         # RoundStats.messages_by_round (sent in r, delivered in r+1,
         # initial wave at 0) makes that ``current_round - 1``.
         send_tick = current_round - 1
-        granted = queues.resolve()
+        granted = queues.grants()
         if granted:
             # The tick's sends are charged at once; the per-edge counters
             # still count every packet, so aggregations report *measured*
@@ -335,7 +337,7 @@ def partwise_aggregate(
                 parent = plan.parent[target]
                 if parent is not None:
                     value = acc[target]
-                    push(
+                    send(
                         (target, parent),
                         (True, part, value, _packet_bits(part_bits[part], value)),
                     )
@@ -345,7 +347,7 @@ def partwise_aggregate(
                 packet = (False, part, value, _packet_bits(part_bits[part], value))
             finished_nodes[part] += 1
             for child in plan.children.get(target, ()):
-                push((target, child), packet)
+                send((target, child), packet)
             if finished_nodes[part] == len(plan.parent) and part not in completion:
                 completion[part] = current_round
     stats.rounds = max(completion.values(), default=0) if len(completion) == len(

@@ -1,5 +1,7 @@
 """Tests for the distributed MST (Corollary 1.6)."""
 
+import re
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,15 @@ class TestValidation:
         weights = {canonical_edge(u, v): 1.5 for u, v in graph.edges()}
         with pytest.raises(GraphStructureError):
             distributed_mst(graph, weights)
+
+    @pytest.mark.parametrize("max_weight", [0, 1, -1, 2.5, True, None])
+    def test_random_weights_reject_bad_max_weight(self, max_weight):
+        # Each used to raise a bare ValueError or TypeError from randrange.
+        with pytest.raises(GraphStructureError, match=re.escape(f"got {max_weight!r}")):
+            assign_random_weights(grid_graph(3, 3), rng=1, max_weight=max_weight)
+
+    def test_random_weights_lie_below_max_weight(self):
+        assert set(assign_random_weights(grid_graph(3, 3), rng=1, max_weight=2).values()) == {1}
 
     def test_rejects_unknown_method(self):
         graph = grid_graph(3, 3)

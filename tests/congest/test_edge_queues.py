@@ -1,9 +1,10 @@
 """EdgeQueues against a plain reference: one FIFO per (edge, slot).
 
-The queue keeps an edge with one queued slot as a bare FIFO and switches
-to a slot map when a second slot arrives. The reference below always
-keeps the slot map; grants, grant order, rng draws, drops and pointers
-must match it on random push/drop/resolve sequences.
+The reference queues every entry it is given and grants through a sorted
+round-robin pass. ``EdgeQueues`` must match it twice over: queueing
+through ``push`` and ``resolve``, and claiming through ``send`` and
+``grants``, where an uncontended send never waits in a FIFO. Grants,
+grant order, rng draws, drops and pointers must match on random scripts.
 """
 
 import random
@@ -89,3 +90,39 @@ def test_matches_reference_property(seed, num_slots, random_grants, sort_key):
         assert queues.resolve() == reference.resolve()
         assert list(queues.edges) == list(reference.edges)
         assert queues.pointers == reference.pointers
+
+
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([1, 2, 4]),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_claims_grant_what_queueing_grants(seed, num_slots, random_grants, sort_key):
+    # send claims an idle edge and queues only on contention; grants must
+    # give exactly what pushing every send and resolving gives, with the
+    # same rng draws (a claim never draws) and the same pointers.
+    script = random.Random(seed)
+    order = (lambda edge: (edge[1], edge[0])) if sort_key else None
+    queue_rng = random.Random(seed) if random_grants else None
+    reference_rng = random.Random(seed) if random_grants else None
+    queues = EdgeQueues(order=order, rng=queue_rng)
+    reference = _ReferenceQueues(order=order, rng=reference_rng)
+    entry = 0
+    for _ in range(40):
+        for _ in range(script.randint(0, 8)):
+            slot = script.randrange(num_slots)
+            if script.random() < 0.05:
+                assert sorted(queues.drop(slot)) == sorted(reference.drop(slot))
+                continue
+            edge = (script.randrange(4), script.randrange(4))
+            entry += 1
+            queues.send(edge, entry, slot)
+            reference.push(edge, entry, slot)
+        assert queues.grants() == reference.resolve()
+        assert not queues.claims
+        assert sorted(queues.edges) == sorted(reference.edges)
+        assert queues.pointers == reference.pointers
+        if random_grants:
+            assert queue_rng.getstate() == reference_rng.getstate()

@@ -1,5 +1,7 @@
 """Tests for repro.graphs.partition."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -71,6 +73,14 @@ class TestGenerators:
             voronoi_partition(small_grid, 0)
         with pytest.raises(PartitionError):
             voronoi_partition(small_grid, 100)
+
+    @pytest.mark.parametrize("make", [voronoi_partition, forest_cut_partition])
+    @pytest.mark.parametrize("num_parts", [2.5, True, False, "3", None, 0, 17, -1])
+    def test_bad_num_parts_is_named(self, make, num_parts):
+        # A float used to raise a bare TypeError from rng.sample, and True
+        # was taken as one part.
+        with pytest.raises(PartitionError, match=re.escape(f"got {num_parts!r}")):
+            make(grid_graph(4, 4), num_parts, rng=1)
 
     def test_forest_cut_covers_everything(self, small_grid):
         partition = forest_cut_partition(small_grid, 7, rng=2)
