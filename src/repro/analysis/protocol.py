@@ -26,7 +26,7 @@ catch-all: an ``else`` arm on the tag dispatch, or an unguarded
 ``payload[i]`` access that consumes every remaining tag),
 handled-but-never-sent, per-tag send-arity conflicts, and handler
 accesses ``payload[i]`` beyond every sent arity of that tag. Untagged
-protocols (plain-object payloads, e.g. election/broadcast) have no schema
+protocols (plain-object payloads, e.g. broadcast/aggregate) have no schema
 and are skipped.
 
 **KERNEL-EQ** cross-checks each linked ``VectorKernel`` against its
@@ -159,8 +159,8 @@ def _scan_handlers(model: ProjectModel, info) -> Schema:
     A *catch-all* means the handler consumes tags it does not name: an
     ``else`` arm (or non-tag ``elif``) on a tag dispatch, or a guard-style
     body where an unguarded ``payload[i≥1]`` access follows the named
-    guards (the TopK idiom: ACK/FIN guards, then ``item = payload[1]``
-    for everything that fell through).
+    guards (e.g. ACK/FIN guards, then ``item = payload[1]`` for
+    everything that fell through).
     """
     schema = Schema()
     for method in _methods(info.node):

@@ -24,9 +24,8 @@ from the previous round — are activated, via
 * quiescence is an empty active set (no messages in flight, no latches,
   no pending timers), the same condition as lockstep's "every node passive
   in the same round"; when only timers remain, the clock fast-forwards to
-  the earliest one — scheduled wakes are how the ack-driven algorithms
-  (the Theorem 1.5 sweep, pipelined top-k) pace their streams without
-  keep-alive polling;
+  the earliest one — scheduled wakes are how the ack-driven Theorem 1.5
+  sweep paces its streams without keep-alive polling;
 * rounds are still globally synchronous — activation order within a round
   follows the graph's node order, so inbox insertion order (and therefore
   every observable behavior, round count, and message count) is

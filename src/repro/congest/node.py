@@ -30,10 +30,10 @@ class NodeAlgorithm:
     the wake round; on the degrade backend (``dense``) the
     node may be woken with an empty inbox on every round up to it, so a
     conforming algorithm treats any wake before its own readiness condition
-    as a no-op (no sends, no state changes, no ``ctx.rng`` draws). Ack-
-    driven algorithms (the sweep in :mod:`repro.core.distributed`, the
-    top-k pipeline) only ever use ``schedule_wake(1)`` to pace a stream of
-    sends, for which the two behaviors coincide.
+    as a no-op (no sends, no state changes, no ``ctx.rng`` draws). The
+    ack-driven sweep in :mod:`repro.core.distributed` only ever uses
+    ``schedule_wake(1)`` to pace a stream of sends, for which the two
+    behaviors coincide.
 
     This conformance contract is mechanically enforced twice over. The
     *static* half is ``repro lint`` (:mod:`repro.analysis`): the

@@ -8,13 +8,9 @@ together with measured :class:`~repro.congest.stats.RoundStats`.
 
 from repro.congest.primitives.bfs import distributed_bfs
 from repro.congest.primitives.broadcast import tree_aggregate, tree_broadcast
-from repro.congest.primitives.election import elect_leader
-from repro.congest.primitives.pipeline import pipelined_top_k
 
 __all__ = [
     "distributed_bfs",
     "tree_broadcast",
     "tree_aggregate",
-    "elect_leader",
-    "pipelined_top_k",
 ]

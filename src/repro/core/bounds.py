@@ -1,15 +1,25 @@
-"""The paper's bound formulas, in one place.
+"""The paper's bound formulas, in one place, and the checks on their inputs.
 
 Tests and benchmarks compare *measured* quantities against these exact
 expressions, so the constants live here rather than being re-derived in
-each experiment.
+each experiment. Every construction entry point checks ``δ`` and the
+tree whose depth fixes ``c = 8δD`` with :func:`check_positive` and
+:func:`check_tree` before computing a budget.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+
+import networkx as nx
+
+from repro.graphs.trees import RootedTree
+from repro.util.errors import GraphStructureError, ShortcutError
 
 __all__ = [
+    "check_positive",
+    "check_tree",
     "theorem31_congestion_budget",
     "theorem31_block_budget",
     "observation26_dilation_bound",
@@ -18,6 +28,24 @@ __all__ = [
     "lemma32_quality_bound",
     "baseline_quality_bound",
 ]
+
+
+def check_positive(value: object, name: str) -> None:
+    """Raise :class:`ShortcutError` unless ``value`` is a finite real > 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ShortcutError(f"{name} must be a finite real number > 0, got {value!r}")
+
+
+def check_tree(tree: RootedTree, graph: nx.Graph) -> None:
+    """Raise :class:`ShortcutError` unless ``tree`` spans ``graph``."""
+    try:
+        tree.validate_on(graph)
+    except GraphStructureError as error:
+        raise ShortcutError(f"the tree does not span its graph: {error}") from None
+    if len(tree) != len(graph):
+        raise ShortcutError(
+            f"the tree does not span its graph: {len(tree)} of {len(graph)} nodes"
+        )
 
 
 def theorem31_congestion_budget(delta: float, depth: int) -> int:

@@ -70,7 +70,12 @@ from repro.congest.node import NodeAlgorithm
 from repro.congest.primitives.bfs import distributed_bfs
 from repro.congest.primitives.broadcast import tree_aggregate, tree_broadcast
 from repro.congest.stats import RoundStats
-from repro.core.bounds import theorem31_block_budget, theorem31_congestion_budget
+from repro.core.bounds import (
+    check_positive,
+    check_tree,
+    theorem31_block_budget,
+    theorem31_congestion_budget,
+)
 from repro.core.partial import PartialShortcutResult, conflict_from_marking
 from repro.graphs.partition import Partition
 from repro.graphs.trees import RootedTree
@@ -289,7 +294,6 @@ def distributed_partial_shortcut(
     sampling_factor: float = 6.0,
     exact: bool = False,
     run_verification: bool = True,
-    elect_root: bool = False,
     scheduler: str = "event",
     latency_model: object = None,
     sweep: str = "ack",
@@ -312,8 +316,6 @@ def distributed_partial_shortcut(
             cross-validate the marking against the centralized process.
         run_verification: include phase 4 (dominant cost; disable only for
             sweep-only microbenchmarks).
-        elect_root: run a real distributed leader election for the root
-            instead of assuming one (adds a measured ``O(D)``-round phase).
         scheduler: simulator scheduler for every phase (``"event"``,
             ``"dense"``, or ``"vectorized"``; see :mod:`repro.congest`).
         latency_model: per-edge latency model for the event scheduler
@@ -327,12 +329,12 @@ def distributed_partial_shortcut(
             :class:`KeepAliveSweepNode`).
 
     Raises:
-        ShortcutError: if ``delta <= 0``, if more than one of ``root``,
-            ``elect_root`` and ``tree`` is given, or on an unknown
-            ``sweep`` variant.
+        ShortcutError: if ``delta`` or ``sampling_factor`` is not a finite
+            real > 0, if ``tree`` does not span ``graph``, if both ``root``
+            and ``tree`` are given, or on an unknown ``sweep`` variant.
     """
-    if delta <= 0:
-        raise ShortcutError(f"delta must be positive, got {delta}")
+    check_positive(delta, "delta")
+    check_positive(sampling_factor, "sampling_factor")
     if sweep not in SWEEP_VARIANTS:
         raise ShortcutError(
             f"unknown sweep variant {sweep!r}; registered sweeps: "
@@ -341,27 +343,18 @@ def distributed_partial_shortcut(
     validate_scheduler(
         scheduler, ShortcutError, latency_model=latency_model
     )
+    if tree is not None:
+        if root is not None:
+            raise ShortcutError("a given tree fixes the root; pass no root")
+        check_tree(tree, graph)
     rng = ensure_rng(rng)
     stats = RoundStats()
-    if tree is not None and (root is not None or elect_root):
-        raise ShortcutError("a given tree fixes the root; pass no root or elect_root")
-    if elect_root:
-        if root is not None:
-            raise ShortcutError("pass either root or elect_root, not both")
-        from repro.congest.primitives.election import elect_leader
-
-        root, election_stats = elect_leader(
-            graph, rng=rng, scheduler=scheduler,
-            latency_model=latency_model,
-        )
-        stats.add_phase("election", election_stats)
-    elif root is None:
-        root = min(graph.nodes())
 
     # Phase 1: BFS tree, unless the caller passed one.
     if tree is None:
         tree, bfs_stats = distributed_bfs(
-            graph, root, rng=rng, scheduler=scheduler,
+            graph, min(graph.nodes()) if root is None else root,
+            rng=rng, scheduler=scheduler,
             latency_model=latency_model,
         )
         stats.add_phase("bfs", bfs_stats)

@@ -34,7 +34,11 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from repro.congest.stats import RoundStats
-from repro.core.bounds import theorem31_block_budget, theorem31_congestion_budget
+from repro.core.bounds import (
+    check_positive,
+    theorem31_block_budget,
+    theorem31_congestion_budget,
+)
 from repro.core.shortcut import TreeRestrictedShortcut
 from repro.graphs.partition import Partition
 from repro.graphs.trees import RootedTree
@@ -399,10 +403,9 @@ def build_partial_shortcut(
             the proof's raw ancestor-edge assignment verbatim.
 
     Raises:
-        ShortcutError: if ``delta <= 0``.
+        ShortcutError: if ``delta`` is not a finite real > 0.
     """
-    if delta <= 0:
-        raise ShortcutError(f"delta must be positive, got {delta}")
+    check_positive(delta, "delta")
     if congestion_budget is None:
         congestion_budget = theorem31_congestion_budget(delta, tree.max_depth)
     if block_budget is None:

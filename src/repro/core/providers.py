@@ -38,8 +38,6 @@ parts, mirroring the ``SchedulerBackend`` registry of :mod:`repro.congest`:
 
 from __future__ import annotations
 
-import math
-import numbers
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -49,6 +47,7 @@ import networkx as nx
 from repro.congest.network import validate_scheduler
 from repro.congest.stats import RoundStats
 from repro.core.baseline import bfs_tree_shortcut
+from repro.core.bounds import check_positive, check_tree
 from repro.core.certifying import certify_or_shortcut
 from repro.core.full import build_full_shortcut
 from repro.core.greedy import greedy_shortcut
@@ -56,7 +55,7 @@ from repro.core.shortcut import Shortcut, ShortcutQuality
 from repro.graphs.adjacency import graph_memo
 from repro.graphs.partition import Partition
 from repro.graphs.trees import RootedTree, bfs_tree
-from repro.util.errors import GraphStructureError, ShortcutError
+from repro.util.errors import ShortcutError
 from repro.util.rng import ensure_rng
 
 __all__ = [
@@ -400,24 +399,6 @@ def clear_shortcut_cache() -> None:
     _PROVIDER_COUNTS.clear()
 
 
-def _check_delta(value: object, name: str = "delta") -> None:
-    """Raise :class:`ShortcutError` unless ``value`` is a finite real > 0."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
-        raise ShortcutError(f"{name} must be a finite real number > 0, got {value!r}")
-
-
-def _check_tree(tree: RootedTree, graph: nx.Graph) -> None:
-    """Raise :class:`ShortcutError` unless ``tree`` spans ``graph``."""
-    try:
-        tree.validate_on(graph)
-    except GraphStructureError as error:
-        raise ShortcutError(f"the request's tree does not span its graph: {error}") from None
-    if len(tree) != len(graph):
-        raise ShortcutError(
-            f"the request's tree does not span its graph: {len(tree)} of {len(graph)} nodes"
-        )
-
-
 def _copy_outcome(outcome: ShortcutOutcome, cache_hit: bool = False) -> ShortcutOutcome:
     """Copy stats and provenance (on store and on hit), so a caller editing
     its outcome never reaches the cache; the read-only products are shared."""
@@ -525,10 +506,10 @@ def build_shortcut(request: ShortcutRequest) -> ShortcutOutcome:
         latency_model=request.latency_model,
     )
     if request.delta is not None:
-        _check_delta(request.delta)
+        check_positive(request.delta, "delta")
     tree = request.tree
     if tree is not None:
-        _check_tree(tree, request.graph)
+        check_tree(tree, request.graph)
     elif provider.needs_tree:
         tree = resolve_tree(request.graph)
     delta = resolve_delta(request.graph, request.delta) if provider.needs_delta else request.delta
@@ -758,7 +739,7 @@ class CertifyingProvider(ShortcutProvider):
         initial_delta = request.options.get(
             "initial_delta", request.delta if request.delta is not None else 1.0
         )
-        _check_delta(initial_delta, "initial_delta")
+        check_positive(initial_delta, "initial_delta")
         certified = certify_or_shortcut(
             request.graph,
             tree,

@@ -159,6 +159,40 @@ class TestProtoMsgEdges:
         }
         assert _messages(sources, select=("PROTO-MSG",)) == []
 
+    GUARD_NODE = (
+        "ITEM = 0\n"
+        "FIN = 1\n"
+        "ACK = 2\n"
+        "\n"
+        "\n"
+        "class GuardNode(NodeAlgorithm):\n"
+        "    def on_round(self, ctx, inbox):\n"
+        "        for sender, payload in inbox.items():\n"
+        "            tag = payload[0]\n"
+        "            if tag == ACK:\n"
+        "                self.pending.discard(sender)\n"
+        "                continue\n"
+        "            if tag == FIN:\n"
+        "                self.pending.discard(sender)\n"
+        "ACCESS"
+        "        if self.pending:\n"
+        "            return {self.parent: (ITEM, 3)}\n"
+        "        return {self.parent: (FIN, 3), 0: (ACK,)}\n"
+    )
+
+    def test_unguarded_access_after_named_guards_accepts_unnamed_tags(self):
+        # ACK `continue`s, FIN falls through, and the unguarded
+        # ``payload[1]`` then consumes ITEM, which no guard names.
+        access = "            self.known.append(payload[1])\n"
+        sources = {"src/repro/congest/guard.py": self.GUARD_NODE.replace("ACCESS", access)}
+        assert _messages(sources, select=("PROTO-MSG",)) == []
+
+    def test_named_guards_alone_leave_the_unnamed_tag_unhandled(self):
+        sources = {"src/repro/congest/guard.py": self.GUARD_NODE.replace("ACCESS", "")}
+        findings = analyze_sources(sources, select=("PROTO-MSG",))
+        assert len(findings) == 1
+        assert "ITEM" in findings[0].message
+
     def test_conflicting_send_arities(self):
         sources = {
             "src/repro/congest/arity.py": (

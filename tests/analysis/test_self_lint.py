@@ -109,7 +109,7 @@ class TestCliUx:
 
 class TestProjectSelfLint:
     """The acceptance bar of the whole-program pass: this repository's own
-    protocols (BFS, sweep, keep-alive, top-k, the kernel companions) must
+    protocols (BFS, sweep, keep-alive, the kernel companions) must
     satisfy PROTO-MSG / KERNEL-EQ and the inter-procedural rules without
     a single suppression."""
 

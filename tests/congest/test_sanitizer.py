@@ -181,25 +181,13 @@ class TestSanitizedEquivalence:
 
     def test_primitives_sanitized_on_degrade_backends(self, monkeypatch):
         from repro.congest.primitives.bfs import distributed_bfs
-        from repro.congest.primitives.pipeline import pipelined_top_k
-        from repro.graphs.trees import bfs_tree
 
         graph = nx.lollipop_graph(6, 9)
-        tree = bfs_tree(graph, root=0)
-        items = {v: [v * 3 + 1, 100 + v] for v in graph}
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         plain_tree, plain_bfs = distributed_bfs(graph, 0, rng=5, scheduler="dense")
-        plain_top, plain_stats = pipelined_top_k(
-            graph, tree, items, k=4, rng=2, scheduler="dense"
-        )
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         got_tree, got_bfs = distributed_bfs(graph, 0, rng=5, scheduler="dense")
-        got_top, got_stats = pipelined_top_k(
-            graph, tree, items, k=4, rng=2, scheduler="dense"
-        )
         assert {v: got_tree.parent_of(v) for v in got_tree.nodes()} == {
             v: plain_tree.parent_of(v) for v in plain_tree.nodes()
         }
-        assert got_top == plain_top
         assert self._projection(got_bfs) == self._projection(plain_bfs)
-        assert self._projection(got_stats) == self._projection(plain_stats)

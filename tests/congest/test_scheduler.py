@@ -28,8 +28,6 @@ from repro.congest.engine import available_schedulers
 from repro.congest.jobs import Job, JobScheduler
 from repro.congest.primitives.bfs import BfsNode, distributed_bfs
 from repro.congest.primitives.broadcast import tree_aggregate, tree_broadcast
-from repro.congest.primitives.election import elect_leader
-from repro.congest.primitives.pipeline import pipelined_top_k
 from repro.graphs.generators import grid_graph, k_tree, series_parallel_graph, wheel_graph
 from repro.graphs.trees import bfs_tree
 
@@ -271,14 +269,6 @@ class TestSchedulerEquivalence:
             assert stats.activations <= dense_stats.activations
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
-    def test_election_equivalent(self, name):
-        graph = self.GRAPHS[name]
-        outcomes = [elect_leader(graph, rng=3, **run) for run in BACKENDS.values()]
-        leaders = {leader for leader, _ in outcomes}
-        assert len(leaders) == 1
-        assert len({_equiv_stats(stats) for _, stats in outcomes}) == 1
-
-    @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_broadcast_and_aggregate_equivalent(self, name):
         graph = self.GRAPHS[name]
         tree = bfs_tree(graph, root=0)
@@ -295,18 +285,6 @@ class TestSchedulerEquivalence:
         reference = outcomes["dense"]
         for arm, outcome in outcomes.items():
             assert outcome == reference, arm
-
-    @pytest.mark.parametrize("name", sorted(GRAPHS))
-    def test_pipelined_top_k_equivalent(self, name):
-        graph = self.GRAPHS[name]
-        tree = bfs_tree(graph, root=0)
-        items = {v: [v * 3 + 1, 100 + v] for v in graph}
-        outcomes = [
-            pipelined_top_k(graph, tree, items, k=4, rng=2, **run)
-            for run in BACKENDS.values()
-        ]
-        assert len({top for top, _ in outcomes}) == 1
-        assert len({_equiv_stats(stats) for _, stats in outcomes}) == 1
 
     def test_bellman_ford_equivalent(self):
         from repro.apps.sssp import bellman_ford_sssp
@@ -366,20 +344,14 @@ class TestSchedulerEquivalence:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_uniform_model_is_byte_identical_to_no_model(self, name):
         graph = self.GRAPHS[name]
-        for run in (
-            lambda **kw: distributed_bfs(graph, 0, rng=5, **kw),
-            lambda **kw: elect_leader(graph, rng=3, **kw),
-        ):
-            result, stats = run()
-            uniform_result, uniform_stats = run(latency_model="uniform")
-            if not isinstance(result, int):  # a BFS tree
-                result, uniform_result = _parents(result), _parents(uniform_result)
-            assert uniform_result == result
-            # Full dataclass equality: activations, notes, virtual_time and
-            # completion_times included.
-            assert uniform_stats == stats
-            assert stats.virtual_time == 0
-            assert stats.completion_times == {}
+        tree, stats = distributed_bfs(graph, 0, rng=5)
+        uniform_tree, uniform_stats = distributed_bfs(graph, 0, rng=5, latency_model="uniform")
+        assert _parents(uniform_tree) == _parents(tree)
+        # Full dataclass equality: activations, notes, virtual_time and
+        # completion_times included.
+        assert uniform_stats == stats
+        assert stats.virtual_time == 0
+        assert stats.completion_times == {}
 
     def test_thin_frontier_activation_win(self):
         # A broom: star whose center hangs off a long path.  The dense
@@ -438,14 +410,12 @@ def test_generated_graphs_equivalent_on_every_backend(graph, seed):
     outcomes = {}
     for arm, run in BACKENDS.items():
         tree, bfs_stats = distributed_bfs(graph, root, rng=seed, **run)
-        leader, election_stats = elect_leader(graph, rng=seed, **run)
         total, aggregate_stats = tree_aggregate(
             graph, tree, values, lambda a, b: a + b, rng=seed, **run
         )
         outcomes[arm] = (
-            _parents(tree), leader, total,
-            _model_stats(bfs_stats), _model_stats(election_stats),
-            _model_stats(aggregate_stats),
+            _parents(tree), tree.root, total,
+            _model_stats(bfs_stats), _model_stats(aggregate_stats),
         )
     reference = outcomes["dense"]
     assert reference[1] == root
@@ -513,12 +483,11 @@ class TestLazyNodeStreams:
     def test_library_runs_seed_nothing(self, arm, monkeypatch):
         graph = grid_graph(5, 5)
         weights = assign_random_weights(graph, rng=2)
-        rngs = [random.Random(seed) for seed in (1, 2, 3)]
+        rngs = [random.Random(seed) for seed in (1, 2)]
         run = BACKENDS[arm]
         calls = _count_seedings(monkeypatch)
         distributed_bfs(graph, 0, rng=rngs[0], **run)
-        elect_leader(graph, rng=rngs[1], **run)
-        distributed_mst(graph, weights, construction="simulated", rng=rngs[2], **run)
+        distributed_mst(graph, weights, construction="simulated", rng=rngs[1], **run)
         assert calls == []
 
     def test_solo_job_seeds_nothing(self, monkeypatch):

@@ -1,4 +1,6 @@
-"""Tests for repro.core.bounds — the paper's formulas."""
+"""Tests for repro.core.bounds — the paper's formulas and the checks on their inputs."""
+
+import pytest
 
 from repro.core.bounds import (
     baseline_quality_bound,
@@ -9,6 +11,37 @@ from repro.core.bounds import (
     theorem31_block_budget,
     theorem31_congestion_budget,
 )
+from repro.core.distributed import distributed_partial_shortcut
+from repro.core.full import build_full_shortcut
+from repro.core.partial import build_partial_shortcut
+from repro.graphs.generators import grid_graph
+from repro.graphs.partition import grid_rows_partition
+from repro.graphs.trees import bfs_tree
+from repro.util.errors import ShortcutError
+
+_GRID = grid_graph(4, 4)
+_ENTRIES = {
+    "partial": lambda delta: build_partial_shortcut(
+        _GRID, bfs_tree(_GRID), grid_rows_partition(_GRID), delta
+    ),
+    "full": lambda delta: build_full_shortcut(
+        _GRID, bfs_tree(_GRID), grid_rows_partition(_GRID), delta
+    ),
+    "distributed": lambda delta: distributed_partial_shortcut(
+        _GRID, grid_rows_partition(_GRID), delta, rng=1
+    ),
+}
+
+
+class TestDeltaCheckAtEveryEntry:
+    """Every construction entry rejects a δ that is not a finite real > 0
+    before computing a budget from it."""
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
+    @pytest.mark.parametrize("delta", [0, -1.5, float("nan"), float("inf"), "3", True])
+    def test_bad_delta_is_a_shortcut_error(self, entry, delta):
+        with pytest.raises(ShortcutError, match="delta must be a finite real number > 0"):
+            _ENTRIES[entry](delta)
 
 
 class TestBudgets:

@@ -100,6 +100,28 @@ class TestSampledConstruction:
         with pytest.raises(ShortcutError):
             distributed_partial_shortcut(graph, partition, delta=0)
 
+    @pytest.mark.parametrize("factor", [0, -1, float("nan"), float("inf"), "6", True])
+    def test_rejects_a_bad_sampling_factor(self, factor):
+        graph = grid_graph(4, 4)
+        partition = grid_rows_partition(graph)
+        with pytest.raises(ShortcutError, match="sampling_factor must be a finite real"):
+            distributed_partial_shortcut(graph, partition, delta=3.0, sampling_factor=factor)
+
+    def test_small_sampling_factor_stays_legal(self):
+        graph = grid_graph(6, 6)
+        partition = grid_rows_partition(graph)
+        result = distributed_partial_shortcut(
+            graph, partition, delta=3.0, rng=1, sampling_factor=0.05
+        )
+        assert result.succeeded
+
+    @pytest.mark.parametrize("foreign", [grid_graph(3, 3), grid_graph(5, 5)])
+    def test_rejects_a_tree_of_another_graph(self, foreign):
+        graph = grid_graph(4, 4)
+        partition = grid_rows_partition(graph)
+        with pytest.raises(ShortcutError, match="does not span"):
+            distributed_partial_shortcut(graph, partition, delta=3.0, tree=bfs_tree(foreign))
+
     def test_no_satisfied_parts_shortcut_raises(self):
         graph = grid_graph(6, 6)
         partition = grid_rows_partition(graph)

@@ -18,7 +18,6 @@ from repro.graphs.adjacency import canonical_edge
 from repro.graphs.generators import (
     expanded_clique,
     grid_graph,
-    k_tree,
     lower_bound_graph,
 )
 from repro.graphs.generators.geometric import barbell_graph, random_geometric_graph
@@ -28,16 +27,6 @@ from repro.sched.partwise import partwise_aggregate
 
 
 class TestDistributedPipelineWithElection:
-    def test_election_then_construction(self):
-        graph = k_tree(100, 3, rng=1, locality=0.7)
-        partition = voronoi_partition(graph, 20, rng=2)
-        result = distributed_partial_shortcut(
-            graph, partition, delta=3.0, rng=3, elect_root=True
-        )
-        assert result.succeeded
-        assert "election" in result.stats.phases
-        assert result.tree.root == min(graph.nodes())
-
     def test_constructed_shortcut_actually_aggregates(self):
         graph = grid_graph(10, 10)
         partition = voronoi_partition(graph, 16, rng=4)
