@@ -23,6 +23,11 @@ measured, never asserted):
 * one simulated part-wise min aggregation (convergecast + decision
   broadcast) through the shortcut.
 
+Every phase's shortcut restricts to one tree ``T``, as in Corollary 1.6:
+the first phase's outcome tree is passed into every later request, so the
+simulated construction measures its BFS tree and learns its depth once
+per query, not once per phase.
+
 The loop calls ``build_shortcut`` and ``partwise_aggregate`` through this
 module's globals, so a caller that rebinds ``repro.apps.mst.build_shortcut``
 or ``repro.apps.mst.partwise_aggregate`` sees every phase of both apps.
@@ -118,8 +123,9 @@ def boruvka_phases(
     2. the label classes, in node order, become the parts; one exchange
        round is charged over ``exchange_edges`` (one message each way,
        bits not modeled);
-    3. the phase shortcut is built and every part aggregates the minimum
-       of its members' non-``None`` values;
+    3. the phase shortcut is built, on the first phase's tree from the
+       second phase on, and every part aggregates the minimum of its
+       members' non-``None`` values;
     4. ``merge(labels, minima)`` returns the new labels, where ``minima``
        maps each class label to its part's minimum (``None`` if none).
 
@@ -141,6 +147,7 @@ def boruvka_phases(
     max_phases = 2 * max(1, math.ceil(math.log2(max(n, 2)))) + 4
     labels = {v: v for v in graph.nodes()}
     stats = RoundStats()
+    tree = None
     for phase in range(max_phases):
         values = local_values(labels)
         if all(value is None for value in values.values()):
@@ -156,10 +163,11 @@ def boruvka_phases(
         # Identical class collections (e.g. the singleton phase repeated
         # across a min-cut tree packing) hit the provider's memo cache.
         outcome = build_shortcut(ShortcutRequest(
-            graph=graph, partition=partition, method=method,
+            graph=graph, partition=partition, tree=tree, method=method,
             construction=construction, provider=provider, delta=delta,
             rng=rng, scheduler=scheduler, latency_model=latency_model,
         ))
+        tree = outcome.tree
         aggregation = partwise_aggregate(
             graph, partition, outcome.shortcut, values, _min_or_none, rng=rng,
             latency_model=latency_model,

@@ -7,10 +7,15 @@ together with measured :class:`~repro.congest.stats.RoundStats`.
 """
 
 from repro.congest.primitives.bfs import distributed_bfs
-from repro.congest.primitives.broadcast import tree_aggregate, tree_broadcast
+from repro.congest.primitives.broadcast import (
+    pipelined_broadcast,
+    tree_aggregate,
+    tree_broadcast,
+)
 
 __all__ = [
     "distributed_bfs",
     "tree_broadcast",
+    "pipelined_broadcast",
     "tree_aggregate",
 ]

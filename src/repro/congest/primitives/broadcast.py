@@ -2,16 +2,17 @@
 
 Both primitives assume each node already knows its parent and children
 (e.g. from :func:`repro.congest.primitives.bfs.distributed_bfs`) and
-complete in ``depth + O(1)`` rounds.
+complete in ``depth + O(1)`` rounds; a pipelined broadcast of ``k``
+scalars takes ``depth + k - 1``.
 
 Convergecast payloads must stay within the CONGEST bit budget, so the
 combiner must produce constant-size aggregates (min / max / sum / count —
 exactly the aggregates of the part-wise aggregation problem,
 Definition 2.1).
 
-Both node classes are *event-native*: they override ``on_wake`` directly
-(neither ever latches keep-alive, so a wake-up always carries messages to
-observe) and keep ``on_round`` only as the dense scheduler's lockstep
+Both node classes are *event-native*: neither ever latches keep-alive,
+so a wake-up carries messages to observe — or, for a broadcast root, is
+its own pacing timer. ``on_round`` is the dense scheduler's lockstep
 entry point. The dense/event equivalence suite pins the two code
 paths to identical behavior.
 """
@@ -31,92 +32,123 @@ from repro.graphs.trees import RootedTree
 from repro.util.bitsize import payload_bits
 from repro.util.errors import GraphStructureError
 
-__all__ = ["tree_broadcast", "tree_aggregate"]
+__all__ = ["tree_broadcast", "pipelined_broadcast", "tree_aggregate"]
 
 
 class _BroadcastNode(NodeAlgorithm):
-    def __init__(self, node: int, tree: RootedTree, value: object):
+    """One node of :func:`pipelined_broadcast`: the root sends one value
+    per round (``schedule_wake(1)`` paces it), every other node forwards
+    each arrival to its children and keeps it."""
+
+    def __init__(self, node: int, tree: RootedTree, values: tuple):
         self.node = node
         self.children = tree.children_of(node)
         self.is_root = node == tree.root
-        self.value = value if self.is_root else None
+        self.values = list(values) if self.is_root else []
+        self.sent = 0
+
+    def _send_next(self, ctx):
+        """Root: the next value to every child, pacing the rest."""
+        value = self.values[self.sent]
+        self.sent += 1
+        if self.sent < len(self.values):
+            ctx.schedule_wake(1)
+        return {child: value for child in self.children}
 
     def on_start(self, ctx):
-        if self.is_root:
-            return {child: self.value for child in self.children}
+        if self.is_root and self.children and self.values:
+            return self._send_next(ctx)
         return {}
 
     def on_round(self, ctx, inbox):
-        if self.value is None and inbox:
-            self.value = next(iter(inbox.values()))
-            return {child: self.value for child in self.children}
-        return {}
+        if self.is_root:
+            # Only the pacing timer wakes the root; on dense every later
+            # round is a spurious wake and must stay a no-op.
+            if 0 < self.sent < len(self.values):
+                return self._send_next(ctx)
+            return {}
+        if not inbox:
+            return {}
+        value = next(iter(inbox.values()))
+        self.values.append(value)
+        return {child: value for child in self.children}
 
-    def on_wake(self, ctx, inbox):
-        # Event-native fast path: this node never latches keep-alive, so a
-        # wake-up *is* the single delivery from its parent — no polling
-        # branch needed.
-        if self.value is None:
-            self.value = next(iter(inbox.values()))
-            return {child: self.value for child in self.children}
-        return {}
+    # Event-native: a non-root node never latches keep-alive or a timer,
+    # so a wake-up *is* one delivery from its parent, and the root is only
+    # ever woken by its own pacing timer.
+    on_wake = on_round
 
     def result(self):
-        return self.value
+        return tuple(self.values)
 
 
 class _BroadcastVectorKernel(VectorKernel):
-    """Columnar tree broadcast: the wave walks a child-CSR level by level.
+    """Columnar pipelined broadcast: the wave walks a child-CSR level by level.
 
-    All messages carry the one broadcast value, so the columns reduce to a
-    ``has_value`` flag and the payload rides as a shared object — exactly
-    the adoption rule of ``_BroadcastNode.on_wake``.
+    Under lockstep a node at depth ``d`` receives value ``j`` in round
+    ``d + j``, so a ``received`` count per node stands for its values, and
+    each forward batch groups the senders by the value they pass on — the
+    adoption rule of ``_BroadcastNode.on_wake``. The roots' pacing timer
+    sends value ``r`` in round ``r`` and counts one activation, as its
+    wake-up does on ``event``.
     """
 
-    dtypes = {"has_value": "bool"}
+    dtypes = {"received": "int64"}
 
     def setup(self, ops, algorithms):
         np = ops.np
         index = ops.csr.index
-        self.has_value = ops.columns(self.dtypes)["has_value"]
+        self.received = ops.columns(self.dtypes)["received"]
         counts = np.zeros(ops.n + 1, dtype=np.int64)
         child_rows: list = []
         roots = []
-        self.value = None
+        self.values: tuple = ()
         for i, v in enumerate(ops.csr.nodes):
             alg = algorithms[v]
             row = [index[c] for c in alg.children]
             child_rows.extend(row)
             counts[i + 1] = len(row)
             if alg.is_root:
-                roots.append(i)
-                self.value = alg.value
+                self.values = tuple(alg.values)
+                self.received[i] = len(self.values)
+                if row:
+                    roots.append(i)
         self.childptr = np.cumsum(counts)
         self.childidx = np.array(child_rows, dtype=np.int64)
         self.roots = np.array(roots, dtype=np.int64)
-        self.has_value[self.roots] = True
-        self.bits = payload_bits(self.value)
+        self.bits = [payload_bits(value) for value in self.values]
+        self.sent = 0
 
-    def _forward(self, ops, sources):
+    def _forward(self, ops, sources, position):
         src, dst = ops.expand(sources, self.childptr, self.childidx)
-        ops.emit(src, dst, payload=self.value, bits=self.bits)
+        ops.emit(src, dst, payload=self.values[position], bits=self.bits[position])
+
+    def _pace_roots(self, ops):
+        """The roots' next value, one per round, as their timer sends it."""
+        if self.sent < len(self.values) and self.roots.size:
+            if self.sent:
+                ops.stats.activations += int(self.roots.size)
+            self._forward(ops, self.roots, self.sent)
+            self.sent += 1
 
     def on_start(self, ops):
-        self._forward(ops, self.roots)
+        self._pace_roots(ops)
 
     def apply(self, ops, inbox):
         receivers = inbox.receivers
-        new = receivers[~self.has_value[receivers]]
-        self.has_value[new] = True
-        return new
+        self.received[receivers] += 1
+        self._pace_roots(ops)
+        return receivers
 
     def scatter(self, ops, ready):
-        self._forward(ops, ready)
+        positions = self.received[ready] - 1
+        for position in ops.np.unique(positions).tolist():
+            self._forward(ops, ready[positions == position], position)
 
     def fill_results(self, ops, results):
-        value = self.value
+        prefixes = [self.values[:count] for count in range(len(self.values) + 1)]
         results.update(zip(ops.csr.nodes, [
-            value if has else None for has in self.has_value.tolist()
+            prefixes[count] for count in self.received.tolist()
         ]))
 
 
@@ -147,12 +179,43 @@ def tree_broadcast(
         GraphStructureError: if ``tree`` does not span exactly the graph's
             nodes.
     """
+    received, stats = pipelined_broadcast(
+        graph, tree, (value,), rng=rng, scheduler=scheduler,
+        latency_model=latency_model,
+    )
+    return {v: values[0] if values else None for v, values in received.items()}, stats
+
+
+def pipelined_broadcast(
+    graph: nx.Graph,
+    tree: RootedTree,
+    values: tuple,
+    rng: int | random.Random | None = None,
+    scheduler: str = "event",
+    latency_model: object = None,
+) -> tuple[dict[int, tuple], RoundStats]:
+    """Send the scalars ``values`` from the tree root to every node in one
+    run: one scalar per message, the root sending one per round, so the
+    wave takes ``depth + len(values) - 1`` rounds instead of one run of
+    ``depth`` rounds per value.
+
+    Each tree edge must deliver the wave in send order, as lockstep and
+    every static latency model do (one fixed latency per edge);
+    ``contention`` does for waves of up to three values.
+
+    Returns:
+        ``({node: values received, in order}, stats)``.
+
+    Raises:
+        GraphStructureError: if ``tree`` does not span exactly the graph's
+            nodes.
+    """
     _check_tree(graph, tree)
     network = SyncNetwork(
         graph, rng=rng, scheduler=scheduler,
         latency_model=latency_model,
     )
-    algorithms = {v: _BroadcastNode(v, tree, value) for v in graph.nodes()}
+    algorithms = {v: _BroadcastNode(v, tree, values) for v in graph.nodes()}
     return network.run(algorithms)
 
 

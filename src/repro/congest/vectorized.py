@@ -139,8 +139,10 @@ class VectorKernel:
     ``ready = kernel.apply(ops, inbox)`` advances state, then
     ``kernel.scatter(ops, ready)`` emits — the apply/scatter kernel split
     of the FPGA graph engines. Kernels are message-driven: there is no
-    keep-alive or timer surface on the columnar path (algorithms needing
-    one declare no kernel and run on ``event``).
+    keep-alive or timer surface on the columnar path. A kernel may replay
+    a timer whose rounds it knows in advance, charging its wake-ups to
+    ``ops.stats.activations`` (the pipelined broadcast's root); other
+    algorithms needing one declare no kernel and run on ``event``.
 
     The contract a kernel signs up for: reproduce the interpreted
     messaging **bit-for-bit** — same messages, same per-message bit

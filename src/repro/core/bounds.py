@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 import numbers
+from weakref import WeakSet
 
 import networkx as nx
 
+from repro.graphs.adjacency import graph_memo
 from repro.graphs.trees import RootedTree
 from repro.util.errors import GraphStructureError, ShortcutError
 
@@ -37,7 +39,16 @@ def check_positive(value: object, name: str) -> None:
 
 
 def check_tree(tree: RootedTree, graph: nx.Graph) -> None:
-    """Raise :class:`ShortcutError` unless ``tree`` spans ``graph``."""
+    """Raise :class:`ShortcutError` unless ``tree`` spans ``graph``.
+
+    A passed verdict is memoized on the graph by
+    :func:`~repro.graphs.adjacency.graph_memo`, which any structural
+    mutation clears, so re-checking a tree carried through one query's
+    phases and iterations costs one O(n) walk in all.
+    """
+    spanning = graph_memo(graph, "repro.spanning_trees", WeakSet)
+    if tree in spanning:
+        return
     try:
         tree.validate_on(graph)
     except GraphStructureError as error:
@@ -46,6 +57,7 @@ def check_tree(tree: RootedTree, graph: nx.Graph) -> None:
         raise ShortcutError(
             f"the tree does not span its graph: {len(tree)} of {len(graph)} nodes"
         )
+    spanning.add(tree)
 
 
 def theorem31_congestion_budget(delta: float, depth: int) -> int:

@@ -4,8 +4,13 @@ Pipeline (each phase runs in the simulator and is measured):
 
 1. **bfs** — build a BFS tree from the root (``O(D)`` rounds); skipped
    when the caller passes a tree.
-2. **meta** — convergecast the tree depth to the root and broadcast the
-   sweep parameters ``(seed, c, τ)`` (``O(D)`` rounds).
+2. **meta** — the root learns the tree depth ``D`` and broadcasts the
+   sweep parameters ``(seed, c, τ)`` as one pipelined wave, one scalar per
+   message (``D + 2`` rounds). ``D`` costs a convergecast only on a tree
+   built in phase 1: a given tree was measured earlier in the same query
+   (an earlier Observation 2.7 iteration or Borůvka phase), so its root
+   already knows ``D``. One query therefore pays for one BFS and one
+   depth convergecast, as Theorem 1.5 and Corollary 1.6 do.
 3. **sweep** — the *ack-driven sampled upward sweep*: each part is
    sampled with the shared-seed probability ``p = Θ(log n)/c`` (so all of a
    part's nodes agree without communication); sampled part-ids flow up the
@@ -65,10 +70,10 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-from repro.congest.network import SyncNetwork, validate_scheduler
+from repro.congest.network import BANDWIDTH_FACTOR, SyncNetwork, validate_scheduler
 from repro.congest.node import NodeAlgorithm
 from repro.congest.primitives.bfs import distributed_bfs
-from repro.congest.primitives.broadcast import tree_aggregate, tree_broadcast
+from repro.congest.primitives.broadcast import pipelined_broadcast, tree_aggregate
 from repro.congest.stats import RoundStats
 from repro.core.bounds import (
     check_positive,
@@ -307,8 +312,12 @@ def distributed_partial_shortcut(
             ``c = 8δD`` and block budget ``8δ``.
         root: BFS root (defaults to the smallest node id).
         tree: a rooted tree to build on instead of a fresh BFS tree: phase
-            1 is skipped and the root is ``tree.root``. Observation 2.7
-            passes its first iteration's tree to every later iteration.
+            1 and the depth convergecast are skipped and the root is
+            ``tree.root``. Precondition: the tree was measured earlier in
+            the same query, so its root already knows the depth ``D``.
+            Observation 2.7 passes its first iteration's tree to every
+            later iteration, and the Borůvka loop passes its first phase's
+            tree to every later phase.
         rng: seed or generator (drives the shared sampling seed and the
             verification delays).
         sampling_factor: the ``Θ(log n)`` multiplier in the sample rate.
@@ -350,7 +359,10 @@ def distributed_partial_shortcut(
     rng = ensure_rng(rng)
     stats = RoundStats()
 
-    # Phase 1: BFS tree, unless the caller passed one.
+    # Phases 1-2: a BFS tree and a depth convergecast to its root, unless
+    # the caller passed a tree: that tree was measured earlier in the
+    # query, so its root already knows the depth.
+    meta_stats = RoundStats()
     if tree is None:
         tree, bfs_stats = distributed_bfs(
             graph, min(graph.nodes()) if root is None else root,
@@ -358,20 +370,22 @@ def distributed_partial_shortcut(
             latency_model=latency_model,
         )
         stats.add_phase("bfs", bfs_stats)
-
-    # Phase 2: depth convergecast + parameter broadcast.
-    depth_values = {v: tree.depth_of(v) for v in graph.nodes()}
-    depth_max, up_stats = tree_aggregate(
-        graph, tree, depth_values, max, rng=rng, scheduler=scheduler,
-        latency_model=latency_model,
-    )
+        depth_values = {v: tree.depth_of(v) for v in graph.nodes()}
+        depth_max, meta_stats = tree_aggregate(
+            graph, tree, depth_values, max, rng=rng, scheduler=scheduler,
+            latency_model=latency_model,
+        )
+    else:
+        depth_max = tree.max_depth
     depth_max = max(depth_max, 1)
     n = graph.number_of_nodes()
     congestion_budget = theorem31_congestion_budget(delta, depth_max)
     block_budget = theorem31_block_budget(delta)
-    # 16-bit shared seed: enough hash diversity, and a bare int fits the
-    # O(log n) message budget even on tiny graphs.
-    seed = rng.randrange(2**16)
+    # A shared seed of at most 16 bits: enough hash diversity, and a bare
+    # int within the default O(log n) message budget, which is 8 bits on
+    # two nodes.
+    seed_bits = min(16, BANDWIDTH_FACTOR * math.ceil(math.log2(max(n, 2))))
+    seed = rng.randrange(2**seed_bits)
     if exact:
         probability = 1.0
         tau = congestion_budget
@@ -381,15 +395,13 @@ def distributed_partial_shortcut(
             tau = congestion_budget
         else:
             tau = max(1, math.ceil(0.75 * probability * congestion_budget))
-    # Three scalar broadcasts keep each message within the bit budget.
-    meta_stats = up_stats
-    for scalar in (seed, congestion_budget, tau):
-        _, down_stats = tree_broadcast(
-            graph, tree, scalar, rng=rng, scheduler=scheduler,
-            latency_model=latency_model,
-        )
-        meta_stats = meta_stats + down_stats
-    stats.add_phase("meta", meta_stats)
+    # One pipelined wave of D + 2 rounds; one scalar per message keeps each
+    # message within the bit budget.
+    _, down_stats = pipelined_broadcast(
+        graph, tree, (seed, congestion_budget, tau), rng=rng,
+        scheduler=scheduler, latency_model=latency_model,
+    )
+    stats.add_phase("meta", meta_stats + down_stats)
 
     # Phase 3: the sampled upward sweep.
     network = SyncNetwork(

@@ -11,8 +11,8 @@ one iteration.
 
 The loop is shared by the centralized and the simulated constructions:
 it takes the partial construction to run per iteration, and every
-iteration runs on the same tree ``T`` (the simulated construction's first
-iteration builds it), so the union of the per-iteration ``H_i`` is one
+iteration runs on the same tree ``T`` (given, or built by the simulated
+construction's first iteration), so the union of the per-iteration ``H_i`` is one
 ``T``-restricted shortcut.
 """
 
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import networkx as nx
 
 from repro.congest.stats import RoundStats
+from repro.core.bounds import check_tree
 from repro.core.partial import PartialShortcutResult, build_partial_shortcut
 from repro.core.shortcut import TreeRestrictedShortcut
 from repro.graphs.partition import Partition
@@ -112,8 +113,11 @@ def build_full_shortcut(
 
     Raises:
         ShortcutError: on stall without escalation, when the iteration cap
-            is exceeded, or on a mismatched ``seed_result``.
+            is exceeded, on a mismatched ``seed_result``, or when ``tree``
+            does not span ``graph``.
     """
+    if tree is not None:
+        check_tree(tree, graph)
     if partial is None:
         # Looked up per call, so a rebound module attribute is honoured.
         partial = build_partial_shortcut

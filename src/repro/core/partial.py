@@ -36,6 +36,7 @@ import networkx as nx
 from repro.congest.stats import RoundStats
 from repro.core.bounds import (
     check_positive,
+    check_tree,
     theorem31_block_budget,
     theorem31_congestion_budget,
 )
@@ -403,9 +404,11 @@ def build_partial_shortcut(
             the proof's raw ancestor-edge assignment verbatim.
 
     Raises:
-        ShortcutError: if ``delta`` is not a finite real > 0.
+        ShortcutError: if ``delta`` is not a finite real > 0, or ``tree``
+            does not span ``graph``.
     """
     check_positive(delta, "delta")
+    check_tree(tree, graph)
     if congestion_budget is None:
         congestion_budget = theorem31_congestion_budget(delta, tree.max_depth)
     if block_budget is None:

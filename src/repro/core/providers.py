@@ -631,10 +631,13 @@ class Theorem31SimulatedProvider(ShortcutProvider):
 
     Not cacheable: the pipeline consumes the request's rng stream, so a
     cache hit would skip draws and change every downstream random choice.
-    Needs no pre-built tree either — the first iteration constructs a
-    *measured* BFS tree inside the simulator and every later iteration
-    reuses it, so resolving a centralized one up front would be a wasted
-    full-graph pass.
+    Needs no pre-built tree either — without one, the first iteration
+    constructs a *measured* BFS tree inside the simulator and every later
+    iteration reuses it, so resolving a centralized one up front would be
+    a wasted full-graph pass. A request's tree is built on as given: it
+    must come from an earlier measured run of the same query (the
+    Borůvka loop passes its first phase's tree), whose root knows its
+    depth.
     """
 
     name = "theorem31-simulated"
@@ -657,7 +660,7 @@ class Theorem31SimulatedProvider(ShortcutProvider):
             )
 
         result = build_full_shortcut(
-            request.graph, None, request.partition, delta,
+            request.graph, tree, request.partition, delta,
             escalate_on_stall=True, partial=iteration,
         )
         return ShortcutOutcome(

@@ -37,7 +37,10 @@ class RootedTree:
             rooted at ``root`` (cycles, unreachable nodes, missing root).
     """
 
-    __slots__ = ("_root", "_parent", "_children", "_depth", "_max_depth", "_order")
+    __slots__ = (
+        "_root", "_parent", "_children", "_depth", "_max_depth", "_order",
+        "__weakref__",
+    )
 
     def __init__(self, root: int, parent: dict[int, int | None]):
         if root not in parent or parent[root] is not None:

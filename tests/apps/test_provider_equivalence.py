@@ -23,6 +23,19 @@ tree edge of each packed tree (``n - 1``; it charged ``n`` before, with no
 edge or round attributed), so ``mincut/default``'s ``messages`` dropped by
 one per packed tree. Its cut, side and rounds are unchanged.
 
+A third amendment: a simulated query now measures one BFS tree and learns
+its depth once (the Borůvka loop passes its first phase's tree to every
+later phase, and a construction on a given tree skips the depth
+convergecast), and each Observation 2.7 iteration sends ``(seed, c, τ)``
+as one pipelined broadcast instead of three. The ``theorem31-simulated``
+arms' *measured stats* were re-pinned to the new model: MST ``rounds``
+74 → 56, ``messages`` 2594 → 1945, ``message_bits`` 15674 → 11962 and
+``phase_rounds``; partwise ``construction_rounds`` 97 → 67 and
+``total_rounds`` 125 → 95; connectivity ``rounds`` 96 → 70. Their
+functional outputs (MST edges/weight/phases, partwise values,
+connectivity labels) were verified byte-identical to the pre-redesign
+goldens at re-pin time and still carry the original captured values.
+
 The suite also pins the cache contract: a second identical request returns
 the memoized shortcut object with the memoized (not accumulated) stats,
 and MST runs sharing fragment collections (the min-cut tree packing)

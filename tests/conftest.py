@@ -13,7 +13,25 @@ import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
+from repro.graphs.generators import grid_graph, k_tree, series_parallel_graph, wheel_graph
 from repro.graphs.partition import Partition, forest_cut_partition, voronoi_partition
+
+SEEDS = st.integers(0, 2**16)
+
+# Small members (at most 40 nodes) of the registered generator families:
+# planar grids and wheels, bounded-treewidth k-trees, and K_4-minor-free
+# series-parallel graphs.
+GENERATED_GRAPHS = st.one_of(
+    st.builds(grid_graph, st.integers(2, 6), st.integers(2, 6)),
+    st.builds(wheel_graph, st.integers(4, 40)),
+    st.integers(1, 3).flatmap(
+        lambda k: st.builds(
+            k_tree, st.integers(k + 1, 40), st.just(k), rng=SEEDS,
+            locality=st.sampled_from([0.0, 0.5, 1.0]),
+        )
+    ),
+    st.builds(series_parallel_graph, st.integers(2, 40), rng=SEEDS),
+)
 
 
 @st.composite

@@ -4,7 +4,12 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from repro.congest.primitives import distributed_bfs, tree_aggregate, tree_broadcast
+from repro.congest.primitives import (
+    distributed_bfs,
+    pipelined_broadcast,
+    tree_aggregate,
+    tree_broadcast,
+)
 from repro.graphs.generators import grid_graph, wheel_graph
 from repro.graphs.properties import bfs_distances, eccentricity
 from repro.util.errors import GraphStructureError
@@ -67,6 +72,25 @@ class TestBroadcast:
         values, stats = tree_broadcast(graph, tree, 5)
         assert values[0] == 5
         assert stats.rounds == 0
+
+    @pytest.mark.parametrize(
+        "model",
+        ["seeded-jitter", "degree-proportional", "heavy-tailed", "contention:1.0"],
+    )
+    def test_pipelined_wave_arrives_in_order_under_latency_models(self, model):
+        graph = wheel_graph(12)
+        tree, _ = distributed_bfs(graph, 0, rng=1)
+        wave = (7, 300, 5)
+        values, stats = pipelined_broadcast(graph, tree, wave, rng=1, latency_model=model)
+        assert set(values.values()) == {wave}
+        assert stats.messages == len(wave) * (graph.number_of_nodes() - 1)
+
+    def test_empty_wave_sends_nothing(self):
+        graph = grid_graph(3, 3)
+        tree, _ = distributed_bfs(graph, 0, rng=1)
+        values, stats = pipelined_broadcast(graph, tree, ())
+        assert set(values.values()) == {()}
+        assert (stats.rounds, stats.messages) == (0, 0)
 
 
 class TestTreeMismatch:

@@ -20,16 +20,22 @@ import re
 import networkx as nx
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.apps.mst import assign_random_weights, distributed_mst
 from repro.congest import NodeAlgorithm, SyncNetwork
 from repro.congest.engine import available_schedulers
 from repro.congest.jobs import Job, JobScheduler
 from repro.congest.primitives.bfs import BfsNode, distributed_bfs
-from repro.congest.primitives.broadcast import tree_aggregate, tree_broadcast
-from repro.graphs.generators import grid_graph, k_tree, series_parallel_graph, wheel_graph
+from repro.congest.primitives.broadcast import (
+    pipelined_broadcast,
+    tree_aggregate,
+    tree_broadcast,
+)
+from repro.graphs.generators import grid_graph
 from repro.graphs.trees import bfs_tree
+from repro.util.bitsize import payload_bits
+
+from tests.conftest import GENERATED_GRAPHS, SEEDS
 
 
 class _KeepAliveTimer(NodeAlgorithm):
@@ -286,6 +292,29 @@ class TestSchedulerEquivalence:
         for arm, outcome in outcomes.items():
             assert outcome == reference, arm
 
+    @pytest.mark.parametrize("wave", [(42,), (7, 300), (7, 300, 5), (1, -2, 3, 2**20)])
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_pipelined_broadcast_equivalent(self, name, wave):
+        graph = self.GRAPHS[name]
+        tree = bfs_tree(graph, root=0)
+        outcomes = {}
+        for arm, run in BACKENDS.items():
+            received, stats = pipelined_broadcast(graph, tree, wave, rng=1, **run)
+            outcomes[arm] = (received, _model_stats(stats))
+        received, stats = outcomes["dense"]
+        assert set(received.values()) == {wave}
+        # A k-scalar wave: depth + k - 1 rounds, one scalar per message.
+        edges = graph.number_of_nodes() - 1
+        assert stats["rounds"] == tree.max_depth + len(wave) - 1
+        assert stats["messages"] == len(wave) * edges
+        assert stats["message_bits"] == edges * sum(map(payload_bits, wave))
+        for arm, outcome in outcomes.items():
+            assert outcome == outcomes["dense"], arm
+        if len(wave) == 1:
+            values, one_stats = tree_broadcast(graph, tree, wave[0], rng=1)
+            assert values == {v: wave[0] for v in graph}
+            assert _model_stats(one_stats) == stats
+
     def test_bellman_ford_equivalent(self):
         from repro.apps.sssp import bellman_ford_sssp
         from repro.graphs.adjacency import canonical_edge
@@ -367,24 +396,6 @@ class TestSchedulerEquivalence:
         assert event_stats.activations < dense_stats.activations / 10
 
 
-_seeds = st.integers(0, 2**16)
-
-# Small members (at most 40 nodes) of the registered generator families:
-# planar grids and wheels, bounded-treewidth k-trees, and K_4-minor-free
-# series-parallel graphs.
-GENERATED_GRAPHS = st.one_of(
-    st.builds(grid_graph, st.integers(2, 6), st.integers(2, 6)),
-    st.builds(wheel_graph, st.integers(4, 40)),
-    st.integers(1, 3).flatmap(
-        lambda k: st.builds(
-            k_tree, st.integers(k + 1, 40), st.just(k), rng=_seeds,
-            locality=st.sampled_from([0.0, 0.5, 1.0]),
-        )
-    ),
-    st.builds(series_parallel_graph, st.integers(2, 40), rng=_seeds),
-)
-
-
 def _model_stats(stats):
     """Every RoundStats field but the backend-specific ones, after ``check()``.
 
@@ -403,23 +414,29 @@ def _model_stats(stats):
 
 
 @settings(max_examples=40, deadline=None)
-@given(GENERATED_GRAPHS, _seeds)
+@given(GENERATED_GRAPHS, SEEDS)
 def test_generated_graphs_equivalent_on_every_backend(graph, seed):
     root = min(graph.nodes())
     values = {v: (v * 7 + seed) % 101 for v in graph}
+    # Scalars within the 8-bit budget of a two-node graph.
+    wave = (seed % 251, graph.number_of_nodes(), seed % 7 + 1)
     outcomes = {}
     for arm, run in BACKENDS.items():
         tree, bfs_stats = distributed_bfs(graph, root, rng=seed, **run)
         total, aggregate_stats = tree_aggregate(
             graph, tree, values, lambda a, b: a + b, rng=seed, **run
         )
+        received, wave_stats = pipelined_broadcast(graph, tree, wave, rng=seed, **run)
         outcomes[arm] = (
-            _parents(tree), tree.root, total,
+            _parents(tree), tree.root, total, received,
             _model_stats(bfs_stats), _model_stats(aggregate_stats),
+            _model_stats(wave_stats),
         )
     reference = outcomes["dense"]
     assert reference[1] == root
     assert reference[2] == sum(values.values())
+    assert set(reference[3].values()) == {wave}
+    assert reference[6]["rounds"] == nx.eccentricity(graph, root) + len(wave) - 1
     for arm, outcome in outcomes.items():
         assert outcome == reference, arm
 

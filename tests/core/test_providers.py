@@ -228,6 +228,24 @@ class TestProviderOutcomes:
         assert set(outcome.stats.phases) >= {"bfs", "meta", "sweep"}
         assert outcome.provenance.delta_used is not None
 
+    def test_simulated_provider_builds_on_the_request_tree(self):
+        graph = grid_graph(6, 6)
+        tree = bfs_tree(graph)
+        outcome = build_shortcut(
+            ShortcutRequest(
+                graph=graph, partition=voronoi_partition(graph, 6, rng=7),
+                provider="theorem31-simulated", tree=tree, delta=3.0, rng=8,
+            )
+        )
+        assert outcome.tree is tree
+        assert outcome.shortcut.tree is tree
+        # No BFS and no depth convergecast: each iteration pays only the
+        # pipelined (seed, c, tau) wave, depth + 2 rounds.
+        assert set(outcome.stats.phases) == {"meta", "sweep"}
+        meta = outcome.stats.phases["meta"]
+        assert meta.rounds == outcome.provenance.iterations * (tree.max_depth + 2)
+        assert meta.messages == outcome.provenance.iterations * 3 * (len(graph) - 1)
+
     def test_certifying_provider_reports_attempt_ledger(self):
         graph = grid_graph(5, 5)
         partition = voronoi_partition(graph, 4, rng=9)
