@@ -46,8 +46,8 @@ def _run():
     for n in (128, 256, 512, 1024):
         graph = k_tree(n, 2, rng=5, locality=0.0)
         weights = assign_random_weights(graph, rng=6)
-        ours = distributed_mst(graph, weights, shortcut_method="theorem31", rng=7)
-        base = distributed_mst(graph, weights, shortcut_method="baseline", rng=7)
+        ours = distributed_mst(graph, weights, rng=7)
+        base = distributed_mst(graph, weights, provider="baseline", rng=7)
         reference = _reference_edges(graph, weights)
         assert ours.edges == reference, f"n={n}: shortcut MST wrong"
         assert base.edges == reference, f"n={n}: baseline MST wrong"

@@ -29,23 +29,27 @@ def _instances():
     yield "lemma32 rows (d'=5)", instance.graph, instance.partition, 5.0
 
 
+# Table column -> shortcut provider.
+ARMS = {"none": "none", "baseline": "baseline", "theorem31": "theorem31-centralized"}
+
+
 def _run():
     rows = []
     for name, graph, partition, delta in _instances():
         rounds = {}
-        for method in ("none", "baseline", "theorem31"):
+        for arm, provider in ARMS.items():
             solution = solve_partwise_aggregation(
                 graph,
                 partition,
                 {v: 1 for v in graph.nodes()},
                 lambda a, b: a + b,
-                shortcut_method=method,
+                provider=provider,
                 delta=delta,
                 rng=3,
             )
             expected = {i: len(part) for i, part in enumerate(partition)}
-            assert solution.values == expected, (name, method)
-            rounds[method] = solution.aggregation_stats.rounds
+            assert solution.values == expected, (name, arm)
+            rounds[arm] = solution.aggregation_stats.rounds
         rows.append([name, rounds["none"], rounds["baseline"], rounds["theorem31"]])
     # The wheel row is the paper's motivation: bare >> both shortcut arms.
     wheel_row = rows[0]

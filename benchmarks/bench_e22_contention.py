@@ -78,8 +78,7 @@ def test_e22_contention_mst(benchmark):
                 graph, weights, rng=SEED, provider="none", latency_model=model,
             )
             base = distributed_mst(
-                graph, weights, rng=SEED, shortcut_method="baseline",
-                latency_model=model,
+                graph, weights, rng=SEED, provider="baseline", latency_model=model,
             )
             # All arms and all load levels agree on the tree itself:
             # contention shifts schedules, never results.

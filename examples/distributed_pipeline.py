@@ -27,8 +27,7 @@ def main() -> None:
         ShortcutRequest(
             graph=graph,
             partition=partition,
-            method="theorem31",
-            construction="simulated",
+            provider="theorem31-simulated",
             delta=3.0,
             rng=7,
         )

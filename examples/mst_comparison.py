@@ -25,8 +25,8 @@ def main() -> None:
         graph = k_tree(n, 2, rng=5, locality=0.0)
         measured_diameter = diameter(graph, exact=False)
         weights = assign_random_weights(graph, rng=6)
-        ours = distributed_mst(graph, weights, shortcut_method="theorem31", rng=7)
-        base = distributed_mst(graph, weights, shortcut_method="baseline", rng=7)
+        ours = distributed_mst(graph, weights, rng=7)
+        base = distributed_mst(graph, weights, provider="baseline", rng=7)
         for u, v in graph.edges():
             graph.edges[u, v]["weight"] = weights[canonical_edge(u, v)]
         reference = frozenset(

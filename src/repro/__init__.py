@@ -37,7 +37,6 @@ from repro.core import (
     ShortcutQuality,
     ShortcutRequest,
     TreeRestrictedShortcut,
-    adaptive_full_shortcut,
     available_providers,
     bfs_tree_shortcut,
     build_full_shortcut,
@@ -56,7 +55,6 @@ __all__ = [
     "TreeRestrictedShortcut",
     "build_partial_shortcut",
     "build_full_shortcut",
-    "adaptive_full_shortcut",
     "certify_or_shortcut",
     "bfs_tree_shortcut",
     "ShortcutRequest",

@@ -33,6 +33,7 @@ import networkx as nx
 
 from repro.apps.mst import boruvka_phases
 from repro.congest.stats import RoundStats
+from repro.core.providers import resolve_provider
 from repro.graphs.adjacency import canonical_edge
 from repro.util.errors import GraphStructureError
 
@@ -62,8 +63,7 @@ class ConnectivityResult:
 def subgraph_components(
     graph: nx.Graph,
     subgraph_edges: set[Edge],
-    shortcut_method: str = "theorem31",
-    construction: str = "centralized",
+    construction: str | None = None,
     delta: float | None = None,
     rng: int | random.Random | None = None,
     scheduler: str = "event",
@@ -75,24 +75,25 @@ def subgraph_components(
     Args:
         graph: the communication graph ``G``.
         subgraph_edges: edges of ``H`` (must all be edges of ``G``).
-        shortcut_method: ``"theorem31"`` or ``"baseline"``.
-        construction: ``"centralized"`` (per-phase shortcuts planned for
-            free) or ``"simulated"`` (each phase's shortcut is built by the
-            measured Theorem 1.5 distributed pipeline).
+        construction: shorthand for ``provider="theorem31-<construction>"``:
+            ``"centralized"`` (per-phase shortcuts planned for free) or
+            ``"simulated"`` (each phase's shortcut is built by the measured
+            Theorem 1.5 distributed pipeline).
         delta: minor-density parameter for the shortcut construction.
         scheduler: simulator scheduler for the simulated construction
             (``"event"``, ``"dense"``, or ``"vectorized"``; see
             :mod:`repro.congest`).
-        provider: explicit shortcut-provider name (see
-            :func:`repro.core.providers.available_providers`); overrides
-            ``shortcut_method``/``construction``.
+        provider: shortcut-provider name (see
+            :func:`repro.core.providers.available_providers`); default
+            ``"theorem31-centralized"``.
         latency_model: per-edge latency model for the event scheduler
             (``None`` = uniform/lockstep-equivalent).
 
     Raises:
         GraphStructureError: if some subgraph edge is not a ``G`` edge.
-        ShortcutError: unknown provider/method/construction.
+        ShortcutError: unknown provider or construction, or both given.
     """
+    provider = resolve_provider(provider, construction)
     normalized: set[Edge] = set()
     for u, v in subgraph_edges:
         if not graph.has_edge(u, v):
@@ -137,8 +138,8 @@ def subgraph_components(
 
     label, stats = boruvka_phases(
         graph, normalized, min_foreign_labels, hook,
-        method=shortcut_method, construction=construction, provider=provider,
-        delta=delta, rng=rng, scheduler=scheduler, latency_model=latency_model,
+        provider=provider, delta=delta, rng=rng, scheduler=scheduler,
+        latency_model=latency_model,
     )
     return ConnectivityResult(
         labels=label,

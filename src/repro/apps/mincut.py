@@ -36,8 +36,8 @@ import networkx as nx
 
 from repro.apps.mst import distributed_mst
 from repro.congest.network import validate_scheduler
-from repro.core.providers import provider_name
 from repro.congest.stats import RoundStats
+from repro.core.providers import resolve_provider
 from repro.graphs.adjacency import canonical_edge
 from repro.graphs.trees import RootedTree
 from repro.util.bitsize import payload_bits
@@ -85,8 +85,7 @@ def distributed_mincut(
     num_trees: int | None = None,
     rng: int | random.Random | None = None,
     two_respecting: bool | None = None,
-    shortcut_method: str = "theorem31",
-    construction: str = "centralized",
+    construction: str | None = None,
     scheduler: str = "event",
     provider: str | None = None,
     latency_model: object = None,
@@ -101,25 +100,24 @@ def distributed_mincut(
             evaluation families; raise for adversarial instances).
         two_respecting: run the 2-respecting sweep; defaults to
             ``n <= 400``.
-        shortcut_method: forwarded to :func:`repro.apps.mst.distributed_mst`.
-        construction: forwarded to :func:`repro.apps.mst.distributed_mst`
+        construction: shorthand for ``provider="theorem31-<construction>"``
             (``"centralized"`` or ``"simulated"``).
         scheduler: simulator scheduler for the simulated construction
             (``"event"``, ``"dense"``, or ``"vectorized"``; see
             :mod:`repro.congest`).
-        provider: explicit shortcut-provider name (see
-            :func:`repro.core.providers.available_providers`); overrides
-            ``shortcut_method``/``construction``.
+        provider: shortcut-provider name for every packed MST (see
+            :func:`repro.core.providers.available_providers`); default
+            ``"theorem31-centralized"``.
         latency_model: per-edge latency model for the event scheduler,
             forwarded to every packed MST (``None`` =
             uniform/lockstep-equivalent).
 
     Raises:
         GraphStructureError: if the graph is disconnected or has < 2 nodes.
-        ShortcutError: unknown provider/method/construction, or a
+        ShortcutError: unknown provider or construction, both given, or a
             ``num_trees`` that is not a positive int.
     """
-    provider_name(shortcut_method, construction, provider)  # fail fast, uniformly
+    provider = resolve_provider(provider, construction)
     validate_scheduler(
         scheduler, ShortcutError, latency_model=latency_model
     )
@@ -152,8 +150,6 @@ def distributed_mincut(
         mst = distributed_mst(
             graph,
             weights=dict(loads),
-            shortcut_method=shortcut_method,
-            construction=construction,
             delta=delta,
             rng=rng,
             scheduler=scheduler,

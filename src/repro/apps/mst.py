@@ -16,10 +16,10 @@ measured, never asserted):
   edge set its fragment id — one ``O(log n)``-bit message per edge
   direction);
 * optional shortcut construction, obtained from the
-  :mod:`repro.core.providers` registry (``construction="simulated"`` runs
-  the Theorem 1.5 distributed pipeline and adds its measured rounds;
-  ``"centralized"`` plans the same shortcut for free — the arm used to
-  isolate aggregation costs);
+  :mod:`repro.core.providers` registry (``provider="theorem31-simulated"``
+  runs the Theorem 1.5 distributed pipeline and adds its measured rounds;
+  ``"theorem31-centralized"`` plans the same shortcut for free — the arm
+  used to isolate aggregation costs);
 * one simulated part-wise min aggregation (convergecast + decision
   broadcast) through the shortcut.
 
@@ -48,7 +48,12 @@ import networkx as nx
 
 from repro.congest.network import validate_scheduler
 from repro.congest.stats import RoundStats
-from repro.core.providers import ShortcutRequest, build_shortcut, provider_name
+from repro.core.providers import (
+    ShortcutRequest,
+    build_shortcut,
+    get_provider,
+    resolve_provider,
+)
 from repro.graphs.adjacency import canonical_edge, edge_weights
 from repro.graphs.partition import Partition
 from repro.sched.partwise import partwise_aggregate
@@ -105,9 +110,7 @@ def boruvka_phases(
     local_values: Callable[[dict[int, int]], dict[int, object]],
     merge: Callable[[dict[int, int], dict[int, object]], dict[int, int]],
     *,
-    method: str,
-    construction: str,
-    provider: str | None,
+    provider: str,
     delta: float | None,
     rng: int | random.Random | None,
     scheduler: str,
@@ -137,10 +140,10 @@ def boruvka_phases(
         per phase and sums to the totals.
 
     Raises:
-        ShortcutError: unknown provider/method/construction or scheduler, or
-            an aggregation that did not complete.
+        ShortcutError: unknown provider or scheduler, or an aggregation
+            that did not complete.
     """
-    provider_name(method, construction, provider)  # fail fast, uniformly
+    get_provider(provider)  # fail fast, uniformly
     validate_scheduler(scheduler, ShortcutError, latency_model=latency_model)
     rng = ensure_rng(rng)
     n = graph.number_of_nodes()
@@ -163,9 +166,8 @@ def boruvka_phases(
         # Identical class collections (e.g. the singleton phase repeated
         # across a min-cut tree packing) hit the provider's memo cache.
         outcome = build_shortcut(ShortcutRequest(
-            graph=graph, partition=partition, tree=tree, method=method,
-            construction=construction, provider=provider, delta=delta,
-            rng=rng, scheduler=scheduler, latency_model=latency_model,
+            graph=graph, partition=partition, tree=tree, provider=provider,
+            delta=delta, rng=rng, scheduler=scheduler, latency_model=latency_model,
         ))
         tree = outcome.tree
         aggregation = partwise_aggregate(
@@ -196,8 +198,7 @@ def _min_or_none(a, b):
 def distributed_mst(
     graph: nx.Graph,
     weights: dict[Edge, int] | None = None,
-    shortcut_method: str = "theorem31",
-    construction: str = "centralized",
+    construction: str | None = None,
     delta: float | None = None,
     rng: int | random.Random | None = None,
     scheduler: str = "event",
@@ -212,22 +213,22 @@ def distributed_mst(
             :func:`~repro.graphs.adjacency.canonical_edge`, one for every
             graph edge; default all 1 (any spanning tree — still exercises
             the full machinery).
-        shortcut_method: ``"theorem31"`` (the paper's shortcuts, built fresh
-            for each phase's fragments) or ``"baseline"`` (the ``D + √n``
-            BFS-tree shortcut — the comparison arm of experiment E8).
-        construction: ``"centralized"`` (shortcut planned for free; only
-            aggregation rounds measured) or ``"simulated"`` (adds the
-            measured rounds of the Theorem 1.5 distributed pipeline, run
-            iteratively over unsatisfied fragments per Observation 2.7).
+        construction: shorthand for ``provider="theorem31-<construction>"``:
+            ``"centralized"`` (shortcut planned for free; only aggregation
+            rounds measured) or ``"simulated"`` (adds the measured rounds of
+            the Theorem 1.5 distributed pipeline, run iteratively over
+            unsatisfied fragments per Observation 2.7).
         delta: minor-density parameter; defaults to the generator's
             analytic bound or, failing that, the graph's degeneracy (the
             shared :func:`repro.core.providers.resolve_delta` rule).
-        scheduler: simulator scheduler for the ``"simulated"`` construction
+        scheduler: simulator scheduler for the simulated construction
             (``"event"``, ``"dense"``, or ``"vectorized"``; see
             :mod:`repro.congest`).
-        provider: explicit shortcut-provider name (see
-            :func:`repro.core.providers.available_providers`); overrides
-            ``shortcut_method``/``construction``.
+        provider: shortcut-provider name (see
+            :func:`repro.core.providers.available_providers`); default
+            ``"theorem31-centralized"`` (the paper's shortcuts, built fresh
+            for each phase's fragments); ``"baseline"`` is the ``D + √n``
+            BFS-tree shortcut, the comparison arm of experiment E8.
         latency_model: per-edge latency model (requires
             ``scheduler="event"``): the simulated construction *and* every
             phase's part-wise aggregation run latency-realistically, so
@@ -237,8 +238,9 @@ def distributed_mst(
     Raises:
         GraphStructureError: disconnected input, non-integer weights, or a
             graph edge without a weight.
-        ShortcutError: unknown provider/method/construction.
+        ShortcutError: unknown provider or construction, or both given.
     """
+    provider = resolve_provider(provider, construction)
     if graph.number_of_nodes() == 0:
         raise GraphStructureError("MST of an empty graph is undefined")
     if not nx.is_connected(graph):
@@ -268,8 +270,8 @@ def distributed_mst(
 
     fragment_of, stats = boruvka_phases(
         graph, graph.edges(), local_moe_values, merge,
-        method=shortcut_method, construction=construction, provider=provider,
-        delta=delta, rng=rng, scheduler=scheduler, latency_model=latency_model,
+        provider=provider, delta=delta, rng=rng, scheduler=scheduler,
+        latency_model=latency_model,
     )
     if len(set(fragment_of.values())) != 1:
         raise ShortcutError(f"Boruvka did not converge within {len(stats.phases)} phases")

@@ -27,7 +27,7 @@ from repro.core.providers import (
     ShortcutProvenance,
     ShortcutRequest,
     build_shortcut,
-    provider_name,
+    resolve_provider,
 )
 from repro.core.shortcut import Shortcut
 from repro.graphs.partition import Partition
@@ -50,8 +50,8 @@ class PartwiseSolution:
     Attributes:
         values: aggregate (or delivered message) per part index.
         shortcut: the shortcut used (inspectable: quality, blocks, ...).
-        construction_stats: measured construction rounds ("simulated" mode)
-            or zero ("centralized" planning).
+        construction_stats: measured construction rounds (simulated
+            providers) or zero (centralized planning).
         aggregation_stats: measured scheduling rounds.
         provenance: which shortcut provider ran (and whether the shortcut
             came from the memo cache).
@@ -74,8 +74,7 @@ def solve_partwise_aggregation(
     partition: Partition,
     values: dict[int, object],
     combine: Callable[[object, object], object],
-    shortcut_method: str = "theorem31",
-    construction: str = "centralized",
+    construction: str | None = None,
     delta: float | None = None,
     rng: int | random.Random | None = None,
     scheduler: str = "event",
@@ -88,28 +87,28 @@ def solve_partwise_aggregation(
         graph, partition: the instance (parts disjoint & connected).
         values: per-node inputs (part nodes only; others ignored).
         combine: associative-commutative aggregate (min, max, +, ...).
-        shortcut_method: ``"theorem31"``, ``"baseline"``, or ``"none"``
-            (aggregate within bare ``G[P_i]`` — the slow control arm).
-        construction: ``"centralized"`` (free planning) or ``"simulated"``
-            (measured Theorem 1.5 pipeline rounds included).
+        construction: shorthand for ``provider="theorem31-<construction>"``:
+            ``"centralized"`` (free planning) or ``"simulated"`` (measured
+            Theorem 1.5 pipeline rounds included).
         delta: minor-density parameter; default analytic-or-degeneracy
             (the shared :func:`repro.core.providers.resolve_delta` rule).
         scheduler: simulator scheduler for the simulated construction
             (``"event"``, ``"dense"``, or ``"vectorized"``; see
             :mod:`repro.congest`).
-        provider: explicit shortcut-provider name (see
-            :func:`repro.core.providers.available_providers`); overrides
-            ``shortcut_method``/``construction``.
+        provider: shortcut-provider name (see
+            :func:`repro.core.providers.available_providers`); default
+            ``"theorem31-centralized"``; ``"baseline"`` or ``"none"``
+            (aggregate within bare ``G[P_i]`` — the slow control arm).
         latency_model: per-edge latency model (requires
             ``scheduler="event"``): construction and aggregation run
             latency-realistically and the aggregation stats report
             ``virtual_time``.
 
     Raises:
-        ShortcutError: unknown provider/method/construction, or an
+        ShortcutError: unknown provider or construction, both given, or an
             aggregation that cannot complete (disconnected ``G[P_i] + H_i``).
     """
-    provider_name(shortcut_method, construction, provider)  # fail fast, uniformly
+    provider = resolve_provider(provider, construction)
     validate_scheduler(
         scheduler, ShortcutError, latency_model=latency_model
     )
@@ -118,8 +117,6 @@ def solve_partwise_aggregation(
         ShortcutRequest(
             graph=graph,
             partition=partition,
-            method=shortcut_method,
-            construction=construction,
             provider=provider,
             delta=delta,
             rng=rng,
@@ -150,8 +147,7 @@ def solve_partwise_multicast(
     graph: nx.Graph,
     partition: Partition,
     messages: dict[int, object],
-    shortcut_method: str = "theorem31",
-    construction: str = "centralized",
+    construction: str | None = None,
     delta: float | None = None,
     rng: int | random.Random | None = None,
     scheduler: str = "event",
@@ -165,11 +161,15 @@ def solve_partwise_multicast(
     returned ``values[i]`` is the delivered message (asserted identical to
     the input — the engine's convergecast carries it up from the leader).
 
+    ``construction``, ``provider`` and the rest select and run the
+    shortcut as in :func:`solve_partwise_aggregation`.
+
     Raises:
-        ShortcutError: unknown provider, a part index without a message, a
-            message keyed by anything but a part index, or failed delivery.
+        ShortcutError: unknown provider or construction, both given, a part
+            index without a message, a message keyed by anything but a part
+            index, or failed delivery.
     """
-    provider_name(shortcut_method, construction, provider)  # fail fast, uniformly
+    provider = resolve_provider(provider, construction)
     parts = range(len(partition))
     missing = [i for i in parts if i not in messages]
     if missing:
@@ -194,8 +194,6 @@ def solve_partwise_multicast(
         partition,
         leader_values,
         keep_message,
-        shortcut_method=shortcut_method,
-        construction=construction,
         delta=delta,
         rng=rng,
         scheduler=scheduler,

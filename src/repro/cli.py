@@ -24,7 +24,7 @@ Seven commands cover the common workflows without writing any code:
   plus PROTO-MSG / KERNEL-EQ schema checks).
 
 ``quality``, ``mst``, and ``certify`` share the unified ``--provider``
-flag; ``mst`` keeps ``--construction`` as the legacy alias.
+flag.
 """
 
 from __future__ import annotations
@@ -102,14 +102,13 @@ def _add_family_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_provider_argument(
-    parser: argparse.ArgumentParser, default: str | None = None
+    parser: argparse.ArgumentParser, default: str = "theorem31-centralized"
 ) -> None:
     from repro.core.providers import available_providers
 
     parser.add_argument(
         "--provider", default=default, choices=sorted(available_providers()),
-        help="shortcut provider from the registry"
-        + (f" (default {default})" if default else ""),
+        help=f"shortcut provider from the registry (default {default})",
     )
 
 
@@ -136,16 +135,15 @@ def _cmd_quality(args: argparse.Namespace) -> int:
     delta = args.delta if args.delta is not None else analytic_delta_upper(graph)
     print(f"graph: {args.family}, n={graph.number_of_nodes()}, "
           f"m={graph.number_of_edges()}, BFS depth={tree.max_depth}")
-    provider = args.provider or "theorem31-centralized"
-    print(f"parts: {num_parts} Voronoi cells; delta = {delta}; provider = {provider}")
-    if delta is None and provider.startswith("theorem31"):
+    print(f"parts: {num_parts} Voronoi cells; delta = {delta}; provider = {args.provider}")
+    if delta is None and args.provider.startswith("theorem31"):
         # No analytic bound: start the Observation 2.7 escalation at δ = 1
         # (the adaptive doubling construction).
         print("no analytic delta; running the adaptive (doubling) construction")
         delta = 1.0
     outcome = build_shortcut(
         ShortcutRequest(
-            graph=graph, partition=partition, tree=tree, provider=provider,
+            graph=graph, partition=partition, tree=tree, provider=args.provider,
             delta=delta, rng=args.seed,
         )
     )
@@ -219,18 +217,15 @@ def _cmd_mst(args: argparse.Namespace) -> int:
     scheduler, latency_model = _validated_scheduler(args)
     graph = build_family(args)
     weights = assign_random_weights(graph, rng=args.seed)
-    effective = args.provider or f"theorem31-{args.construction}"
     print(f"graph: {args.family}, n={graph.number_of_nodes()}, m={graph.number_of_edges()}")
-    print(f"provider: {effective}, scheduler: {scheduler}"
+    print(f"provider: {args.provider}, scheduler: {scheduler}"
           + (f", latency model: {latency_model}" if latency_model else ""))
     ours = distributed_mst(
-        graph, weights, construction=args.construction, provider=args.provider,
-        rng=args.seed, scheduler=scheduler,
+        graph, weights, provider=args.provider, rng=args.seed, scheduler=scheduler,
         latency_model=latency_model,
     )
     base = distributed_mst(
-        graph, weights, shortcut_method="baseline", construction=args.construction,
-        rng=args.seed, scheduler=scheduler,
+        graph, weights, provider="baseline", rng=args.seed, scheduler=scheduler,
         latency_model=latency_model,
     )
     agree = ours.edges == base.edges
@@ -241,7 +236,7 @@ def _cmd_mst(args: argparse.Namespace) -> int:
             line += f", virtual time {result.stats.virtual_time}"
         return line
 
-    print(f"{effective}: {_cost(ours)}")
+    print(f"{args.provider}: {_cost(ours)}")
     print(f"baseline : {_cost(base)}")
     print(f"identical MSTs: {agree}, weight {ours.weight}")
     return 0 if agree else 1
@@ -249,7 +244,7 @@ def _cmd_mst(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     from repro.core.distributed import distributed_partial_shortcut
-    from repro.core.providers import ShortcutRequest, build_shortcut
+    from repro.core.providers import ShortcutRequest, build_shortcut, get_provider
     from repro.graphs.partition import voronoi_partition
     from repro.graphs.trees import bfs_tree
 
@@ -258,10 +253,15 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     tree = bfs_tree(graph)
     num_parts = _num_parts(args, graph)
     partition = voronoi_partition(graph, num_parts, rng=args.seed)
+    # --initial-delta goes only to a provider that reads it.
+    options = (
+        {"initial_delta": args.initial_delta}
+        if "initial_delta" in get_provider(args.provider).option_keys else {}
+    )
     outcome = build_shortcut(
         ShortcutRequest(
             graph=graph, partition=partition, tree=tree, provider=args.provider,
-            rng=args.seed, options={"initial_delta": args.initial_delta},
+            rng=args.seed, options=options,
         )
     )
     prov = outcome.provenance
@@ -461,13 +461,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_family_arguments(mst)
     _add_scheduler_arguments(mst)
     _add_provider_argument(mst)
-    mst.add_argument(
-        "--construction", default="centralized",
-        choices=("centralized", "simulated"),
-        help="legacy alias for --provider theorem31-<construction> "
-             "(simulated runs the Theorem 1.5 pipeline under the chosen "
-             "scheduler)",
-    )
     mst.set_defaults(func=_cmd_mst)
 
     certify = subparsers.add_parser("certify", help="certifying construction")

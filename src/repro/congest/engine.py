@@ -285,20 +285,17 @@ class EdgeQueues:
     granted slot, so on a backlogged edge any two slots' grant counts over
     any window differ by at most 1. A granted claim moves the pointer to
     its slot too. The pointer survives while the edge idles; :meth:`drop`
-    forgets it on the edges it empties. With ``rng`` set (the ``"random"``
-    discipline) the granted entry is drawn uniformly from its FIFO, with
-    one ``randrange`` only when more than one entry waits, so a claim never
-    draws.
+    forgets it on the edges it empties. The granted entry is the oldest of
+    its slot's FIFO.
 
     Edges are granted in ``order`` (a sort key), by default in the order
     each was first sent on. A load-dependent link schedule charges transits
     in grant order, so the order is part of the schedule.
     """
 
-    __slots__ = ("rng", "order", "edges", "claims", "pointers", "_first")
+    __slots__ = ("order", "edges", "claims", "pointers", "_first")
 
-    def __init__(self, order=None, rng: random.Random | None = None):
-        self.rng = rng
+    def __init__(self, order=None):
         self.edges: dict = {}  # edge -> {slot: non-empty list}
         self.claims: dict = {}  # edge -> (slot, entry), the tick's uncontended sends
         self.pointers: dict = {}  # edge -> last granted slot
@@ -361,7 +358,7 @@ class EdgeQueues:
 
     def _grant(self, edges, claims: dict) -> list:
         granted = []
-        queues, pointers, rng = self.edges, self.pointers, self.rng
+        queues, pointers = self.edges, self.pointers
         for edge in sorted(edges, key=self.order):
             claim = claims.get(edge)
             if claim is not None:
@@ -372,9 +369,6 @@ class EdgeQueues:
             pointer = pointers.get(edge, -1)
             slot = min((s for s in queued if s > pointer), default=min(queued))
             fifo = queued[slot]
-            if rng is not None and len(fifo) > 1:
-                position = rng.randrange(len(fifo))
-                fifo[position], fifo[0] = fifo[0], fifo[position]
             granted.append((edge, fifo.pop(0)))
             pointers[edge] = slot
             if not fifo:
@@ -399,22 +393,19 @@ class MessageFabric:
     """
 
     __slots__ = (
-        "adjacency", "bandwidth_bits", "enforce_bandwidth", "stats",
-        "transit", "submit",
+        "adjacency", "bandwidth_bits", "stats", "transit", "submit",
     )
 
     def __init__(
         self,
         adjacency,
         bandwidth_bits: int,
-        enforce_bandwidth: bool,
         stats: RoundStats,
         transit: Transit | None = None,
         submit=None,
     ):
         self.adjacency = adjacency
         self.bandwidth_bits = bandwidth_bits
-        self.enforce_bandwidth = enforce_bandwidth
         self.stats = stats
         self.transit = transit or Transit()
         # The job layer (repro.congest.jobs) sets `submit`: validated
@@ -435,7 +426,7 @@ class MessageFabric:
                 payload.
         """
         neighbors = self.adjacency[sender]
-        budget = self.bandwidth_bits if self.enforce_bandwidth else None
+        budget = self.bandwidth_bits
         sizes = []
         last = _UNSIZED
         for target, payload in outbox.items():
@@ -446,7 +437,7 @@ class MessageFabric:
             if payload is not last:
                 last = payload
                 bits = payload_bits(payload)
-                if budget is not None and bits > budget:
+                if bits > budget:
                     raise CongestViolation(
                         f"node {sender} sent a {bits}-bit message to {target}; "
                         f"budget is {budget} bits"
@@ -782,8 +773,7 @@ class SchedulerBackend:
     result collection — and returns ``(results, stats)``. The network
     object passed in exposes the topology snapshot (``_nodes``, ``_index``,
     ``_neighbors``), the live graph whose ``_adj`` the fabric validates
-    sends against, and the model parameters (``bandwidth_bits``,
-    ``enforce_bandwidth``).
+    sends against, and the per-message budget (``bandwidth_bits``).
     """
 
     name = "abstract"
@@ -838,8 +828,7 @@ class EventBackend(SchedulerBackend):
         model = resolve_latency_model(net.latency_model)
         transit = Transit.resolve(model, net.graph, run_seed)
         fabric = MessageFabric(
-            net.graph._adj, net.bandwidth_bits, net.enforce_bandwidth, RoundStats(),
-            transit=transit,
+            net.graph._adj, net.bandwidth_bits, RoundStats(), transit=transit,
         )
         clock = Stepper(algorithms, node_contexts(net, run_seed), net._index, fabric)
         clock.start()
@@ -865,9 +854,7 @@ class DenseBackend(SchedulerBackend):
         nodes = net._nodes
         index = net._index
         stats = RoundStats()
-        fabric = MessageFabric(
-            net.graph._adj, net.bandwidth_bits, net.enforce_bandwidth, stats
-        )
+        fabric = MessageFabric(net.graph._adj, net.bandwidth_bits, stats)
         contexts = node_contexts(net, run_seed)
         # The stepper runs round 0 and is the staging sink; the rounds
         # themselves are this loop's.

@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import math
 import random
 from collections import deque
 from collections.abc import Callable
@@ -87,7 +86,7 @@ from repro.congest.engine import (
     require_int,
     timeout,
 )
-from repro.congest.network import BANDWIDTH_FACTOR
+from repro.congest.network import bandwidth_budget
 from repro.congest.node import NodeAlgorithm
 from repro.congest.stats import RoundStats
 from repro.util.errors import CongestViolation, GraphStructureError
@@ -129,8 +128,6 @@ class Job:
             ``SyncNetwork.run``).
         raise_on_timeout: raise :class:`CongestViolation` on timeout
             instead of completing the job with ``status="timeout"``.
-        reduce: optional post-processing of the per-node results dict
-            into the outcome's ``results``.
         on_complete: optional callback invoked with the
             :class:`JobOutcome` the moment the job completes (while the
             schedule is still running).
@@ -149,7 +146,6 @@ class Job:
         rng: int | random.Random | None = None,
         max_rounds: int = 10**6,
         raise_on_timeout: bool = True,
-        reduce: Callable[[dict], object] | None = None,
         on_complete: Callable[["JobOutcome"], None] | None = None,
     ):
         if (algorithms is None) == (call is None):
@@ -164,7 +160,6 @@ class Job:
         self.rng = rng
         self.max_rounds = max_rounds
         self.raise_on_timeout = raise_on_timeout
-        self.reduce = reduce
         self.on_complete = on_complete
 
 
@@ -174,8 +169,8 @@ class JobOutcome:
 
     Attributes:
         job_id: the job's identifier.
-        results: per-node results dict (population jobs, after the
-            optional ``reduce``) or the call's result (call jobs).
+        results: per-node results dict (population jobs) or the call's
+            result (call jobs).
         stats: the job's own RoundStats, in its job-local clock. This is
             the same object exposed under the aggregate's
             ``stats.jobs[job_id]`` (as a copy).
@@ -269,7 +264,6 @@ class JobScheduler:
         bandwidth_bits: per-message budget applied to every job, an int
             >= 1; default per job is the ``SyncNetwork`` rule over the
             job's population size.
-        enforce_bandwidth: as in ``SyncNetwork``.
         max_inflight: admission control — at most this many population
             jobs multiplex at once (``None`` = unbounded); the rest queue
             in submission order.
@@ -286,7 +280,6 @@ class JobScheduler:
         scheduler: str = "event",
         latency_model: object = None,
         bandwidth_bits: int | None = None,
-        enforce_bandwidth: bool = True,
         max_inflight: int | None = None,
     ):
         if graph.number_of_nodes() == 0:
@@ -305,7 +298,6 @@ class JobScheduler:
         self.latency_model = latency_model
         self._model = resolve_latency_model(latency_model)
         self.bandwidth_bits = bandwidth_bits
-        self.enforce_bandwidth = enforce_bandwidth
         self.max_inflight = max_inflight
 
     # ------------------------------------------------------------------
@@ -352,12 +344,9 @@ class JobScheduler:
         )
         bandwidth = self.bandwidth_bits
         if bandwidth is None:
-            bandwidth = BANDWIDTH_FACTOR * max(
-                1, math.ceil(math.log2(max(len(nodes), 2)))
-            )
+            bandwidth = bandwidth_budget(len(nodes))
         fabric = MessageFabric(
-            adjacency, bandwidth, self.enforce_bandwidth, state.stats,
-            transit=transit, submit=state.submit,
+            adjacency, bandwidth, state.stats, transit=transit, submit=state.submit,
         )
         contexts = {
             v: NodeContext(
@@ -509,11 +498,10 @@ class JobScheduler:
         job = state.job
         if state.stepper.record_wall:
             state.stats.virtual_time = state.stats.rounds
-        results = {v: job.algorithms[v].result() for v in state.stepper.contexts}
         self._finish(
             JobOutcome(
                 job_id=job.job_id,
-                results=job.reduce(results) if job.reduce is not None else results,
+                results={v: job.algorithms[v].result() for v in state.stepper.contexts},
                 stats=state.stats,
                 admitted_tick=state.offset,
                 completed_tick=now,

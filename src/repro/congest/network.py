@@ -96,6 +96,7 @@ __all__ = [
     "SyncNetwork",
     "NodeContext",
     "BANDWIDTH_FACTOR",
+    "bandwidth_budget",
     "validate_scheduler",
 ]
 
@@ -103,6 +104,12 @@ __all__ = [
 # constant number of node ids / counters per message, as used by every
 # algorithm in this library, fits comfortably.
 BANDWIDTH_FACTOR = 8
+
+
+def bandwidth_budget(n: int) -> int:
+    """The CONGEST per-message budget, in bits, on ``n`` nodes:
+    ``BANDWIDTH_FACTOR * ceil(log2 n)``, at least ``BANDWIDTH_FACTOR``."""
+    return BANDWIDTH_FACTOR * max(1, math.ceil(math.log2(max(n, 2))))
 
 
 def validate_scheduler(
@@ -153,9 +160,7 @@ class SyncNetwork:
     Args:
         graph: the communication topology.
         bandwidth_bits: per-message payload budget, an int >= 1; defaults
-            to ``BANDWIDTH_FACTOR * ceil(log2 n)``.
-        enforce_bandwidth: disable only for experiments that deliberately
-            exceed the model (never done in this library's algorithms).
+            to :func:`bandwidth_budget` of ``n``. Every send is held to it.
         rng: seed or generator; one value is drawn per run to derive every
             node's ``ctx.rng`` stream from ``(run_seed, node_index)``.
         scheduler: ``"event"`` (active-set, default; takes latency
@@ -198,7 +203,6 @@ class SyncNetwork:
         self,
         graph: nx.Graph,
         bandwidth_bits: int | None = None,
-        enforce_bandwidth: bool = True,
         rng: int | random.Random | None = None,
         scheduler: str = "event",
         latency_model: object = None,
@@ -211,12 +215,10 @@ class SyncNetwork:
             sanitize = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
         self.sanitize = bool(sanitize)
         self.graph = graph
-        n = graph.number_of_nodes()
         if bandwidth_bits is None:
-            bandwidth_bits = BANDWIDTH_FACTOR * max(1, math.ceil(math.log2(max(n, 2))))
+            bandwidth_bits = bandwidth_budget(graph.number_of_nodes())
         require_int("bandwidth_bits", bandwidth_bits)
         self.bandwidth_bits = bandwidth_bits
-        self.enforce_bandwidth = enforce_bandwidth
         self.scheduler = scheduler
         self.latency_model = latency_model
         self._rng = ensure_rng(rng)

@@ -252,10 +252,10 @@ class VectorFabric:
 
     __slots__ = (
         "np", "csr", "n", "ids", "round", "stats", "run_seed",
-        "bandwidth_bits", "enforce_bandwidth", "_staged", "_edge_counts",
+        "bandwidth_bits", "_staged", "_edge_counts",
     )
 
-    def __init__(self, csr, stats, run_seed, bandwidth_bits, enforce_bandwidth):
+    def __init__(self, csr, stats, run_seed, bandwidth_bits):
         self.np = np = _numpy()
         self.csr = csr
         self.n = csr.n
@@ -264,7 +264,6 @@ class VectorFabric:
         self.stats = stats
         self.run_seed = run_seed
         self.bandwidth_bits = bandwidth_bits
-        self.enforce_bandwidth = enforce_bandwidth
         self._staged: list[_Batch] = []
         self._edge_counts = np.zeros(len(csr.indices), dtype=np.int64)
 
@@ -374,12 +373,12 @@ class VectorFabric:
         count = int(src.size)
         if scalar_bits:
             bits = int(bits)
-            if self.enforce_bandwidth and bits > self.bandwidth_bits:
+            if bits > self.bandwidth_bits:
                 self._raise_bandwidth(src, dst, np.broadcast_to(bits, src.shape))
             stats.message_bits += bits * count
         else:
             bits = np.asarray(bits, dtype=np.int64)
-            if self.enforce_bandwidth and (bits > self.bandwidth_bits).any():
+            if (bits > self.bandwidth_bits).any():
                 self._raise_bandwidth(src, dst, bits)
             stats.message_bits += int(bits.sum())
         stats.messages += count
@@ -525,9 +524,7 @@ class VectorizedBackend(SchedulerBackend):
             )
             return results, stats
         stats = RoundStats()
-        ops = VectorFabric(
-            csr, stats, run_seed, net.bandwidth_bits, net.enforce_bandwidth
-        )
+        ops = VectorFabric(csr, stats, run_seed, net.bandwidth_bits)
         kernel.setup(ops, algorithms)
         kernel.on_start(ops)
         while ops._staged:

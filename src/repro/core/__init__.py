@@ -24,7 +24,7 @@ Public entry points:
 
 from repro.core.baseline import bfs_tree_shortcut
 from repro.core.certifying import certify_or_shortcut, sample_dense_minor
-from repro.core.full import FullShortcutResult, adaptive_full_shortcut, build_full_shortcut
+from repro.core.full import FullShortcutResult, build_full_shortcut
 from repro.core.partial import (
     ConflictGraph,
     PartialShortcutResult,
@@ -40,9 +40,9 @@ from repro.core.providers import (
     build_shortcut,
     clear_shortcut_cache,
     get_provider,
-    provider_name,
     register_provider,
     resolve_delta,
+    resolve_provider,
     resolve_tree,
     shortcut_cache_info,
 )
@@ -58,7 +58,6 @@ __all__ = [
     "mark_overcongested_edges",
     "FullShortcutResult",
     "build_full_shortcut",
-    "adaptive_full_shortcut",
     "certify_or_shortcut",
     "sample_dense_minor",
     "bfs_tree_shortcut",
@@ -70,8 +69,8 @@ __all__ = [
     "register_provider",
     "get_provider",
     "available_providers",
-    "provider_name",
     "resolve_delta",
+    "resolve_provider",
     "resolve_tree",
     "shortcut_cache_info",
     "clear_shortcut_cache",

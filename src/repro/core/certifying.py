@@ -20,7 +20,6 @@ with probability Ω(1/D) per attempt. The result is a checkable
 
 from __future__ import annotations
 
-import math
 import random
 
 import networkx as nx
@@ -64,7 +63,6 @@ def sample_dense_minor(
     if max_attempts is None:
         max_attempts = 64 * depth
     probability = 1.0 / (4.0 * depth)
-    best: MinorWitness | None = None
     for _ in range(max_attempts):
         witness = _sample_once(result, rng, probability)
         if witness is None:
@@ -73,8 +71,6 @@ def sample_dense_minor(
             if validate:
                 witness.validate(result.graph)
             return witness
-        if best is None or witness.density > best.density:
-            best = witness
     return None
 
 

@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-from repro.congest.network import BANDWIDTH_FACTOR, SyncNetwork, validate_scheduler
+from repro.congest.network import SyncNetwork, bandwidth_budget, validate_scheduler
 from repro.congest.node import NodeAlgorithm
 from repro.congest.primitives.bfs import distributed_bfs
 from repro.congest.primitives.broadcast import pipelined_broadcast, tree_aggregate
@@ -384,7 +384,7 @@ def distributed_partial_shortcut(
     # A shared seed of at most 16 bits: enough hash diversity, and a bare
     # int within the default O(log n) message budget, which is 8 bits on
     # two nodes.
-    seed_bits = min(16, BANDWIDTH_FACTOR * math.ceil(math.log2(max(n, 2))))
+    seed_bits = min(16, bandwidth_budget(n))
     seed = rng.randrange(2**seed_bits)
     if exact:
         probability = 1.0

@@ -32,7 +32,7 @@ from repro.graphs.partition import Partition
 from repro.graphs.trees import RootedTree
 from repro.util.errors import ShortcutError
 
-__all__ = ["FullShortcutResult", "build_full_shortcut", "adaptive_full_shortcut"]
+__all__ = ["FullShortcutResult", "build_full_shortcut"]
 
 
 @dataclass
@@ -195,20 +195,3 @@ def build_full_shortcut(
         escalations=escalations,
     )
 
-
-def adaptive_full_shortcut(
-    graph: nx.Graph,
-    tree: RootedTree,
-    partition: Partition,
-    initial_delta: float = 1.0,
-) -> FullShortcutResult:
-    """Full shortcut with doubling search over δ, starting at ``initial_delta``.
-
-    Useful when δ(G) is unknown: the returned ``delta_used`` is at most
-    twice the smallest δ at which the construction stops stalling, so the
-    quality guarantee degrades by at most a constant factor versus knowing
-    δ(G) exactly.
-    """
-    return build_full_shortcut(
-        graph, tree, partition, initial_delta, escalate_on_stall=True
-    )

@@ -75,27 +75,6 @@ class ConflictGraph:
         """Number of overcongested edges (edge-nodes of ``B``)."""
         return len(self.incidences)
 
-    @property
-    def num_incidences(self) -> int:
-        """Total number of ``(edge, part)`` incidences (edges of ``B``)."""
-        return sum(len(parts) for parts in self.incidences.values())
-
-    def to_networkx(self) -> nx.Graph:
-        """``B`` as an explicit bipartite graph.
-
-        Edge-nodes are labeled ``("edge", v_e)`` and part-nodes
-        ``("part", i)``; representative nodes are stored as edge attributes.
-        """
-        bipartite = nx.Graph()
-        for child, parts in self.incidences.items():
-            edge_node = ("edge", child)
-            bipartite.add_node(edge_node, side="edge")
-            for part_index, representative in parts.items():
-                part_node = ("part", part_index)
-                bipartite.add_node(part_node, side="part")
-                bipartite.add_edge(edge_node, part_node, representative=representative)
-        return bipartite
-
 
 @dataclass
 class PartialShortcutResult:

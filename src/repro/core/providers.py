@@ -7,14 +7,14 @@ aggregation/multicast) and the CLI obtain shortcuts exclusively through
 
     outcome = build_shortcut(ShortcutRequest(graph, partition, ...))
 
-instead of hand-rolled ``(method, construction)`` dispatchers. The moving
+with ``provider`` the one field that picks the construction. The moving
 parts, mirroring the ``SchedulerBackend`` registry of :mod:`repro.congest`:
 
 * :class:`ShortcutRequest` — everything a construction needs: the instance,
-  an optional pre-built tree, the provider selection (either an explicit
-  ``provider`` name or the legacy ``method``/``construction`` pair), an
+  an optional pre-built tree, the registered ``provider`` name, an
   optional ``delta`` (auto-resolved analytically or via degeneracy when
-  omitted), and the rng/scheduler/latency-model plumbing for measured pipelines.
+  omitted), the provider's declared ``options``, and the
+  rng/scheduler/latency-model plumbing for measured pipelines.
 * :class:`ShortcutOutcome` — the uniform product: the shortcut, the tree it
   restricts to (if any), the construction's measured :class:`RoundStats`,
   lazily measured :class:`ShortcutQuality`, and a
@@ -67,7 +67,7 @@ __all__ = [
     "register_provider",
     "get_provider",
     "available_providers",
-    "provider_name",
+    "resolve_provider",
     "resolve_delta",
     "resolve_tree",
     "shortcut_cache_info",
@@ -94,14 +94,8 @@ class ShortcutRequest:
         tree: optional pre-built rooted tree, which must span ``graph``;
             auto-resolved (and memoized per graph) when the provider needs
             one and none is given.
-        method: legacy method selector (``"theorem31"``, ``"baseline"``,
-            ``"none"``, ``"greedy"``, ``"certifying"``) — kept so existing
-            call sites keep working; combined with ``construction`` it maps
-            onto a registered provider name.
-        construction: ``"centralized"`` (planning is free) or
-            ``"simulated"`` (the measured Theorem 1.5 pipeline).
-        provider: explicit registered provider name; overrides
-            ``method``/``construction`` when given.
+        provider: the registered provider name (see
+            :func:`available_providers`).
         delta: minor-density parameter, a finite real > 0; ``None``
             auto-resolves to the generator's analytic bound or, failing
             that, the graph's degeneracy (memoized per graph — every app
@@ -111,25 +105,20 @@ class ShortcutRequest:
         latency_model: per-edge latency model for the event scheduler
             (name or :class:`~repro.congest.asynchronous.LatencyModel`
             instance; ``None`` = uniform/lockstep-equivalent).
-        options: provider-specific extras (e.g. ``order`` for ``greedy``,
-            ``initial_delta`` for ``certifying``).
+        options: provider-specific extras, hashable values under the keys
+            the provider declares in ``option_keys`` (e.g. ``order`` for
+            ``greedy``, ``initial_delta`` for ``certifying``).
     """
 
     graph: nx.Graph
     partition: Partition
     tree: RootedTree | None = None
-    method: str = "theorem31"
-    construction: str = "centralized"
-    provider: str | None = None
+    provider: str = "theorem31-centralized"
     delta: float | None = None
     rng: int | random.Random | None = None
     scheduler: str = "event"
     latency_model: object = None
     options: dict = field(default_factory=dict)
-
-    def provider_name(self) -> str:
-        """The registered provider this request resolves to."""
-        return provider_name(self.method, self.construction, self.provider)
 
 
 @dataclass
@@ -231,35 +220,34 @@ def available_providers() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def provider_name(
-    method: str = "theorem31",
-    construction: str = "centralized",
-    provider: str | None = None,
-) -> str:
-    """Resolve the legacy ``(method, construction)`` pair — or an explicit
-    ``provider`` name — to a registered provider name.
+def resolve_provider(provider: str | None = None, construction: str | None = None) -> str:
+    """The registered provider an app runs, resolved once at its entry.
 
-    Every app funnels its selector arguments through here, so unknown
-    names fail identically everywhere: a :class:`ShortcutError` listing the
-    registered providers.
+    ``provider`` names it; ``construction`` (``"centralized"`` or
+    ``"simulated"``) is shorthand for ``provider="theorem31-<construction>"``;
+    neither means ``"theorem31-centralized"``. Every app funnels its
+    selector arguments through here, so bad ones fail identically
+    everywhere.
+
+    Raises:
+        ShortcutError: both arguments given, an unknown construction, or
+            an unknown provider (the message lists the registry).
     """
-    if provider is not None:
-        if provider in _REGISTRY:
-            return provider
-        raise _unknown_provider(provider)
-    if construction not in _CONSTRUCTIONS:
-        raise ShortcutError(
-            f"unknown construction {construction!r}; choose from: "
-            f"{', '.join(_CONSTRUCTIONS)}"
-        )
-    if method == "theorem31":
-        name = f"theorem31-{construction}"
-        if name in _REGISTRY:
-            return name
-        raise _unknown_provider(name)
-    if method in _REGISTRY:
-        return method
-    raise _unknown_provider(method)
+    if construction is not None:
+        if provider is not None:
+            raise ShortcutError(
+                f"give provider= or construction=, not both (got provider="
+                f"{provider!r}, construction={construction!r})"
+            )
+        if construction not in _CONSTRUCTIONS:
+            raise ShortcutError(
+                f"unknown construction {construction!r}; choose from: "
+                f"{', '.join(_CONSTRUCTIONS)}"
+            )
+        provider = f"theorem31-{construction}"
+    elif provider is None:
+        provider = "theorem31-centralized"
+    return get_provider(provider).name
 
 
 # ----------------------------------------------------------------------
@@ -430,6 +418,8 @@ class ShortcutProvider:
       missing ``delta`` before calling :meth:`build`;
     * ``needs_tree`` — whether the dispatcher should resolve a (memoized)
       BFS tree when the request carries none;
+    * ``option_keys`` — the ``request.options`` keys :meth:`build` reads;
+      the dispatcher rejects any other key;
     * ``cacheable`` — whether outcomes may be memoized. Only constructions
       that are deterministic functions of the cache key and consume **no**
       randomness may set this (a cached rng-consuming pipeline would skip
@@ -439,6 +429,7 @@ class ShortcutProvider:
     name: str = "abstract"
     needs_delta: bool = False
     needs_tree: bool = True
+    option_keys: tuple[str, ...] = ()
     cacheable: bool = False
 
     def cache_key(
@@ -463,6 +454,26 @@ class ShortcutProvider:
         self, request: ShortcutRequest, delta: float | None, tree: RootedTree | None
     ) -> ShortcutOutcome:
         raise NotImplementedError
+
+
+def _check_options(provider: ShortcutProvider, options: dict) -> None:
+    """Reject option keys ``provider`` does not read, and unhashable
+    values (options are part of the outcome-cache key)."""
+    unknown = sorted(map(repr, set(options) - set(provider.option_keys)))
+    if unknown:
+        reads = ", ".join(provider.option_keys) or "no options"
+        raise ShortcutError(
+            f"provider {provider.name!r} does not read option(s) "
+            f"{', '.join(unknown)}; it reads: {reads}"
+        )
+    for key, value in options.items():
+        try:
+            hash(value)
+        except TypeError:
+            raise ShortcutError(
+                f"option {key!r} of provider {provider.name!r} must be "
+                f"hashable, got {value!r}"
+            ) from None
 
 
 def build_shortcut(request: ShortcutRequest) -> ShortcutOutcome:
@@ -495,12 +506,14 @@ def build_shortcut(request: ShortcutRequest) -> ShortcutOutcome:
     backend that does not support one is rejected here, uniformly).
 
     Raises:
-        ShortcutError: unknown provider/method/construction, bad
+        ShortcutError: unknown provider, an option key the provider does
+            not declare or an unhashable option value, bad
             scheduler/latency-model, a ``delta`` that is not a finite
             real > 0, a ``tree`` that does not span the graph, or any
             provider-specific failure.
     """
-    provider = get_provider(request.provider_name())
+    provider = get_provider(request.provider)
+    _check_options(provider, request.options)
     validate_scheduler(
         request.scheduler, ShortcutError,
         latency_model=request.latency_model,
@@ -531,7 +544,7 @@ def build_shortcut(request: ShortcutRequest) -> ShortcutOutcome:
         _OUTCOME_CACHE[full_key] = _copy_outcome(outcome)
         while len(_OUTCOME_CACHE) > _CACHE_MAX_ENTRIES:
             evicted_key, _ = _OUTCOME_CACHE.popitem(last=False)
-            # full_key layout: (token, provider_name, ...).
+            # full_key layout: (token, provider name, ...).
             _provider_counts(evicted_key[1])["evictions"] += 1
     return outcome
 
@@ -643,6 +656,7 @@ class Theorem31SimulatedProvider(ShortcutProvider):
     name = "theorem31-simulated"
     needs_delta = True
     needs_tree = False
+    option_keys = ("sweep",)
     cacheable = False
 
     def build(self, request, delta, tree):
@@ -688,6 +702,7 @@ class GreedyProvider(ShortcutProvider):
     name = "greedy"
     needs_delta = True
     needs_tree = True
+    option_keys = ("order", "congestion_cap")
     cacheable = True
 
     def cache_key(self, request, delta, tree):
@@ -736,6 +751,7 @@ class CertifyingProvider(ShortcutProvider):
     name = "certifying"
     needs_delta = False
     needs_tree = True
+    option_keys = ("initial_delta",)
     cacheable = False  # witness sampling consumes the rng stream on stalls
 
     def build(self, request, delta, tree):

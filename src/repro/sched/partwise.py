@@ -162,7 +162,6 @@ def partwise_aggregate(
     rng: int | random.Random | None = None,
     delay_mode: str = "random",
     max_rounds: int | None = None,
-    queue_discipline: str = "fifo",
     latency_model: object = None,
 ) -> PartwiseAggregationResult:
     """Simulate all parts aggregating simultaneously through the shortcut.
@@ -180,10 +179,6 @@ def partwise_aggregate(
             the trivial schedule).
         max_rounds: hard stop, a positive int; defaults to a generous
             ``8·(load + (depth+1)·(2+log2 n)) + 64``.
-        queue_discipline: which queued packet an edge transmits each round:
-            ``"fifo"`` (arrival order) or ``"random"`` (uniform among
-            queued) — scheduling-theory ablation; the LMR bound holds for
-            either.
         latency_model: per-edge latency model (name or
             :class:`~repro.congest.asynchronous.LatencyModel` instance) for
             latency-realistic packet transit; ``None`` = one tick per edge
@@ -194,11 +189,9 @@ def partwise_aggregate(
 
     Raises:
         ShortcutError: on disconnected communication graphs, an unknown
-            ``delay_mode``, ``queue_discipline``, or ``latency_model``, or a
+            ``delay_mode`` or ``latency_model``, or a
             ``max_rounds`` that is not a positive int.
     """
-    if queue_discipline not in ("fifo", "random"):
-        raise ShortcutError(f"unknown queue_discipline {queue_discipline!r}")
     if delay_mode not in _DELAY_MODES:
         raise ShortcutError(f"unknown delay_mode {delay_mode!r}")
     if max_rounds is not None and (
@@ -259,7 +252,7 @@ def partwise_aggregate(
         part_bits.append(2 + payload_bits(plan.index))
 
     # Edges are granted in the order of their first claim.
-    queues = EdgeQueues(rng=rng if queue_discipline == "random" else None)
+    queues = EdgeQueues()
     send = queues.send
 
     # Seed the convergecast: nodes with no children fire at their delay.

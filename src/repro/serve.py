@@ -77,8 +77,8 @@ class JobServer:
         max_inflight: at most this many population jobs multiplex at a
             time; further jobs wait in submission order (``None`` =
             unbounded).
-        bandwidth_bits / enforce_bandwidth: per-message budget plumbing,
-            as in :class:`~repro.congest.network.SyncNetwork`.
+        bandwidth_bits: per-message budget, as in
+            :class:`~repro.congest.network.SyncNetwork`.
     """
 
     def __init__(
@@ -88,14 +88,12 @@ class JobServer:
         latency_model: object = None,
         max_inflight: int | None = None,
         bandwidth_bits: int | None = None,
-        enforce_bandwidth: bool = True,
     ):
         self._scheduler = JobScheduler(
             graph,
             scheduler=scheduler,
             latency_model=latency_model,
             bandwidth_bits=bandwidth_bits,
-            enforce_bandwidth=enforce_bandwidth,
             max_inflight=max_inflight,
         )
         self._queue: deque[Job] = deque()

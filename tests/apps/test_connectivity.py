@@ -64,8 +64,8 @@ class TestCorrectness:
     def test_baseline_method_agrees(self):
         graph = grid_graph(5, 5)
         edges = {canonical_edge(u, v) for u, v in list(graph.edges())[::2]}
-        ours = subgraph_components(graph, edges, shortcut_method="theorem31", rng=4)
-        base = subgraph_components(graph, edges, shortcut_method="baseline", rng=4)
+        ours = subgraph_components(graph, edges, rng=4)
+        base = subgraph_components(graph, edges, provider="baseline", rng=4)
         assert ours.labels == base.labels
 
     @given(
@@ -91,7 +91,7 @@ class TestValidation:
 
     def test_unknown_method_rejected(self, small_grid):
         with pytest.raises(ShortcutError):
-            subgraph_components(small_grid, set(), shortcut_method="magic")
+            subgraph_components(small_grid, set(), provider="magic")
 
     def test_phase_count_logarithmic(self):
         graph = grid_graph(8, 8)

@@ -39,7 +39,7 @@ class TestCorrectness:
         graph = grid_graph(7, 7)
         weights = assign_random_weights(graph, rng=6)
         ours = distributed_mst(graph, weights, rng=7)
-        baseline = distributed_mst(graph, weights, shortcut_method="baseline", rng=7)
+        baseline = distributed_mst(graph, weights, provider="baseline", rng=7)
         assert ours.edges == baseline.edges
 
     def test_unit_weights_spanning_tree(self):
@@ -79,7 +79,7 @@ class TestValidation:
     def test_rejects_unknown_method(self):
         graph = grid_graph(3, 3)
         with pytest.raises(ShortcutError):
-            distributed_mst(graph, shortcut_method="magic")
+            distributed_mst(graph, provider="magic")
 
     def test_rejects_unknown_construction(self):
         graph = grid_graph(3, 3)

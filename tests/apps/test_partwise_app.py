@@ -46,10 +46,10 @@ class TestAggregationApi:
         partition = Partition(graph, [rim])
         values = {v: v for v in rim}
         bare = solve_partwise_aggregation(
-            graph, partition, values, min, shortcut_method="none", rng=1,
+            graph, partition, values, min, provider="none", rng=1,
         )
         ours = solve_partwise_aggregation(
-            graph, partition, values, min, shortcut_method="theorem31", rng=1,
+            graph, partition, values, min, rng=1,
         )
         assert bare.values == ours.values
         assert bare.aggregation_stats.rounds > 10 * ours.aggregation_stats.rounds
@@ -58,7 +58,7 @@ class TestAggregationApi:
         partition = voronoi_partition(small_grid, 4, rng=3)
         solution = solve_partwise_aggregation(
             small_grid, partition, {v: v for v in small_grid.nodes()}, max,
-            shortcut_method="baseline", rng=4,
+            provider="baseline", rng=4,
         )
         for index, part in enumerate(partition):
             assert solution.values[index] == max(part)
@@ -67,7 +67,7 @@ class TestAggregationApi:
         partition = voronoi_partition(small_grid, 3, rng=1)
         with pytest.raises(ShortcutError):
             solve_partwise_aggregation(
-                small_grid, partition, {}, min, shortcut_method="psychic"
+                small_grid, partition, {}, min, provider="psychic"
             )
 
     def test_unknown_construction_rejected(self, small_grid):

@@ -1,14 +1,15 @@
 """Provider-registry equivalence suite.
 
 The ShortcutProvider redesign must be a pure refactor of the construction
-dispatch: for every app and every (method, construction) arm, the outputs
-— down to the measured round/message accounting — must be byte-identical
-to the pre-redesign code paths. The expected values in
+dispatch: for every app and every provider arm, the outputs — down to the
+measured round/message accounting — must be byte-identical to the
+pre-redesign code paths. The expected values in
 ``tests/data/golden_pre_redesign.json`` were captured by running the
 original ``apps/mst.py:_build_shortcut`` / ``apps/partwise.py:
 _construct_shortcut`` / ``apps/connectivity.py:_phase_shortcut``
 dispatchers on the seeded instances below, immediately before they were
-deleted.
+deleted. The golden keys keep the ``<method>-<construction>`` spelling of
+that time; ``PROVIDER`` maps each to the provider that runs it now.
 
 One amendment: when the sweep became ack-driven (PR 5), the
 ``theorem31-simulated`` arms' *measured stats* were re-pinned to the new
@@ -65,24 +66,24 @@ GOLDEN = json.loads(
     (pathlib.Path(__file__).parent.parent / "data" / "golden_pre_redesign.json").read_text()
 )
 
-MST_ARMS = [
-    ("theorem31", "centralized"),
-    ("theorem31", "simulated"),
-    ("baseline", "centralized"),
-]
+PROVIDER = {
+    "theorem31-centralized": "theorem31-centralized",
+    "theorem31-simulated": "theorem31-simulated",
+    "baseline-centralized": "baseline",
+    "none-centralized": "none",
+}
+MST_ARMS = ["theorem31-centralized", "theorem31-simulated", "baseline-centralized"]
 
 
 class TestByteIdentity:
     """New registry == old private dispatchers, bit for bit."""
 
-    @pytest.mark.parametrize("method,construction", MST_ARMS)
-    def test_mst_matches_pre_redesign(self, method, construction):
+    @pytest.mark.parametrize("arm", MST_ARMS)
+    def test_mst_matches_pre_redesign(self, arm):
         graph = k_tree(48, 3, rng=11)
         weights = assign_random_weights(graph, rng=12)
-        result = distributed_mst(
-            graph, weights, shortcut_method=method, construction=construction, rng=13
-        )
-        expected = GOLDEN[f"mst/{method}-{construction}"]
+        result = distributed_mst(graph, weights, provider=PROVIDER[arm], rng=13)
+        expected = GOLDEN[f"mst/{arm}"]
         assert sorted(map(list, result.edges)) == expected["edges"]
         assert result.weight == expected["weight"]
         assert result.phases == expected["phases"]
@@ -91,32 +92,27 @@ class TestByteIdentity:
         assert result.stats.message_bits == expected["message_bits"]
         assert result.phase_rounds == expected["phase_rounds"]
 
-    @pytest.mark.parametrize(
-        "method,construction",
-        MST_ARMS + [("none", "centralized")],
-    )
-    def test_partwise_matches_pre_redesign(self, method, construction):
+    @pytest.mark.parametrize("arm", [*MST_ARMS, "none-centralized"])
+    def test_partwise_matches_pre_redesign(self, arm):
         graph = grid_graph(9, 9)
         partition = voronoi_partition(graph, 7, rng=21)
         solution = solve_partwise_aggregation(
             graph, partition, {v: v for v in graph.nodes()}, min,
-            shortcut_method=method, construction=construction, rng=22,
+            provider=PROVIDER[arm], rng=22,
         )
-        expected = GOLDEN[f"partwise/{method}-{construction}"]
+        expected = GOLDEN[f"partwise/{arm}"]
         assert {str(k): v for k, v in solution.values.items()} == expected["values"]
         assert solution.construction_stats.rounds == expected["construction_rounds"]
         assert solution.aggregation_stats.rounds == expected["aggregation_rounds"]
         assert solution.aggregation_stats.messages == expected["aggregation_messages"]
         assert solution.total_rounds == expected["total_rounds"]
 
-    @pytest.mark.parametrize("method,construction", MST_ARMS)
-    def test_connectivity_matches_pre_redesign(self, method, construction):
+    @pytest.mark.parametrize("arm", MST_ARMS)
+    def test_connectivity_matches_pre_redesign(self, arm):
         graph = grid_graph(8, 8)
         sub = {canonical_edge(u, v) for u, v in graph.edges() if (u + v) % 3 != 0}
-        result = subgraph_components(
-            graph, sub, shortcut_method=method, construction=construction, rng=31
-        )
-        expected = GOLDEN[f"connectivity/{method}-{construction}"]
+        result = subgraph_components(graph, sub, provider=PROVIDER[arm], rng=31)
+        expected = GOLDEN[f"connectivity/{arm}"]
         assert {str(k): v for k, v in result.labels.items()} == expected["labels"]
         assert result.num_components == expected["num_components"]
         assert result.phases == expected["phases"]
@@ -135,20 +131,6 @@ class TestByteIdentity:
         assert result.trees_packed == expected["trees_packed"]
         assert result.stats.rounds == expected["rounds"]
         assert result.stats.messages == expected["messages"]
-
-    def test_provider_spelling_equals_method_spelling(self):
-        graph = k_tree(40, 2, rng=1)
-        weights = assign_random_weights(graph, rng=2)
-        via_method = distributed_mst(
-            graph, weights, shortcut_method="theorem31",
-            construction="centralized", rng=3,
-        )
-        via_provider = distributed_mst(
-            graph, weights, provider="theorem31-centralized", rng=3
-        )
-        assert via_method.edges == via_provider.edges
-        assert via_method.stats.rounds == via_provider.stats.rounds
-        assert via_method.stats.messages == via_provider.stats.messages
 
 
 class TestCacheReuse:
@@ -202,8 +184,8 @@ class TestCacheReuse:
         for _ in range(2):
             outcome = build_shortcut(
                 ShortcutRequest(
-                    graph=graph, partition=partition, method="theorem31",
-                    construction="simulated", delta=3.0, rng=7,
+                    graph=graph, partition=partition,
+                    provider="theorem31-simulated", delta=3.0, rng=7,
                 )
             )
             assert not outcome.provenance.cache_hit

@@ -106,9 +106,7 @@ def _staging_fixture(graph):
     """A fabric and stepper over ``graph`` with recording nodes, nothing run."""
     net = SyncNetwork(graph)
     stats = RoundStats()
-    fabric = MessageFabric(
-        {v: graph[v] for v in graph}, net.bandwidth_bits, True, stats
-    )
+    fabric = MessageFabric({v: graph[v] for v in graph}, net.bandwidth_bits, stats)
     algorithms = {v: _Recorder() for v in graph}
     index = {v: i for i, v in enumerate(graph.nodes())}
     clock = Stepper(algorithms, node_contexts(net, 0), index, fabric)

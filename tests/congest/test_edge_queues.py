@@ -4,7 +4,7 @@ The reference queues every entry it is given and grants through a sorted
 round-robin pass. ``EdgeQueues`` must match it twice over: queueing
 through ``push`` and ``resolve``, and claiming through ``send`` and
 ``grants``, where an uncontended send never waits in a FIFO. Grants,
-grant order, rng draws, drops and pointers must match on random scripts.
+grant order, drops and pointers must match on random scripts.
 """
 
 import random
@@ -20,8 +20,7 @@ class _ReferenceQueues:
     """Per-edge ``slot -> deque`` maps, round-robin over slots, one grant
     per edge per tick."""
 
-    def __init__(self, order=None, rng=None):
-        self.rng = rng
+    def __init__(self, order=None):
         self.edges = {}
         self.pointers = {}
         self._first = None if order is not None else {}
@@ -52,9 +51,6 @@ class _ReferenceQueues:
             pointer = self.pointers.get(edge, -1)
             slot = min((s for s in slots if s > pointer), default=min(slots))
             fifo = slots[slot]
-            if self.rng is not None and len(fifo) > 1:
-                position = self.rng.randrange(len(fifo))
-                fifo[position], fifo[0] = fifo[0], fifo[position]
             granted.append((edge, fifo.popleft()))
             self.pointers[edge] = slot
             if not fifo:
@@ -68,14 +64,13 @@ class _ReferenceQueues:
     st.integers(0, 2**31 - 1),
     st.sampled_from([1, 2, 4]),
     st.booleans(),
-    st.booleans(),
 )
 @settings(max_examples=150, deadline=None)
-def test_matches_reference_property(seed, num_slots, random_grants, sort_key):
+def test_matches_reference_property(seed, num_slots, sort_key):
     script = random.Random(seed)
     order = (lambda edge: (edge[1], edge[0])) if sort_key else None
-    queues = EdgeQueues(order=order, rng=random.Random(seed) if random_grants else None)
-    reference = _ReferenceQueues(order=order, rng=random.Random(seed) if random_grants else None)
+    queues = EdgeQueues(order=order)
+    reference = _ReferenceQueues(order=order)
     entry = 0
     for _ in range(40):
         for _ in range(script.randint(0, 6)):
@@ -96,19 +91,16 @@ def test_matches_reference_property(seed, num_slots, random_grants, sort_key):
     st.integers(0, 2**31 - 1),
     st.sampled_from([1, 2, 4]),
     st.booleans(),
-    st.booleans(),
 )
 @settings(max_examples=150, deadline=None)
-def test_claims_grant_what_queueing_grants(seed, num_slots, random_grants, sort_key):
+def test_claims_grant_what_queueing_grants(seed, num_slots, sort_key):
     # send claims an idle edge and queues only on contention; grants must
     # give exactly what pushing every send and resolving gives, with the
-    # same rng draws (a claim never draws) and the same pointers.
+    # same pointers.
     script = random.Random(seed)
     order = (lambda edge: (edge[1], edge[0])) if sort_key else None
-    queue_rng = random.Random(seed) if random_grants else None
-    reference_rng = random.Random(seed) if random_grants else None
-    queues = EdgeQueues(order=order, rng=queue_rng)
-    reference = _ReferenceQueues(order=order, rng=reference_rng)
+    queues = EdgeQueues(order=order)
+    reference = _ReferenceQueues(order=order)
     entry = 0
     for _ in range(40):
         for _ in range(script.randint(0, 8)):
@@ -124,5 +116,3 @@ def test_claims_grant_what_queueing_grants(seed, num_slots, random_grants, sort_
         assert not queues.claims
         assert sorted(queues.edges) == sorted(reference.edges)
         assert queues.pointers == reference.pointers
-        if random_grants:
-            assert queue_rng.getstate() == reference_rng.getstate()

@@ -111,12 +111,6 @@ class TestSyncNetwork:
         with pytest.raises(CongestViolation):
             network.run({v: _TooBig() for v in graph})
 
-    def test_bandwidth_can_be_disabled(self):
-        graph = nx.path_graph(2)
-        network = SyncNetwork(graph, enforce_bandwidth=False)
-        _, stats = network.run({v: _TooBig() for v in graph})
-        assert stats.messages == 2
-
     def test_non_neighbor_send_rejected(self):
         graph = nx.path_graph(3)
         network = SyncNetwork(graph)

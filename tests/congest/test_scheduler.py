@@ -216,7 +216,7 @@ class TestQuiescenceEdgeCases:
         with pytest.raises(ShortcutError, match=expected):
             build_shortcut(ShortcutRequest(
                 graph=graph, partition=grid_rows_partition(graph),
-                construction="simulated", scheduler="sharded",
+                provider="theorem31-simulated", scheduler="sharded",
             ))
 
     def test_on_wake_fast_path_only_fires_with_input(self):

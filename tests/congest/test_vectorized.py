@@ -188,10 +188,7 @@ class TestRegistry:
 class TestColumnarAccounting:
     def _fabric(self, graph):
         csr = graph_csr(graph)
-        return csr, VectorFabric(
-            csr, RoundStats(), run_seed=0, bandwidth_bits=32,
-            enforce_bandwidth=True,
-        )
+        return csr, VectorFabric(csr, RoundStats(), run_seed=0, bandwidth_bits=32)
 
     def test_int_bits_matches_bits_for_int(self):
         _, ops = self._fabric(nx.path_graph(3))

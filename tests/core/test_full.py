@@ -9,7 +9,7 @@ from repro.core.bounds import (
     theorem12_congestion_bound,
     theorem12_dilation_bound,
 )
-from repro.core.full import adaptive_full_shortcut, build_full_shortcut
+from repro.core.full import build_full_shortcut
 from repro.graphs.generators import expanded_clique, grid_graph, lower_bound_graph
 from repro.graphs.minors import analytic_delta_upper
 from repro.graphs.partition import grid_rows_partition, voronoi_partition
@@ -88,7 +88,7 @@ class TestAdaptive:
         graph = expanded_clique(7, 9)
         tree = bfs_tree(graph)
         partition = voronoi_partition(graph, 15, rng=5)
-        result = adaptive_full_shortcut(graph, tree, partition)
+        result = build_full_shortcut(graph, tree, partition, 1.0, escalate_on_stall=True)
         # delta(G) = 3.0; the doubling search must stop at or below 8.
         assert result.delta_used <= 8.0
         assert result.shortcut.dilation() < float("inf")
@@ -98,7 +98,7 @@ class TestAdaptive:
     def test_adaptive_always_terminates_property(self, graph_and_partition):
         graph, partition = graph_and_partition
         tree = bfs_tree(graph, root=0)
-        result = adaptive_full_shortcut(graph, tree, partition)
+        result = build_full_shortcut(graph, tree, partition, 1.0, escalate_on_stall=True)
         shortcut = result.shortcut
         assert shortcut.dilation(exact=False) < float("inf")
         # Tree-restriction: every H edge is a tree edge by construction.

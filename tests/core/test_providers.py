@@ -20,10 +20,10 @@ from repro.core.providers import (
     build_shortcut,
     clear_shortcut_cache,
     get_provider,
-    provider_name,
     register_provider,
     resolve_delta,
     resolve_tree,
+    shortcut_cache_info,
 )
 from repro.graphs.adjacency import canonical_edge
 from repro.graphs.generators import grid_graph, k_tree
@@ -70,25 +70,6 @@ class TestRegistry:
         finally:
             register_provider(original, replace_existing=True)
 
-    def test_provider_name_mapping(self):
-        assert provider_name("theorem31", "centralized") == "theorem31-centralized"
-        assert provider_name("theorem31", "simulated") == "theorem31-simulated"
-        assert provider_name("baseline", "centralized") == "baseline"
-        assert provider_name("none", "simulated") == "none"
-        assert provider_name("greedy") == "greedy"
-        assert provider_name("certifying") == "certifying"
-        assert provider_name("theorem31-simulated") == "theorem31-simulated"
-        assert provider_name("theorem31", "centralized", provider="greedy") == "greedy"
-
-    def test_provider_name_unknown_construction(self):
-        with pytest.raises(ShortcutError, match="construction"):
-            provider_name("theorem31", "telepathy")
-
-    def test_provider_name_unknown_method_lists_registry(self):
-        with pytest.raises(ShortcutError) as exc:
-            provider_name("magic")
-        for name in EXPECTED_PROVIDERS:
-            assert name in str(exc.value)
 
 
 class TestUniformValidationAcrossApps:
@@ -122,24 +103,6 @@ class TestUniformValidationAcrossApps:
             for name in EXPECTED_PROVIDERS:
                 assert name in message, message
 
-    def test_unknown_method_uniform_error(self):
-        graph = grid_graph(4, 4)
-        partition = voronoi_partition(graph, 3, rng=1)
-        for call in (
-            lambda: distributed_mst(graph, shortcut_method="magic"),
-            lambda: distributed_mincut(graph, shortcut_method="magic"),
-            lambda: subgraph_components(graph, set(), shortcut_method="magic"),
-            lambda: solve_partwise_aggregation(
-                graph, partition, {}, min, shortcut_method="magic"
-            ),
-            lambda: solve_partwise_multicast(
-                graph, partition, {0: 1, 1: 1, 2: 1}, shortcut_method="magic"
-            ),
-        ):
-            with pytest.raises(ShortcutError) as exc:
-                call()
-            assert "registered providers" in str(exc.value)
-
     def test_unknown_construction_uniform_error(self):
         graph = grid_graph(4, 4)
         partition = voronoi_partition(graph, 3, rng=1)
@@ -150,14 +113,32 @@ class TestUniformValidationAcrossApps:
             lambda: solve_partwise_aggregation(
                 graph, partition, {}, min, construction="telepathy"
             ),
-            # The pre-redesign partwise let (baseline, <bogus construction>)
-            # through silently; the registry rejects it like everyone else.
-            lambda: solve_partwise_aggregation(
-                graph, partition, {}, min,
-                shortcut_method="baseline", construction="telepathy",
+            lambda: solve_partwise_multicast(
+                graph, partition, {0: 1, 1: 1, 2: 1}, construction="telepathy"
             ),
         ):
-            with pytest.raises(ShortcutError, match="construction"):
+            with pytest.raises(
+                ShortcutError,
+                match="unknown construction 'telepathy'; choose from: centralized, simulated",
+            ):
+                call()
+
+    def test_provider_and_construction_together_rejected(self):
+        # construction= is only shorthand for provider="theorem31-<...>";
+        # giving both used to run the provider and drop the construction.
+        graph = grid_graph(4, 4)
+        partition = voronoi_partition(graph, 3, rng=1)
+        both = {"provider": "baseline", "construction": "simulated"}
+        for call in (
+            lambda: distributed_mst(graph, **both),
+            lambda: distributed_mincut(graph, **both),
+            lambda: subgraph_components(graph, set(), **both),
+            lambda: solve_partwise_aggregation(graph, partition, {}, min, **both),
+            lambda: solve_partwise_multicast(
+                graph, partition, {0: 1, 1: 1, 2: 1}, **both
+            ),
+        ):
+            with pytest.raises(ShortcutError, match="not both"):
                 call()
 
 
@@ -309,6 +290,77 @@ class TestProviderOutcomes:
             )
 
 
+class TestOptionKeys:
+    """Each provider declares the ``options`` keys it reads; build_shortcut
+    rejects any other key, and unhashable values, before the cache lookup
+    (undeclared keys used to be ignored and still split the cache)."""
+
+    DECLARED = {
+        "baseline": (),
+        "certifying": ("initial_delta",),
+        "greedy": ("order", "congestion_cap"),
+        "none": (),
+        "theorem31-centralized": (),
+        "theorem31-simulated": ("sweep",),
+    }
+
+    @staticmethod
+    def _request(provider, options):
+        graph = grid_graph(8, 8)
+        return ShortcutRequest(
+            graph=graph, partition=voronoi_partition(graph, 4, rng=1),
+            provider=provider, options=options,
+        )
+
+    def test_declared_keys(self):
+        declared = {name: get_provider(name).option_keys for name in EXPECTED_PROVIDERS}
+        assert declared == self.DECLARED
+
+    @pytest.mark.parametrize(
+        "provider,options,reads",
+        [
+            ("baseline", {"sweep": "ack"}, "no options"),
+            ("theorem31-centralized", {"ordr": "random"}, "no options"),
+            ("greedy", {"sweep": "ack"}, "order, congestion_cap"),
+        ],
+    )
+    def test_undeclared_key_rejected(self, provider, options, reads):
+        with pytest.raises(ShortcutError) as exc:
+            build_shortcut(self._request(provider, options))
+        message = str(exc.value)
+        assert repr(provider) in message
+        assert repr(next(iter(options))) in message
+        assert message.endswith(f"it reads: {reads}")
+
+    def test_undeclared_key_does_not_split_the_cache(self):
+        clear_shortcut_cache()
+        graph = grid_graph(8, 8)
+        partition = voronoi_partition(graph, 4, rng=1)
+
+        def request(**options):
+            return ShortcutRequest(
+                graph=graph, partition=partition, provider="baseline", options=options
+            )
+
+        first = build_shortcut(request())
+        for sweep in ("ack", "keep-alive"):
+            with pytest.raises(ShortcutError):
+                build_shortcut(request(sweep=sweep))
+        again = build_shortcut(request())
+        assert again.provenance.cache_hit
+        assert again.shortcut is first.shortcut
+        counts = shortcut_cache_info()["providers"]["baseline"]
+        assert (counts["hits"], counts["misses"]) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "provider,options",
+        [("greedy", {"congestion_cap": [4]}), ("baseline", {"x": [1]})],
+    )
+    def test_unhashable_value_is_a_shortcut_error(self, provider, options):
+        with pytest.raises(ShortcutError, match=repr(provider)):
+            build_shortcut(self._request(provider, options))
+
+
 class TestCacheEvictionAndCounters:
     """Satellite (PR 8): the outcome cache's LRU discipline, the 256-entry
     bound, eviction attribution, and hit/miss accounting under concurrent
@@ -322,6 +374,7 @@ class TestCacheEvictionAndCounters:
             name = "test-evict-stub"
             needs_delta = False
             needs_tree = False
+            option_keys = ("i",)
             cacheable = True
 
             def build(self, request, delta, tree):
@@ -390,6 +443,7 @@ class TestCacheEvictionAndCounters:
             name = "test-evict-other"
             needs_delta = False
             needs_tree = False
+            option_keys = ("i",)
             cacheable = True
 
             def build(self, request, delta, tree):

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings
 
-from repro.core.full import adaptive_full_shortcut, build_full_shortcut
+from repro.core.full import build_full_shortcut
 from repro.core.partial import build_partial_shortcut
 from repro.core.verify import BoundCheck, verify_full_result, verify_partial_result
 from repro.graphs.generators import grid_graph, k_tree

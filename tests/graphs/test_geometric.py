@@ -119,11 +119,11 @@ class TestFamiliesWorkWithShortcuts:
         ids=["caterpillar", "spider", "barbell", "hypercube"],
     )
     def test_adaptive_full_shortcut(self, graph):
-        from repro.core.full import adaptive_full_shortcut
+        from repro.core.full import build_full_shortcut
         from repro.graphs.partition import voronoi_partition
         from repro.graphs.trees import bfs_tree
 
         tree = bfs_tree(graph)
         partition = voronoi_partition(graph, min(8, graph.number_of_nodes()), rng=1)
-        result = adaptive_full_shortcut(graph, tree, partition)
+        result = build_full_shortcut(graph, tree, partition, 1.0, escalate_on_stall=True)
         assert result.shortcut.dilation(exact=False) < float("inf")

@@ -260,9 +260,11 @@ class TestAggregationCorrectness:
     def test_aggregates_match_reference_property(self, graph_and_partition):
         graph, partition = graph_and_partition
         tree = bfs_tree(graph, root=0)
-        from repro.core.full import adaptive_full_shortcut
+        from repro.core.full import build_full_shortcut
 
-        shortcut = adaptive_full_shortcut(graph, tree, partition).shortcut
+        shortcut = build_full_shortcut(
+            graph, tree, partition, 1.0, escalate_on_stall=True
+        ).shortcut
         values = {v: v * v for v in graph.nodes()}
         result = partwise_aggregate(
             graph, partition, shortcut, values, lambda a, b: a + b, rng=0,

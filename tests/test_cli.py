@@ -64,7 +64,7 @@ class TestMst:
 
     def test_scheduler_flag_reaches_simulated_construction(self, capsys):
         code = main(["mst", "--family", "ktree", "--n", "32", "--k", "2",
-                     "--seed", "3", "--construction", "simulated",
+                     "--seed", "3", "--provider", "theorem31-simulated",
                      "--scheduler", "dense"])
         out = capsys.readouterr().out
         assert code == 0
@@ -117,7 +117,7 @@ class TestMst:
             + ", ".join(available_schedulers())
         )
 
-    def test_provider_flag_overrides_construction(self, capsys):
+    def test_provider_flag_baseline(self, capsys):
         code = main(["mst", "--family", "ktree", "--n", "32", "--k", "2",
                      "--seed", "3", "--provider", "baseline"])
         out = capsys.readouterr().out
