@@ -4,6 +4,9 @@ import networkx as nx
 import pytest
 
 from repro.congest import NodeAlgorithm, RoundStats, SyncNetwork
+from repro.congest.jobs import Job, JobScheduler
+from repro.congest.network import bandwidth_budget
+from repro.serve import JobServer
 from repro.util.errors import CongestViolation, GraphStructureError
 
 
@@ -46,6 +49,22 @@ class _Chatter(NodeAlgorithm):
 class _TooBig(NodeAlgorithm):
     def on_start(self, ctx):
         return {neighbor: tuple(range(500)) for neighbor in ctx.neighbors}
+
+    def on_round(self, ctx, inbox):
+        return {}
+
+
+class _SendBits(NodeAlgorithm):
+    """Node 0 sends node 1 one int of exactly ``bits`` bits."""
+
+    def __init__(self, node, bits):
+        self.node = node
+        self.bits = bits
+
+    def on_start(self, ctx):
+        if self.node == 0:
+            return {1: 1 << (self.bits - 1)}
+        return {}
 
     def on_round(self, ctx, inbox):
         return {}
@@ -136,6 +155,52 @@ class TestSyncNetwork:
         with pytest.raises(ValueError, match="max_rounds") as err:
             network.run({v: _PingOnce(v) for v in graph}, max_rounds=max_rounds)
         assert repr(max_rounds) in str(err.value)
+
+
+class TestBandwidthBudget:
+    """One budget rule, ``bandwidth_budget``, always enforced: there is no
+    off-switch on the network, the job scheduler or the job server."""
+
+    @pytest.mark.parametrize(
+        "n,bits", [(1, 8), (2, 8), (3, 16), (4, 16), (5, 24), (64, 48), (65, 56)]
+    )
+    def test_budget_is_eight_bits_per_ceil_log2_n(self, n, bits):
+        assert bandwidth_budget(n) == bits
+
+    def test_network_default_is_the_budget(self):
+        graph = nx.path_graph(65)
+        assert SyncNetwork(graph).bandwidth_bits == bandwidth_budget(65)
+
+    @pytest.mark.parametrize("scheduler", ["event", "dense"])
+    def test_network_enforces_the_budget_exactly(self, scheduler):
+        graph = nx.path_graph(2)
+        network = SyncNetwork(graph, scheduler=scheduler)
+        budget = bandwidth_budget(2)
+        _, stats = network.run({v: _SendBits(v, budget) for v in graph})
+        assert stats.message_bits == budget
+        with pytest.raises(CongestViolation, match=f"budget is {budget} bits"):
+            network.run({v: _SendBits(v, budget + 1) for v in graph})
+
+    def test_scoped_job_gets_its_population_budget(self):
+        # A 3-node job on a 64-node graph is held to the 3-node budget.
+        graph = nx.path_graph(64)
+        budget = bandwidth_budget(3)
+        region = (0, 1, 2)
+        result = JobScheduler(graph).run(
+            [Job("fits", {v: _SendBits(v, budget) for v in region})]
+        )
+        assert result.outcomes["fits"].stats.message_bits == budget
+        with pytest.raises(CongestViolation, match=f"budget is {budget} bits"):
+            JobScheduler(graph).run(
+                [Job("big", {v: _SendBits(v, budget + 1) for v in region})]
+            )
+
+    def test_job_server_enforces_the_budget(self):
+        graph = nx.path_graph(2)
+        server = JobServer(graph)
+        server.submit(Job("big", {v: _TooBig() for v in graph}))
+        with pytest.raises(CongestViolation):
+            server.drain()
 
 
 class TestRoundStats:

@@ -22,6 +22,7 @@ from repro.core.providers import (
     get_provider,
     register_provider,
     resolve_delta,
+    resolve_provider,
     resolve_tree,
     shortcut_cache_info,
 )
@@ -70,6 +71,29 @@ class TestRegistry:
         finally:
             register_provider(original, replace_existing=True)
 
+    @pytest.mark.parametrize(
+        "provider,construction,expected",
+        [
+            (None, None, "theorem31-centralized"),
+            (None, "centralized", "theorem31-centralized"),
+            (None, "simulated", "theorem31-simulated"),
+            ("baseline", None, "baseline"),
+            ("none", None, "none"),
+            ("theorem31-simulated", None, "theorem31-simulated"),
+        ],
+    )
+    def test_resolve_provider_mapping(self, provider, construction, expected):
+        assert resolve_provider(provider, construction) == expected
+
+    def test_resolve_provider_unknown_construction(self):
+        with pytest.raises(ShortcutError, match="choose from: centralized, simulated"):
+            resolve_provider(construction="telepathy")
+
+    def test_resolve_provider_unknown_provider_lists_registry(self):
+        with pytest.raises(ShortcutError) as exc:
+            resolve_provider("psychic")
+        for name in EXPECTED_PROVIDERS:
+            assert name in str(exc.value)
 
 
 class TestUniformValidationAcrossApps:
