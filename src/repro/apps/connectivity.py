@@ -63,11 +63,10 @@ class ConnectivityResult:
 def subgraph_components(
     graph: nx.Graph,
     subgraph_edges: set[Edge],
-    construction: str | None = None,
     delta: float | None = None,
     rng: int | random.Random | None = None,
     scheduler: str = "event",
-    provider: str | None = None,
+    provider: str = "theorem31-centralized",
     latency_model: object = None,
 ) -> ConnectivityResult:
     """Connected components of ``(V, subgraph_edges)`` in the CONGEST model.
@@ -75,25 +74,23 @@ def subgraph_components(
     Args:
         graph: the communication graph ``G``.
         subgraph_edges: edges of ``H`` (must all be edges of ``G``).
-        construction: shorthand for ``provider="theorem31-<construction>"``:
-            ``"centralized"`` (per-phase shortcuts planned for free) or
-            ``"simulated"`` (each phase's shortcut is built by the measured
-            Theorem 1.5 distributed pipeline).
         delta: minor-density parameter for the shortcut construction.
         scheduler: simulator scheduler for the simulated construction
             (``"event"``, ``"dense"``, or ``"vectorized"``; see
             :mod:`repro.congest`).
         provider: shortcut-provider name (see
-            :func:`repro.core.providers.available_providers`); default
-            ``"theorem31-centralized"``.
+            :func:`repro.core.providers.available_providers`):
+            ``"theorem31-centralized"`` (per-phase shortcuts planned for
+            free), ``"theorem31-simulated"`` (each phase's shortcut built by
+            the measured Theorem 1.5 pipeline), among others.
         latency_model: per-edge latency model for the event scheduler
             (``None`` = uniform/lockstep-equivalent).
 
     Raises:
         GraphStructureError: if some subgraph edge is not a ``G`` edge.
-        ShortcutError: unknown provider or construction, or both given.
+        ShortcutError: unknown provider.
     """
-    provider = resolve_provider(provider, construction)
+    provider = resolve_provider(provider)
     normalized: set[Edge] = set()
     for u, v in subgraph_edges:
         if not graph.has_edge(u, v):

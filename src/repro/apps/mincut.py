@@ -85,9 +85,8 @@ def distributed_mincut(
     num_trees: int | None = None,
     rng: int | random.Random | None = None,
     two_respecting: bool | None = None,
-    construction: str | None = None,
     scheduler: str = "event",
-    provider: str | None = None,
+    provider: str = "theorem31-centralized",
     latency_model: object = None,
 ) -> MinCutResult:
     """Unweighted min cut (edge connectivity) with measured round accounting.
@@ -100,24 +99,21 @@ def distributed_mincut(
             evaluation families; raise for adversarial instances).
         two_respecting: run the 2-respecting sweep; defaults to
             ``n <= 400``.
-        construction: shorthand for ``provider="theorem31-<construction>"``
-            (``"centralized"`` or ``"simulated"``).
         scheduler: simulator scheduler for the simulated construction
             (``"event"``, ``"dense"``, or ``"vectorized"``; see
             :mod:`repro.congest`).
         provider: shortcut-provider name for every packed MST (see
-            :func:`repro.core.providers.available_providers`); default
-            ``"theorem31-centralized"``.
+            :func:`repro.core.providers.available_providers`).
         latency_model: per-edge latency model for the event scheduler,
             forwarded to every packed MST (``None`` =
             uniform/lockstep-equivalent).
 
     Raises:
         GraphStructureError: if the graph is disconnected or has < 2 nodes.
-        ShortcutError: unknown provider or construction, both given, or a
-            ``num_trees`` that is not a positive int.
+        ShortcutError: unknown provider, or a ``num_trees`` that is not a
+            positive int.
     """
-    provider = resolve_provider(provider, construction)
+    provider = resolve_provider(provider)
     validate_scheduler(
         scheduler, ShortcutError, latency_model=latency_model
     )

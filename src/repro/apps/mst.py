@@ -51,7 +51,6 @@ from repro.congest.stats import RoundStats
 from repro.core.providers import (
     ShortcutRequest,
     build_shortcut,
-    get_provider,
     resolve_provider,
 )
 from repro.graphs.adjacency import canonical_edge, edge_weights
@@ -143,7 +142,6 @@ def boruvka_phases(
         ShortcutError: unknown provider or scheduler, or an aggregation
             that did not complete.
     """
-    get_provider(provider)  # fail fast, uniformly
     validate_scheduler(scheduler, ShortcutError, latency_model=latency_model)
     rng = ensure_rng(rng)
     n = graph.number_of_nodes()

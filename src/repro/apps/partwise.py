@@ -74,11 +74,10 @@ def solve_partwise_aggregation(
     partition: Partition,
     values: dict[int, object],
     combine: Callable[[object, object], object],
-    construction: str | None = None,
     delta: float | None = None,
     rng: int | random.Random | None = None,
     scheduler: str = "event",
-    provider: str | None = None,
+    provider: str = "theorem31-centralized",
     latency_model: object = None,
 ) -> PartwiseSolution:
     """Solve Definition 2.1's aggregation variant end to end.
@@ -87,28 +86,27 @@ def solve_partwise_aggregation(
         graph, partition: the instance (parts disjoint & connected).
         values: per-node inputs (part nodes only; others ignored).
         combine: associative-commutative aggregate (min, max, +, ...).
-        construction: shorthand for ``provider="theorem31-<construction>"``:
-            ``"centralized"`` (free planning) or ``"simulated"`` (measured
-            Theorem 1.5 pipeline rounds included).
         delta: minor-density parameter; default analytic-or-degeneracy
             (the shared :func:`repro.core.providers.resolve_delta` rule).
         scheduler: simulator scheduler for the simulated construction
             (``"event"``, ``"dense"``, or ``"vectorized"``; see
             :mod:`repro.congest`).
         provider: shortcut-provider name (see
-            :func:`repro.core.providers.available_providers`); default
-            ``"theorem31-centralized"``; ``"baseline"`` or ``"none"``
-            (aggregate within bare ``G[P_i]`` — the slow control arm).
+            :func:`repro.core.providers.available_providers`):
+            ``"theorem31-centralized"`` (free planning),
+            ``"theorem31-simulated"`` (measured Theorem 1.5 pipeline rounds
+            included), ``"baseline"`` or ``"none"`` (aggregate within bare
+            ``G[P_i]`` — the slow control arm), among others.
         latency_model: per-edge latency model (requires
             ``scheduler="event"``): construction and aggregation run
             latency-realistically and the aggregation stats report
             ``virtual_time``.
 
     Raises:
-        ShortcutError: unknown provider or construction, both given, or an
-            aggregation that cannot complete (disconnected ``G[P_i] + H_i``).
+        ShortcutError: unknown provider, or an aggregation that cannot
+            complete (disconnected ``G[P_i] + H_i``).
     """
-    provider = resolve_provider(provider, construction)
+    provider = resolve_provider(provider)
     validate_scheduler(
         scheduler, ShortcutError, latency_model=latency_model
     )
@@ -147,11 +145,10 @@ def solve_partwise_multicast(
     graph: nx.Graph,
     partition: Partition,
     messages: dict[int, object],
-    construction: str | None = None,
     delta: float | None = None,
     rng: int | random.Random | None = None,
     scheduler: str = "event",
-    provider: str | None = None,
+    provider: str = "theorem31-centralized",
     latency_model: object = None,
 ) -> PartwiseSolution:
     """Definition 2.1's multicast variant: one message per part, to all members.
@@ -161,15 +158,14 @@ def solve_partwise_multicast(
     returned ``values[i]`` is the delivered message (asserted identical to
     the input — the engine's convergecast carries it up from the leader).
 
-    ``construction``, ``provider`` and the rest select and run the
-    shortcut as in :func:`solve_partwise_aggregation`.
+    ``provider`` and the rest select and run the shortcut as in
+    :func:`solve_partwise_aggregation`.
 
     Raises:
-        ShortcutError: unknown provider or construction, both given, a part
-            index without a message, a message keyed by anything but a part
-            index, or failed delivery.
+        ShortcutError: unknown provider, a part index without a message, a
+            message keyed by anything but a part index, or failed delivery.
     """
-    provider = resolve_provider(provider, construction)
+    provider = resolve_provider(provider)
     parts = range(len(partition))
     missing = [i for i in parts if i not in messages]
     if missing:

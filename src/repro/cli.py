@@ -247,23 +247,28 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     from repro.core.providers import ShortcutRequest, build_shortcut, get_provider
     from repro.graphs.partition import voronoi_partition
     from repro.graphs.trees import bfs_tree
+    from repro.util.errors import ShortcutError
 
     scheduler, latency_model = _validated_scheduler(args)
     graph = build_family(args)
     tree = bfs_tree(graph)
     num_parts = _num_parts(args, graph)
     partition = voronoi_partition(graph, num_parts, rng=args.seed)
-    # --initial-delta goes only to a provider that reads it.
-    options = (
-        {"initial_delta": args.initial_delta}
-        if "initial_delta" in get_provider(args.provider).option_keys else {}
-    )
-    outcome = build_shortcut(
-        ShortcutRequest(
-            graph=graph, partition=partition, tree=tree, provider=args.provider,
-            rng=args.seed, options=options,
+    # A given --initial-delta always reaches the provider, which rejects it
+    # if it does not read it; unset, it starts at 0.25 where it is read.
+    initial_delta = args.initial_delta
+    if initial_delta is None and "initial_delta" in get_provider(args.provider).option_keys:
+        initial_delta = 0.25
+    options = {} if initial_delta is None else {"initial_delta": initial_delta}
+    try:
+        outcome = build_shortcut(
+            ShortcutRequest(
+                graph=graph, partition=partition, tree=tree, provider=args.provider,
+                rng=args.seed, options=options,
+            )
         )
-    )
+    except ShortcutError as error:
+        raise SystemExit(str(error)) from None
     prov = outcome.provenance
     attempts = prov.details.get("attempts")
     if attempts is None:
@@ -468,7 +473,11 @@ def main(argv: list[str] | None = None) -> int:
     _add_scheduler_arguments(certify)
     _add_provider_argument(certify, default="certifying")
     certify.add_argument("--parts", type=int, default=None)
-    certify.add_argument("--initial-delta", type=float, default=0.25)
+    certify.add_argument(
+        "--initial-delta", type=float, default=None,
+        help="first delta of the certifying doubling (default 0.25); "
+        "rejected by a provider that does not read it",
+    )
     certify.set_defaults(func=_cmd_certify)
 
     serve = subparsers.add_parser(

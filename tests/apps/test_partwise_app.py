@@ -7,7 +7,7 @@ from repro.apps.partwise import (
     solve_partwise_aggregation,
     solve_partwise_multicast,
 )
-from repro.graphs.generators import grid_graph, wheel_graph
+from repro.graphs.generators import wheel_graph
 from repro.graphs.partition import Partition, voronoi_partition
 from repro.util.errors import ShortcutError
 
@@ -30,11 +30,11 @@ class TestAggregationApi:
         values = {v: 1 for v in small_grid.nodes()}
         free = solve_partwise_aggregation(
             small_grid, partition, values, lambda a, b: a + b,
-            construction="centralized", rng=2,
+            provider="theorem31-centralized", rng=2,
         )
         paid = solve_partwise_aggregation(
             small_grid, partition, values, lambda a, b: a + b,
-            construction="simulated", rng=2,
+            provider="theorem31-simulated", rng=2,
         )
         assert paid.values == free.values
         assert paid.construction_stats.rounds > 0
@@ -68,13 +68,6 @@ class TestAggregationApi:
         with pytest.raises(ShortcutError):
             solve_partwise_aggregation(
                 small_grid, partition, {}, min, provider="psychic"
-            )
-
-    def test_unknown_construction_rejected(self, small_grid):
-        partition = voronoi_partition(small_grid, 3, rng=1)
-        with pytest.raises(ShortcutError):
-            solve_partwise_aggregation(
-                small_grid, partition, {}, min, construction="telepathy"
             )
 
     @given(graphs_with_partitions(min_nodes=3, max_nodes=25))

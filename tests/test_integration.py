@@ -104,7 +104,7 @@ class TestEndToEndApi:
         partition = voronoi_partition(graph, 12, rng=16)
         solution = solve_partwise_aggregation(
             graph, partition, {v: 1 for v in graph.nodes()},
-            lambda a, b: a + b, construction="simulated", rng=17,
+            lambda a, b: a + b, provider="theorem31-simulated", rng=17,
         )
         assert solution.construction_stats.rounds > 0
         for index, part in enumerate(partition):
