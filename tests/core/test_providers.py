@@ -135,8 +135,8 @@ class TestUniformValidationAcrossApps:
             distributed_mst(grid_graph(4, 4), construction="telepathy")
 
     def test_provider_and_construction_together_rejected(self):
-        # construction= is only shorthand for provider="theorem31-<...>";
-        # giving both used to run the provider and drop the construction.
+        # construction= is only shorthand for provider="theorem31-<...>",
+        # so a call giving both names two constructions.
         with pytest.raises(ShortcutError, match="not both"):
             distributed_mst(grid_graph(4, 4), provider="baseline", construction="simulated")
 

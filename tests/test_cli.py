@@ -153,7 +153,6 @@ class TestCertify:
         assert "distributed check (event)" in out
 
     def test_certify_initial_delta_rejected_by_provider_that_ignores_it(self):
-        # The flag used to be dropped without a word for such a provider.
         with pytest.raises(SystemExit, match="does not read option.*initial_delta"):
             main(["certify", "--family", "grid", "--width", "6", "--height", "6",
                   "--parts", "6", "--provider", "greedy", "--initial-delta", "2"])
