@@ -10,8 +10,6 @@ cliques at their analytic δ, with Voronoi parts.
 
 import math
 
-import pytest
-
 from benchmarks.common import fmt, report
 from repro.core.partial import build_partial_shortcut
 from repro.graphs.generators import (

@@ -23,10 +23,14 @@ measured, never asserted):
 * one simulated part-wise min aggregation (convergecast + decision
   broadcast) through the shortcut.
 
-Every phase's shortcut restricts to one tree ``T``, as in Corollary 1.6:
-the first phase's outcome tree is passed into every later request, so the
-simulated construction measures its BFS tree and learns its depth once
-per query, not once per phase.
+A phase whose fragments are all single nodes (phase 0, where the labels
+are the node ids) has only the exchange round: a one-node fragment's MOE
+is its node's local value, so the phase builds no shortcut and runs no
+aggregation. Every other phase's shortcut restricts to one tree ``T``, as
+in Corollary 1.6: the tree of the first phase with a multi-node fragment
+is passed into every later request, so the simulated construction
+measures its BFS tree and learns its depth once per query, not once per
+phase, and a query that ends in phase 0 measures none.
 
 The loop calls ``build_shortcut`` and ``partwise_aggregate`` through this
 module's globals, so a caller that rebinds ``repro.apps.mst.build_shortcut``
@@ -125,10 +129,14 @@ def boruvka_phases(
     2. the label classes, in node order, become the parts; one exchange
        round is charged over ``exchange_edges`` (one message each way,
        bits not modeled);
-    3. the phase shortcut is built, on the first phase's tree from the
-       second phase on, and every part aggregates the minimum of its
-       members' non-``None`` values;
-    4. ``merge(labels, minima)`` returns the new labels, where ``minima``
+    3. if every part is a single node, its minimum is that node's value,
+       read directly: the phase builds no shortcut, runs no aggregation
+       and draws nothing from ``rng``, so it costs the exchange round
+       alone;
+    4. otherwise the phase shortcut is built, on the tree of the first
+       such phase from the next one on, and every part aggregates the
+       minimum of its members' non-``None`` values;
+    5. ``merge(labels, minima)`` returns the new labels, where ``minima``
        maps each class label to its part's minimum (``None`` if none).
 
     The keyword arguments are the phase shortcuts'
@@ -156,31 +164,37 @@ def boruvka_phases(
         classes: dict[int, list[int]] = {}
         for node, label in labels.items():
             classes.setdefault(label, []).append(node)
-        partition = Partition(graph, classes.values(), validate=False)
         phase_stats = RoundStats(rounds=1)
         for u, v in exchange_edges:
             phase_stats.record_message(u, v, 0, 0)
             phase_stats.record_message(v, u, 0, 0)
-        # Identical class collections (e.g. the singleton phase repeated
-        # across a min-cut tree packing) hit the provider's memo cache.
-        outcome = build_shortcut(ShortcutRequest(
-            graph=graph, partition=partition, tree=tree, provider=provider,
-            delta=delta, rng=rng, scheduler=scheduler, latency_model=latency_model,
-        ))
-        tree = outcome.tree
-        aggregation = partwise_aggregate(
-            graph, partition, outcome.shortcut, values, _min_or_none, rng=rng,
-            latency_model=latency_model,
-        )
-        if aggregation.incomplete:
-            raise ShortcutError(
-                f"phase {phase}: aggregation did not complete for parts "
-                f"{aggregation.incomplete}"
+        if len(classes) == len(labels):
+            # Every part is one node, which knows its minimum already.
+            minima = {label: values[members[0]] for label, members in classes.items()}
+        else:
+            partition = Partition(graph, classes.values(), validate=False)
+            # A class collection seen before on this graph (the same query
+            # run again) hits the provider's memo cache.
+            outcome = build_shortcut(ShortcutRequest(
+                graph=graph, partition=partition, tree=tree, provider=provider,
+                delta=delta, rng=rng, scheduler=scheduler, latency_model=latency_model,
+            ))
+            tree = outcome.tree
+            aggregation = partwise_aggregate(
+                graph, partition, outcome.shortcut, values, _min_or_none, rng=rng,
+                latency_model=latency_model,
             )
-        stats.add_phase(f"phase_{phase}", phase_stats + outcome.stats + aggregation.stats)
-        labels = merge(labels, {
-            label: aggregation.values.get(index) for index, label in enumerate(classes)
-        })
+            if aggregation.incomplete:
+                raise ShortcutError(
+                    f"phase {phase}: aggregation did not complete for parts "
+                    f"{aggregation.incomplete}"
+                )
+            phase_stats = phase_stats + outcome.stats + aggregation.stats
+            minima = {
+                label: aggregation.values.get(index) for index, label in enumerate(classes)
+            }
+        stats.add_phase(f"phase_{phase}", phase_stats)
+        labels = merge(labels, minima)
     return labels, stats
 
 

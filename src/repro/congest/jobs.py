@@ -72,7 +72,7 @@ import heapq
 import random
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 

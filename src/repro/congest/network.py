@@ -79,7 +79,7 @@ import networkx as nx
 # below registers vectorized (as *unavailable* when numpy is missing).
 # Backend classes are never named here; everything goes through
 # get_backend() — enforced by ruff TID251 and the REG-BACKEND lint rule.
-import repro.congest.vectorized
+import repro.congest.vectorized  # noqa: F401
 from repro.congest.asynchronous import resolve_latency_model
 from repro.congest.engine import (
     NodeContext,

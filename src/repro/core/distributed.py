@@ -20,15 +20,31 @@ Pipeline (each phase runs in the simulator and is measured):
    idea of [HIZ16a, HHW18] applied to the paper's exact marking process;
    Chernoff bounds give ``|I_e| ≥ c ⇒ marked`` and ``marked ⇒ |I_e| ≥ c/2``
    whp, so all Theorem 3.1 guarantees hold with constant-factor slack.
-   Rounds: ``O(D + total forwarded ids) = O(D log n)`` worst case, usually
-   far less. With ``exact=True`` the sample rate is 1 and ``τ = c`` — the
+   A node streams its ids only once every child has closed its stream
+   (store-and-forward), so a level waits for its slowest child's whole
+   stream and the critical path is up to depth × ``τ`` rounds, not
+   ``D + τ``. With ``exact=True`` the sample rate is 1 and ``τ = c`` — the
    deterministic variant, used to cross-validate the sampled marking
    against the centralized one.
 4. **verify** — all parts aggregate through their candidate shortcuts
-   (random-delay scheduling, measured): this is how parts learn their
-   aggregate actually works and is the dominant ``O~(δD)`` term.
+   (random-delay scheduling, measured, ``O~(δD)`` rounds): this is how
+   parts learn their aggregate actually works. It runs only when a
+   partial construction is called on its own; the Observation 2.7 loop
+   turns it off, and a Borůvka query aggregates over the finished
+   shortcut instead.
 
 Total measured rounds: ``O(D log n + δD log n) = O~(δD)`` — experiment E5.
+
+The sweep, not the aggregation, is the largest measured term. A simulated
+MST query on a grid (weights ``assign_random_weights(rng=3)``, ``rng=3``,
+``event`` scheduler) splits its rounds as follows:
+
+==========  ======  =============  ============  ===  ======================
+Grid        Rounds  Sweep          Meta waves    BFS  Aggregation + exchange
+==========  ======  =============  ============  ===  ======================
+40 × 40      1,512  603 (39.9%)    398 (26.3%)    79  432 (28.6%)
+100 × 100    8,340  5,092 (61.1%)  1,398 (16.8%)  199  1,651 (19.8%)
+==========  ======  =============  ============  ===  ======================
 
 The ack protocol (PR 5)
 -----------------------
@@ -316,15 +332,15 @@ def distributed_partial_shortcut(
             ``tree.root``. Precondition: the tree was measured earlier in
             the same query, so its root already knows the depth ``D``.
             Observation 2.7 passes its first iteration's tree to every
-            later iteration, and the Borůvka loop passes its first phase's
-            tree to every later phase.
+            later iteration, and the Borůvka loop passes the tree of its
+            first phase with a multi-node part to every later phase.
         rng: seed or generator (drives the shared sampling seed and the
             verification delays).
         sampling_factor: the ``Θ(log n)`` multiplier in the sample rate.
         exact: disable sampling (deterministic variant), used to
             cross-validate the marking against the centralized process.
-        run_verification: include phase 4 (dominant cost; disable only for
-            sweep-only microbenchmarks).
+        run_verification: include phase 4 (the Observation 2.7 loop and
+            sweep-only microbenchmarks turn it off).
         scheduler: simulator scheduler for every phase (``"event"``,
             ``"dense"``, or ``"vectorized"``; see :mod:`repro.congest`).
         latency_model: per-edge latency model for the event scheduler

@@ -649,8 +649,8 @@ class Theorem31SimulatedProvider(ShortcutProvider):
     iteration reuses it, so resolving a centralized one up front would be
     a wasted full-graph pass. A request's tree is built on as given: it
     must come from an earlier measured run of the same query (the
-    Borůvka loop passes its first phase's tree), whose root knows its
-    depth.
+    Borůvka loop passes the tree of its first phase with a multi-node
+    part), whose root knows its depth.
     """
 
     name = "theorem31-simulated"

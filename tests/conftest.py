@@ -14,7 +14,7 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.graphs.generators import grid_graph, k_tree, series_parallel_graph, wheel_graph
-from repro.graphs.partition import Partition, forest_cut_partition, voronoi_partition
+from repro.graphs.partition import forest_cut_partition, voronoi_partition
 
 SEEDS = st.integers(0, 2**16)
 

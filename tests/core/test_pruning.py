@@ -1,15 +1,10 @@
 """Tests for Steiner pruning of partial-shortcut subgraphs."""
 
-import networkx as nx
 from hypothesis import given, settings
 
-from repro.core.partial import (
-    ancestor_subgraphs,
-    build_partial_shortcut,
-    steiner_prune,
-)
+from repro.core.partial import build_partial_shortcut, steiner_prune
 from repro.graphs.generators import grid_graph
-from repro.graphs.partition import Partition, voronoi_partition
+from repro.graphs.partition import voronoi_partition
 from repro.graphs.trees import RootedTree, bfs_tree
 
 from tests.conftest import graphs_with_partitions

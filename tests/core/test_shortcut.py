@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.shortcut import Shortcut, TreeRestrictedShortcut, UNREACHABLE
-from repro.graphs.generators import grid_graph, wheel_graph
+from repro.graphs.generators import wheel_graph
 from repro.graphs.partition import Partition, grid_rows_partition
 from repro.graphs.trees import bfs_tree
 from repro.util.errors import ShortcutError

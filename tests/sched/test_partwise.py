@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import bfs_tree_shortcut, build_full_shortcut
+from repro.core import build_full_shortcut
 from repro.core.providers import ShortcutRequest, build_shortcut
 from repro.core.shortcut import Shortcut
 from repro.graphs.generators import grid_graph, k_tree, series_parallel_graph, wheel_graph
