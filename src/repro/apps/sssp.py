@@ -178,11 +178,17 @@ def sssp_job(
     unreachable within the budget).
 
     Raises:
-        GraphStructureError: as :func:`bellman_ford_sssp`, and when the
+        GraphStructureError: as :func:`bellman_ford_sssp`, when
+            ``nodes`` names a node that is not in the graph, and when the
             source is outside the population — all before the job exists.
     """
     _check_max_hops(max_hops)
     population = tuple(graph.nodes()) if nodes is None else tuple(nodes)
+    unknown = [v for v in population if v not in graph]
+    if unknown:
+        raise GraphStructureError(
+            f"job population includes non-graph nodes {unknown[:5]}"
+        )
     if source not in population:
         raise GraphStructureError(f"source {source} is not in the job population")
     members = set(population)

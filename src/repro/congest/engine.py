@@ -62,13 +62,12 @@ latency-model registry ``event`` resolves through lives in
 from __future__ import annotations
 
 import heapq
-import random
 
 from repro.congest.asynchronous import resolve_latency_model
 from repro.congest.stats import RoundStats
 from repro.util.bitsize import payload_bits
 from repro.util.errors import CongestViolation
-from repro.util.rng import derive_node_rng
+from repro.util.rng import NodeStream, derive_node_rng
 
 __all__ = [
     "NodeContext",
@@ -180,7 +179,7 @@ class NodeContext:
         node: int,
         neighbors: tuple[int, ...],
         num_nodes: int,
-        rng: random.Random,
+        rng: NodeStream,
     ):
         self.node = node
         self.neighbors = neighbors

@@ -1,8 +1,9 @@
 """Randomness helpers.
 
 All stochastic code in the library accepts either a seed, a
-:class:`random.Random` instance, or ``None`` and funnels it through
-:func:`ensure_rng`, so experiments are reproducible end to end.
+:class:`random.Random` instance, a :class:`NodeStream`, or ``None`` and
+funnels it through :func:`ensure_rng`, so experiments are reproducible end
+to end.
 
 :func:`part_sample_hash` implements the *shared-seed sampling* trick used by
 the distributed shortcut construction (Theorem 1.5): every node of a part
@@ -14,9 +15,12 @@ per-node coin flip.
 randomness: each node's stream is a deterministic function of
 ``(run_seed, node_index)``, so the streams are identical no matter which
 scheduler backend runs the node or in which order. The stream is derived
-when the node's context is built but seeded on its first draw: most
-algorithms never draw, and the SHA-256 plus Mersenne Twister seeding is
-most of what a context costs to build.
+when the node's context is built, but until its first use it holds only
+that key and no generator state: most algorithms never draw, and a
+``random.Random`` carries about 2.5 KB of Mersenne Twister state. Its
+first use builds the eagerly seeded ``random.Random`` and forwards to it,
+so the draws are that generator's, draw for draw. :func:`ensure_rng`
+passes a stream through as it is.
 """
 
 from __future__ import annotations
@@ -24,16 +28,16 @@ from __future__ import annotations
 import hashlib
 import random
 
-__all__ = ["ensure_rng", "part_sample_hash", "derive_node_rng"]
+__all__ = ["ensure_rng", "part_sample_hash", "derive_node_rng", "NodeStream"]
 
 
-def ensure_rng(seed: int | random.Random | None) -> random.Random:
-    """Return a :class:`random.Random` for any accepted seed spec.
+def ensure_rng(seed: int | random.Random | NodeStream | None) -> random.Random | NodeStream:
+    """Return a generator for any accepted seed spec.
 
-    Accepts an existing generator (returned as-is), an integer seed, or
-    ``None`` (fresh nondeterministic generator).
+    Accepts an existing generator or :class:`NodeStream` (returned as-is),
+    an integer seed, or ``None`` (fresh nondeterministic generator).
     """
-    if isinstance(seed, random.Random):
+    if isinstance(seed, (random.Random, NodeStream)):
         return seed
     return random.Random(seed)
 
@@ -43,65 +47,42 @@ def _node_seed(run_seed: int, node_index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# The Mersenne Twister's own draws; every other random.Random method is
-# built on these two.
-_mt_random = random.Random.random
-_mt_getrandbits = random.Random.getrandbits
+class NodeStream:
+    """``random.Random(_node_seed(run_seed, node_index))``, built on first use.
 
-
-class _NodeStream(random.Random):
-    """``random.Random(_node_seed(run_seed, node_index))``, seeded on first use.
-
-    Construction only records the key. The first call to :meth:`random`,
-    :meth:`getrandbits` or :meth:`getstate` derives the seed and seeds the
-    generator; :meth:`setstate` and :meth:`seed` replace the stream, so they
-    just drop the key. Every other method draws through ``random`` or
-    ``getrandbits``, so the stream is the eager generator's, draw for draw.
-    Pickling and copying go through ``getstate``/``setstate``, as for any
-    ``random.Random``.
+    Until then the stream holds only its key. The first read of a generator
+    attribute builds the generator; that read and every later one are
+    forwarded to it, so the stream has the whole ``random.Random`` API.
+    Dunder lookups are not forwarded. Pickling and copying keep an unused
+    stream unbuilt and give a used one its own generator at the same state.
     """
 
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "_stream")
 
-    # random.Random.__init__ sets this; seed and setstate still do.
-    gauss_next = None
+    def __init__(self, run_seed: int, node_index: int):
+        self._key = (run_seed, node_index)
+        self._stream: random.Random | None = None
 
-    def __init__(self, run_seed: int | None = None, node_index: int | None = None):
-        # random.Random.__init__ would seed now. The C base allocates its
-        # state unseeded for a subclass, so nothing is seeded here. Unpickling
-        # and copying call this without a key, then setstate.
-        self._key = None if run_seed is None else (run_seed, node_index)
+    def __getattr__(self, name: str):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        if self._stream is None:
+            self._stream = random.Random(_node_seed(*self._key))
+        return getattr(self._stream, name)
 
-    def _derive(self) -> None:
-        key, self._key = self._key, None
-        random.Random.seed(self, _node_seed(*key))
+    def __getstate__(self):
+        return self._key, None if self._stream is None else self._stream.getstate()
 
-    def random(self) -> float:
-        if self._key is not None:
-            self._derive()
-        return _mt_random(self)
-
-    def getrandbits(self, k: int) -> int:
-        if self._key is not None:
-            self._derive()
-        return _mt_getrandbits(self, k)
-
-    def getstate(self):
-        if self._key is not None:
-            self._derive()
-        return random.Random.getstate(self)
-
-    def setstate(self, state) -> None:
-        self._key = None
-        random.Random.setstate(self, state)
-
-    def seed(self, *args, **kwargs) -> None:
-        self._key = None
-        random.Random.seed(self, *args, **kwargs)
+    def __setstate__(self, state) -> None:
+        self._key, stream_state = state
+        self._stream = None
+        if stream_state is not None:
+            self._stream = random.Random()
+            self._stream.setstate(stream_state)
 
 
-def derive_node_rng(run_seed: int, node_index: int) -> random.Random:
-    """A per-node generator derived deterministically from the run seed.
+def derive_node_rng(run_seed: int, node_index: int) -> NodeStream:
+    """A per-node stream derived deterministically from the run seed.
 
     The seed is SHA-256 over ``(run_seed, node_index)``, so a node's stream
     depends only on the run and its position in the graph's node order —
@@ -109,11 +90,13 @@ def derive_node_rng(run_seed: int, node_index: int) -> random.Random:
     every backend produce byte-identical executions, whatever order it
     activates nodes in.
 
-    The generator is seeded on its first draw, not here: a node that never
-    draws costs no hashing and no Mersenne Twister seeding. Its stream is
-    identical to the eager ``random.Random(seed)``'s.
+    The stream holds only its key until its first use, so a node that never
+    draws costs no hashing, no Mersenne Twister seeding and no generator
+    state. Its first use builds the eagerly seeded ``random.Random(seed)``
+    and forwards to it, draw for draw; :func:`ensure_rng` returns the
+    stream as it is.
     """
-    return _NodeStream(run_seed, node_index)
+    return NodeStream(run_seed, node_index)
 
 
 def part_sample_hash(part_id: int, seed: int, probability: float) -> bool:

@@ -71,6 +71,25 @@ class TestMissingWeights:
         assert report.outcomes["other"].results[8] == 0
 
 
+class TestSsspJobPopulation:
+    def test_rejects_non_graph_nodes_before_the_job_exists(self):
+        graph = grid_graph(3, 3)
+        with pytest.raises(GraphStructureError, match=r"non-graph nodes \['zz'\]"):
+            sssp_job(graph, 0, nodes=(0, 1, "zz"))
+
+    def test_a_bad_tenant_costs_the_others_nothing(self):
+        # Rejected at construction, the bad job never reaches the drain.
+        graph = grid_graph(3, 3)
+        server = JobServer(graph, scheduler="event", max_inflight=1)
+        completed = []
+        server.submit(sssp_job(graph, 0, job_id="good", on_complete=completed.append))
+        with pytest.raises(GraphStructureError):
+            server.submit(sssp_job(graph, 0, nodes=(0, 1, "zz"), job_id="bad"))
+        report = server.drain()
+        assert report.outcomes["good"].status == "completed"
+        assert len(completed) == 1
+
+
 class TestMulticastPartIndices:
     @pytest.mark.parametrize("key", [7, -1, "0"])
     def test_rejects_keys_outside_the_partition(self, key):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, find, given, settings
 from hypothesis import strategies as st
 
+from repro.congest.engine import available_schedulers
 from repro.congest.network import NodeContext
 from repro.core.distributed import (
     KeepAliveSweepNode,
@@ -23,6 +24,8 @@ from repro.graphs.generators import broom_graph, grid_graph, k_tree
 from repro.graphs.partition import Partition, grid_rows_partition, voronoi_partition
 from repro.graphs.trees import bfs_tree
 from repro.util.errors import ShortcutError
+
+from tests.conftest import GENERATED_GRAPHS, SEEDS
 
 
 class TestExactModeAgreesWithCentralized:
@@ -349,3 +352,36 @@ class TestSimulatedFullShortcutOneTree:
         assert reused.tree is fresh.tree
         with pytest.raises(ShortcutError, match="fixes the root"):
             distributed_partial_shortcut(graph, partition, 0.5, tree=fresh.tree, root=0)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    GENERATED_GRAPHS, SEEDS, st.integers(1, 40),
+    st.sampled_from((0.05, 0.5, 3.0)), st.booleans(),
+)
+def test_sweep_critical_path_is_at_most_depth_times_tau(
+    graph, seed, parts, delta, exact,
+):
+    """Sweep rounds ≤ D · max(τ − 1, 1) ≤ D · τ + 0, on every backend.
+
+    Derived from :class:`SweepNode` under lockstep delivery. Leaves decide
+    in ``on_start`` (round 0). A node that decides in round ``t`` closes
+    its stream to its parent by round ``t + max(k, 1)``: a marked or empty
+    node sends one bare ack (1 round); an unmarked one streams its
+    ``k ≤ τ − 1`` ids one per round and piggybacks the close on the last
+    id (``k`` rounds, no extra close round). A parent decides when its last
+    child closes, so a node of height ``h`` decides by round
+    ``h · max(τ − 1, 1)``, and the root, which sends nothing, ends the run
+    there. The constant over ``D · τ`` is therefore 0.
+    """
+    partition = voronoi_partition(graph, min(parts, graph.number_of_nodes()), rng=seed)
+    for scheduler in available_schedulers():
+        result = distributed_partial_shortcut(
+            graph, partition, delta, rng=seed, exact=exact,
+            run_verification=False, scheduler=scheduler,
+        )
+        tau = result.params["tau"]
+        bound = result.tree.max_depth * max(tau - 1, 1)
+        assert result.stats.phases["sweep"].rounds <= bound <= result.tree.max_depth * tau, (
+            scheduler, tau,
+        )

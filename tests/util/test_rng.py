@@ -4,6 +4,7 @@ import copy
 import hashlib
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,36 @@ def _eager_node_rng(run_seed, node_index):
     """The node stream as an eagerly seeded ``random.Random``."""
     digest = hashlib.sha256(f"node:{run_seed}:{node_index}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+# Arguments for one call of each public random.Random method. Lists are
+# copied per call, so in-place methods such as shuffle compare too.
+RANDOM_API_CALLS = {
+    "betavariate": (2.0, 3.0),
+    "binomialvariate": (10, 0.3),
+    "choice": ("abcdefgh",),
+    "choices": (range(50), list(range(1, 51))),
+    "expovariate": (1.5,),
+    "gammavariate": (0.5, 2.0),
+    "gauss": (0.0, 1.0),
+    "getrandbits": (70,),
+    "getstate": (),
+    "lognormvariate": (0.0, 1.0),
+    "normalvariate": (0.0, 1.0),
+    "paretovariate": (1.5,),
+    "randbytes": (9,),
+    "randint": (3, 10**12),
+    "random": (),
+    "randrange": (5, 10**9, 3),
+    "sample": (range(100), 5),
+    "seed": (99,),
+    "setstate": (random.Random(5).getstate(),),
+    "shuffle": (list(range(30)),),
+    "triangular": (0.0, 4.0, 1.0),
+    "uniform": (-1.0, 1.0),
+    "vonmisesvariate": (0.0, 2.0),
+    "weibullvariate": (1.0, 1.5),
+}
 
 
 def _draws(rng):
@@ -48,8 +79,30 @@ class TestEnsureRng:
 
 @pytest.mark.parametrize("run_seed, node_index", STREAM_KEYS)
 class TestNodeStreams:
-    def test_is_a_random_generator(self, run_seed, node_index):
-        assert isinstance(derive_node_rng(run_seed, node_index), random.Random)
+    def test_has_the_random_api(self, run_seed, node_index):
+        public = {name for name in dir(random.Random) if not name.startswith("_")}
+        assert public <= set(RANDOM_API_CALLS) | {"VERSION"}
+        for name in sorted(public - {"VERSION"}):
+            lazy = derive_node_rng(run_seed, node_index)
+            eager = _eager_node_rng(run_seed, node_index)
+            results = []
+            for rng in (lazy, eager):
+                args = copy.deepcopy(RANDOM_API_CALLS[name])
+                results.append((getattr(rng, name)(*args), args, rng.random()))
+            assert results[0] == results[1], name
+        stream = derive_node_rng(run_seed, node_index)
+        assert stream.VERSION == random.Random.VERSION
+        assert ensure_rng(stream) is stream
+
+    def test_an_unused_stream_holds_no_generator(self, run_seed, node_index):
+        stream = derive_node_rng(run_seed, node_index)
+        assert sys.getsizeof(stream) < sys.getsizeof(random.Random()) // 20
+        assert stream._stream is None
+        with pytest.raises(AttributeError):
+            stream.__array__
+        assert stream._stream is None
+        stream.random()
+        assert isinstance(stream._stream, random.Random)
 
     def test_same_draws_as_eager_seeding(self, run_seed, node_index):
         lazy = derive_node_rng(run_seed, node_index)
